@@ -127,9 +127,25 @@ def cmd_train(args) -> int:
     out_dir = Path(args.out_dir)
     t0 = time.time()
     result = training.train(cfg, out_dir, resume=args.resume, quiet=args.quiet)
+    if args.resume:
+        # the log continues the one written next to the resumed checkpoint
+        result.loss_rows[:0] = _earlier_loss_rows(
+            Path(args.resume).parent / "loss.csv",
+            result.loss_rows[0]["step"] if result.loss_rows else cfg.steps)
     _write_train_outputs(out_dir, result, t0)
     print(f"final checkpoint: {result.final_checkpoint}")
     return 0
+
+
+def _earlier_loss_rows(path: Path, before_step: int) -> list[dict]:
+    """Rows of an earlier run's loss log for the steps before `before_step`
+    (none when that run left no log)."""
+    if not path.exists():
+        return []
+    rows = [{"step": int(r["step"]), "loss": float(r["loss"]),
+             "grad_norm": float(r["grad_norm"]),
+             "wallclock_s": float(r["wallclock_s"])} for r in read_csv(path)]
+    return [r for r in rows if r["step"] < before_step]
 
 
 def _write_train_outputs(out_dir: Path, result: training.TrainResult, t0) -> None:
@@ -181,7 +197,6 @@ def cmd_eval(args) -> int:
     curves = [evaluation.error_curve(kind, dist, n, horizon, seed,
                                      weights=weights,
                                      switch_at=preset.switch_at,
-                                     threads=args.threads,
                                      population=population)
               for kind in predictors]
     rows = evaluation.curves_to_csv_rows(args.preset, curves)
@@ -194,8 +209,7 @@ def cmd_eval(args) -> int:
     hashes = {Path(args.ckpt).name: sha256_file(args.ckpt)} if args.ckpt else {}
     write_manifest(out_dir, "eval",
                    {"preset": args.preset, "n": n, "horizon": horizon,
-                    "predictors": predictors, "ckpt": args.ckpt,
-                    "threads": args.threads},
+                    "predictors": predictors, "ckpt": args.ckpt},
                    seed, checkpoint_hashes=hashes,
                    wallclock_s=time.time() - t0, outputs=[str(csv_path)])
     print(f"wrote {csv_path}")
@@ -259,8 +273,7 @@ def cmd_experiment(args) -> int:
         eval_dir = root / "eval"
         eval_args = argparse.Namespace(
             preset=preset.name, ckpt=ckpt, seed=derive_eval_seed(seed),
-            n=None, horizon=None, predictors=None, threads=args.threads,
-            out_dir=str(eval_dir))
+            n=None, horizon=None, predictors=None, out_dir=str(eval_dir))
         cmd_eval(eval_args)
         rows = read_csv(eval_dir / "curves.csv")
         svg = svgplot.render_from_rows(rows, title=preset.name)
@@ -351,7 +364,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--seed", type=int, default=None)
     p.add_argument("--predictors", default=None,
                    help="comma list (default: mop plus the preset baselines)")
-    p.add_argument("--threads", type=int, default=1)
     p.add_argument("--out-dir", required=True)
     p.set_defaults(func=cmd_eval)
 
@@ -360,7 +372,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--seed", type=int, default=None)
     p.add_argument("--ckpt", default=None,
                    help="model to reuse (dist-shift preset)")
-    p.add_argument("--threads", type=int, default=1)
     p.add_argument("--out-dir", default="runs")
     p.add_argument("--quiet", action="store_true", default=False)
     p.set_defaults(func=cmd_experiment)

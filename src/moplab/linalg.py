@@ -1,7 +1,7 @@
 """Small-matrix routines used by the simulators and filters.
 
-Everything here is deterministic: fixed pivoting rule, fixed power-iteration
-start vector, fixed iteration counts.
+Everything here is deterministic: LAPACK solves, a fixed power-iteration
+start vector and fixed iteration counts.
 """
 
 from __future__ import annotations
@@ -15,11 +15,17 @@ __all__ = [
     "spectral_radius", "matrix_power_norms",
 ]
 
-PIVOT_TOL = 1e-12
-
-
 class SingularMatrixError(ValueError):
-    pass
+    """Raised when LAPACK finds an exactly zero pivot in any matrix of a
+    stack. `singular` marks those matrices (a bool array over the stack's
+    leading axes) and `solution` holds the solve of every other matrix, with
+    NaN in the singular slots, so callers can keep the well-posed systems."""
+
+    def __init__(self, singular, solution):
+        super().__init__(f"{int(np.count_nonzero(singular))} of {singular.size} "
+                         f"matrices are singular")
+        self.singular = singular
+        self.solution = solution
 
 
 def _data(x) -> np.ndarray:
@@ -27,33 +33,32 @@ def _data(x) -> np.ndarray:
 
 
 def solve_linear(a, b) -> np.ndarray:
-    """Solve a @ x = b by Gaussian elimination with partial pivoting.
+    """Solve a @ x = b with LAPACK for one matrix or a stack of them.
 
-    a is k-by-k, b is k-by-r (a single right-hand-side vector is accepted and
-    returned as a vector). Pivot magnitude below 1e-12 raises.
+    a is [..., k, k] and b is [..., k, r], or [..., k] for a single
+    right-hand side, which is returned as a vector. Each matrix is checked
+    on its own: any with an exactly zero pivot raises SingularMatrixError.
     """
     a = _data(a)
     b = _data(b)
-    if a.ndim != 2 or a.shape[0] != a.shape[1]:
+    if a.ndim < 2 or a.shape[-1] != a.shape[-2]:
         raise ValueError(f"coefficient matrix must be square, got {a.shape}")
-    vector_rhs = b.ndim == 1
+    vector_rhs = b.ndim == a.ndim - 1
     if vector_rhs:
-        b = b[:, None]
-    if b.shape[0] != a.shape[0]:
-        raise ValueError(f"rhs rows {b.shape[0]} != matrix size {a.shape[0]}")
-    k = a.shape[0]
-    aug = np.hstack([a.copy(), b.copy()])
-    for col in range(k):
-        piv = col + int(np.argmax(np.abs(aug[col:, col])))
-        if abs(aug[piv, col]) < PIVOT_TOL:
-            raise SingularMatrixError(f"pivot {aug[piv, col]:.3e} below {PIVOT_TOL}")
-        if piv != col:
-            aug[[col, piv]] = aug[[piv, col]]
-        aug[col + 1:] -= np.outer(aug[col + 1:, col] / aug[col, col], aug[col])
-    x = np.zeros((k, b.shape[1]))
-    for row in range(k - 1, -1, -1):
-        x[row] = (aug[row, k:] - aug[row, row + 1: k] @ x[row + 1:]) / aug[row, row]
-    return x[:, 0] if vector_rhs else x
+        b = b[..., None]
+    if b.shape[-2] != a.shape[-1]:
+        raise ValueError(f"rhs rows {b.shape[-2]} != matrix size {a.shape[-1]}")
+    try:
+        x = np.linalg.solve(a, b)
+    except np.linalg.LinAlgError:
+        # slogdet factors with the same LU as the solve: sign 0 <=> zero pivot
+        with np.errstate(invalid="ignore"):
+            singular = np.linalg.slogdet(a)[0] == 0
+        eye = np.eye(a.shape[-1])
+        x = np.linalg.solve(np.where(singular[..., None, None], eye, a), b)
+        x[singular] = np.nan
+        raise SingularMatrixError(singular, x[..., 0] if vector_rhs else x) from None
+    return x[..., 0] if vector_rhs else x
 
 
 def spectral_norm(a, iters: int = 100) -> float:

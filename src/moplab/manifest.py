@@ -3,20 +3,24 @@
 Every artifact directory gets a manifest recording the fully resolved
 config, seeds, input/output hashes, and wallclock: enough to reproduce the
 outputs byte for byte (wallclock aside) by re-running the same subcommand.
+Files are written atomically (a temp file, then `os.replace`), so an
+interrupted run never leaves a half-written manifest, log or checkpoint.
 """
 
 from __future__ import annotations
 
+import contextlib
 import csv
 import hashlib
 import json
+import os
 from pathlib import Path
 
 from . import __version__
 
 __all__ = [
-    "sha256_file", "sha256_json", "write_json", "write_manifest",
-    "write_csv", "read_csv",
+    "sha256_file", "sha256_json", "atomic_open", "write_json",
+    "write_manifest", "write_csv", "read_csv",
 ]
 
 
@@ -34,8 +38,25 @@ def sha256_json(obj) -> str:
     ).hexdigest()
 
 
+@contextlib.contextmanager
+def atomic_open(path, mode="w", **kwargs):
+    """Write through a temp file in the same directory that replaces `path`
+    only once the block completes: a write that fails midway leaves the
+    previous file intact and no temp file behind."""
+    path = Path(path)
+    tmp = path.with_name(f".{path.name}.{os.getpid()}.tmp")
+    try:
+        with open(tmp, mode, **kwargs) as fh:
+            yield fh
+        os.replace(tmp, path)
+    except BaseException:
+        tmp.unlink(missing_ok=True)
+        raise
+
+
 def write_json(path, obj) -> None:
-    Path(path).write_text(json.dumps(obj, indent=2, sort_keys=False) + "\n")
+    with atomic_open(path) as fh:
+        fh.write(json.dumps(obj, indent=2, sort_keys=False) + "\n")
 
 
 def write_manifest(out_dir, command, config, base_seed, *, dataset_hash=None,
@@ -62,7 +83,7 @@ def write_manifest(out_dir, command, config, base_seed, *, dataset_hash=None,
 def write_csv(path, rows, fieldnames) -> None:
     """Deterministic CSV: fixed column order, newline terminators, floats via
     repr (shortest round-trip form)."""
-    with open(path, "w", newline="") as fh:
+    with atomic_open(path, newline="") as fh:
         writer = csv.writer(fh, lineterminator="\n")
         writer.writerow(fieldnames)
         for row in rows:

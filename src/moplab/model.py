@@ -18,6 +18,7 @@ import numpy as np
 
 from . import engine
 from .engine import Graph, Tensor
+from .manifest import atomic_open
 
 __all__ = [
     "ModelConfig", "TransformerWeights", "CheckpointError",
@@ -286,7 +287,7 @@ def write_tensor_file(path, meta: dict, tensors: dict[str, np.ndarray],
                          "tensors": directory}).encode("utf-8")
     blob = b"".join(blobs)
     crc = zlib.crc32(blob) & 0xFFFFFFFF
-    with open(path, "wb") as fh:
+    with atomic_open(path, "wb") as fh:
         fh.write(header)
         fh.write(b"\0")
         fh.write(blob)

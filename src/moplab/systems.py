@@ -10,6 +10,7 @@ through explicit generators so trajectories are bit-reproducible.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from types import SimpleNamespace
 
 import numpy as np
 
@@ -20,7 +21,7 @@ __all__ = [
     "SwitchSpec", "StabilityProfile", "DivergenceError", "SamplingError",
     "sample_linear_system", "sample_quadrotor", "sample_random_inputs",
     "simulate", "colored_noise_sequence", "quadrotor_step",
-    "quadrotor_jacobian", "contraction_profile",
+    "quadrotor_jacobian", "stack_quadrotors", "contraction_profile",
     "systems_to_json", "systems_from_json",
 ]
 
@@ -228,11 +229,16 @@ def _noise_sequences(system, t_len, noise: NoiseModel, rng):
 # dynamics
 # ---------------------------------------------------------------------------
 
-def quadrotor_step(state, u, noise, system: QuadrotorSystem) -> np.ndarray:
+def quadrotor_step(state, u, noise, system) -> np.ndarray:
     """One step of the discrete planar-quadrotor update (state order:
-    x, z, phi, xdot, zdot, phidot) with additive process noise."""
-    x, z, phi, xd, zd, phid = state
-    u0, u1 = u
+    x, z, phi, xdot, zdot, phidot) with additive process noise.
+
+    state [6] and u [2], or [N, 6] and [N, 2] for a population; the
+    parameters of `system` (mass, arm_length, inertia, gravity, tau) are
+    then arrays over those axes (see `stack_quadrotors`).
+    """
+    x, z, phi, xd, zd, phid = state.T
+    u0, u1 = u.T
     g, tau = system.gravity, system.tau
     c, s = np.cos(phi), np.sin(phi)
     nxt = np.array([
@@ -242,36 +248,45 @@ def quadrotor_step(state, u, noise, system: QuadrotorSystem) -> np.ndarray:
         xd + (zd * phid - g * s) * tau,
         zd + (-xd * phid - g * c + (u0 + u1) / system.mass) * tau,
         (u0 - u1) * system.arm_length * tau / system.inertia,
-    ])
+    ]).T
     return nxt + noise
 
 
-def quadrotor_jacobian(state, u, system: QuadrotorSystem) -> np.ndarray:
-    """Analytic d(next state)/d(state) of `quadrotor_step` at (state, u)."""
-    _, _, phi, xd, zd, phid = state
+def quadrotor_jacobian(state, u, system) -> np.ndarray:
+    """Analytic d(next state)/d(state) of `quadrotor_step` at (state, u),
+    shaped [6, 6], or [N, 6, 6] for a population of states [N, 6]."""
+    _, _, phi, xd, zd, phid = state.T
     g, tau = system.gravity, system.tau
     c, s = np.cos(phi), np.sin(phi)
-    jac = np.zeros((6, 6))
-    jac[0, 0] = 1.0
-    jac[0, 2] = (-xd * s - zd * c) * tau
-    jac[0, 3] = c * tau
-    jac[0, 4] = -s * tau
-    jac[1, 1] = 1.0
-    jac[1, 2] = (xd * c - zd * s) * tau
-    jac[1, 3] = s * tau
-    jac[1, 4] = c * tau
-    jac[2, 2] = 1.0
-    jac[2, 5] = tau
-    jac[3, 2] = -g * c * tau
-    jac[3, 3] = 1.0
-    jac[3, 4] = phid * tau
-    jac[3, 5] = zd * tau
-    jac[4, 2] = g * s * tau
-    jac[4, 3] = -phid * tau
-    jac[4, 4] = 1.0
-    jac[4, 5] = -xd * tau
+    jac = np.zeros(state.shape[:-1] + (6, 6))
+    jac[..., 0, 0] = 1.0
+    jac[..., 0, 2] = (-xd * s - zd * c) * tau
+    jac[..., 0, 3] = c * tau
+    jac[..., 0, 4] = -s * tau
+    jac[..., 1, 1] = 1.0
+    jac[..., 1, 2] = (xd * c - zd * s) * tau
+    jac[..., 1, 3] = s * tau
+    jac[..., 1, 4] = c * tau
+    jac[..., 2, 2] = 1.0
+    jac[..., 2, 5] = tau
+    jac[..., 3, 2] = -g * c * tau
+    jac[..., 3, 3] = 1.0
+    jac[..., 3, 4] = phid * tau
+    jac[..., 3, 5] = zd * tau
+    jac[..., 4, 2] = g * s * tau
+    jac[..., 4, 3] = -phid * tau
+    jac[..., 4, 4] = 1.0
+    jac[..., 4, 5] = -xd * tau
     # row 5 (phidot) depends on the inputs only
     return jac
+
+
+def stack_quadrotors(systems) -> SimpleNamespace:
+    """The dynamics parameters of several quadrotors as arrays [N] over the
+    population, for the batched `quadrotor_step` / `quadrotor_jacobian`."""
+    return SimpleNamespace(**{
+        name: np.array([getattr(s, name) for s in systems])
+        for name in ("mass", "arm_length", "inertia", "gravity", "tau")})
 
 
 def simulate(system, t_len, noise: NoiseModel = IID_NOISE, rng=None,

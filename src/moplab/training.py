@@ -23,7 +23,7 @@ from .seeding import stream
 
 __all__ = [
     "TrainConfig", "MetaDataset", "TrainingAborted", "TrainResult",
-    "build_meta_dataset", "batch_loss", "sequence_losses", "train",
+    "build_meta_dataset", "batch_loss", "train",
 ]
 
 DIVERGENCE_LOSS = 1e6
@@ -112,21 +112,6 @@ def build_meta_dataset(preset, m_systems, train_len, seed) -> MetaDataset:
 # ---------------------------------------------------------------------------
 # loss
 # ---------------------------------------------------------------------------
-
-def sequence_losses(weights: TransformerWeights, ys, us=None,
-                    loss_kind="l2_norm") -> np.ndarray:
-    """Per-position prediction losses, shape (B, T-1): entry (i, t) is the
-    loss of the prediction for y_{i,t+1} from the prompt y_{i,0:t}."""
-    ys = np.asarray(ys)
-    if ys.ndim == 2:
-        ys = ys[None]
-    tokens = model.make_tokens(ys[:, :-1], us)
-    preds = model.forward(weights, tokens).data
-    resid = preds - ys[:, 1:].astype(preds.dtype)
-    if loss_kind == "squared_l2":
-        return (resid * resid).sum(axis=-1)
-    return np.sqrt((resid * resid).sum(axis=-1))
-
 
 def batch_loss(weights: TransformerWeights, ys, us=None,
                graph: engine.Graph | None = None,

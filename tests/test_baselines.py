@@ -1,4 +1,9 @@
-"""Kalman / extended Kalman filters and the online AR-OLS baseline."""
+"""Kalman / extended Kalman filters and the online AR-OLS baseline.
+
+The predictors hold a population of systems; most tests here run N=1
+stacks (one system, leading axis of length 1) against closed-form oracles.
+Population-wide checks live in test_evaluation.py.
+"""
 
 import numpy as np
 import pytest
@@ -37,43 +42,45 @@ def riccati_fixed_point(a, c, q, r, tol=1e-14):
 
 def test_kf_memoryless_system_predicts_prior_mean():
     system = scalar_system(a=0.0)
-    kf = KalmanFilter(system)
+    kf = KalmanFilter([system])
     rng = stream(1, "kfa0")
     for t in range(50):
-        pred = kf.step(rng.standard_normal(1))
-        assert pred[0] == 0.0
+        pred = kf.step(rng.standard_normal((1, 1)))
+        assert pred.shape == (1, 1)
+        assert pred[0, 0] == 0.0
 
 
 def test_kf_riccati_convergence():
     system = scalar_system(a=0.9, c=1.0, q=0.01, r=0.01)
-    kf = KalmanFilter(system)
+    kf = KalmanFilter([system])
     traj = simulate(system, 201, rng=stream(2, "ric"))
     for t in range(200):
-        kf.step(traj.ys[t])
+        kf.step(traj.ys[t][None])
     oracle = riccati_fixed_point(0.9, 1.0, 0.01, 0.01)
-    assert abs(float(kf.p[0, 0]) - oracle) <= 1e-8
+    assert abs(float(kf.p[0, 0, 0]) - oracle) <= 1e-8
 
 
 def test_kf_zero_noise_exact():
     system = scalar_system(q=0.0, r=0.0)
-    kf = KalmanFilter(system)
+    kf = KalmanFilter([system])
     traj = simulate(system, 30, rng=stream(3))
     errs = []
-    pred = np.zeros(1)
+    pred = np.zeros((1, 1))
     for t in range(29):
-        errs.append(abs(pred[0] - traj.ys[t][0]))
-        pred = kf.step(traj.ys[t])
+        errs.append(abs(pred[0, 0] - traj.ys[t][0]))
+        pred = kf.step(traj.ys[t][None])
     assert max(errs) == 0.0
+    assert not kf.failed.any()
 
 
 def test_kf_innovation_whiteness():
     system = sample_linear_system(stream(4, "white"), 10, 5)
     traj = simulate(system, 2000, rng=stream(5, "white"))
-    kf = KalmanFilter(system)
+    kf = KalmanFilter([system])
     innovations = np.zeros((2000, 5))
     for t in range(2000):
-        innovations[t] = traj.ys[t] - kf.predicted_output
-        kf.step(traj.ys[t])
+        innovations[t] = traj.ys[t] - kf.predicted_output[0]
+        kf.step(traj.ys[t][None])
     inn = innovations[200:]                     # past the transient
     inn = inn - inn.mean(axis=0)
     lag1 = float((inn[:-1] * inn[1:]).sum() / (inn * inn).sum())
@@ -83,11 +90,11 @@ def test_kf_innovation_whiteness():
 def test_kf_covariance_trace_monotone_convergent():
     system = sample_linear_system(stream(6, "tr"), 10, 5)
     traj = simulate(system, 600, rng=stream(7, "tr"))
-    kf = KalmanFilter(system)
+    kf = KalmanFilter([system])
     traces = []
     for t in range(600):
-        kf.step(traj.ys[t])
-        traces.append(float(np.trace(kf.p)))
+        kf.step(traj.ys[t][None])
+        traces.append(float(np.trace(kf.p[0])))
     diffs = np.diff(traces)
     assert (diffs >= -1e-12).all()              # monotone from P0 = 0
     assert abs(diffs[-1]) < 1e-10
@@ -100,13 +107,13 @@ def test_kf_dominates_ar_ols_on_average():
     for i in range(n_sys):
         system = sample_linear_system(stream(8, "dom", i), 10, 5)
         traj = simulate(system, t_len, rng=stream(9, "dom", i))
-        kf, ar = KalmanFilter(system), OnlineARPredictor(5)
+        kf, ar = KalmanFilter([system]), OnlineARPredictor(1, 5)
         pk = pa = np.zeros(5)
         for t in range(t_len):
             kf_err[i, t] = np.linalg.norm(pk - traj.ys[t])
             ar_err[i, t] = np.linalg.norm(pa - traj.ys[t])
-            pk = kf.step(traj.ys[t])
-            pa = ar.step(traj.ys[t])
+            pk = kf.step(traj.ys[t][None])[0]
+            pa = ar.step(traj.ys[t][None])[0]
     mk, ma = kf_err.mean(axis=0), ar_err.mean(axis=0)
     assert (mk[5:] <= ma[5:]).all()
 
@@ -114,11 +121,11 @@ def test_kf_dominates_ar_ols_on_average():
 def test_kf_psd_and_symmetry_maintained():
     system = sample_linear_system(stream(10, "psd"), 10, 5)
     traj = simulate(system, 300, rng=stream(11, "psd"))
-    kf = KalmanFilter(system)
+    kf = KalmanFilter([system])
     for t in range(300):
-        kf.step(traj.ys[t])
-        assert np.array_equal(kf.p, kf.p.T)
-        assert kf.p.diagonal().min() >= -1e-10
+        kf.step(traj.ys[t][None])
+        assert np.array_equal(kf.p[0], kf.p[0].T)
+        assert kf.p[0].diagonal().min() >= -1e-10
 
 
 # ---------------------------------------------------------------------------
@@ -149,24 +156,25 @@ def test_ekf_zero_noise_hover_exact():
     system = replace(sample_quadrotor(stream(14, "hover")), sigma_w=0.0, sigma_v=0.0)
     hover = np.full((40, 2), system.hover_thrust)
     traj = simulate(system, 40, rng=stream(15), inputs=hover)
-    ekf = QuadrotorEKF(system)
+    ekf = QuadrotorEKF([system])
     pred = np.zeros(3)
     for t in range(39):
         assert np.linalg.norm(pred - traj.ys[t]) <= 1e-9
-        pred = ekf.step(traj.ys[t], hover[t])
+        pred = ekf.step(traj.ys[t][None], hover[t][None])[0]
+    assert not ekf.failed.any()
 
 
 def test_ekf_reduces_to_kf_on_linear_system():
     system = sample_linear_system(stream(16, "lin"), 6, 3)
     traj = simulate(system, 100, rng=stream(17, "lin"))
-    kf = KalmanFilter(system)
-    a = np.asarray(system.a, dtype=np.float64)
+    kf = KalmanFilter([system])
+    a = np.asarray(system.a, dtype=np.float64)[None]
     generic = GaussianFilter(
-        propagate=lambda x, u: a @ x, jacobian=lambda x, u: a,
-        c=system.c, sigma_w=system.sigma_w, sigma_v=system.sigma_v, n=6)
+        propagate=lambda x, u: (a @ x[..., None])[..., 0], jacobian=lambda x, u: a,
+        c=system.c[None], sigma_w=system.sigma_w, sigma_v=system.sigma_v)
     for t in range(100):
-        yk = kf.step(traj.ys[t])
-        yg = generic.step(traj.ys[t])
+        yk = kf.step(traj.ys[t][None])
+        yg = generic.step(traj.ys[t][None])
         assert np.array_equal(yk, yg)
 
 
@@ -174,15 +182,15 @@ def test_ekf_tracks_quadrotor_reasonably():
     system = sample_quadrotor(stream(18, "trk"))
     inputs = sample_random_inputs(stream(19, "trk"), 50, system)
     traj = simulate(system, 50, rng=stream(20, "trk"), inputs=inputs)
-    ekf = QuadrotorEKF(system)
-    zero = ZeroPredictor(3)
+    ekf = QuadrotorEKF([system])
+    zero = ZeroPredictor(1, 3)
     e_ekf, e_zero = [], []
     pe = pz = np.zeros(3)
     for t in range(50):
         e_ekf.append(np.linalg.norm(pe - traj.ys[t]))
         e_zero.append(np.linalg.norm(pz - traj.ys[t]))
-        pe = ekf.step(traj.ys[t], inputs[t])
-        pz = zero.step(traj.ys[t])
+        pe = ekf.step(traj.ys[t][None], inputs[t][None])[0]
+        pz = zero.step(traj.ys[t][None])[0]
     assert np.mean(e_ekf[10:]) < 0.25 * np.mean(e_zero[10:])
 
 
@@ -205,9 +213,9 @@ def batch_ridge_oracle(ys, ridge=1e-6):
 
 
 def test_ar_fallback_before_three_observations():
-    ar = OnlineARPredictor(2)
-    y0 = np.array([1.0, -2.0])
-    y1 = np.array([0.5, 3.0])
+    ar = OnlineARPredictor(1, 2)
+    y0 = np.array([[1.0, -2.0]])
+    y1 = np.array([[0.5, 3.0]])
     assert np.array_equal(ar.step(y0), y0)
     assert np.array_equal(ar.step(y1), y1)
 
@@ -217,16 +225,17 @@ def test_ar_matches_batch_ridge_on_collinear_exponential():
     # converges to the minimum-norm split (0.1, 0.2), not (0.5, 0); the
     # online estimator must agree with the batch oracle either way
     ys = np.array([[0.5 ** t] for t in range(21)])
-    ar = OnlineARPredictor(1)
+    ar = OnlineARPredictor(1, 1)
     for t in range(21):
-        ar.step(ys[t])
+        ar.step(ys[t][None])
+    coef = ar.coefficients[0]
     oracle = batch_ridge_oracle(ys)
-    assert np.allclose(ar.coefficients, oracle, atol=1e-10)
-    a1, a2 = float(ar.coefficients[0, 0]), float(ar.coefficients[1, 0])
+    assert np.allclose(coef, oracle, atol=1e-10)
+    a1, a2 = float(coef[0, 0]), float(coef[1, 0])
     assert a1 == pytest.approx(0.1, abs=1e-3)
     assert a2 == pytest.approx(0.2, abs=1e-3)
     # and the resulting one-step predictions are exact for this sequence
-    pred = ar.coefficients.T @ np.concatenate([ys[-1], ys[-2]])
+    pred = coef.T @ np.concatenate([ys[-1], ys[-2]])
     assert pred[0] == pytest.approx(0.5 ** 21, rel=1e-6)
 
 
@@ -237,23 +246,24 @@ def test_ar_recovers_identifiable_two_lag_recursion():
     ys[0, 0], ys[1, 0] = 1.0, -0.5
     for t in range(1, 50):
         ys[t + 1, 0] = 0.3 * ys[t, 0] + 0.2 * ys[t - 1, 0]
-    ar = OnlineARPredictor(1)
+    ar = OnlineARPredictor(1, 1)
     for t in range(51):
-        ar.step(ys[t])
-    assert ar.coefficients[0, 0] == pytest.approx(0.3, abs=1e-2)
-    assert ar.coefficients[1, 0] == pytest.approx(0.2, abs=1e-2)
-    assert np.allclose(ar.coefficients, batch_ridge_oracle(ys), atol=1e-8)
+        ar.step(ys[t][None])
+    coef = ar.coefficients[0]
+    assert coef[0, 0] == pytest.approx(0.3, abs=1e-2)
+    assert coef[1, 0] == pytest.approx(0.2, abs=1e-2)
+    assert np.allclose(coef, batch_ridge_oracle(ys), atol=1e-8)
 
 
 def test_ar_online_equals_batch_on_noisy_vector_data():
     system = sample_linear_system(stream(21, "ar"), 6, 3)
     traj = simulate(system, 60, rng=stream(22, "ar"))
-    ar = OnlineARPredictor(3)
+    ar = OnlineARPredictor(1, 3)
     for t in range(60):
-        ar.step(traj.ys[t])
-    assert np.allclose(ar.coefficients, batch_ridge_oracle(traj.ys), atol=1e-8)
+        ar.step(traj.ys[t][None])
+    assert np.allclose(ar.coefficients[0], batch_ridge_oracle(traj.ys), atol=1e-8)
 
 
 def test_zero_predictor():
-    z = ZeroPredictor(4)
-    assert np.array_equal(z.step(np.ones(4)), np.zeros(4))
+    z = ZeroPredictor(1, 4)
+    assert np.array_equal(z.step(np.ones((1, 4))), np.zeros((1, 4)))

@@ -1,0 +1,230 @@
+"""The population scoring path: batched predictors against single-system
+oracles, the steady-state Riccati gain, failure isolation per system, and
+the end-to-end plumbing of `error_curve`."""
+
+from dataclasses import replace
+
+import numpy as np
+import pytest
+import scipy.linalg
+
+from moplab import evaluation, model
+from moplab.baselines import KalmanFilter
+from moplab.distributions import get_distribution
+from moplab.model import ModelConfig
+from moplab.seeding import stream
+from moplab.systems import (
+    Trajectory, quadrotor_jacobian, quadrotor_step, stack_quadrotors,
+)
+from test_baselines import batch_ridge_oracle
+
+N_SYSTEMS = 20
+HORIZON = 50
+LINEAR = get_distribution("linear-dense")
+QUAD = get_distribution("quadrotor")
+TINY_MODEL = ModelConfig(layers=2, heads=2, embed_dim=16, context=64,
+                         token_dim=5, output_dim=5, precision="f64")
+
+
+def population(dist, n=N_SYSTEMS, seed=4):
+    return evaluation.test_population(dist, n, HORIZON, seed)
+
+
+def scalar_gaussian_filter(propagate, jacobian, c, q, r, ys, us=None):
+    """Oracle: the textbook time-varying Kalman recursion for one system,
+    step by step with plain 2-D matrices, from x_hat = 0, P = 0. Returns
+    the predictions yhat_0..yhat_{T-1} (yhat_0 is the prior mean)."""
+    n, m = c.shape[1], c.shape[0]
+    x_hat, p = np.zeros(n), np.zeros((n, n))
+    preds = np.zeros(ys.shape)
+    for t in range(len(ys) - 1):
+        u = None if us is None else us[t]
+        cp = c @ p
+        k = np.linalg.solve(cp @ c.T + r * np.eye(m), cp).T
+        x_post = x_hat + k @ (ys[t] - c @ x_hat)
+        p_post = (np.eye(n) - k @ c) @ p
+        f = jacobian(x_post, u)
+        x_hat = propagate(x_post, u)
+        p = f @ p_post @ f.T + q * np.eye(n)
+        p = 0.5 * (p + p.T)
+        preds[t + 1] = c @ x_hat
+    return preds
+
+
+def test_batched_kf_matches_scalar_recursion():
+    systems, trajs, _ = population(LINEAR)
+    preds = evaluation.predict_population("kf", systems, trajs, LINEAR)
+    q, r = LINEAR.sigma_w2, LINEAR.sigma_v2
+    worst = 0.0
+    for i, (system, traj) in enumerate(zip(systems, trajs)):
+        a = system.a
+        oracle = scalar_gaussian_filter(lambda x, u: a @ x, lambda x, u: a,
+                                        system.c, q, r, traj.ys)
+        worst = max(worst, np.abs(preds[i] - oracle).max())
+    assert worst <= 1e-12
+
+
+def test_batched_ekf_matches_scalar_recursion():
+    systems, trajs, _ = population(QUAD)
+    preds = evaluation.predict_population("ekf", systems, trajs, QUAD)
+    worst = 0.0
+    for i, (system, traj) in enumerate(zip(systems, trajs)):
+        oracle = scalar_gaussian_filter(
+            lambda x, u: quadrotor_step(x, u, np.zeros(6), system),
+            lambda x, u: quadrotor_jacobian(x, u, system),
+            system.c, system.sigma_w ** 2, system.sigma_v ** 2, traj.ys, traj.us)
+        worst = max(worst, np.abs(preds[i] - oracle).max())
+    assert worst <= 1e-12
+
+
+def test_batched_quadrotor_dynamics_match_per_system_calls():
+    systems = [QUAD.sample_system(5, "dyn", i) for i in range(6)]
+    rng = stream(6, "dyn")
+    x, u, w = rng.uniform(-1, 1, (6, 6)), rng.uniform(0, 2, (6, 2)), rng.standard_normal((6, 6))
+    params = stack_quadrotors(systems)
+    step = quadrotor_step(x, u, w, params)
+    jac = quadrotor_jacobian(x, u, params)
+    assert step.shape == (6, 6) and jac.shape == (6, 6, 6)
+    for i, system in enumerate(systems):
+        assert np.abs(step[i] - quadrotor_step(x[i], u[i], w[i], system)).max() <= 1e-15
+        assert np.abs(jac[i] - quadrotor_jacobian(x[i], u[i], system)).max() <= 1e-15
+
+
+def test_batched_ar_ols_matches_batch_ridge_oracle():
+    systems, trajs, _ = population(LINEAR)
+    preds = evaluation.predict_population("ar-ols", systems, trajs, LINEAR)
+    worst = 0.0
+    for i, traj in enumerate(trajs):
+        ys = traj.ys
+        assert np.array_equal(preds[i, 1:3], ys[:2])      # last-output fallback
+        for t in range(2, HORIZON - 1):
+            coef = batch_ridge_oracle(ys[: t + 1])
+            oracle = coef.T @ np.concatenate([ys[t], ys[t - 1]])
+            worst = max(worst, np.abs(preds[i, t + 1] - oracle).max()
+                        / np.abs(oracle).max())
+    assert worst <= 1e-8
+
+
+def test_chunked_mop_forward_matches_one_population_forward():
+    weights = model.init_weights(TINY_MODEL, stream(12, "chunk"))
+    systems, trajs, _ = population(LINEAR)
+    assert N_SYSTEMS > evaluation.MOP_CHUNK          # more than one chunk
+    preds = evaluation.predict_population("mop", systems, trajs, LINEAR, weights)
+    ys = np.stack([t.ys for t in trajs])
+    whole = model.predict_sequence(weights, ys[:, :-1])
+    assert np.array_equal(preds[:, 0], np.zeros((N_SYSTEMS, LINEAR.m)))
+    assert np.abs(preds[:, 1:] - whole).max() <= 1e-12
+
+
+def test_late_kf_gain_matches_discrete_riccati_solution():
+    systems = [LINEAR.sample_system(7, "dare", i) for i in range(5)]
+    kf = KalmanFilter(systems)
+    zeros = np.zeros((len(systems), LINEAR.m))
+    for _ in range(600):              # the covariance recursion ignores the data
+        kf.step(zeros)
+    q, r = LINEAR.sigma_w2, LINEAR.sigma_v2
+    for i, system in enumerate(systems):
+        a, c = system.a, system.c
+        p = scipy.linalg.solve_discrete_are(a.T, c.T, q * np.eye(system.n),
+                                            r * np.eye(system.m))
+        gain = p @ c.T @ np.linalg.inv(c @ p @ c.T + r * np.eye(system.m))
+        p_kf = kf.p[i]
+        gain_kf = p_kf @ c.T @ np.linalg.inv(c @ p_kf @ c.T + r * np.eye(system.m))
+        assert np.abs(p_kf - p).max() <= 1e-9 * np.abs(p).max()
+        assert np.abs(gain_kf - gain).max() <= 1e-9 * np.abs(gain).max()
+
+
+@pytest.mark.parametrize("kind", ["kf", "ar-ols", "mop", "ekf"])
+def test_nan_trajectory_fails_only_its_own_row(kind):
+    dist = QUAD if kind == "ekf" else LINEAR
+    weights = model.init_weights(replace(TINY_MODEL, token_dim=dist.token_dim,
+                                         output_dim=dist.m), stream(8, "nan"))
+    systems, trajs, switches = population(dist)
+    bad = 7
+    broken = list(trajs)
+    ys = trajs[bad].ys.copy()
+    ys[10] = np.nan
+    broken[bad] = Trajectory(ys=ys, us=trajs[bad].us)
+    clean = evaluation.error_curve(kind, dist, N_SYSTEMS, HORIZON, 4, weights=weights,
+                                   population=(systems, trajs, switches))
+    curve = evaluation.error_curve(kind, dist, N_SYSTEMS, HORIZON, 4, weights=weights,
+                                   population=(systems, broken, switches))
+    assert clean.failed_systems == []
+    assert curve.failed_systems == [bad]
+    keep = np.arange(N_SYSTEMS) != bad
+    assert np.array_equal(curve.per_system, clean.per_system[keep])
+
+
+def test_singular_system_fails_only_its_own_row():
+    # a noise-free output map with a dead output row: S = C P C^T is singular
+    # while C P is not zero, so that filter has no gain; the others keep going
+    systems = [LINEAR.sample_system(9, "sing", i) for i in range(3)]
+    c = systems[1].c.copy()
+    c[0] = 0.0
+    singular = replace(systems[1], c=c, sigma_v=0.0)
+    rng = stream(10, "sing")
+    ys = rng.standard_normal((12, 3, LINEAR.m))
+    kf_ok = KalmanFilter(systems)
+    kf_bad = KalmanFilter([systems[0], singular, systems[2]])
+    for t in range(12):
+        ok, bad = kf_ok.step(ys[t]), kf_bad.step(ys[t])
+        assert np.array_equal(ok[[0, 2]], bad[[0, 2]])
+    assert kf_bad.failed.tolist() == [False, True, False]
+    assert np.isnan(bad[1]).all() and np.isfinite(ok).all()
+
+
+class OraclePredictor:
+    """Plumbing-test device: peeks at the trajectories and returns the true
+    next outputs, so its error curve is exactly zero end to end."""
+
+    def __init__(self, ys):
+        self._ys = ys
+        self._t = 0
+
+    def step(self, y, u=None):
+        assert np.array_equal(y, self._ys[:, self._t])
+        self._t += 1
+        return self._ys[:, self._t]
+
+
+def test_oracle_predictor_scores_an_all_zero_curve(monkeypatch):
+    systems, trajs, switches = population(LINEAR, n=6)
+    # y_0 = 0 exactly (no output noise at t = 0), so the prior-mean
+    # prediction at t = 0 is exact too
+    trajs = [Trajectory(ys=np.concatenate([np.zeros((1, LINEAR.m)), t.ys[1:]]))
+             for t in trajs]
+    ys = np.stack([t.ys for t in trajs])
+    monkeypatch.setattr(evaluation, "make_predictor",
+                        lambda kind, systems, dist: OraclePredictor(ys))
+    curve = evaluation.error_curve("oracle", LINEAR, 6, HORIZON, 4,
+                                   population=(systems, trajs, switches))
+    assert curve.failed_systems == []
+    assert np.array_equal(curve.mean, np.zeros(HORIZON))
+    assert np.array_equal(curve.per_system, np.zeros((6, HORIZON)))
+
+
+def test_zero_predictor_curve_is_the_output_norm():
+    systems, trajs, switches = population(LINEAR, n=5)
+    curve = evaluation.error_curve("zero", LINEAR, 5, HORIZON, 4,
+                                   population=(systems, trajs, switches))
+    norms = np.linalg.norm(np.stack([t.ys for t in trajs]), axis=-1)
+    assert np.array_equal(curve.per_system, norms)
+    with pytest.raises(ValueError):
+        evaluation.error_curve("nope", LINEAR, 5, HORIZON, 4,
+                               population=(systems, trajs, switches))
+
+
+def test_excess_risk_pairs_the_mop_and_kf_curves():
+    weights = model.init_weights(TINY_MODEL, stream(11, "risk"))
+    pop = population(LINEAR, n=8)
+    report = evaluation.empirical_excess_risk(weights, LINEAR, 8, HORIZON, 4,
+                                              population=pop)
+    mop = evaluation.error_curve("mop", LINEAR, 8, HORIZON, 4, weights=weights,
+                                 population=pop)
+    kf = evaluation.error_curve("kf", LINEAR, 8, HORIZON, 4, population=pop)
+    risk_mop = mop.per_system[:, 1:].mean(axis=1)
+    risk_kf = kf.per_system[:, 1:].mean(axis=1)
+    assert report.baseline == "kf"
+    assert report.risk_model == float(risk_mop.mean())
+    assert report.risk_baseline == float(risk_kf.mean())
+    assert np.array_equal(report.per_system_delta, risk_mop - risk_kf)

@@ -7,9 +7,10 @@ import numpy as np
 import pytest
 
 from conftest import ensure_trained, load_loss_rows
-from moplab import engine, linalg, model, training
+from moplab import engine, evaluation, linalg, model, training
 from moplab.model import ModelConfig
 from moplab.seeding import derive_seed, stream
+from moplab.systems import Trajectory
 from moplab.training import TrainConfig, TrainingAborted, batch_loss, build_meta_dataset
 
 TINY_MODEL = ModelConfig(layers=2, heads=2, embed_dim=16, context=32,
@@ -107,11 +108,15 @@ def test_batch_loss_order_invariance(rng):
 
 
 def test_batch_loss_matches_empirical_risk_formula(rng):
-    # same formula, two call sites: agreement to 1e-12
+    # same formula, two call sites (the training objective and the
+    # evaluation's mop scoring path, read as the empirical risk): 1e-12
     w = model.init_weights(TINY_MODEL, stream(3, "bl"))
     ys = rng.standard_normal((4, 12, 5))
     via_loss = batch_loss(w, ys).item()
-    via_risk = float(training.sequence_losses(w, ys).mean())
+    population = ([None] * 4, [Trajectory(ys=y) for y in ys], [None] * 4)
+    curve = evaluation.error_curve("mop", "linear-dense", 4, 12, 0, weights=w,
+                                   population=population)
+    via_risk = float(curve.per_system[:, 1:].mean(axis=1).mean())
     assert via_loss == pytest.approx(via_risk, abs=1e-12)
 
 
