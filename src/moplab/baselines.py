@@ -47,12 +47,12 @@ class GaussianFilter:
     the exact linear maps makes this the standard Kalman filter, passing a
     nonlinear model plus its analytic Jacobian makes it the EKF. `c` is the
     stack of output maps [N, m, n]; `sigma_w`, `sigma_v` are scalars or one
-    per system. Initialized at x_hat = 0, P = p0 I (the initial state is
+    per system. Initialized at x_hat = 0, P = 0 (the initial state is
     known to be zero). Each covariance is re-symmetrized every step; if its
     diagonal drifts below -1e-10 a 1e-9 jitter is added to restore PSD.
     """
 
-    def __init__(self, propagate, jacobian, c, sigma_w, sigma_v, p0=0.0):
+    def __init__(self, propagate, jacobian, c, sigma_w, sigma_v):
         self.propagate = propagate
         self.jacobian = jacobian
         self.c = np.asarray(c, dtype=np.float64)
@@ -61,7 +61,7 @@ class GaussianFilter:
         self.q = _per_system(sigma_w, n_sys)[:, None, None] ** 2 * np.eye(self.n)
         self.r = _per_system(sigma_v, n_sys)[:, None, None] ** 2 * np.eye(self.m)
         self.x_hat = np.zeros((n_sys, self.n))
-        self.p = np.tile(np.eye(self.n) * float(p0), (n_sys, 1, 1))
+        self.p = np.zeros((n_sys, self.n, self.n))
         self.failed = np.zeros(n_sys, dtype=bool)
 
     def step(self, y, u=None) -> np.ndarray:
@@ -105,7 +105,7 @@ class KalmanFilter(GaussianFilter):
     (wrongly) assumes white.
     """
 
-    def __init__(self, systems, sigma_w=None, sigma_v=None, p0=0.0):
+    def __init__(self, systems, sigma_w=None, sigma_v=None):
         a = np.stack([np.asarray(s.a, dtype=np.float64) for s in systems])
         super().__init__(
             propagate=lambda x, u: _matvec(a, x),
@@ -113,7 +113,6 @@ class KalmanFilter(GaussianFilter):
             c=np.stack([s.c for s in systems]),
             sigma_w=[s.sigma_w for s in systems] if sigma_w is None else sigma_w,
             sigma_v=[s.sigma_v for s in systems] if sigma_v is None else sigma_v,
-            p0=p0,
         )
         self.a = a
 
@@ -122,7 +121,7 @@ class QuadrotorEKF(GaussianFilter):
     """EKF for planar quadrotors: nonlinear mean propagation, analytic
     Jacobian linearization, linear output map."""
 
-    def __init__(self, systems, p0=0.0):
+    def __init__(self, systems):
         params = stack_quadrotors(systems)
         super().__init__(
             propagate=lambda x, u: quadrotor_step(x, u, 0.0, params),
@@ -130,7 +129,6 @@ class QuadrotorEKF(GaussianFilter):
             c=np.stack([s.c for s in systems]),
             sigma_w=[s.sigma_w for s in systems],
             sigma_v=[s.sigma_v for s in systems],
-            p0=p0,
         )
 
 

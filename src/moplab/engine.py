@@ -21,7 +21,8 @@ __all__ = [
     "Tensor", "Graph", "Gradients", "ShapeError", "NonScalarLossError",
     "add", "sub", "mul", "scale", "matmul", "transpose", "reshape",
     "rowwise_softmax", "layer_norm", "gelu", "sum_lastdim", "mean_all",
-    "l2norm_lastdim", "backward", "set_finite_checks", "finite_checks_enabled",
+    "l2norm_lastdim", "backward", "param", "set_finite_checks",
+    "finite_checks_enabled",
 ]
 
 LAYER_NORM_EPS = 1e-5
@@ -99,7 +100,7 @@ class Graph:
 
     def __init__(self):
         self.nodes: list[_Node] = []
-        self.params: dict[str, Tensor] = {}  # named leaves, filled by callers
+        self.params: dict[str, Tensor] = {}  # named leaves (see `param`)
 
     def __enter__(self):
         if _active() is not None:
@@ -111,12 +112,9 @@ class Graph:
         _state.graph = None
         return False
 
-    def leaf(self, data, name=None) -> Tensor:
-        """Register a differentiable leaf (a parameter)."""
-        t = self._record("leaf", np.asarray(data), (), None)
-        if name is not None:
-            self.params[name] = t
-        return t
+    def leaf(self, data) -> Tensor:
+        """Register a differentiable leaf."""
+        return self._record("leaf", np.asarray(data), (), None)
 
     def _record(self, op, out_data, inputs, grad_fn) -> Tensor:
         if _finite_checks and not np.all(np.isfinite(out_data)):
@@ -124,6 +122,17 @@ class Graph:
         node = _Node(len(self.nodes), op, inputs, grad_fn, out_data.shape)
         self.nodes.append(node)
         return Tensor(out_data, node)
+
+
+def param(name: str, data) -> Tensor:
+    """Parameter `name` of the active graph: its named leaf, registered on
+    first use and reused after. With no active graph, a plain constant."""
+    g = _active()
+    if g is None:
+        return Tensor(data)
+    if name not in g.params:
+        g.params[name] = g.leaf(data)
+    return g.params[name]
 
 
 class Gradients:
@@ -240,21 +249,29 @@ def scale(a, c: float) -> Tensor:
 
 
 def matmul(a, b) -> Tensor:
-    """Matrix product, batched over leading dims (numpy broadcasting rules)."""
+    """Matrix product, batched over leading dims (numpy broadcasting rules);
+    a (..., k) @ (k, n) product, a linear layer, is one GEMM over the
+    flattened leading dims, in the forward and in both gradients."""
     a, b = _as_tensor(a), _as_tensor(b)
     if a.data.ndim < 2 or b.data.ndim < 2:
         raise ShapeError("matmul expects operands with ndim >= 2")
     if a.data.shape[-1] != b.data.shape[-2]:
         raise ShapeError(f"inner dims differ: {a.data.shape} @ {b.data.shape}")
-    out = a.data @ b.data
+    da, db = a.data, b.data
+    flat = db.ndim == 2 and da.ndim > 2
+    if flat:
+        da = da.reshape(-1, da.shape[-1])
+    out = da @ db
+    if flat:
+        out = out.reshape(a.data.shape[:-1] + db.shape[-1:])
 
     def mk():
-        da, db = a.data, b.data
-
         def grad(g):
+            if flat:
+                g = g.reshape(da.shape[0], -1)
             ga = _unbroadcast(g @ db.swapaxes(-1, -2), da.shape)
             gb = _unbroadcast(da.swapaxes(-1, -2) @ g, db.shape)
-            return ga, gb
+            return ga.reshape(a.data.shape), gb
 
         return grad
 

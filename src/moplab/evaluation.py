@@ -20,7 +20,7 @@ from .baselines import KalmanFilter, OnlineARPredictor, QuadrotorEKF, ZeroPredic
 from .distributions import Distribution, get_distribution
 from .model import TransformerWeights
 from .seeding import stream
-from .systems import SwitchSpec, contraction_profile
+from .systems import SwitchSpec, contraction_profile, simulate
 
 __all__ = [
     "ErrorCurve", "RatioCurve", "RiskReport", "RobustnessReport",
@@ -61,8 +61,7 @@ def make_predictor(kind: str, systems, dist: Distribution):
 # test population
 # ---------------------------------------------------------------------------
 
-def test_population(dist: Distribution, n, horizon, seed, switch_at=None,
-                    record_states=False):
+def test_population(dist: Distribution, n, horizon, seed, switch_at=None):
     """Fresh systems and trajectories from the test namespace; optionally a
     dynamics switch partway through each trajectory."""
     systems, trajs, switches = [], [], []
@@ -257,6 +256,7 @@ def empirical_excess_risk(weights: TransformerWeights, preset, n, horizon,
     # empirical risk: mean over the predicted positions 1..T-1 of the error
     model_risk, base_risk = (c.per_system[:, 1:].mean(axis=1) for c in curves)
     delta = model_risk - base_risk
+    n = len(delta)                     # a passed population sets the count
     stderr = float(delta.std(ddof=1) / np.sqrt(n)) if n > 1 else 0.0
     return RiskReport(preset=dist.name, baseline=baseline, n_systems=n,
                       horizon=horizon, seed=seed,
@@ -327,9 +327,10 @@ def fit_loglog_slope(mt, delta) -> float | None:
 
 
 def scaling_experiment(grid, base_cfg: training.TrainConfig, n, horizon, seed,
-                       out_root, reuse=True) -> ScalingReport:
+                       out_root) -> ScalingReport:
     """Train one model per (M, T^tr) cell at a fixed step budget and report
-    how the excess-risk proxy moves with the training volume M*T."""
+    how the excess-risk proxy moves with the training volume M*T. A cell
+    whose final checkpoint already exists under out_root is not retrained."""
     import dataclasses
     from pathlib import Path
 
@@ -341,7 +342,7 @@ def scaling_experiment(grid, base_cfg: training.TrainConfig, n, horizon, seed,
         cell_dir = out_root / f"cell-M{m_systems}-T{train_len}"
         final = cell_dir / "ckpt-final.ckpt"
         flagged = None
-        if not (reuse and final.exists()):
+        if not final.exists():
             try:
                 training.train(cfg, cell_dir)
             except training.TrainingAborted as exc:
@@ -407,46 +408,36 @@ def robustness_probe(weights: TransformerWeights, preset, n_systems=8,
     if any(tau >= t_eval for tau in taus):
         raise ValueError("every tau must precede t_eval")
     horizon = t_eval + 1
-    sw, sv = np.sqrt(dist.sigma_w2), np.sqrt(dist.sigma_v2)
 
     khat = np.zeros((len(taus), n_systems))
     adl = np.zeros((len(taus), n_systems))
     for i in range(n_systems):
         system = dist.sample_system(seed, "probe", i)
-        rng = stream(seed, dist.name, "probe-noise", i)
-        w = sw * rng.standard_normal((horizon, system.n))
-        v = sv * rng.standard_normal((horizon, system.m))
-        a, c = system.a, system.c
-        xs = np.zeros((horizon, system.n))
-        for t in range(1, horizon):
-            xs[t] = a @ xs[t - 1] + w[t]
-        ys = xs @ c.T + v
-
-        mc = stream(seed, dist.name, "probe-mc", i)
-        wk = sw * mc.standard_normal((mc_draws, system.n))
-        vk = sv * mc.standard_normal((mc_draws, system.m))
-
+        traj = simulate(system, horizon, rng=stream(seed, dist.name, "probe-noise", i),
+                        record_states=True)
+        # row 0: the base outputs; row 1 + j: the noise pair (dw, dv) at taus[j]
+        # replaced, which by linearity adds C A^(t - tau) dw at t >= tau, dv at tau
+        prompts = np.repeat(traj.ys[None], 1 + len(taus), axis=0)
         for j, tau in enumerate(taus):
             prng = stream(seed, dist.name, "probe-perturb", i, tau)
-            dw = perturb_scale * prng.standard_normal(system.n)
+            dx = perturb_scale * prng.standard_normal(system.n)
             dv = perturb_scale * prng.standard_normal(system.m)
-            xs2 = xs.copy()
             for t in range(tau, horizon):
-                if t == tau:
-                    xs2[t] = xs[t] + dw
-                else:
-                    xs2[t] = a @ xs2[t - 1] + w[t]
-            ys2 = xs2 @ c.T + v
-            ys2[tau] += dv
+                prompts[1 + j, t] += system.c @ dx
+                dx = system.a @ dx
+            prompts[1 + j, tau] += dv
+        preds = model.predict_sequence(weights, prompts)[:, -1]
 
-            p1 = model.predict_next(weights, ys[: t_eval + 1])
-            p2 = model.predict_next(weights, ys2[: t_eval + 1])
-            # target draws from the unperturbed state, shared across branches
-            y_next = (a @ xs[t_eval] + wk) @ c.T + vk
-            dloss = np.linalg.norm(y_next - p1, axis=1) \
-                - np.linalg.norm(y_next - p2, axis=1)
+        mc = stream(seed, dist.name, "probe-mc", i)
+        wk = system.sigma_w * mc.standard_normal((mc_draws, system.n))
+        vk = system.sigma_v * mc.standard_normal((mc_draws, system.m))
+        # target draws from the unperturbed state, shared across branches
+        y_next = (system.a @ traj.xs[t_eval] + wk) @ system.c.T + vk
+        base_loss = np.linalg.norm(y_next - preds[0], axis=1)
+        for j, tau in enumerate(taus):
+            dloss = base_loss - np.linalg.norm(y_next - preds[1 + j], axis=1)
             exp_dloss = abs(float(dloss.mean()))
-            denom = float(np.linalg.norm(ys2[tau: t_eval + 1] - ys[tau: t_eval + 1],
+            denom = float(np.linalg.norm(prompts[1 + j, tau:] - prompts[0, tau:],
                                          axis=1).sum())
             adl[j, i] = exp_dloss
             khat[j, i] = 0.0 if denom == 0.0 else (t_eval - tau) * exp_dloss / denom

@@ -17,7 +17,7 @@ from dataclasses import dataclass, field, asdict
 import numpy as np
 
 from . import engine
-from .engine import Graph, Tensor
+from .engine import Tensor
 from .manifest import atomic_open
 
 __all__ = [
@@ -142,10 +142,8 @@ def _causal_mask(t, dtype) -> np.ndarray:
     return m
 
 
-def _linear(x: Tensor, w: Tensor, b: Tensor, bt, t, dout) -> Tensor:
-    flat = engine.reshape(x, (bt, x.shape[-1]))
-    y = engine.add(engine.matmul(flat, w), b)
-    return engine.reshape(y, (bt // t, t, dout))
+def _linear(x: Tensor, w: Tensor, b: Tensor) -> Tensor:
+    return engine.add(engine.matmul(x, w), b)
 
 
 def make_tokens(ys, us=None) -> np.ndarray:
@@ -160,13 +158,14 @@ def make_tokens(ys, us=None) -> np.ndarray:
     return np.concatenate([ys, us[..., : ys.shape[-2], :]], axis=-1)
 
 
-def forward(weights: TransformerWeights, tokens, graph: Graph | None = None):
+def forward(weights: TransformerWeights, tokens):
     """Predictions at every position; the entry at position j is the model's
     estimate of y_{j+1} given tokens 0..j (the causal mask enforces this).
 
     tokens: (T, token_dim) or (B, T, token_dim). Returns a Tensor shaped
-    (B, T, output_dim) (leading batch dim squeezed for 2-D input). When a
-    graph is given, parameters are registered as named leaves on it.
+    (B, T, output_dim) (leading batch dim squeezed for 2-D input). Inside
+    `with graph:` the forward is recorded on that graph and the parameters
+    are its named leaves (see `engine.param`); otherwise it runs eagerly.
     """
     cfg = weights.config
     toks = np.asarray(tokens, dtype=cfg.dtype)
@@ -183,41 +182,30 @@ def forward(weights: TransformerWeights, tokens, graph: Graph | None = None):
     if cfg.input_scale != 1.0:
         toks = toks * cfg.dtype(cfg.input_scale)
 
-    if graph is not None:
-        prm = {}
-        for name, arr in weights.arrays.items():
-            leaf = graph.params.get(name)
-            prm[name] = leaf if leaf is not None else graph.leaf(arr, name)
-    else:
-        prm = {name: Tensor(arr) for name, arr in weights.arrays.items()}
-
+    prm = {name: engine.param(name, arr) for name, arr in weights.arrays.items()}
     d, nh, dh = cfg.embed_dim, cfg.heads, cfg.head_dim
-    bt = b * t
     inv_sqrt_dh = 1.0 / np.sqrt(dh)
     mask = _causal_mask(t, cfg.dtype)
 
-    x = _linear(Tensor(toks), prm["embed.w"], prm["embed.b"], bt, t, d)
-    if graph is not None:
-        x = engine.add(x, _pos_slice(prm["pos"], t))
-    else:
-        x = engine.add(x, Tensor(prm["pos"].data[:t]))
+    x = _linear(Tensor(toks), prm["embed.w"], prm["embed.b"])
+    x = engine.add(x, _pos_slice(prm["pos"], t))
 
     for i in range(cfg.layers):
         p = f"h{i}."
         h = engine.layer_norm(x, prm[p + "ln1.g"], prm[p + "ln1.b"])
-        q = _heads(_linear(h, prm[p + "attn.wq"], prm[p + "attn.bq"], bt, t, d), b, t, nh, dh)
-        k = _heads(_linear(h, prm[p + "attn.wk"], prm[p + "attn.bk"], bt, t, d), b, t, nh, dh)
-        v = _heads(_linear(h, prm[p + "attn.wv"], prm[p + "attn.bv"], bt, t, d), b, t, nh, dh)
+        q = _heads(_linear(h, prm[p + "attn.wq"], prm[p + "attn.bq"]), b, t, nh, dh)
+        k = _heads(_linear(h, prm[p + "attn.wk"], prm[p + "attn.bk"]), b, t, nh, dh)
+        v = _heads(_linear(h, prm[p + "attn.wv"], prm[p + "attn.bv"]), b, t, nh, dh)
         scores = engine.scale(engine.matmul(q, engine.transpose(k, (0, 1, 3, 2))), inv_sqrt_dh)
         attn = engine.rowwise_softmax(engine.add(scores, Tensor(mask)))
         av = engine.reshape(engine.transpose(engine.matmul(attn, v), (0, 2, 1, 3)), (b, t, d))
-        x = engine.add(x, _linear(av, prm[p + "attn.wo"], prm[p + "attn.bo"], bt, t, d))
+        x = engine.add(x, _linear(av, prm[p + "attn.wo"], prm[p + "attn.bo"]))
         h2 = engine.layer_norm(x, prm[p + "ln2.g"], prm[p + "ln2.b"])
-        inner = engine.gelu(_linear(h2, prm[p + "mlp.w1"], prm[p + "mlp.b1"], bt, t, 4 * d))
-        x = engine.add(x, _linear(inner, prm[p + "mlp.w2"], prm[p + "mlp.b2"], bt, t, d))
+        inner = engine.gelu(_linear(h2, prm[p + "mlp.w1"], prm[p + "mlp.b1"]))
+        x = engine.add(x, _linear(inner, prm[p + "mlp.w2"], prm[p + "mlp.b2"]))
 
     x = engine.layer_norm(x, prm["final.g"], prm["final.b"])
-    out = _linear(x, prm["head.w"], prm["head.b"], bt, t, cfg.output_dim)
+    out = _linear(x, prm["head.w"], prm["head.b"])
     if cfg.input_scale != 1.0:
         out = engine.scale(out, 1.0 / cfg.input_scale)
     if single:
@@ -230,14 +218,14 @@ def _heads(x: Tensor, b, t, nh, dh) -> Tensor:
 
 
 def _pos_slice(pos: Tensor, t: int) -> Tensor:
-    """First t rows of the positional table as a graph op (gradient scatters
-    back into the full table)."""
+    """First t rows of the positional table, shaped (1, t, d); recorded on
+    an active graph, the gradient scatters back into the full table."""
     full = pos.data
 
     def mk():
         def grad(g):
             gp = np.zeros_like(full)
-            gp[:t] = g.sum(axis=0) if g.ndim == 3 else g
+            gp[:t] = g[0]
             return (gp,)
 
         return grad

@@ -27,6 +27,7 @@ __all__ = [
 ]
 
 DIVERGENCE_LOSS = 1e6
+LOG_EVERY = 50                       # steps between progress lines when not quiet
 LOSS_KINDS = ("l2_norm", "squared_l2")
 
 
@@ -114,13 +115,13 @@ def build_meta_dataset(preset, m_systems, train_len, seed) -> MetaDataset:
 # ---------------------------------------------------------------------------
 
 def batch_loss(weights: TransformerWeights, ys, us=None,
-               graph: engine.Graph | None = None,
                loss_kind: str = "l2_norm") -> engine.Tensor:
     """Mean next-output prediction loss over a batch of trajectories.
 
     One forward pass per trajectory scores every position; the mean runs
     over all (trajectory, position) prediction terms in trajectory-major,
-    time-minor order.
+    time-minor order. Inside `with graph:` the loss is recorded on that
+    graph, with the weights as its named leaves.
     """
     if loss_kind not in LOSS_KINDS:
         raise ValueError(f"loss_kind must be one of {LOSS_KINDS}")
@@ -130,7 +131,7 @@ def batch_loss(weights: TransformerWeights, ys, us=None,
     if ys.shape[1] < 2:
         raise ValueError("trajectories need at least 2 outputs")
     tokens = model.make_tokens(ys[:, :-1], us)
-    preds = model.forward(weights, tokens, graph)
+    preds = model.forward(weights, tokens)
     targets = ys[:, 1:].astype(weights.config.dtype)
     resid = engine.sub(preds, engine.Tensor(targets))
     if loss_kind == "squared_l2":
@@ -212,8 +213,7 @@ def _save_state(weights, adam, step, path):
         adam.state_tensors(), weights.config.precision)
 
 
-def train(cfg: TrainConfig, out_dir, resume=None, log_every=50,
-          quiet=True) -> TrainResult:
+def train(cfg: TrainConfig, out_dir, resume=None, quiet=True) -> TrainResult:
     """Run the meta-training loop, writing periodic checkpoints and a loss
     log under out_dir. `resume` continues from a checkpoint path written by
     an earlier (identically configured) run; the loss trace continues
@@ -264,7 +264,7 @@ def train(cfg: TrainConfig, out_dir, resume=None, log_every=50,
 
         g = engine.Graph()
         with g:
-            loss = batch_loss(weights, ys, us, g, cfg.loss_kind)
+            loss = batch_loss(weights, ys, us, cfg.loss_kind)
         loss_val = loss.item()
         if not np.isfinite(loss_val):
             checkpoint(step, "ckpt-abort.ckpt")
@@ -283,7 +283,7 @@ def train(cfg: TrainConfig, out_dir, resume=None, log_every=50,
 
         loss_rows.append({"step": step, "loss": loss_val, "grad_norm": gnorm,
                           "wallclock_s": time.time() - t0})
-        if not quiet and (step % log_every == 0 or step == cfg.steps - 1):
+        if not quiet and (step % LOG_EVERY == 0 or step == cfg.steps - 1):
             print(f"step {step:6d}  loss {loss_val:.5f}  gnorm {gnorm:.3f}")
         if (step + 1) % cfg.checkpoint_every == 0 and step + 1 < cfg.steps:
             last_ckpt = checkpoint(step + 1)

@@ -1,12 +1,15 @@
 """Shared fixtures: deterministic rngs and a train-once cache.
 
 Heavy tests (meta-training runs) go through `ensure_trained`, which keys a
-cache directory by the exact training config: the first full-suite run
-trains everything, reruns load checkpoints. Point MOPLAB_TEST_CACHE
-somewhere else to isolate runs.
+cache directory by the exact training config and by the source of the
+modules training numerics depend on: the first full-suite run trains
+everything, reruns load checkpoints, and a change to any of those modules
+retrains rather than reading runs written by older code. Point
+MOPLAB_TEST_CACHE somewhere else to isolate runs.
 """
 
 import dataclasses
+import hashlib
 import json
 import os
 import time
@@ -22,12 +25,27 @@ CACHE_ROOT = Path(os.environ.get(
     "MOPLAB_TEST_CACHE", Path(__file__).resolve().parent.parent / "results" / "test-cache"))
 
 
+# modules whose code decides a training run's loss trace and checkpoint
+TRAINING_SOURCES = ("engine", "model", "training", "distributions", "systems",
+                    "linalg", "seeding")
+
+
+def source_key() -> str:
+    package = Path(training.__file__).resolve().parent
+    digest = hashlib.sha256()
+    for name in TRAINING_SOURCES:
+        digest.update(name.encode() + b"\0" + (package / f"{name}.py").read_bytes())
+    return digest.hexdigest()[:16]
+
+
 def config_key(cfg: training.TrainConfig) -> str:
-    return sha256_json(dataclasses.asdict(cfg))[:16]
+    return sha256_json({"config": dataclasses.asdict(cfg),
+                        "sources": source_key()})[:16]
 
 
 def ensure_trained(cfg: training.TrainConfig, tag: str = "run") -> Path:
-    """Train once per unique config; later calls reuse the checkpoint."""
+    """Train once per unique config and training source; later calls reuse
+    the checkpoint."""
     out_dir = CACHE_ROOT / f"{tag}-{config_key(cfg)}"
     final = out_dir / "ckpt-final.ckpt"
     if final.exists():
@@ -38,7 +56,8 @@ def ensure_trained(cfg: training.TrainConfig, tag: str = "run") -> Path:
               ["step", "loss", "grad_norm", "wallclock_s"])
     write_json(out_dir / "config.json", dataclasses.asdict(cfg))
     write_json(out_dir / "train-info.json",
-               {"wallclock_s": time.time() - t0, "steps": cfg.steps})
+               {"wallclock_s": time.time() - t0, "steps": cfg.steps,
+                "sources": source_key()})
     return final
 
 

@@ -204,7 +204,7 @@ def test_backward_rejects_detached_loss():
 @pytest.mark.parametrize("op_name", [
     "add", "sub", "mul", "scale", "matmul", "transpose", "reshape",
     "rowwise_softmax", "layer_norm", "gelu", "sum_lastdim", "mean_all",
-    "l2norm_lastdim",
+    "l2norm_lastdim", "matmul_linear",
 ])
 def test_gradcheck_every_op(op_name, rng):
     r = Tensor(rng.standard_normal((3, 4)))
@@ -242,6 +242,11 @@ def test_gradcheck_every_op(op_name, rng):
         "l2norm_lastdim": (
             lambda p: engine.mean_all(engine.mul(engine.l2norm_lastdim(p["x"]), r3)),
             {"x": x.copy() + 0.5}),   # keep residual away from the kink at 0
+        # (B, T, k) @ (k, n) with a non-contiguous left operand, like the
+        # transposed attention output entering the output projection
+        "matmul_linear": (
+            lambda p: reduce(engine.matmul(engine.transpose(p["a"], (0, 2, 1)), p["b"])),
+            {"a": rng.standard_normal((2, 5, 3)), "b": rng.standard_normal((5, 4))}),
     }
     fn, arrays = builders[op_name]
     check_grads(fn, arrays, tol=1e-4, h=1e-4)
@@ -284,6 +289,17 @@ def test_graph_topological_order(rng):
         for inp in node.inputs:
             if inp.node is not None:
                 assert inp.node.idx < node.idx
+
+
+def test_param_is_the_named_leaf_of_the_active_graph(rng):
+    w = rng.standard_normal((3, 3))
+    g = Graph()
+    with g:
+        first = engine.param("w", w)
+        again = engine.param("w", w)
+    assert first is again and g.params == {"w": first}
+    assert first.node.op == "leaf" and len(g.nodes) == 1
+    assert engine.param("w", w).node is None     # no active graph: a constant
 
 
 def test_no_nested_graphs():

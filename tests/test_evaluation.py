@@ -228,3 +228,101 @@ def test_excess_risk_pairs_the_mop_and_kf_curves():
     assert report.risk_model == float(risk_mop.mean())
     assert report.risk_baseline == float(risk_kf.mean())
     assert np.array_equal(report.per_system_delta, risk_mop - risk_kf)
+
+
+def test_excess_risk_stderr_counts_the_paired_systems():
+    # a 6-system population passed with n=8: the report describes the 6
+    weights = model.init_weights(TINY_MODEL, stream(12, "risk"))
+    pop = population(LINEAR, n=6)
+    report = evaluation.empirical_excess_risk(weights, LINEAR, 8, HORIZON, 4,
+                                              population=pop)
+    delta = report.per_system_delta
+    assert len(delta) == 6 and report.n_systems == 6
+    assert report.stderr == float(delta.std(ddof=1) / np.sqrt(6))
+
+
+# ---------------------------------------------------------------------------
+# robustness probe
+# ---------------------------------------------------------------------------
+
+def hand_rolled_probe_rollouts(system, seed, i, taus, horizon, perturb_scale):
+    """Oracle: the probe's base and perturbed rollouts simulated state by
+    state, with the noise pair at tau replaced in the perturbed branch."""
+    sw, sv = np.sqrt(LINEAR.sigma_w2), np.sqrt(LINEAR.sigma_v2)
+    rng = stream(seed, LINEAR.name, "probe-noise", i)
+    w = sw * rng.standard_normal((horizon, system.n))
+    v = sv * rng.standard_normal((horizon, system.m))
+    xs = np.zeros((horizon, system.n))
+    for t in range(1, horizon):
+        xs[t] = system.a @ xs[t - 1] + w[t]
+    branches = [xs @ system.c.T + v]
+    for tau in taus:
+        prng = stream(seed, LINEAR.name, "probe-perturb", i, tau)
+        dw = perturb_scale * prng.standard_normal(system.n)
+        dv = perturb_scale * prng.standard_normal(system.m)
+        xs2 = xs.copy()
+        xs2[tau] = xs[tau] + dw
+        for t in range(tau + 1, horizon):
+            xs2[t] = system.a @ xs2[t - 1] + w[t]
+        ys2 = xs2 @ system.c.T + v
+        ys2[tau] += dv
+        branches.append(ys2)
+    return xs, np.stack(branches)
+
+
+PROBE = dict(n_systems=3, t_eval=20, taus=(3, 10, 19), mc_draws=32, seed=2)
+
+
+def test_probe_rollouts_match_the_hand_rolled_simulation(monkeypatch):
+    # the probe scores each system's base and perturbed prompts in one call
+    prompts = []
+
+    def recording_predict_sequence(weights, ys, us=None):
+        prompts.append(np.array(ys))
+        return np.zeros(ys.shape)
+
+    monkeypatch.setattr(model, "predict_sequence", recording_predict_sequence)
+    weights = model.init_weights(TINY_MODEL, stream(13, "probe"))
+    evaluation.robustness_probe(weights, LINEAR, **PROBE)
+    assert len(prompts) == PROBE["n_systems"]
+    for i, got in enumerate(prompts):
+        system = LINEAR.sample_system(PROBE["seed"], "probe", i)
+        _, want = hand_rolled_probe_rollouts(system, PROBE["seed"], i, PROBE["taus"],
+                                             PROBE["t_eval"] + 1, 1.0)
+        assert got.shape == want.shape
+        assert np.abs(got - want).max() <= 1e-12
+
+
+def test_probe_matches_per_prompt_predictions_and_is_deterministic():
+    weights = model.init_weights(TINY_MODEL, stream(13, "probe"))
+    report = evaluation.robustness_probe(weights, LINEAR, **PROBE)
+    assert report.to_json() == evaluation.robustness_probe(
+        weights, LINEAR, **PROBE).to_json()
+    # oracle: the hand-rolled rollouts scored one prompt at a time
+    t_eval, taus = PROBE["t_eval"], PROBE["taus"]
+    sw, sv = np.sqrt(LINEAR.sigma_w2), np.sqrt(LINEAR.sigma_v2)
+    khat = np.zeros((len(taus), PROBE["n_systems"]))
+    for i in range(PROBE["n_systems"]):
+        system = LINEAR.sample_system(PROBE["seed"], "probe", i)
+        xs, branches = hand_rolled_probe_rollouts(system, PROBE["seed"], i, taus,
+                                                  t_eval + 1, 1.0)
+        mc = stream(PROBE["seed"], LINEAR.name, "probe-mc", i)
+        wk = sw * mc.standard_normal((PROBE["mc_draws"], system.n))
+        vk = sv * mc.standard_normal((PROBE["mc_draws"], system.m))
+        y_next = (system.a @ xs[t_eval] + wk) @ system.c.T + vk
+        p1 = model.predict_next(weights, branches[0])
+        for j, tau in enumerate(taus):
+            p2 = model.predict_next(weights, branches[1 + j])
+            dloss = np.linalg.norm(y_next - p1, axis=1) - np.linalg.norm(y_next - p2, axis=1)
+            denom = np.linalg.norm(branches[1 + j, tau:] - branches[0, tau:], axis=1).sum()
+            khat[j, i] = (t_eval - tau) * abs(dloss.mean()) / denom
+    got = [cell["khat"] for cell in report.cells]
+    assert np.allclose(got, khat.mean(axis=1), rtol=1e-9, atol=0)
+    assert report.khat_max == pytest.approx(khat.max(), rel=1e-9)
+
+
+def test_probe_without_perturbation_reads_zero():
+    weights = model.init_weights(TINY_MODEL, stream(14, "probe"))
+    report = evaluation.robustness_probe(weights, LINEAR, perturb_scale=0.0, **PROBE)
+    assert report.khat_max == 0.0 and report.khat_median == 0.0
+    assert all(cell["khat"] == 0.0 for cell in report.cells)

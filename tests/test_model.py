@@ -174,7 +174,7 @@ def test_end_to_end_gradients_vs_finite_differences():
     from moplab.training import batch_loss
     g = engine.Graph()
     with g:
-        loss = batch_loss(weights, ys, graph=g)
+        loss = batch_loss(weights, ys)
     grads = engine.backward(g, loss)
 
     rng = stream(18, "fd")
@@ -201,11 +201,30 @@ def test_weights_unreached_by_loss_get_zero_grad(small_weights):
     ys = stream(19).standard_normal((1, 2, 3))
     g = engine.Graph()
     with g:
-        loss = batch_loss(small_weights, ys, graph=g)
+        loss = batch_loss(small_weights, ys)
     grads = engine.backward(g, loss)
     gpos = grads[g.params["pos"]]
     assert np.array_equal(gpos[1:], np.zeros_like(gpos[1:]))
     assert not np.array_equal(gpos[0], np.zeros_like(gpos[0]))
+
+
+def test_desk_step_tape_size():
+    # the desk training step's tape: 71 parameter leaves, 34 matmuls, and
+    # reshapes only where attention splits and merges heads (3 + 1 per layer)
+    from collections import Counter
+
+    from moplab.presets import desk_model_config
+    from moplab.training import batch_loss
+    cfg = desk_model_config("linear-dense")
+    weights = init_weights(cfg, stream(22, "tape"))
+    g = engine.Graph()
+    with g:
+        batch_loss(weights, stream(23).standard_normal((2, 50, cfg.output_dim)))
+    ops = Counter(node.op for node in g.nodes)
+    assert len(g.nodes) == 205
+    assert ops["reshape"] == 16
+    assert ops["leaf"] == len(weights.arrays) == 71
+    assert ops["matmul"] == 34
 
 
 # ---------------------------------------------------------------------------

@@ -125,7 +125,7 @@ def test_squared_l2_gradient_zero_at_match():
     ys = np.zeros((1, 4, 5))
     g = engine.Graph()
     with g:
-        loss = batch_loss(w, ys, graph=g, loss_kind="squared_l2")
+        loss = batch_loss(w, ys, loss_kind="squared_l2")
     grads = engine.backward(g, loss)
     assert loss.item() == 0.0
     for name, leaf in g.params.items():
@@ -137,7 +137,7 @@ def test_l2_norm_gradient_finite_at_match():
     ys = np.zeros((1, 4, 5))
     g = engine.Graph()
     with g:
-        loss = batch_loss(w, ys, graph=g, loss_kind="l2_norm")
+        loss = batch_loss(w, ys, loss_kind="l2_norm")
     grads = engine.backward(g, loss)
     for name, leaf in g.params.items():
         assert np.isfinite(grads[leaf]).all(), name
