@@ -6,6 +6,15 @@ tape in reverse and accumulates exact gradients in a fixed order, so seeded
 runs are bit-reproducible. With no active graph the same ops run eagerly
 with zero taping overhead, which is the inference path.
 
+Two ops are fused for the transformer, each with a hand-written backward:
+`linear` is one GEMM over the flattened leading dims with the bias added in
+place, and `causal_attention` splits heads, scales, masks and softmaxes the
+scores in place, mixes the values and merges the heads, keeping only the
+attention probabilities for the backward. The projections and attention
+of a transformer layer then record six `linear` nodes and one
+`causal_attention` node, not a chain of reshapes, transposes and
+score-sized temporaries.
+
 Precision is a property of the arrays: float64 in filters and tests,
 float32 for training throughput.
 """
@@ -19,10 +28,9 @@ import numpy as np
 
 __all__ = [
     "Tensor", "Graph", "Gradients", "ShapeError", "NonScalarLossError",
-    "add", "sub", "mul", "scale", "matmul", "transpose", "reshape",
-    "rowwise_softmax", "layer_norm", "gelu", "sum_lastdim", "mean_all",
-    "l2norm_lastdim", "backward", "param", "set_finite_checks",
-    "finite_checks_enabled",
+    "add", "sub", "mul", "scale", "matmul", "linear", "transpose", "reshape",
+    "rowwise_softmax", "causal_attention", "layer_norm", "gelu", "sum_lastdim",
+    "mean_all", "l2norm_lastdim", "backward", "param", "set_finite_checks",
 ]
 
 LAYER_NORM_EPS = 1e-5
@@ -45,10 +53,6 @@ def set_finite_checks(enabled: bool) -> None:
     training hot loop where the NaN-loss guard owns divergence handling)."""
     global _finite_checks
     _finite_checks = bool(enabled)
-
-
-def finite_checks_enabled() -> bool:
-    return _finite_checks
 
 
 def _active() -> "Graph | None":
@@ -138,9 +142,8 @@ def param(name: str, data) -> Tensor:
 class Gradients:
     """Gradient arrays per node; zero for leaves the loss never reached."""
 
-    def __init__(self, slots, graph):
+    def __init__(self, slots):
         self._slots = slots
-        self._graph = graph
 
     def __getitem__(self, t: Tensor) -> np.ndarray:
         if t.node is None or t.node.idx >= len(self._slots):
@@ -174,7 +177,7 @@ def backward(graph: Graph, loss: Tensor) -> Gradients:
             # never mutate in place: grad arrays may alias forward data or
             # be shared between several inputs of one node
             slots[j] = gin if slots[j] is None else slots[j] + gin
-    return Gradients(slots, graph)
+    return Gradients(slots)
 
 
 # ---------------------------------------------------------------------------
@@ -249,33 +252,48 @@ def scale(a, c: float) -> Tensor:
 
 
 def matmul(a, b) -> Tensor:
-    """Matrix product, batched over leading dims (numpy broadcasting rules);
-    a (..., k) @ (k, n) product, a linear layer, is one GEMM over the
-    flattened leading dims, in the forward and in both gradients."""
+    """Matrix product, batched over leading dims (numpy broadcasting rules)."""
     a, b = _as_tensor(a), _as_tensor(b)
     if a.data.ndim < 2 or b.data.ndim < 2:
         raise ShapeError("matmul expects operands with ndim >= 2")
     if a.data.shape[-1] != b.data.shape[-2]:
         raise ShapeError(f"inner dims differ: {a.data.shape} @ {b.data.shape}")
-    da, db = a.data, b.data
-    flat = db.ndim == 2 and da.ndim > 2
-    if flat:
-        da = da.reshape(-1, da.shape[-1])
-    out = da @ db
-    if flat:
-        out = out.reshape(a.data.shape[:-1] + db.shape[-1:])
+    out = a.data @ b.data
 
     def mk():
+        da, db = a.data, b.data
+        return lambda g: (_unbroadcast(g @ db.swapaxes(-1, -2), da.shape),
+                          _unbroadcast(da.swapaxes(-1, -2) @ g, db.shape))
+
+    return _emit("matmul", out, (a, b), mk)
+
+
+def linear(x, w, b) -> Tensor:
+    """Affine map over the last dim, x (..., k) @ w (k, n) + b (n,): one GEMM
+    over the flattened leading dims of x, the bias added in place, in the
+    forward and in the backward."""
+    x, w, b = _as_tensor(x), _as_tensor(w), _as_tensor(b)
+    if w.data.ndim != 2 or b.data.shape != w.data.shape[1:]:
+        raise ShapeError(f"linear expects w (k, n) and b (n,), got {w.data.shape}, "
+                         f"{b.data.shape}")
+    if x.data.ndim < 1 or x.data.shape[-1] != w.data.shape[0]:
+        raise ShapeError(f"inner dims differ: {x.data.shape} @ {w.data.shape}")
+    shape = x.data.shape
+    x2 = x.data.reshape(-1, shape[-1])
+    out = x2 @ w.data
+    out += b.data
+    out = out.reshape(shape[:-1] + w.data.shape[1:])
+
+    def mk():
+        wt = w.data.T
+
         def grad(g):
-            if flat:
-                g = g.reshape(da.shape[0], -1)
-            ga = _unbroadcast(g @ db.swapaxes(-1, -2), da.shape)
-            gb = _unbroadcast(da.swapaxes(-1, -2) @ g, db.shape)
-            return ga.reshape(a.data.shape), gb
+            g = g.reshape(x2.shape[0], -1)
+            return (g @ wt).reshape(shape), x2.T @ g, g.sum(axis=0)
 
         return grad
 
-    return _emit("matmul", out, (a, b), mk)
+    return _emit("linear", out, (x, w, b), mk)
 
 
 def transpose(a, axes) -> Tensor:
@@ -302,28 +320,100 @@ def reshape(a, shape) -> Tensor:
     return _emit("reshape", out, (a,), mk)
 
 
+def _softmax(x, out=None) -> np.ndarray:
+    """Softmax over the last dim of x, max-subtracted for stability, written
+    to `out` (which may be x itself; a new array when None)."""
+    out = np.subtract(x, x.max(axis=-1, keepdims=True), out=out)
+    np.exp(out, out=out)
+    out /= out.sum(axis=-1, keepdims=True)
+    return out
+
+
+def _softmax_grad(g, y, out=None) -> np.ndarray:
+    """Gradient through a last-dim softmax with output y, for the incoming
+    gradient g; written to `out` (which may be g itself) like `_softmax`."""
+    out = np.subtract(g, (g * y).sum(axis=-1, keepdims=True), out=out)
+    out *= y
+    return out
+
+
 def rowwise_softmax(a) -> Tensor:
     """Softmax over the last dim, max-subtracted for stability."""
     a = _as_tensor(a)
     if a.data.ndim < 1 or a.data.shape[-1] < 1:
         raise ShapeError("softmax needs a non-empty last dim")
-    m = a.data.max(axis=-1, keepdims=True)
-    out = a.data - m
-    np.exp(out, out=out)
-    out /= out.sum(axis=-1, keepdims=True)
+    out = _softmax(a.data)
 
     def mk():
-        y = out
+        return lambda g: (_softmax_grad(g, out),)
 
+    return _emit("rowwise_softmax", out, (a,), mk)
+
+
+CAUSAL_MASK_FILL = -1e30  # added to scores above the diagonal; exp() -> 0
+_causal_masks: dict[tuple, np.ndarray] = {}
+
+
+def _causal_mask(t, dtype) -> np.ndarray:
+    """(t, t) additive mask: 0 on and below the diagonal, CAUSAL_MASK_FILL
+    above it; built once per (t, dtype) and shared read-only."""
+    key = (t, np.dtype(dtype).str)
+    m = _causal_masks.get(key)
+    if m is None:
+        m = np.triu(np.full((t, t), CAUSAL_MASK_FILL, dtype=dtype), k=1)
+        m.flags.writeable = False
+        _causal_masks[key] = m
+    return m
+
+
+def causal_attention(q, k, v, heads: int) -> Tensor:
+    """Multi-head causal self-attention over (B, T, d) projections.
+
+    Splits d into `heads` heads of d / heads, scores q.k^T / sqrt(d / heads)
+    with the positions after each query masked out, softmaxes each row and
+    mixes v, then merges the heads back into (B, T, d). The score array is
+    scaled, masked and softmaxed in place, and only the probabilities are
+    kept for the backward.
+    """
+    q, k, v = _as_tensor(q), _as_tensor(k), _as_tensor(v)
+    if q.data.ndim != 3 or not q.data.shape == k.data.shape == v.data.shape:
+        raise ShapeError(f"attention expects equal (B, T, d) q, k, v, got "
+                         f"{q.data.shape}, {k.data.shape}, {v.data.shape}")
+    b, t, d = q.data.shape
+    if heads < 1 or d % heads:
+        raise ShapeError(f"{d} channels do not split into {heads} heads")
+    dh = d // heads
+    c = 1.0 / math.sqrt(dh)
+
+    def split(x):   # (B, T, d) -> (B, heads, T, dh) view
+        return x.reshape(b, t, heads, dh).transpose(0, 2, 1, 3)
+
+    def merge(x):   # (B, heads, T, dh) -> (B, T, d)
+        return x.transpose(0, 2, 1, 3).reshape(b, t, d)
+
+    q4, k4, v4 = split(q.data), split(k.data), split(v.data)
+    p = q4 @ k4.swapaxes(-1, -2)
+    p *= c
+    p += _causal_mask(t, p.dtype)
+    _softmax(p, out=p)
+    out = merge(p @ v4)
+
+    def mk():
         def grad(g):
-            dot = (g * y).sum(axis=-1, keepdims=True)
-            r = g - dot
-            r *= y
-            return (r,)
+            g4 = split(g)
+            ds = g4 @ v4.swapaxes(-1, -2)
+            _softmax_grad(ds, p, out=ds)
+            dv4 = p.swapaxes(-1, -2) @ g4
+            ds *= c
+            dq4 = ds @ k4
+            # (q^T ds)^T, not ds^T q: the product the unfused op chain
+            # took, so the k gradient keeps its rounding
+            dk4 = (q4.swapaxes(-1, -2) @ ds).swapaxes(-1, -2)
+            return merge(dq4), merge(dk4), merge(dv4)
 
         return grad
 
-    return _emit("rowwise_softmax", out, (a,), mk)
+    return _emit("causal_attention", out, (q, k, v), mk)
 
 
 def layer_norm(a, gain, bias) -> Tensor:

@@ -32,10 +32,10 @@ __all__ = [
 ]
 
 RATIO_GUARD = 1e-12
-# Systems per MOP forward. The eager forward holds about 0.4 MB of
-# activations per system at horizon 50; chunks of 16 bound that to ~7 MB
-# and ran faster than one population-wide forward (84 vs 106 ms for 100
-# quadrotor systems on a 2-core x86 VM, BLAS at one thread).
+# Systems per MOP forward. The eager forward peaks at about 0.34 MB of
+# activations per system at horizon 50; chunks of 16 bound that to ~5.4 MB
+# and ran faster than one population-wide forward (about 90 vs 114 ms for
+# 100 quadrotor systems on a 2-core x86 VM, BLAS at one thread).
 MOP_CHUNK = 16
 
 

@@ -28,7 +28,6 @@ __all__ = [
     "write_tensor_file", "read_tensor_file",
 ]
 
-NEG_INF = -1e30
 DTYPES = {"f32": np.float32, "f64": np.float64}
 
 
@@ -130,22 +129,6 @@ def zero_weights(cfg: ModelConfig) -> TransformerWeights:
 # forward
 # ---------------------------------------------------------------------------
 
-_mask_cache: dict[tuple, np.ndarray] = {}
-
-
-def _causal_mask(t, dtype) -> np.ndarray:
-    key = (t, np.dtype(dtype).str)
-    m = _mask_cache.get(key)
-    if m is None:
-        m = np.triu(np.full((t, t), NEG_INF, dtype=dtype), k=1)[None, None]
-        _mask_cache[key] = m
-    return m
-
-
-def _linear(x: Tensor, w: Tensor, b: Tensor) -> Tensor:
-    return engine.add(engine.matmul(x, w), b)
-
-
 def make_tokens(ys, us=None) -> np.ndarray:
     """Assemble prompt entries; inputs, when the system has them, are
     concatenated onto the outputs position by position."""
@@ -172,7 +155,7 @@ def forward(weights: TransformerWeights, tokens):
     single = toks.ndim == 2
     if single:
         toks = toks[None]
-    b, t, td = toks.shape
+    _, t, td = toks.shape
     if td != cfg.token_dim:
         raise ValueError(f"token dim {td} != configured {cfg.token_dim}")
     if t > cfg.context:
@@ -183,38 +166,28 @@ def forward(weights: TransformerWeights, tokens):
         toks = toks * cfg.dtype(cfg.input_scale)
 
     prm = {name: engine.param(name, arr) for name, arr in weights.arrays.items()}
-    d, nh, dh = cfg.embed_dim, cfg.heads, cfg.head_dim
-    inv_sqrt_dh = 1.0 / np.sqrt(dh)
-    mask = _causal_mask(t, cfg.dtype)
-
-    x = _linear(Tensor(toks), prm["embed.w"], prm["embed.b"])
+    x = engine.linear(Tensor(toks), prm["embed.w"], prm["embed.b"])
     x = engine.add(x, _pos_slice(prm["pos"], t))
 
     for i in range(cfg.layers):
         p = f"h{i}."
         h = engine.layer_norm(x, prm[p + "ln1.g"], prm[p + "ln1.b"])
-        q = _heads(_linear(h, prm[p + "attn.wq"], prm[p + "attn.bq"]), b, t, nh, dh)
-        k = _heads(_linear(h, prm[p + "attn.wk"], prm[p + "attn.bk"]), b, t, nh, dh)
-        v = _heads(_linear(h, prm[p + "attn.wv"], prm[p + "attn.bv"]), b, t, nh, dh)
-        scores = engine.scale(engine.matmul(q, engine.transpose(k, (0, 1, 3, 2))), inv_sqrt_dh)
-        attn = engine.rowwise_softmax(engine.add(scores, Tensor(mask)))
-        av = engine.reshape(engine.transpose(engine.matmul(attn, v), (0, 2, 1, 3)), (b, t, d))
-        x = engine.add(x, _linear(av, prm[p + "attn.wo"], prm[p + "attn.bo"]))
+        q = engine.linear(h, prm[p + "attn.wq"], prm[p + "attn.bq"])
+        k = engine.linear(h, prm[p + "attn.wk"], prm[p + "attn.bk"])
+        v = engine.linear(h, prm[p + "attn.wv"], prm[p + "attn.bv"])
+        av = engine.causal_attention(q, k, v, cfg.heads)
+        x = engine.add(x, engine.linear(av, prm[p + "attn.wo"], prm[p + "attn.bo"]))
         h2 = engine.layer_norm(x, prm[p + "ln2.g"], prm[p + "ln2.b"])
-        inner = engine.gelu(_linear(h2, prm[p + "mlp.w1"], prm[p + "mlp.b1"]))
-        x = engine.add(x, _linear(inner, prm[p + "mlp.w2"], prm[p + "mlp.b2"]))
+        inner = engine.gelu(engine.linear(h2, prm[p + "mlp.w1"], prm[p + "mlp.b1"]))
+        x = engine.add(x, engine.linear(inner, prm[p + "mlp.w2"], prm[p + "mlp.b2"]))
 
     x = engine.layer_norm(x, prm["final.g"], prm["final.b"])
-    out = _linear(x, prm["head.w"], prm["head.b"])
+    out = engine.linear(x, prm["head.w"], prm["head.b"])
     if cfg.input_scale != 1.0:
         out = engine.scale(out, 1.0 / cfg.input_scale)
     if single:
         out = engine.reshape(out, (t, cfg.output_dim))
     return out
-
-
-def _heads(x: Tensor, b, t, nh, dh) -> Tensor:
-    return engine.transpose(engine.reshape(x, (b, t, nh, dh)), (0, 2, 1, 3))
 
 
 def _pos_slice(pos: Tensor, t: int) -> Tensor:

@@ -204,7 +204,7 @@ def test_backward_rejects_detached_loss():
 @pytest.mark.parametrize("op_name", [
     "add", "sub", "mul", "scale", "matmul", "transpose", "reshape",
     "rowwise_softmax", "layer_norm", "gelu", "sum_lastdim", "mean_all",
-    "l2norm_lastdim", "matmul_linear",
+    "l2norm_lastdim", "matmul_linear", "linear", "causal_attention",
 ])
 def test_gradcheck_every_op(op_name, rng):
     r = Tensor(rng.standard_normal((3, 4)))
@@ -247,6 +247,15 @@ def test_gradcheck_every_op(op_name, rng):
         "matmul_linear": (
             lambda p: reduce(engine.matmul(engine.transpose(p["a"], (0, 2, 1)), p["b"])),
             {"a": rng.standard_normal((2, 5, 3)), "b": rng.standard_normal((5, 4))}),
+        # a non-contiguous (B, T, k) input, flattened into one GEMM
+        "linear": (
+            lambda p: reduce(engine.linear(engine.transpose(p["x"], (0, 2, 1)), p["w"], p["b"])),
+            {"x": rng.standard_normal((2, 5, 3)), "w": rng.standard_normal((5, 4)),
+             "b": rng.standard_normal(4)}),
+        "causal_attention": (
+            lambda p: reduce(engine.causal_attention(p["q"], p["k"], p["v"], 2)),
+            {"q": rng.standard_normal((2, 3, 4)), "k": rng.standard_normal((2, 3, 4)),
+             "v": rng.standard_normal((2, 3, 4))}),
     }
     fn, arrays = builders[op_name]
     check_grads(fn, arrays, tol=1e-4, h=1e-4)
@@ -271,6 +280,72 @@ def test_broadcast_add_gradient(rng):
         return engine.mean_all(engine.mul(engine.add(p["x"], p["b"]), r))
 
     check_grads(fn, {"x": x, "b": b})
+
+
+# ---------------------------------------------------------------------------
+# causal attention
+# ---------------------------------------------------------------------------
+
+def composed_attention(q, k, v, heads):
+    """Causal attention as a chain of the public ops: split heads, q.k^T,
+    scale, mask add, softmax, mix v, merge heads."""
+    b, t, d = q.shape
+    dh = d // heads
+
+    def split(x):
+        return engine.transpose(engine.reshape(x, (b, t, heads, dh)), (0, 2, 1, 3))
+
+    mask = Tensor(np.triu(np.full((t, t), engine.CAUSAL_MASK_FILL), k=1)[None, None])
+    scores = engine.scale(engine.matmul(split(q), engine.transpose(split(k), (0, 1, 3, 2))),
+                          1.0 / np.sqrt(dh))
+    probs = engine.rowwise_softmax(engine.add(scores, mask))
+    return engine.reshape(engine.transpose(engine.matmul(probs, split(v)), (0, 2, 1, 3)),
+                          (b, t, d))
+
+
+def test_causal_attention_equals_composed_chain(rng):
+    qkv = {c: rng.standard_normal((3, 7, 8)) for c in "qkv"}
+    r = Tensor(rng.standard_normal((3, 7, 8)))
+    fused = engine.causal_attention(*(Tensor(qkv[c]) for c in "qkv"), heads=2).data
+    chain = composed_attention(*(Tensor(qkv[c]) for c in "qkv"), heads=2).data
+    assert np.array_equal(fused, chain)
+
+    def fn_fused(p):
+        return engine.mean_all(engine.mul(engine.causal_attention(p["q"], p["k"], p["v"], 2), r))
+
+    def fn_chain(p):
+        return engine.mean_all(engine.mul(composed_attention(p["q"], p["k"], p["v"], 2), r))
+
+    ga, la = ad_grads(fn_fused, qkv)
+    gb, lb = ad_grads(fn_chain, qkv)
+    assert la == lb
+    for c in "qkv":
+        assert np.abs(ga[c] - gb[c]).max() <= 1e-12
+
+
+def test_causal_attention_gradient_ignores_later_rows(rng):
+    t = 6
+    qkv = {c: rng.standard_normal((2, t, 4)) for c in "qkv"}
+    for j in (1, 3, t - 2):
+        pick = np.zeros((2, t, 4))
+        pick[:, j] = rng.standard_normal((2, 4))
+
+        def fn(p):
+            out = engine.causal_attention(p["q"], p["k"], p["v"], 2)
+            return engine.mean_all(engine.mul(out, Tensor(pick)))
+
+        grads, _ = ad_grads(fn, qkv)
+        for c in "qkv":
+            assert np.all(grads[c][:, j + 1:] == 0), (c, j)
+            assert np.any(grads[c][:, : j + 1] != 0), (c, j)
+
+
+def test_causal_attention_rejects_bad_shapes():
+    x = Tensor(np.zeros((2, 3, 4)))
+    with pytest.raises(engine.ShapeError):
+        engine.causal_attention(x, x, x, heads=3)
+    with pytest.raises(engine.ShapeError):
+        engine.causal_attention(x, x, Tensor(np.zeros((2, 3, 2))), heads=2)
 
 
 # ---------------------------------------------------------------------------

@@ -209,22 +209,33 @@ def test_weights_unreached_by_loss_get_zero_grad(small_weights):
 
 
 def test_desk_step_tape_size():
-    # the desk training step's tape: 71 parameter leaves, 34 matmuls, and
-    # reshapes only where attention splits and merges heads (3 + 1 per layer)
+    # the desk training step's tape: 71 parameter leaves, one linear node per
+    # projection and one causal_attention node per layer, no reshape or matmul
     from collections import Counter
 
     from moplab.presets import desk_model_config
     from moplab.training import batch_loss
     cfg = desk_model_config("linear-dense")
     weights = init_weights(cfg, stream(22, "tape"))
+    b, t = 2, 49
     g = engine.Graph()
     with g:
-        batch_loss(weights, stream(23).standard_normal((2, 50, cfg.output_dim)))
+        batch_loss(weights, stream(23).standard_normal((b, t + 1, cfg.output_dim)))
     ops = Counter(node.op for node in g.nodes)
-    assert len(g.nodes) == 205
-    assert ops["reshape"] == 16
+    assert len(g.nodes) == 127
     assert ops["leaf"] == len(weights.arrays) == 71
-    assert ops["matmul"] == 34
+    assert ops["linear"] == 26
+    assert ops["causal_attention"] == 4
+    assert ops["reshape"] == ops["matmul"] == 0
+    # elements the tape holds: the parameters and activations no wider than
+    # the MLP's 4d, so no (b, heads, t, t) score array: 18 (b, t, d) arrays
+    # per layer, 3 more plus the positional slice around the blocks, and the
+    # prediction, residual, per-position loss and the loss itself
+    d, od = cfg.embed_dim, cfg.output_dim
+    activations = ((18 * cfg.layers + 3) * b * t * d + t * d
+                   + 2 * b * t * od + b * t + 1)
+    elements = sum(int(np.prod(node.out_shape)) for node in g.nodes)
+    assert elements == weights.param_count() + activations == 683580
 
 
 # ---------------------------------------------------------------------------
