@@ -3,6 +3,10 @@ individual gen / train / eval / plot stages they chain together.
 
 Exit codes: 0 success, 1 runtime failure, 2 usage or config error. The
 MOP_SEED environment variable overrides the base seed everywhere.
+
+`moplab experiment` trains at the base seed and draws its test population
+at the base seed + 10000, so the two never share draws. The rule is the
+same whether the base seed comes from --seed or from MOP_SEED.
 """
 
 from __future__ import annotations
@@ -20,12 +24,13 @@ from .distributions import DISTRIBUTIONS, get_distribution
 from .manifest import (read_csv, sha256_file, sha256_json, write_csv,
                        write_json, write_manifest)
 from .model import ModelConfig
-from .presets import EXPERIMENTS, desk_model_config, get_experiment
+from .presets import desk_model_config, get_experiment
 from .systems import systems_to_json
 from .training import TrainConfig
 
 CSV_FIELDS = ["experiment", "preset", "predictor", "t", "mean_err", "stderr",
               "n_systems", "seed"]
+CELL_FIELDS = ["m_systems", "train_len", "mt", "delta", "stderr", "flagged"]
 
 
 class UsageError(Exception):
@@ -75,11 +80,6 @@ def train_config_from_dict(obj: dict) -> TrainConfig:
         return TrainConfig(model=mcfg, **kwargs)
     except (TypeError, ValueError) as exc:
         raise UsageError(f"invalid train config: {exc}") from exc
-
-
-def train_config_to_dict(cfg: TrainConfig) -> dict:
-    out = dataclasses.asdict(cfg)
-    return out
 
 
 # ---------------------------------------------------------------------------
@@ -153,7 +153,7 @@ def _write_train_outputs(out_dir: Path, result: training.TrainResult, t0) -> Non
               ["step", "loss", "grad_norm", "wallclock_s"])
     write_json(out_dir / "dataset.json", result.dataset_manifest)
     ckpt_hashes = {Path(p).name: sha256_file(p) for p in result.checkpoints}
-    write_manifest(out_dir, "train", train_config_to_dict(result.config),
+    write_manifest(out_dir, "train", dataclasses.asdict(result.config),
                    result.config.seed,
                    dataset_hash=sha256_json(result.dataset_manifest),
                    checkpoint_hashes=ckpt_hashes,
@@ -172,15 +172,44 @@ def _load_weights_for(dist, path):
     return weights
 
 
-def cmd_eval(args) -> int:
+def _get_preset(name):
     try:
-        preset = get_experiment(args.preset)
+        return get_experiment(name)
     except KeyError as exc:
         raise UsageError(str(exc)) from None
+
+
+def _score(predictors, dist, n, horizon, seed, weights=None, switch_at=None):
+    """Error curves of each predictor kind on one shared test population."""
+    population = evaluation.test_population(dist, n, horizon, seed, switch_at)
+    return [evaluation.error_curve(kind, dist, n, horizon, seed, weights=weights,
+                                   population=population) for kind in predictors]
+
+
+def _write_eval(out_dir: Path, name, curves, n, seed, ckpt, t0) -> list[dict]:
+    """Write curves.csv, report.json and the eval manifest for one scored
+    population; returns the CSV rows."""
+    out_dir.mkdir(parents=True, exist_ok=True)
+    rows = evaluation.curves_to_csv_rows(name, curves)
+    csv_path = out_dir / "curves.csv"
+    write_csv(csv_path, rows, CSV_FIELDS)
+    report = {"experiment": name, "curves": [c.to_json() for c in curves]}
+    if len(curves) == 2:
+        report["ratio"] = evaluation.compare_predictors(*curves).to_json()
+    write_json(out_dir / "report.json", report)
+    hashes = {Path(ckpt).name: sha256_file(ckpt)} if ckpt else {}
+    write_manifest(out_dir, "eval",
+                   {"preset": name, "n": n, "horizon": curves[0].horizon,
+                    "predictors": [c.predictor for c in curves], "ckpt": ckpt},
+                   seed, checkpoint_hashes=hashes,
+                   wallclock_s=time.time() - t0, outputs=[str(csv_path)])
+    return rows
+
+
+def cmd_eval(args) -> int:
+    preset = _get_preset(args.preset)
     dist = get_distribution(preset.distribution)
     seed = _resolve_seed(args.seed, 1)
-    n = args.n or preset.eval_n
-    horizon = args.horizon or preset.eval_horizon
     predictors = (args.predictors.split(",") if args.predictors
                   else ["mop", *preset.baselines])
     weights = None
@@ -188,31 +217,13 @@ def cmd_eval(args) -> int:
         if not args.ckpt:
             raise UsageError("--ckpt is required when evaluating the mop predictor")
         weights = _load_weights_for(dist, args.ckpt)
-    out_dir = Path(args.out_dir)
-    out_dir.mkdir(parents=True, exist_ok=True)
+    n = args.n or preset.eval_n
     t0 = time.time()
-
-    population = evaluation.test_population(dist, n, horizon, seed,
-                                            preset.switch_at)
-    curves = [evaluation.error_curve(kind, dist, n, horizon, seed,
-                                     weights=weights,
-                                     switch_at=preset.switch_at,
-                                     population=population)
-              for kind in predictors]
-    rows = evaluation.curves_to_csv_rows(args.preset, curves)
-    csv_path = out_dir / "curves.csv"
-    write_csv(csv_path, rows, CSV_FIELDS)
-    report = {"experiment": args.preset, "curves": [c.to_json() for c in curves]}
-    if len(curves) == 2:
-        report["ratio"] = evaluation.compare_predictors(curves[0], curves[1]).to_json()
-    write_json(out_dir / "report.json", report)
-    hashes = {Path(args.ckpt).name: sha256_file(args.ckpt)} if args.ckpt else {}
-    write_manifest(out_dir, "eval",
-                   {"preset": args.preset, "n": n, "horizon": horizon,
-                    "predictors": predictors, "ckpt": args.ckpt},
-                   seed, checkpoint_hashes=hashes,
-                   wallclock_s=time.time() - t0, outputs=[str(csv_path)])
-    print(f"wrote {csv_path}")
+    curves = _score(predictors, dist, n, args.horizon or preset.eval_horizon,
+                    seed, weights, preset.switch_at)
+    out_dir = Path(args.out_dir)
+    _write_eval(out_dir, args.preset, curves, n, seed, args.ckpt, t0)
+    print(f"wrote {out_dir / 'curves.csv'}")
     return 0
 
 
@@ -232,57 +243,18 @@ def cmd_plot(args) -> int:
 
 
 def cmd_experiment(args) -> int:
-    try:
-        preset = get_experiment(args.name)
-    except KeyError as exc:
-        raise UsageError(str(exc)) from None
+    preset = _get_preset(args.name)
     seed = _resolve_seed(args.seed, preset.train.seed)
     root = Path(args.out_dir) / preset.name
     root.mkdir(parents=True, exist_ok=True)
     t0 = time.time()
-
     if preset.scaling_grid is not None:
-        return _experiment_scaling(preset, seed, root, args, t0)
-
-    if preset.trains_model:
-        ckpt = _ensure_trained(preset, seed, root, quiet=args.quiet)
+        _experiment_scaling(preset, seed, root, args.quiet)
+    elif preset.shift_sigma2 is not None:
+        _experiment_shift(preset, seed, root, args.ckpt or str(
+            Path(args.out_dir) / "linear-iid" / "train" / "ckpt-final.ckpt"))
     else:
-        ckpt = args.ckpt or str(Path(args.out_dir) / "linear-iid" / "train"
-                                / "ckpt-final.ckpt")
-        if not Path(ckpt).exists():
-            raise UsageError(
-                f"{preset.name} reuses the linear-iid model; run "
-                f"`moplab experiment linear-iid` first or pass --ckpt "
-                f"(looked at {ckpt})")
-
-    dist = get_distribution(preset.distribution)
-    weights = _load_weights_for(dist, ckpt)
-
-    if preset.shift_sigma2 is not None:
-        report = evaluation.distribution_shift_sweep(
-            weights, dist, preset.shift_sigma2, preset.eval_n,
-            preset.eval_horizon, derive_eval_seed(seed))
-        rows = []
-        for s2 in preset.shift_sigma2:
-            pair = report.curves[s2]
-            rows += evaluation.curves_to_csv_rows(
-                f"{preset.name}-s{s2}", [pair["mop"], pair["kf"]])
-        write_csv(root / "curves.csv", rows, CSV_FIELDS)
-        write_json(root / "report.json", report.to_json())
-    else:
-        eval_dir = root / "eval"
-        eval_args = argparse.Namespace(
-            preset=preset.name, ckpt=ckpt, seed=derive_eval_seed(seed),
-            n=None, horizon=None, predictors=None, out_dir=str(eval_dir))
-        cmd_eval(eval_args)
-        rows = read_csv(eval_dir / "curves.csv")
-        svg = svgplot.render_from_rows(rows, title=preset.name)
-        (root / "curves.svg").write_text(svg)
-        if len({r["predictor"] for r in rows}) == 2:
-            (root / "ratio.svg").write_text(
-                svgplot.render_from_rows(rows, ratio=True,
-                                         title=f"{preset.name} ratio"))
-
+        _experiment_curves(preset, seed, root, args.quiet)
     write_manifest(root, "experiment", {"name": preset.name}, seed,
                    wallclock_s=time.time() - t0)
     print(f"experiment {preset.name} done under {root}")
@@ -294,15 +266,15 @@ def derive_eval_seed(seed: int) -> int:
     return seed + 10_000
 
 
-def _ensure_trained(preset, seed, root: Path, quiet=True) -> str:
-    cfg = dataclasses.replace(preset.train, seed=seed)
-    train_dir = root / "train"
+def _ensure_trained(cfg: TrainConfig, train_dir: Path, quiet=True) -> str:
+    """The final checkpoint of `cfg` under train_dir: reused when the run's
+    manifest records the same config, otherwise trained with its loss.csv,
+    dataset.json and manifest."""
     final = train_dir / "ckpt-final.ckpt"
     manifest_path = train_dir / "manifest.json"
-    want = sha256_json(train_config_to_dict(cfg))
     if final.exists() and manifest_path.exists():
-        prev = json.loads(manifest_path.read_text())
-        if sha256_json(prev.get("config", {})) == want:
+        prev = json.loads(manifest_path.read_text()).get("config", {})
+        if sha256_json(prev) == sha256_json(dataclasses.asdict(cfg)):
             return str(final)
     t0 = time.time()
     result = training.train(cfg, train_dir, quiet=quiet)
@@ -310,21 +282,79 @@ def _ensure_trained(preset, seed, root: Path, quiet=True) -> str:
     return result.final_checkpoint
 
 
-def _experiment_scaling(preset, seed, root: Path, args, t0) -> int:
-    cfg = dataclasses.replace(preset.train, seed=seed)
-    report = evaluation.scaling_experiment(
-        preset.scaling_grid, cfg, preset.eval_n, preset.eval_horizon,
-        derive_eval_seed(seed), root / "cells")
-    write_json(root / "scaling.json", report.to_json())
+def _experiment_curves(preset, seed, root: Path, quiet) -> None:
+    ckpt = _ensure_trained(dataclasses.replace(preset.train, seed=seed),
+                           root / "train", quiet)
+    dist = get_distribution(preset.distribution)
+    weights = _load_weights_for(dist, ckpt)
+    t0 = time.time()
+    eval_seed = derive_eval_seed(seed)
+    curves = _score(["mop", *preset.baselines], dist, preset.eval_n,
+                    preset.eval_horizon, eval_seed, weights, preset.switch_at)
+    rows = _write_eval(root / "eval", preset.name, curves, preset.eval_n,
+                       eval_seed, ckpt, t0)
+    (root / "curves.svg").write_text(svgplot.render_from_rows(rows, title=preset.name))
+    if len(curves) == 2:
+        (root / "ratio.svg").write_text(svgplot.render_from_rows(
+            rows, ratio=True, title=f"{preset.name} ratio"))
+
+
+def _experiment_shift(preset, seed, root: Path, ckpt) -> None:
+    """Score the model trained at the preset's noise level on populations
+    whose noise variance differs; systems and standardized noise draws are
+    shared across levels, so only the noise scale moves."""
+    if not Path(ckpt).exists():
+        raise UsageError(
+            f"{preset.name} reuses the linear-iid model; run "
+            f"`moplab experiment linear-iid` first or pass --ckpt "
+            f"(looked at {ckpt})")
+    base = get_distribution(preset.distribution)
+    weights = _load_weights_for(base, ckpt)
+    rows, late_ratios = [], []
+    for s2 in preset.shift_sigma2:
+        curves = _score(["mop", *preset.baselines], base.with_noise_var(s2),
+                        preset.eval_n, preset.eval_horizon,
+                        derive_eval_seed(seed), weights)
+        rows += evaluation.curves_to_csv_rows(f"{preset.name}-s{s2}", curves)
+        late_ratios.append(evaluation.compare_predictors(*curves).late["ratio"])
+    write_csv(root / "curves.csv", rows, CSV_FIELDS)
+    write_json(root / "report.json",
+               {"preset": base.name, "train_sigma2": base.sigma_w2,
+                "test_sigma2": list(preset.shift_sigma2),
+                "late_ratios": late_ratios})
+
+
+def _experiment_scaling(preset, seed, root: Path, quiet) -> None:
+    """One model per (M, T^tr) cell at a fixed step budget, each scored by
+    its excess-risk proxy on one shared test population."""
+    dist = get_distribution(preset.distribution)
+    eval_seed = derive_eval_seed(seed)
+    population = evaluation.test_population(dist, preset.eval_n,
+                                            preset.eval_horizon, eval_seed)
+    cells = []
+    for m_systems, train_len in preset.scaling_grid:
+        cfg = dataclasses.replace(preset.train, seed=seed, m_systems=m_systems,
+                                  train_len=train_len)
+        cell = {"m_systems": m_systems, "train_len": train_len,
+                "mt": m_systems * train_len, "delta": None, "stderr": None,
+                "flagged": None}
+        try:
+            ckpt = _ensure_trained(
+                cfg, root / "cells" / f"cell-M{m_systems}-T{train_len}", quiet)
+        except training.TrainingAborted as exc:
+            cell["flagged"] = str(exc)
+        else:
+            risk = evaluation.empirical_excess_risk(
+                model.load_checkpoint(ckpt), dist, preset.eval_n,
+                preset.eval_horizon, eval_seed, population=population)
+            cell.update(delta=risk.delta, stderr=risk.stderr)
+        cells.append(cell)
+    report = evaluation.scaling_report(preset.distribution, cells)
+    write_json(root / "scaling.json", report)
     write_csv(root / "cells.csv",
-              [{k: ("" if c[k] is None else c[k]) for k in
-                ("m_systems", "train_len", "mt", "delta", "stderr", "flagged")}
-               for c in report.cells],
-              ["m_systems", "train_len", "mt", "delta", "stderr", "flagged"])
-    write_manifest(root, "experiment", {"name": preset.name}, seed,
-                   wallclock_s=time.time() - t0)
-    print(f"scaling: spearman(delta, MT) = {report.spearman_delta_vs_mt:+.3f}")
-    return 0
+              [{k: ("" if v is None else v) for k, v in c.items()} for c in cells],
+              CELL_FIELDS)
+    print(f"scaling: spearman(delta, MT) = {report['spearman_delta_vs_mt']:+.3f}")
 
 
 # ---------------------------------------------------------------------------

@@ -1,6 +1,6 @@
 """Evaluation harness: error-vs-time curves, predictor comparisons,
-excess-risk estimates, scaling sweeps, robustness probes, and the
-hard-system diagnostics.
+excess-risk estimates, the (M, T) scaling report, robustness probes, and
+the hard-system diagnostics.
 
 Test systems and trajectories live in a "test" seed namespace disjoint
 from training draws. Every reported mean carries a standard error over the
@@ -15,7 +15,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from . import model, training
+from . import model
 from .baselines import KalmanFilter, OnlineARPredictor, QuadrotorEKF, ZeroPredictor
 from .distributions import Distribution, get_distribution
 from .model import TransformerWeights
@@ -23,12 +23,11 @@ from .seeding import stream
 from .systems import SwitchSpec, contraction_profile, simulate
 
 __all__ = [
-    "ErrorCurve", "RatioCurve", "RiskReport", "RobustnessReport",
-    "ScalingReport", "PowerStudy", "ShiftReport",
+    "ErrorCurve", "RatioCurve", "RiskReport", "RobustnessReport", "PowerStudy",
     "make_predictor", "test_population", "predict_population", "error_curve",
     "compare_predictors", "window_stats", "empirical_excess_risk",
-    "scaling_experiment", "robustness_probe", "matrix_power_study",
-    "distribution_shift_sweep", "curves_to_csv_rows", "spearman", "kendall_tau",
+    "scaling_report", "robustness_probe", "matrix_power_study",
+    "curves_to_csv_rows", "spearman", "kendall_tau",
 ]
 
 RATIO_GUARD = 1e-12
@@ -62,19 +61,18 @@ def make_predictor(kind: str, systems, dist: Distribution):
 # ---------------------------------------------------------------------------
 
 def test_population(dist: Distribution, n, horizon, seed, switch_at=None):
-    """Fresh systems and trajectories from the test namespace; optionally a
-    dynamics switch partway through each trajectory."""
-    systems, trajs, switches = [], [], []
+    """Fresh (systems, trajs) from the test namespace; optionally a dynamics
+    switch partway through each trajectory."""
+    systems, trajs = [], []
     for i in range(n):
         system = dist.sample_system(seed, "test", i)
         switch = None
         if switch_at is not None:
             switch = SwitchSpec(switch_at, dist.sample_system(seed, "test-switch", i))
-        traj = dist.make_trajectory(system, horizon, seed, "test", i, switch=switch)
         systems.append(system)
-        trajs.append(traj)
-        switches.append(switch)
-    return systems, trajs, switches
+        trajs.append(dist.make_trajectory(system, horizon, seed, "test", i,
+                                          switch=switch))
+    return systems, trajs
 
 
 @dataclass
@@ -125,17 +123,17 @@ def predict_population(predictor_kind: str, systems, trajs, dist: Distribution,
 
 
 def error_curve(predictor_kind: str, preset, n, horizon, seed,
-                weights: TransformerWeights | None = None, switch_at=None,
+                weights: TransformerWeights | None = None,
                 population=None) -> ErrorCurve:
     """Per-timestep prediction-error statistics over n fresh test systems.
 
-    `population` may carry a precomputed (systems, trajs, switches) triple
-    so several predictors score identical data.
+    `population` may carry a precomputed `test_population` (systems, trajs)
+    pair so several predictors score identical data.
     """
     dist = preset if isinstance(preset, Distribution) else get_distribution(preset)
     if population is None:
-        population = test_population(dist, n, horizon, seed, switch_at)
-    systems, trajs, _ = population
+        population = test_population(dist, n, horizon, seed)
+    systems, trajs = population
     ys = np.stack([t.ys for t in trajs])
     preds = predict_population(predictor_kind, systems, trajs, dist, weights)
     errs = np.linalg.norm(preds - ys, axis=-1)
@@ -164,7 +162,7 @@ def window_stats(curve: ErrorCurve, lo, hi):
     mean = float(per_system.mean())
     stderr = float(per_system.std(ddof=1) / np.sqrt(len(per_system))) \
         if len(per_system) > 1 else 0.0
-    return mean, stderr, per_system
+    return mean, stderr
 
 
 @dataclass
@@ -197,8 +195,8 @@ def compare_predictors(curve_a: ErrorCurve, curve_b: ErrorCurve) -> RatioCurve:
     t = curve_a.horizon
 
     def window(lo, hi):
-        ma, sa, _ = window_stats(curve_a, lo, hi)
-        mb, sb, _ = window_stats(curve_b, lo, hi)
+        ma, sa = window_stats(curve_a, lo, hi)
+        mb, sb = window_stats(curve_b, lo, hi)
         return {"lo": lo, "hi": hi, "mean_num": ma, "stderr_num": sa,
                 "mean_den": mb, "stderr_den": sb,
                 "ratio": ma / mb if mb > RATIO_GUARD else None}
@@ -225,12 +223,6 @@ class RiskReport:
     delta: float                       # excess-risk proxy
     stderr: float                      # stderr of the paired per-system delta
     per_system_delta: np.ndarray
-
-    def to_json(self) -> dict:
-        d = {k: getattr(self, k) for k in
-             ("preset", "baseline", "n_systems", "horizon", "seed",
-              "risk_model", "risk_baseline", "delta", "stderr")}
-        return d
 
 
 def empirical_excess_risk(weights: TransformerWeights, preset, n, horizon,
@@ -269,19 +261,6 @@ def empirical_excess_risk(weights: TransformerWeights, preset, n, horizon,
 # ---------------------------------------------------------------------------
 # scaling in (M, T)
 # ---------------------------------------------------------------------------
-
-@dataclass
-class ScalingReport:
-    preset: str
-    cells: list                        # dicts: m_systems, train_len, delta, stderr, flagged
-    spearman_delta_vs_mt: float
-    loglog_slope: float | None
-
-    def to_json(self) -> dict:
-        return {"preset": self.preset, "cells": self.cells,
-                "spearman_delta_vs_mt": self.spearman_delta_vs_mt,
-                "loglog_slope": self.loglog_slope}
-
 
 def spearman(x, y) -> float:
     """Spearman rank correlation (average ranks on ties)."""
@@ -326,45 +305,15 @@ def fit_loglog_slope(mt, delta) -> float | None:
     return float(coef[0])
 
 
-def scaling_experiment(grid, base_cfg: training.TrainConfig, n, horizon, seed,
-                       out_root) -> ScalingReport:
-    """Train one model per (M, T^tr) cell at a fixed step budget and report
-    how the excess-risk proxy moves with the training volume M*T. A cell
-    whose final checkpoint already exists under out_root is not retrained."""
-    import dataclasses
-    from pathlib import Path
-
-    out_root = Path(out_root)
-    cells = []
-    for m_systems, train_len in grid:
-        cfg = dataclasses.replace(base_cfg, m_systems=int(m_systems),
-                                  train_len=int(train_len))
-        cell_dir = out_root / f"cell-M{m_systems}-T{train_len}"
-        final = cell_dir / "ckpt-final.ckpt"
-        flagged = None
-        if not final.exists():
-            try:
-                training.train(cfg, cell_dir)
-            except training.TrainingAborted as exc:
-                flagged = str(exc)
-        if flagged is None:
-            weights = model.load_checkpoint(final)
-            report = empirical_excess_risk(weights, cfg.preset, n, horizon, seed)
-            cells.append({"m_systems": int(m_systems), "train_len": int(train_len),
-                          "mt": int(m_systems) * int(train_len),
-                          "delta": report.delta, "stderr": report.stderr,
-                          "flagged": None})
-        else:
-            cells.append({"m_systems": int(m_systems), "train_len": int(train_len),
-                          "mt": int(m_systems) * int(train_len),
-                          "delta": None, "stderr": None, "flagged": flagged})
-
+def scaling_report(preset: str, cells) -> dict:
+    """The (M, T^tr) cells (dicts: m_systems, train_len, mt, delta, stderr,
+    flagged) with the Spearman statistic and log-log slope of the excess-risk
+    proxy delta against M*T, over the cells whose training did not abort."""
     good = [c for c in cells if c["flagged"] is None]
-    rho = spearman([c["mt"] for c in good], [c["delta"] for c in good]) \
-        if len(good) >= 2 else 0.0
-    slope = fit_loglog_slope([c["mt"] for c in good], [c["delta"] for c in good])
-    return ScalingReport(preset=base_cfg.preset, cells=cells,
-                         spearman_delta_vs_mt=rho, loglog_slope=slope)
+    mt, delta = [c["mt"] for c in good], [c["delta"] for c in good]
+    return {"preset": preset, "cells": cells,
+            "spearman_delta_vs_mt": spearman(mt, delta) if len(good) >= 2 else 0.0,
+            "loglog_slope": fit_loglog_slope(mt, delta)}
 
 
 # ---------------------------------------------------------------------------
@@ -473,12 +422,6 @@ class PowerStudy:
     mean_overshoot: float
     stderr_overshoot: float
 
-    def to_json(self) -> dict:
-        return {"mode": self.mode, "count": self.count, "t_max": self.t_max,
-                "mean_norms": self.mean_norms.tolist(),
-                "mean_overshoot": self.mean_overshoot,
-                "stderr_overshoot": self.stderr_overshoot}
-
 
 def matrix_power_study(mode, count, t_max, seed) -> PowerStudy:
     name = {"dense": "linear-dense", "upper_triangular": "linear-triangular"}[mode]
@@ -492,44 +435,6 @@ def matrix_power_study(mode, count, t_max, seed) -> PowerStudy:
                       mean_norms=norms.mean(axis=0), overshoots=overshoots,
                       mean_overshoot=float(overshoots.mean()),
                       stderr_overshoot=float(overshoots.std(ddof=1) / np.sqrt(count)))
-
-
-# ---------------------------------------------------------------------------
-# distribution shift
-# ---------------------------------------------------------------------------
-
-@dataclass
-class ShiftReport:
-    preset: str
-    train_sigma2: float
-    test_sigma2: list
-    late_ratios: list                  # MOP/KF late-window ratio per sigma2
-    curves: dict                       # sigma2 -> {predictor: ErrorCurve}
-
-    def to_json(self) -> dict:
-        return {"preset": self.preset, "train_sigma2": self.train_sigma2,
-                "test_sigma2": self.test_sigma2, "late_ratios": self.late_ratios}
-
-
-def distribution_shift_sweep(weights: TransformerWeights, preset, test_sigma2,
-                             n, horizon, seed, train_sigma2=0.01) -> ShiftReport:
-    """Score the model (trained at train_sigma2) on populations whose noise
-    covariance differs; systems and standardized noise draws are shared
-    across levels, so only the noise scale moves."""
-    base = preset if isinstance(preset, Distribution) else get_distribution(preset)
-    ratios, curves = [], {}
-    for s2 in test_sigma2:
-        dist = base.with_noise_var(s2)
-        population = test_population(dist, n, horizon, seed)
-        mop = error_curve("mop", dist, n, horizon, seed, weights=weights,
-                          population=population)
-        kf = error_curve("kf", dist, n, horizon, seed, population=population)
-        ratio = compare_predictors(mop, kf)
-        ratios.append(ratio.late["ratio"])
-        curves[s2] = {"mop": mop, "kf": kf}
-    return ShiftReport(preset=base.name, train_sigma2=train_sigma2,
-                       test_sigma2=list(test_sigma2), late_ratios=ratios,
-                       curves=curves)
 
 
 # ---------------------------------------------------------------------------

@@ -60,8 +60,7 @@ def write_json(path, obj) -> None:
 
 
 def write_manifest(out_dir, command, config, base_seed, *, dataset_hash=None,
-                   checkpoint_hashes=None, wallclock_s=None, outputs=None,
-                   extra=None) -> Path:
+                   checkpoint_hashes=None, wallclock_s=None, outputs=None) -> None:
     manifest = {
         "tool": "moplab",
         "version": __version__,
@@ -73,11 +72,7 @@ def write_manifest(out_dir, command, config, base_seed, *, dataset_hash=None,
         "wallclock_s": wallclock_s,
         "outputs": outputs or [],
     }
-    if extra:
-        manifest.update(extra)
-    path = Path(out_dir) / "manifest.json"
-    write_json(path, manifest)
-    return path
+    write_json(Path(out_dir) / "manifest.json", manifest)
 
 
 def write_csv(path, rows, fieldnames) -> None:

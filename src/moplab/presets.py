@@ -29,9 +29,9 @@ class ExperimentPreset:
     eval_horizon: int = 50
     baselines: tuple = ("kf", "ar-ols")
     switch_at: int | None = None
-    shift_sigma2: tuple | None = None
-    scaling_grid: tuple | None = None
-    trains_model: bool = True
+    # a preset that sets neither trains its own model from `train`
+    shift_sigma2: tuple | None = None  # scores the linear-iid model at these noise levels
+    scaling_grid: tuple | None = None  # trains one model per (M, T^tr) cell
 
     @property
     def distribution(self) -> str:
@@ -80,14 +80,12 @@ EXPERIMENTS = {
         train=_linear_train("linear-dense"),   # reuses the linear-iid model
         baselines=("kf",),
         shift_sigma2=(0.01, 0.04, 0.09),
-        trains_model=False,
     ),
     "risk-scaling": ExperimentPreset(
         name="risk-scaling",
         train=_linear_train("linear-dense", steps=1500),
         baselines=("kf",),
         scaling_grid=((500, 50), (1000, 50), (2000, 50), (4000, 50)),
-        trains_model=False,
     ),
 }
 

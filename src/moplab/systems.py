@@ -20,7 +20,7 @@ __all__ = [
     "LinearSystem", "QuadrotorSystem", "NoiseModel", "Trajectory",
     "SwitchSpec", "StabilityProfile", "DivergenceError", "SamplingError",
     "sample_linear_system", "sample_quadrotor", "sample_random_inputs",
-    "simulate", "colored_noise_sequence", "quadrotor_step",
+    "simulate", "quadrotor_step",
     "quadrotor_jacobian", "stack_quadrotors", "contraction_profile",
     "systems_to_json", "systems_from_json",
 ]
@@ -187,17 +187,6 @@ def sample_random_inputs(rng, t_len, system: QuadrotorSystem,
 # noise
 # ---------------------------------------------------------------------------
 
-def colored_noise_sequence(rng, t_len, variance, window=5, dim=1) -> np.ndarray:
-    """Moving-average noise w_t = sum of the last `window` i.i.d. innovations.
-
-    Innovations for t < 0 are drawn too, so w_0 already carries a full
-    window: per-coordinate variance is window * variance at every t.
-    """
-    std = float(np.sqrt(variance))
-    eta = std * rng.standard_normal((t_len + window - 1, dim))
-    return _window_sum(eta, window)
-
-
 def _window_sum(eta: np.ndarray, window: int) -> np.ndarray:
     if window == 1:
         return eta
@@ -210,7 +199,9 @@ def _window_sum(eta: np.ndarray, window: int) -> np.ndarray:
 def _noise_sequences(system, t_len, noise: NoiseModel, rng):
     """Standard draws scaled per channel; moving-average applied if asked.
 
-    Draw order (eps_w then eps_v, shapes fixed by t_len and window) never
+    A moving-average value sums the last `window` innovations, those before
+    t = 0 included, so its variance is window * variance at every t. Draw
+    order (eps_w then eps_v, shapes fixed by t_len and window) never
     depends on switching, keeping pre-switch prefixes bit-identical.
     """
     pad = noise.window - 1

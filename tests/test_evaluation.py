@@ -52,7 +52,7 @@ def scalar_gaussian_filter(propagate, jacobian, c, q, r, ys, us=None):
 
 
 def test_batched_kf_matches_scalar_recursion():
-    systems, trajs, _ = population(LINEAR)
+    systems, trajs = population(LINEAR)
     preds = evaluation.predict_population("kf", systems, trajs, LINEAR)
     q, r = LINEAR.sigma_w2, LINEAR.sigma_v2
     worst = 0.0
@@ -65,7 +65,7 @@ def test_batched_kf_matches_scalar_recursion():
 
 
 def test_batched_ekf_matches_scalar_recursion():
-    systems, trajs, _ = population(QUAD)
+    systems, trajs = population(QUAD)
     preds = evaluation.predict_population("ekf", systems, trajs, QUAD)
     worst = 0.0
     for i, (system, traj) in enumerate(zip(systems, trajs)):
@@ -91,7 +91,7 @@ def test_batched_quadrotor_dynamics_match_per_system_calls():
 
 
 def test_batched_ar_ols_matches_batch_ridge_oracle():
-    systems, trajs, _ = population(LINEAR)
+    systems, trajs = population(LINEAR)
     preds = evaluation.predict_population("ar-ols", systems, trajs, LINEAR)
     worst = 0.0
     for i, traj in enumerate(trajs):
@@ -107,7 +107,7 @@ def test_batched_ar_ols_matches_batch_ridge_oracle():
 
 def test_chunked_mop_forward_matches_one_population_forward():
     weights = model.init_weights(TINY_MODEL, stream(12, "chunk"))
-    systems, trajs, _ = population(LINEAR)
+    systems, trajs = population(LINEAR)
     assert N_SYSTEMS > evaluation.MOP_CHUNK          # more than one chunk
     preds = evaluation.predict_population("mop", systems, trajs, LINEAR, weights)
     ys = np.stack([t.ys for t in trajs])
@@ -139,16 +139,16 @@ def test_nan_trajectory_fails_only_its_own_row(kind):
     dist = QUAD if kind == "ekf" else LINEAR
     weights = model.init_weights(replace(TINY_MODEL, token_dim=dist.token_dim,
                                          output_dim=dist.m), stream(8, "nan"))
-    systems, trajs, switches = population(dist)
+    systems, trajs = population(dist)
     bad = 7
     broken = list(trajs)
     ys = trajs[bad].ys.copy()
     ys[10] = np.nan
     broken[bad] = Trajectory(ys=ys, us=trajs[bad].us)
     clean = evaluation.error_curve(kind, dist, N_SYSTEMS, HORIZON, 4, weights=weights,
-                                   population=(systems, trajs, switches))
+                                   population=(systems, trajs))
     curve = evaluation.error_curve(kind, dist, N_SYSTEMS, HORIZON, 4, weights=weights,
-                                   population=(systems, broken, switches))
+                                   population=(systems, broken))
     assert clean.failed_systems == []
     assert curve.failed_systems == [bad]
     keep = np.arange(N_SYSTEMS) != bad
@@ -188,7 +188,7 @@ class OraclePredictor:
 
 
 def test_oracle_predictor_scores_an_all_zero_curve(monkeypatch):
-    systems, trajs, switches = population(LINEAR, n=6)
+    systems, trajs = population(LINEAR, n=6)
     # y_0 = 0 exactly (no output noise at t = 0), so the prior-mean
     # prediction at t = 0 is exact too
     trajs = [Trajectory(ys=np.concatenate([np.zeros((1, LINEAR.m)), t.ys[1:]]))
@@ -197,21 +197,21 @@ def test_oracle_predictor_scores_an_all_zero_curve(monkeypatch):
     monkeypatch.setattr(evaluation, "make_predictor",
                         lambda kind, systems, dist: OraclePredictor(ys))
     curve = evaluation.error_curve("oracle", LINEAR, 6, HORIZON, 4,
-                                   population=(systems, trajs, switches))
+                                   population=(systems, trajs))
     assert curve.failed_systems == []
     assert np.array_equal(curve.mean, np.zeros(HORIZON))
     assert np.array_equal(curve.per_system, np.zeros((6, HORIZON)))
 
 
 def test_zero_predictor_curve_is_the_output_norm():
-    systems, trajs, switches = population(LINEAR, n=5)
+    systems, trajs = population(LINEAR, n=5)
     curve = evaluation.error_curve("zero", LINEAR, 5, HORIZON, 4,
-                                   population=(systems, trajs, switches))
+                                   population=(systems, trajs))
     norms = np.linalg.norm(np.stack([t.ys for t in trajs]), axis=-1)
     assert np.array_equal(curve.per_system, norms)
     with pytest.raises(ValueError):
         evaluation.error_curve("nope", LINEAR, 5, HORIZON, 4,
-                               population=(systems, trajs, switches))
+                               population=(systems, trajs))
 
 
 def test_excess_risk_pairs_the_mop_and_kf_curves():

@@ -4,10 +4,11 @@ import numpy as np
 import pytest
 
 from moplab import linalg
+from moplab.distributions import get_distribution
 from moplab.seeding import derive_seed, stream
 from moplab.systems import (
     DivergenceError, LinearSystem, NoiseModel, SwitchSpec,
-    colored_noise_sequence, contraction_profile, quadrotor_jacobian,
+    _noise_sequences, contraction_profile, quadrotor_jacobian,
     quadrotor_step, sample_linear_system, sample_quadrotor,
     sample_random_inputs, simulate, systems_from_json, systems_to_json,
 )
@@ -135,20 +136,28 @@ def test_states_recorded_when_asked():
 # colored noise
 # ---------------------------------------------------------------------------
 
+def colored_noise(seed, t_len=100_000):
+    """Process and output noise of a scalar system under the moving-average
+    model `linear-colored` runs (window 5, innovation variance 0.01)."""
+    noise = get_distribution("linear-colored").noise
+    w, v = _noise_sequences(scalar_system(), t_len, noise, stream(seed, "cn"))
+    return w[:, 0], v[:, 0]
+
+
 def test_colored_noise_variance():
-    seq = colored_noise_sequence(stream(4, "cn"), 100_000, 0.01, window=5, dim=1)
-    assert seq[:, 0].var() == pytest.approx(0.05, rel=0.05)
+    for seq in colored_noise(4):
+        assert seq.var() == pytest.approx(0.05, rel=0.05)
 
 
 def test_colored_noise_lag_autocovariance():
-    seq = colored_noise_sequence(stream(5, "cn"), 100_000, 0.01, window=5, dim=1)[:, 0]
-    seq = seq - seq.mean()
+    for seq in colored_noise(5):
+        seq = seq - seq.mean()
 
-    def autocov(lag):
-        return float((seq[:-lag] * seq[lag:]).mean())
+        def autocov(lag):
+            return float((seq[:-lag] * seq[lag:]).mean())
 
-    assert autocov(1) == pytest.approx(0.04, rel=0.05)   # 4 shared innovations
-    assert abs(autocov(5)) <= 0.002                       # disjoint windows
+        assert autocov(1) == pytest.approx(0.04, rel=0.05)   # 4 shared innovations
+        assert abs(autocov(5)) <= 0.002                       # disjoint windows
 
 
 def test_colored_window_one_equals_iid():

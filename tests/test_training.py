@@ -113,7 +113,7 @@ def test_batch_loss_matches_empirical_risk_formula(rng):
     w = model.init_weights(TINY_MODEL, stream(3, "bl"))
     ys = rng.standard_normal((4, 12, 5))
     via_loss = batch_loss(w, ys).item()
-    population = ([None] * 4, [Trajectory(ys=y) for y in ys], [None] * 4)
+    population = ([None] * 4, [Trajectory(ys=y) for y in ys])
     curve = evaluation.error_curve("mop", "linear-dense", 4, 12, 0, weights=w,
                                    population=population)
     via_risk = float(curve.per_system[:, 1:].mean(axis=1).mean())
