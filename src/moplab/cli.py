@@ -186,9 +186,10 @@ def _score(predictors, dist, n, horizon, seed, weights=None, switch_at=None):
                                    population=population) for kind in predictors]
 
 
-def _write_eval(out_dir: Path, name, curves, n, seed, ckpt, t0) -> list[dict]:
-    """Write curves.csv, report.json and the eval manifest for one scored
-    population; returns the CSV rows."""
+def _write_eval(out_dir: Path, name, curves, n, seed, ckpt, t0,
+                **diagnostics) -> list[dict]:
+    """Write curves.csv, report.json (with any `diagnostics` as extra keys)
+    and the eval manifest for one scored population; returns the CSV rows."""
     out_dir.mkdir(parents=True, exist_ok=True)
     rows = evaluation.curves_to_csv_rows(name, curves)
     csv_path = out_dir / "curves.csv"
@@ -196,7 +197,7 @@ def _write_eval(out_dir: Path, name, curves, n, seed, ckpt, t0) -> list[dict]:
     report = {"experiment": name, "curves": [c.to_json() for c in curves]}
     if len(curves) == 2:
         report["ratio"] = evaluation.compare_predictors(*curves).to_json()
-    write_json(out_dir / "report.json", report)
+    write_json(out_dir / "report.json", {**report, **diagnostics})
     hashes = {Path(ckpt).name: sha256_file(ckpt)} if ckpt else {}
     write_manifest(out_dir, "eval",
                    {"preset": name, "n": n, "horizon": curves[0].horizon,
@@ -292,11 +293,25 @@ def _experiment_curves(preset, seed, root: Path, quiet) -> None:
     curves = _score(["mop", *preset.baselines], dist, preset.eval_n,
                     preset.eval_horizon, eval_seed, weights, preset.switch_at)
     rows = _write_eval(root / "eval", preset.name, curves, preset.eval_n,
-                       eval_seed, ckpt, t0)
+                       eval_seed, ckpt, t0,
+                       **_diagnostics(preset, dist, weights, eval_seed))
     (root / "curves.svg").write_text(svgplot.render_from_rows(rows, title=preset.name))
     if len(curves) == 2:
         (root / "ratio.svg").write_text(svgplot.render_from_rows(
             rows, ratio=True, title=f"{preset.name} ratio"))
+
+
+def _diagnostics(preset, dist, weights, eval_seed) -> dict:
+    """The paper's explanation of a preset's curves, under its report.json
+    key: the ||A^t|| mixing study for the upper-triangular class, and the
+    robustness probe for unswitched linear-dense systems."""
+    if preset.distribution == "linear-triangular":
+        return {"max_power_norm": evaluation.power_norm_report(
+            dist, preset.eval_n, preset.eval_horizon, eval_seed)}
+    if preset.distribution == "linear-dense" and preset.switch_at is None:
+        return {"robustness": evaluation.robustness_probe(
+            weights, dist, preset.eval_horizon, seed=eval_seed)}
+    return {}
 
 
 def _experiment_shift(preset, seed, root: Path, ckpt) -> None:

@@ -1,12 +1,22 @@
 """Evaluation harness: error-vs-time curves, predictor comparisons,
-excess-risk estimates, the (M, T) scaling report, robustness probes, and
-the hard-system diagnostics.
+excess-risk estimates, the (M, T) scaling report, and the paper's two
+explanations of its curves.
 
 Test systems and trajectories live in a "test" seed namespace disjoint
 from training draws. Every reported mean carries a standard error over the
 test population, and per-system results are reduced in system-index order
 so runs are deterministic. Each predictor scores the whole population in
 one pass over time (see `predict_population`).
+
+Two presets report a diagnostic in `eval/report.json` next to their curves:
+- hard-triangular, under "max_power_norm": `power_norm_report`, the mean
+  and stderr of max_{t<H} ||A^t||_2 over its test systems and over the
+  linear-dense systems drawn at the same seed. Upper-triangular systems
+  grow ||A^t|| for a while before it decays, so they mix slowly.
+- linear-iid, under "robustness": `robustness_probe` at horizon H, the
+  prompt-perturbation constant khat behind the excess-risk guarantee and
+  the mean |delta loss| by gap.
+H is the preset's eval horizon.
 """
 
 from __future__ import annotations
@@ -15,19 +25,19 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from . import model
+from . import linalg, model
 from .baselines import KalmanFilter, OnlineARPredictor, QuadrotorEKF, ZeroPredictor
 from .distributions import Distribution, get_distribution
 from .model import TransformerWeights
 from .seeding import stream
-from .systems import SwitchSpec, contraction_profile, simulate
+from .systems import SwitchSpec, simulate
 
 __all__ = [
-    "ErrorCurve", "RatioCurve", "RiskReport", "RobustnessReport", "PowerStudy",
+    "ErrorCurve", "RatioCurve", "RiskReport",
     "make_predictor", "test_population", "predict_population", "error_curve",
     "compare_predictors", "window_stats", "empirical_excess_risk",
-    "scaling_report", "robustness_probe", "matrix_power_study",
-    "curves_to_csv_rows", "spearman", "kendall_tau",
+    "scaling_report", "robustness_probe", "power_norm_report",
+    "curves_to_csv_rows", "spearman",
 ]
 
 RATIO_GUARD = 1e-12
@@ -128,13 +138,15 @@ def error_curve(predictor_kind: str, preset, n, horizon, seed,
     """Per-timestep prediction-error statistics over n fresh test systems.
 
     `population` may carry a precomputed `test_population` (systems, trajs)
-    pair so several predictors score identical data.
+    pair so several predictors score identical data; the curve then takes
+    its horizon from those trajectories.
     """
     dist = preset if isinstance(preset, Distribution) else get_distribution(preset)
     if population is None:
         population = test_population(dist, n, horizon, seed)
     systems, trajs = population
     ys = np.stack([t.ys for t in trajs])
+    horizon = ys.shape[1]
     preds = predict_population(predictor_kind, systems, trajs, dist, weights)
     errs = np.linalg.norm(preds - ys, axis=-1)
 
@@ -251,7 +263,7 @@ def empirical_excess_risk(weights: TransformerWeights, preset, n, horizon,
     n = len(delta)                     # a passed population sets the count
     stderr = float(delta.std(ddof=1) / np.sqrt(n)) if n > 1 else 0.0
     return RiskReport(preset=dist.name, baseline=baseline, n_systems=n,
-                      horizon=horizon, seed=seed,
+                      horizon=curves[0].horizon, seed=seed,
                       risk_model=float(model_risk.mean()),
                       risk_baseline=float(base_risk.mean()),
                       delta=float(delta.mean()), stderr=stderr,
@@ -282,19 +294,6 @@ def spearman(x, y) -> float:
     return float((rx * ry).sum() / denom) if denom > 0 else 0.0
 
 
-def kendall_tau(x, y) -> float:
-    x = np.asarray(x, dtype=np.float64)
-    y = np.asarray(y, dtype=np.float64)
-    conc = disc = 0
-    for i in range(len(x)):
-        for j in range(i + 1, len(x)):
-            s = np.sign(x[i] - x[j]) * np.sign(y[i] - y[j])
-            conc += s > 0
-            disc += s < 0
-    total = len(x) * (len(x) - 1) / 2
-    return float((conc - disc) / total) if total else 0.0
-
-
 def fit_loglog_slope(mt, delta) -> float | None:
     mt = np.asarray(mt, dtype=np.float64)
     delta = np.asarray(delta, dtype=np.float64)
@@ -317,53 +316,34 @@ def scaling_report(preset: str, cells) -> dict:
 
 
 # ---------------------------------------------------------------------------
-# robustness probe (single-time noise replacement)
+# the paper's diagnostics: robustness probe and matrix-power norms
 # ---------------------------------------------------------------------------
 
-@dataclass
-class RobustnessReport:
-    preset: str
-    n_systems: int
-    perturb_scale: float
-    mc_draws: int
-    taus: list
-    t_eval: int
-    khat_max: float
-    khat_median: float
-    abs_dloss_by_gap: list             # dicts: gap, mean_abs_dloss
-    kendall_tau_abs_dloss_vs_gap: float
-    cells: list                        # dicts: t, tau, khat, abs_dloss (means)
-
-    def to_json(self) -> dict:
-        return {k: getattr(self, k) for k in
-                ("preset", "n_systems", "perturb_scale", "mc_draws", "taus",
-                 "t_eval", "khat_max", "khat_median", "abs_dloss_by_gap",
-                 "kendall_tau_abs_dloss_vs_gap", "cells")}
-
-
-def robustness_probe(weights: TransformerWeights, preset, n_systems=8,
-                     t_eval=45, taus=(5, 15, 25, 35, 44), perturb_scale=1.0,
-                     mc_draws=256, seed=0) -> RobustnessReport:
+def robustness_probe(weights: TransformerWeights, preset, horizon=50, n_systems=8,
+                     perturb_scale=1.0, mc_draws=256, seed=0) -> dict:
     """Estimate the prompt-perturbation constant: replace the noise pair at
     one time tau, roll the paired trajectory, and measure how much the
-    expected next-step loss moves, per unit of accumulated output
+    expected next-step loss moves at t_eval, per unit of accumulated output
     difference. The expectation over the next noise pair uses mc_draws
     Monte-Carlo samples shared by both branches.
+
+    For an eval horizon H, t_eval is H - 5 and the taus run every 10 steps
+    from 5, plus t_eval - 1 (45 and 5, 15, 25, 35, 44 at H = 50).
     """
     dist = preset if isinstance(preset, Distribution) else get_distribution(preset)
     if dist.kind != "linear" or dist.noise.kind != "iid":
         raise ValueError("the robustness probe targets the i.i.d. linear preset")
-    taus = [int(tau) for tau in taus]
-    if any(tau >= t_eval for tau in taus):
-        raise ValueError("every tau must precede t_eval")
-    horizon = t_eval + 1
+    if horizon < 6:
+        raise ValueError("the robustness probe needs a horizon of at least 6")
+    t_eval = horizon - 5
+    taus = [*range(5, t_eval - 1, 10), t_eval - 1]
 
     khat = np.zeros((len(taus), n_systems))
     adl = np.zeros((len(taus), n_systems))
     for i in range(n_systems):
         system = dist.sample_system(seed, "probe", i)
-        traj = simulate(system, horizon, rng=stream(seed, dist.name, "probe-noise", i),
-                        record_states=True)
+        traj = simulate(system, t_eval + 1,
+                        rng=stream(seed, dist.name, "probe-noise", i), record_states=True)
         # row 0: the base outputs; row 1 + j: the noise pair (dw, dv) at taus[j]
         # replaced, which by linearity adds C A^(t - tau) dw at t >= tau, dv at tau
         prompts = np.repeat(traj.ys[None], 1 + len(taus), axis=0)
@@ -371,7 +351,7 @@ def robustness_probe(weights: TransformerWeights, preset, n_systems=8,
             prng = stream(seed, dist.name, "probe-perturb", i, tau)
             dx = perturb_scale * prng.standard_normal(system.n)
             dv = perturb_scale * prng.standard_normal(system.m)
-            for t in range(tau, horizon):
+            for t in range(tau, t_eval + 1):
                 prompts[1 + j, t] += system.c @ dx
                 dx = system.a @ dx
             prompts[1 + j, tau] += dv
@@ -393,48 +373,28 @@ def robustness_probe(weights: TransformerWeights, preset, n_systems=8,
 
     gaps = [t_eval - tau for tau in taus]
     mean_adl = adl.mean(axis=1)
-    cells = [{"t": t_eval, "tau": tau, "khat": float(khat[j].mean()),
-              "abs_dloss": float(mean_adl[j])} for j, tau in enumerate(taus)]
-    by_gap = sorted(
-        ({"gap": g, "mean_abs_dloss": float(m)} for g, m in zip(gaps, mean_adl)),
-        key=lambda r: r["gap"])
-    tau_stat = kendall_tau([r["gap"] for r in by_gap],
-                           [r["mean_abs_dloss"] for r in by_gap])
-    return RobustnessReport(
-        preset=dist.name, n_systems=n_systems, perturb_scale=perturb_scale,
-        mc_draws=mc_draws, taus=list(taus), t_eval=t_eval,
-        khat_max=float(khat.max()), khat_median=float(np.median(khat)),
-        abs_dloss_by_gap=by_gap, kendall_tau_abs_dloss_vs_gap=tau_stat,
-        cells=cells)
+    return {"n_systems": n_systems, "perturb_scale": perturb_scale,
+            "mc_draws": mc_draws, "t_eval": t_eval, "taus": taus,
+            "khat_max": float(khat.max()), "khat_median": float(np.median(khat)),
+            "khat_by_tau": khat.mean(axis=1).tolist(),
+            "abs_dloss_by_gap": [{"gap": g, "mean_abs_dloss": float(m)}
+                                 for g, m in sorted(zip(gaps, mean_adl))],
+            "spearman_abs_dloss_vs_gap": spearman(gaps, mean_adl)}
 
 
-# ---------------------------------------------------------------------------
-# matrix-power study (mixing diagnostics)
-# ---------------------------------------------------------------------------
-
-@dataclass
-class PowerStudy:
-    mode: str
-    count: int
-    t_max: int
-    mean_norms: np.ndarray             # per-t mean of ||A^t||
-    overshoots: np.ndarray             # per-system max_t ||A^t|| / ||A^0||
-    mean_overshoot: float
-    stderr_overshoot: float
-
-
-def matrix_power_study(mode, count, t_max, seed) -> PowerStudy:
-    name = {"dense": "linear-dense", "upper_triangular": "linear-triangular"}[mode]
-    dist = get_distribution(name)
-    norms = np.zeros((count, t_max + 1))
-    for i in range(count):
-        system = dist.sample_system(seed, "powers", i)
-        norms[i] = contraction_profile(system, t_max).norms
-    overshoots = norms.max(axis=1) / norms[:, 0]
-    return PowerStudy(mode=mode, count=count, t_max=t_max,
-                      mean_norms=norms.mean(axis=0), overshoots=overshoots,
-                      mean_overshoot=float(overshoots.mean()),
-                      stderr_overshoot=float(overshoots.std(ddof=1) / np.sqrt(count)))
+def power_norm_report(dist: Distribution, n, horizon, seed) -> dict:
+    """max_{t<horizon} ||A^t||_2 over the n test systems of `dist` and over
+    the n linear-dense test systems at the same seed: its mean and stderr
+    per distribution, keyed by the distribution's name."""
+    report = {"t_max": horizon - 1}
+    for d in (dist, get_distribution("linear-dense")):
+        peaks = np.array([
+            linalg.matrix_power_norms(d.sample_system(seed, "test", i).a, horizon - 1).max()
+            for i in range(n)])
+        report[d.name] = {
+            "n_systems": n, "mean": float(peaks.mean()),
+            "stderr": float(peaks.std(ddof=1) / np.sqrt(n)) if n > 1 else 0.0}
+    return report
 
 
 # ---------------------------------------------------------------------------

@@ -1,6 +1,13 @@
 """Experiment presets: one per headline figure, each fully determining the
 system distribution, model size, training budget, and evaluation plan at
-desk scale (paper-scale budgets stay reachable through TrainConfig)."""
+desk scale (paper-scale budgets stay reachable through TrainConfig).
+
+Two presets also write the paper's explanation of their curves into
+eval/report.json, chosen by distribution and switch_at alone:
+hard-triangular (linear-triangular) reports max_t ||A^t||_2 for its test
+systems and for linear-dense under "max_power_norm", and linear-iid
+(linear-dense, no switch) reports the robustness probe under "robustness".
+See `evaluation` for both."""
 
 from __future__ import annotations
 

@@ -18,10 +18,9 @@ from . import linalg
 
 __all__ = [
     "LinearSystem", "QuadrotorSystem", "NoiseModel", "Trajectory",
-    "SwitchSpec", "StabilityProfile", "DivergenceError", "SamplingError",
+    "SwitchSpec", "DivergenceError", "SamplingError",
     "sample_linear_system", "sample_quadrotor", "sample_random_inputs",
-    "simulate", "quadrotor_step",
-    "quadrotor_jacobian", "stack_quadrotors", "contraction_profile",
+    "simulate", "quadrotor_step", "quadrotor_jacobian", "stack_quadrotors",
     "systems_to_json", "systems_from_json",
 ]
 
@@ -121,15 +120,6 @@ class SwitchSpec:
     over; outputs and transitions at t >= t_switch use the new system)."""
     t_switch: int
     system: LinearSystem
-
-
-@dataclass
-class StabilityProfile:
-    rho: float
-    norms: np.ndarray              # ||A^t|| for t = 0..t_max
-    c_rho: float | None            # sup_t ||A^t|| / rho^t, None if unstable
-    l_rho: float | None            # c_rho / (1 - rho)
-    unstable: bool = False
 
 
 # ---------------------------------------------------------------------------
@@ -324,24 +314,6 @@ def simulate(system, t_len, noise: NoiseModel = IID_NOISE, rng=None,
                 raise DivergenceError(f"state norm {norm:.3e} at t={t + 1}")
     us = np.asarray(inputs)[:t_len] if inputs is not None else None
     return Trajectory(ys=ys, xs=xs, us=us, seed=seed)
-
-
-def contraction_profile(system: LinearSystem, t_max=100) -> StabilityProfile:
-    """Per-step matrix-power norms plus the contraction constants they imply:
-    rho from the spectral-radius estimate, C_rho = max_t ||A^t|| / rho^t."""
-    if t_max < 1:
-        raise ValueError("t_max must be >= 1")
-    norms = linalg.matrix_power_norms(system.a, t_max)
-    rho = linalg.spectral_radius(system.a)
-    if rho >= 1.0:
-        return StabilityProfile(rho=rho, norms=norms, c_rho=None, l_rho=None,
-                                unstable=True)
-    if rho < 1e-12:
-        c_rho = 1.0 if float(norms[1:].max(initial=0.0)) == 0.0 else float("inf")
-    else:
-        c_rho = float(np.max(norms / rho ** np.arange(t_max + 1)))
-    return StabilityProfile(rho=rho, norms=norms, c_rho=c_rho,
-                            l_rho=c_rho / (1.0 - rho))
 
 
 # ---------------------------------------------------------------------------

@@ -38,15 +38,16 @@ def source_key() -> str:
     return digest.hexdigest()[:16]
 
 
-def config_key(cfg: training.TrainConfig) -> str:
-    return sha256_json({"config": dataclasses.asdict(cfg),
-                        "sources": source_key()})[:16]
+def config_key(cfg: training.TrainConfig, sources: str) -> str:
+    return sha256_json({"config": dataclasses.asdict(cfg), "sources": sources})[:16]
 
 
 def ensure_trained(cfg: training.TrainConfig, tag: str = "run") -> Path:
     """Train once per unique config and training source; later calls reuse
-    the checkpoint."""
-    out_dir = CACHE_ROOT / f"{tag}-{config_key(cfg)}"
+    the checkpoint. The source key is taken once, so the directory's key
+    and its recorded sources agree even if a source changes meanwhile."""
+    sources = source_key()
+    out_dir = CACHE_ROOT / f"{tag}-{config_key(cfg, sources)}"
     final = out_dir / "ckpt-final.ckpt"
     if final.exists():
         return final
@@ -57,7 +58,7 @@ def ensure_trained(cfg: training.TrainConfig, tag: str = "run") -> Path:
     write_json(out_dir / "config.json", dataclasses.asdict(cfg))
     write_json(out_dir / "train-info.json",
                {"wallclock_s": time.time() - t0, "steps": cfg.steps,
-                "sources": source_key()})
+                "sources": sources})
     return final
 
 

@@ -1,5 +1,5 @@
 """The command-line entry point: exit codes, reproducible outputs, resumed
-training logs, and atomic artifact writes."""
+training logs, plotting errors, CSV parsing and atomic artifact writes."""
 
 import json
 import os
@@ -7,7 +7,7 @@ import os
 import numpy as np
 import pytest
 
-from moplab import cli, manifest, model
+from moplab import cli, manifest, model, svgplot
 from moplab.manifest import read_csv, write_csv, write_json
 from moplab.model import ModelConfig
 from moplab.seeding import stream
@@ -81,6 +81,36 @@ def test_resumed_run_log_equals_uninterrupted_log(tmp_path):
     assert strip(resumed) == strip(full)
     assert (tmp_path / "full" / "ckpt-final.ckpt").read_bytes() \
         == (part / "ckpt-final.ckpt").read_bytes()
+
+
+# ---------------------------------------------------------------------------
+# plot and read_csv
+# ---------------------------------------------------------------------------
+
+@pytest.mark.parametrize("text, error", [
+    ("predictor,t\nkf,0\n", "missing columns ['mean_err', 'stderr']"),
+    ("predictor,t,mean_err,stderr\n", "no data rows"),
+])
+def test_plot_rejects_an_unusable_csv_with_exit_2(tmp_path, capsys, text, error):
+    csv_path, svg_path = tmp_path / "curves.csv", tmp_path / "curves.svg"
+    csv_path.write_text(text)
+    assert cli.main(["plot", "--csv", str(csv_path), "--svg", str(svg_path)]) == 2
+    assert error in capsys.readouterr().err
+    assert not svg_path.exists()
+
+
+def test_ratio_plot_of_three_predictors_raises():
+    rows = [{"predictor": kind, "t": t, "mean_err": 1.0, "stderr": 0.0}
+            for kind in ("mop", "kf", "ar-ols") for t in range(3)]
+    with pytest.raises(ValueError, match="exactly 2 predictors, got 3"):
+        svgplot.render_from_rows(rows, ratio=True)
+
+
+def test_read_csv_names_the_malformed_line(tmp_path):
+    path = tmp_path / "curves.csv"
+    path.write_text("predictor,t\nkf,0\nkf\n")
+    with pytest.raises(ValueError, match="line 3: expected 2 fields, got 1"):
+        read_csv(path)
 
 
 # ---------------------------------------------------------------------------

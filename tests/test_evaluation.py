@@ -1,6 +1,6 @@
 """The population scoring path: batched predictors against single-system
-oracles, the steady-state Riccati gain, failure isolation per system, and
-the end-to-end plumbing of `error_curve`."""
+oracles, the steady-state Riccati gain, failure isolation per system, the
+end-to-end plumbing of `error_curve`, and the paper's two diagnostics."""
 
 from dataclasses import replace
 
@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 import scipy.linalg
 
-from moplab import evaluation, model
+from moplab import evaluation, linalg, model
 from moplab.baselines import KalmanFilter
 from moplab.distributions import get_distribution
 from moplab.model import ModelConfig
@@ -231,14 +231,27 @@ def test_excess_risk_pairs_the_mop_and_kf_curves():
 
 
 def test_excess_risk_stderr_counts_the_paired_systems():
-    # a 6-system population passed with n=8: the report describes the 6
+    # a 6-system population passed with n=8 and another horizon: the report
+    # describes the population
     weights = model.init_weights(TINY_MODEL, stream(12, "risk"))
     pop = population(LINEAR, n=6)
-    report = evaluation.empirical_excess_risk(weights, LINEAR, 8, HORIZON, 4,
+    report = evaluation.empirical_excess_risk(weights, LINEAR, 8, HORIZON + 10, 4,
                                               population=pop)
     delta = report.per_system_delta
     assert len(delta) == 6 and report.n_systems == 6
+    assert report.horizon == HORIZON
     assert report.stderr == float(delta.std(ddof=1) / np.sqrt(6))
+
+
+def test_error_curve_takes_its_horizon_from_the_population():
+    pop = evaluation.test_population(LINEAR, 4, 12, 0)
+    curve = evaluation.error_curve("kf", LINEAR, 4, 50, 0, population=pop)
+    assert curve.horizon == 12 and curve.mean.shape == (12,)
+    rows = evaluation.curves_to_csv_rows("short", [curve])
+    assert [row["t"] for row in rows] == list(range(12))
+    one = evaluation.error_curve("kf", LINEAR, 1, 50, 0,
+                                 population=evaluation.test_population(LINEAR, 1, 12, 0))
+    assert np.array_equal(one.stderr, np.zeros(12))
 
 
 # ---------------------------------------------------------------------------
@@ -270,7 +283,8 @@ def hand_rolled_probe_rollouts(system, seed, i, taus, horizon, perturb_scale):
     return xs, np.stack(branches)
 
 
-PROBE = dict(n_systems=3, t_eval=20, taus=(3, 10, 19), mc_draws=32, seed=2)
+PROBE = dict(horizon=25, n_systems=3, mc_draws=32, seed=2)
+T_EVAL, TAUS = 20, (5, 15, 19)           # what horizon 25 implies
 
 
 def test_probe_rollouts_match_the_hand_rolled_simulation(monkeypatch):
@@ -287,8 +301,8 @@ def test_probe_rollouts_match_the_hand_rolled_simulation(monkeypatch):
     assert len(prompts) == PROBE["n_systems"]
     for i, got in enumerate(prompts):
         system = LINEAR.sample_system(PROBE["seed"], "probe", i)
-        _, want = hand_rolled_probe_rollouts(system, PROBE["seed"], i, PROBE["taus"],
-                                             PROBE["t_eval"] + 1, 1.0)
+        _, want = hand_rolled_probe_rollouts(system, PROBE["seed"], i, TAUS,
+                                             T_EVAL + 1, 1.0)
         assert got.shape == want.shape
         assert np.abs(got - want).max() <= 1e-12
 
@@ -296,10 +310,10 @@ def test_probe_rollouts_match_the_hand_rolled_simulation(monkeypatch):
 def test_probe_matches_per_prompt_predictions_and_is_deterministic():
     weights = model.init_weights(TINY_MODEL, stream(13, "probe"))
     report = evaluation.robustness_probe(weights, LINEAR, **PROBE)
-    assert report.to_json() == evaluation.robustness_probe(
-        weights, LINEAR, **PROBE).to_json()
+    assert report == evaluation.robustness_probe(weights, LINEAR, **PROBE)
+    assert report["t_eval"] == T_EVAL and report["taus"] == list(TAUS)
     # oracle: the hand-rolled rollouts scored one prompt at a time
-    t_eval, taus = PROBE["t_eval"], PROBE["taus"]
+    t_eval, taus = T_EVAL, TAUS
     sw, sv = np.sqrt(LINEAR.sigma_w2), np.sqrt(LINEAR.sigma_v2)
     khat = np.zeros((len(taus), PROBE["n_systems"]))
     for i in range(PROBE["n_systems"]):
@@ -316,13 +330,37 @@ def test_probe_matches_per_prompt_predictions_and_is_deterministic():
             dloss = np.linalg.norm(y_next - p1, axis=1) - np.linalg.norm(y_next - p2, axis=1)
             denom = np.linalg.norm(branches[1 + j, tau:] - branches[0, tau:], axis=1).sum()
             khat[j, i] = (t_eval - tau) * abs(dloss.mean()) / denom
-    got = [cell["khat"] for cell in report.cells]
-    assert np.allclose(got, khat.mean(axis=1), rtol=1e-9, atol=0)
-    assert report.khat_max == pytest.approx(khat.max(), rel=1e-9)
+    assert np.allclose(report["khat_by_tau"], khat.mean(axis=1), rtol=1e-9, atol=0)
+    assert report["khat_max"] == pytest.approx(khat.max(), rel=1e-9)
 
 
 def test_probe_without_perturbation_reads_zero():
     weights = model.init_weights(TINY_MODEL, stream(14, "probe"))
     report = evaluation.robustness_probe(weights, LINEAR, perturb_scale=0.0, **PROBE)
-    assert report.khat_max == 0.0 and report.khat_median == 0.0
-    assert all(cell["khat"] == 0.0 for cell in report.cells)
+    assert report["khat_max"] == 0.0 and report["khat_median"] == 0.0
+    assert report["khat_by_tau"] == [0.0] * len(TAUS)
+
+
+def test_probe_times_at_the_desk_horizon():
+    weights = model.init_weights(TINY_MODEL, stream(15, "probe"))
+    report = evaluation.robustness_probe(weights, LINEAR, n_systems=1, mc_draws=2)
+    assert report["t_eval"] == 45 and report["taus"] == [5, 15, 25, 35, 44]
+    assert [r["gap"] for r in report["abs_dloss_by_gap"]] == [1, 10, 20, 30, 40]
+    with pytest.raises(ValueError):
+        evaluation.robustness_probe(weights, LINEAR, horizon=5)
+
+
+# ---------------------------------------------------------------------------
+# matrix-power norms
+# ---------------------------------------------------------------------------
+
+def test_triangular_systems_overshoot_more_than_dense_ones():
+    report = evaluation.power_norm_report(get_distribution("linear-triangular"),
+                                          20, 51, seed=0)
+    tri, dense = report["linear-triangular"], report["linear-dense"]
+    assert report["t_max"] == 50 and tri["n_systems"] == dense["n_systems"] == 20
+    assert tri["mean"] > dense["mean"] >= 1.0
+    # the dense draws are linear-dense's own test systems at that seed
+    peaks = [linalg.matrix_power_norms(LINEAR.sample_system(0, "test", i).a, 50).max()
+             for i in range(20)]
+    assert dense["mean"] == float(np.mean(peaks))

@@ -1,13 +1,14 @@
 """`moplab experiment` end to end at tiny sizes: every preset's file set,
-byte-identical reruns, the eval-seed rule under MOP_SEED, and reuse of a
-trained model only when its run records the same config."""
+byte-identical reruns, the diagnostics each report carries, the eval-seed
+rule under MOP_SEED, and reuse of a trained model only when its run records
+the same config."""
 
 import dataclasses
 import json
 
 import pytest
 
-from moplab import cli, presets, training
+from moplab import cli, evaluation, model, presets, training
 from moplab.manifest import read_csv
 
 TRAIN = {"ckpt-000002.ckpt", "ckpt-000002.ckpt.opt", "ckpt-final.ckpt",
@@ -26,6 +27,8 @@ EXPECTED = {
                      *(f"cells/cell-M{m}-T{t}/{name}" for m, t in GRID
                        for name in TRAIN)},
 }
+# report.json keys beyond the curves and their ratio
+DIAGNOSTICS = {"linear-iid": {"robustness"}, "hard-triangular": {"max_power_norm"}}
 
 
 def tiny(preset):
@@ -80,6 +83,25 @@ def test_every_preset_writes_its_files_and_reruns_identically(tmp_path, tiny_pre
                 assert without_wallclock(first / rel) == without_wallclock(second / rel)
             else:
                 assert (first / rel).read_bytes() == (second / rel).read_bytes(), rel
+        if "eval/report.json" in want:
+            report = json.loads((first / "eval" / "report.json").read_text())
+            extra = set(report) - {"experiment", "curves", "ratio"}
+            assert extra == DIAGNOSTICS.get(name, set()), name
+
+
+def test_linear_iid_probe_at_the_desk_horizon_is_the_default_probe(tmp_path,
+                                                                   monkeypatch):
+    preset = tiny(presets.EXPERIMENTS["linear-iid"])
+    train = dataclasses.replace(
+        preset.train, model=dataclasses.replace(preset.train.model, context=64))
+    monkeypatch.setitem(presets.EXPERIMENTS, "linear-iid",
+                        dataclasses.replace(preset, train=train, eval_horizon=50))
+    assert experiment("linear-iid", tmp_path, "--seed", "3") == 0
+    root = tmp_path / "linear-iid"
+    report = json.loads((root / "eval" / "report.json").read_text())
+    weights = model.load_checkpoint(root / "train" / "ckpt-final.ckpt")
+    assert report["robustness"] == evaluation.robustness_probe(
+        weights, "linear-dense", seed=cli.derive_eval_seed(3))
 
 
 def test_mop_seed_and_seed_flag_score_the_same_population(tmp_path, tiny_presets,

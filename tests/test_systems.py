@@ -1,4 +1,4 @@
-"""System sampling, simulation, noise models, and stability profiles."""
+"""System sampling, simulation, noise models, and matrix-power norms."""
 
 import numpy as np
 import pytest
@@ -8,7 +8,7 @@ from moplab.distributions import get_distribution
 from moplab.seeding import derive_seed, stream
 from moplab.systems import (
     DivergenceError, LinearSystem, NoiseModel, SwitchSpec,
-    _noise_sequences, contraction_profile, quadrotor_jacobian,
+    _noise_sequences, quadrotor_jacobian,
     quadrotor_step, sample_linear_system, sample_quadrotor,
     sample_random_inputs, simulate, systems_from_json, systems_to_json,
 )
@@ -248,25 +248,20 @@ def test_quadrotor_zero_noise_deterministic():
 
 
 # ---------------------------------------------------------------------------
-# contraction profile
+# contraction profile: ||A^t||_2 over t
 # ---------------------------------------------------------------------------
 
 def test_contraction_profile_scaled_identity():
-    system = LinearSystem(a=0.5 * np.eye(2), c=np.eye(2), sigma_w=0.1, sigma_v=0.1)
-    prof = contraction_profile(system, t_max=10)
-    assert np.allclose(prof.norms, 0.5 ** np.arange(11), rtol=1e-9)
-    assert prof.c_rho == pytest.approx(1.0, rel=1e-6)
-    assert prof.l_rho == pytest.approx(2.0, rel=1e-6)
+    norms = linalg.matrix_power_norms(0.5 * np.eye(2), 10)
+    assert np.allclose(norms, 0.5 ** np.arange(11), rtol=1e-9)
 
 
 def test_contraction_profile_jordan_overshoot():
     a = np.array([[0.9, 1.0], [0.0, 0.9]])
-    system = LinearSystem(a=a, c=np.eye(2), sigma_w=0.1, sigma_v=0.1)
-    prof = contraction_profile(system, t_max=10)
+    norms = linalg.matrix_power_norms(a, 10)
     closed = np.array([[0.9**5, 5 * 0.9**4], [0.0, 0.9**5]])
-    assert prof.norms[5] == pytest.approx(np.linalg.norm(closed, 2), rel=1e-6)
-    assert prof.norms[5] > 1.0
-    assert prof.c_rho >= 1.0
+    assert norms[5] == pytest.approx(np.linalg.norm(closed, 2), rel=1e-6)
+    assert norms[5] > 1.0
 
 
 def test_contraction_profile_dense_eventually_decreasing():
@@ -274,8 +269,7 @@ def test_contraction_profile_dense_eventually_decreasing():
     # past a finite burn-in (complex-pair draws oscillate under a decaying
     # envelope instead, covered below)
     system = sample_linear_system(stream(31, "cp", 0), 10, 5, target_rho=0.95)
-    prof = contraction_profile(system, t_max=100)
-    diffs = np.diff(prof.norms)
+    diffs = np.diff(linalg.matrix_power_norms(system.a, 100))
     t0 = next(i for i in range(len(diffs)) if (diffs[i:] < 0).all())
     assert t0 <= 100
 
@@ -283,25 +277,17 @@ def test_contraction_profile_dense_eventually_decreasing():
 def test_contraction_profile_dense_envelope_decays():
     for i in range(5):
         system = sample_linear_system(stream(31, "cp", i), 10, 5, target_rho=0.95)
-        prof = contraction_profile(system, t_max=100)
-        assert prof.norms[60:].max() < prof.norms[:40].max() * 0.1
+        norms = linalg.matrix_power_norms(system.a, 100)
+        assert norms[60:].max() < norms[:40].max() * 0.1
 
 
-def test_contraction_bound_consistency():
-    # ||A^t|| <= C_rho rho^t holds with the reported C_rho by construction
+def test_matrix_power_norms_match_lapack_on_dense_draws():
     for i in range(5):
-        system = sample_linear_system(stream(32, "cb", i), 10, 5)
-        prof = contraction_profile(system, t_max=100)
-        bound = prof.c_rho * prof.rho ** np.arange(101)
-        assert (prof.norms <= bound * (1 + 1e-9)).all()
-        assert prof.c_rho >= 1.0
-
-
-def test_contraction_profile_unstable_flag():
-    system = LinearSystem(a=1.5 * np.eye(2), c=np.eye(2), sigma_w=0.1, sigma_v=0.1)
-    prof = contraction_profile(system, t_max=5)
-    assert prof.unstable
-    assert prof.c_rho is None
+        a = sample_linear_system(stream(33, "lapack", i), 10, 5).a
+        norms = linalg.matrix_power_norms(a, 100)
+        want = np.array([np.linalg.norm(np.linalg.matrix_power(a, t), 2)
+                         for t in range(101)])
+        assert (np.abs(norms - want) / want).max() <= 1e-12
 
 
 # ---------------------------------------------------------------------------
