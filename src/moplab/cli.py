@@ -229,14 +229,20 @@ def cmd_eval(args) -> int:
 
 
 def cmd_plot(args) -> int:
-    rows = read_csv(args.csv)
+    try:
+        rows = read_csv(args.csv)
+    except ValueError as exc:                     # empty file or a malformed row
+        raise UsageError(str(exc)) from None
     required = {"predictor", "t", "mean_err", "stderr"}
     if rows and not required.issubset(rows[0]):
         raise UsageError(f"{args.csv}: missing columns "
                          f"{sorted(required - set(rows[0]))}")
     if not rows:
         raise UsageError(f"{args.csv}: no data rows")
-    svg = svgplot.render_from_rows(rows, ratio=args.ratio, title=args.title)
+    try:
+        svg = svgplot.render_from_rows(rows, ratio=args.ratio, title=args.title)
+    except ValueError as exc:                     # e.g. a ratio of != 2 predictors
+        raise UsageError(f"{args.csv}: {exc}") from None
     Path(args.svg).parent.mkdir(parents=True, exist_ok=True)
     Path(args.svg).write_text(svg)
     print(f"wrote {args.svg}")

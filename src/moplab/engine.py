@@ -464,22 +464,19 @@ def gelu(a) -> Tensor:
     out *= 0.5
 
     def mk():
-        def grad(g):
-            # d/dx [0.5 x (1 + tanh u)] with u = c (x + 0.044715 x^3)
-            d = x2 * (3 * 0.044715)
-            d += 1.0
-            d *= _GELU_C
-            tt = t * t
-            np.subtract(1.0, tt, out=tt)
-            d *= tt
-            d *= x
-            d += t
-            d += 1.0
-            d *= 0.5
-            d *= g
-            return (d,)
-
-        return grad
+        # d/dx [0.5 x (1 + tanh u)] with u = c (x + 0.044715 x^3), taken
+        # while recording so the tape keeps d alone, not x*x and tanh(u)
+        d = x2 * (3 * 0.044715)
+        d += 1.0
+        d *= _GELU_C
+        tt = t * t
+        np.subtract(1.0, tt, out=tt)
+        d *= tt
+        d *= x
+        d += t
+        d += 1.0
+        d *= 0.5
+        return lambda g: (d * g,)
 
     return _emit("gelu", out, (a,), mk)
 

@@ -41,11 +41,6 @@ __all__ = [
 ]
 
 RATIO_GUARD = 1e-12
-# Systems per MOP forward. The eager forward peaks at about 0.34 MB of
-# activations per system at horizon 50; chunks of 16 bound that to ~5.4 MB
-# and ran faster than one population-wide forward (about 90 vs 114 ms for
-# 100 quadrotor systems on a 2-core x86 VM, BLAS at one thread).
-MOP_CHUNK = 16
 
 
 # ---------------------------------------------------------------------------
@@ -112,8 +107,9 @@ def predict_population(predictor_kind: str, systems, trajs, dist: Distribution,
     """Predictions yhat_0..yhat_{T-1} for every system, shaped (N, T, m).
 
     yhat_0 is the prior mean (zero, since x_0 = 0). MOP predicts every later
-    position with one causal forward per chunk of MOP_CHUNK systems; every
-    other kind is one population-wide predictor stepped T-1 times.
+    position with one causal forward per chunk of model.FORWARD_CHUNK
+    systems; every other kind is one population-wide predictor stepped T-1
+    times.
     """
     ys = np.stack([t.ys for t in trajs])
     us = np.stack([t.us for t in trajs]) if trajs[0].us is not None else None
@@ -121,8 +117,8 @@ def predict_population(predictor_kind: str, systems, trajs, dist: Distribution,
     if predictor_kind == "mop":
         if weights is None:
             raise ValueError("mop predictor needs model weights")
-        for lo in range(0, len(trajs), MOP_CHUNK):
-            rows = slice(lo, lo + MOP_CHUNK)
+        for lo in range(0, len(trajs), model.FORWARD_CHUNK):
+            rows = slice(lo, lo + model.FORWARD_CHUNK)
             preds[rows, 1:] = model.predict_sequence(
                 weights, ys[rows, :-1], us if us is None else us[rows, :-1])
         return preds

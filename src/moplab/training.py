@@ -3,9 +3,11 @@ source systems and their trajectories.
 
 The dataset is a list of sampled systems plus per-system trajectory seeds;
 trajectories are regenerated from seeds on demand (a fixed trajectory per
-system by default, fresh noise per epoch optionally). The optimizer is Adam
-with gradient-norm clipping; every draw is seeded, so a (config, seed) pair
-reproduces the loss trace bit for bit.
+system by default, fresh noise per epoch optionally). A step records its
+batch on one tape per chunk of model.FORWARD_CHUNK trajectories and sums the
+chunks' gradients, so the tape it holds does not grow with the batch. The
+optimizer is Adam with gradient-norm clipping; every draw is seeded, so a
+(config, seed) pair reproduces the loss trace bit for bit.
 """
 
 from __future__ import annotations
@@ -141,6 +143,34 @@ def batch_loss(weights: TransformerWeights, ys, us=None,
     return engine.mean_all(per_pos)
 
 
+def _loss_and_grads(weights: TransformerWeights, ys, us, loss_kind):
+    """The batch's `batch_loss` value and its gradient per parameter name,
+    taped one chunk of model.FORWARD_CHUNK trajectories at a time.
+
+    Each chunk's loss is scaled by its share of the batch, so the chunks sum
+    to the batch mean; a chunk's tape is dropped before the next one is
+    recorded, which bounds the activations held to one chunk's. A batch of
+    one chunk is scaled by 1, and its loss and gradients are bit for bit
+    those of one graph.
+    """
+    n = len(ys)
+    loss, grads = 0.0, {}
+    for lo in range(0, n, model.FORWARD_CHUNK):
+        rows = slice(lo, lo + model.FORWARD_CHUNK)
+        tape = engine.Graph()
+        with tape:
+            part = engine.scale(
+                batch_loss(weights, ys[rows], None if us is None else us[rows], loss_kind),
+                len(ys[rows]) / n)
+        by_node = engine.backward(tape, part)
+        loss += part.item()
+        for name, leaf in tape.params.items():
+            grads[name] = grads[name] + by_node[leaf] if name in grads else by_node[leaf]
+        # part reaches every node of the tape, by_node holds a gradient per node
+        del tape, part, by_node
+    return loss, grads
+
+
 # ---------------------------------------------------------------------------
 # optimizer
 # ---------------------------------------------------------------------------
@@ -218,6 +248,10 @@ def train(cfg: TrainConfig, out_dir, resume=None, quiet=True) -> TrainResult:
     log under out_dir. `resume` continues from a checkpoint path written by
     an earlier (identically configured) run; the loss trace continues
     exactly where the interrupted run would have gone.
+
+    Each step takes the batch loss and gradients chunk by chunk (see
+    `_loss_and_grads`), checks the summed loss for divergence, then clips
+    and applies one Adam update.
     """
     out_dir = Path(out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
@@ -262,10 +296,7 @@ def train(cfg: TrainConfig, out_dir, resume=None, quiet=True) -> TrainResult:
         ys = np.stack(ys_list)
         us = np.stack(us_list) if us_list[0] is not None else None
 
-        g = engine.Graph()
-        with g:
-            loss = batch_loss(weights, ys, us, cfg.loss_kind)
-        loss_val = loss.item()
+        loss_val, grads = _loss_and_grads(weights, ys, us, cfg.loss_kind)
         if not np.isfinite(loss_val):
             checkpoint(step, "ckpt-abort.ckpt")
             raise TrainingAborted(
@@ -276,8 +307,6 @@ def train(cfg: TrainConfig, out_dir, resume=None, quiet=True) -> TrainResult:
             raise TrainingAborted(f"loss {loss_val:.3e} exceeded {DIVERGENCE_LOSS:.0e}",
                                   step, path)
 
-        grads_by_node = engine.backward(g, loss)
-        grads = {name: grads_by_node[leaf] for name, leaf in g.params.items()}
         gnorm, grads = _clip_gradients(grads, cfg.clip_norm)
         adam.apply(weights.arrays, grads)
 

@@ -90,11 +90,16 @@ def test_resumed_run_log_equals_uninterrupted_log(tmp_path):
 @pytest.mark.parametrize("text, error", [
     ("predictor,t\nkf,0\n", "missing columns ['mean_err', 'stderr']"),
     ("predictor,t,mean_err,stderr\n", "no data rows"),
+    ("", "line 1: empty file"),
+    ("predictor,t,mean_err,stderr\nmop,0,1,0\nkf,0,1,0\nar-ols,0,1,0\n",
+     "ratio plot needs exactly 2 predictors, got 3"),
 ])
 def test_plot_rejects_an_unusable_csv_with_exit_2(tmp_path, capsys, text, error):
+    # a ratio plot, so that three predictors are unusable too; the other
+    # cases fail before the kind of plot matters
     csv_path, svg_path = tmp_path / "curves.csv", tmp_path / "curves.svg"
     csv_path.write_text(text)
-    assert cli.main(["plot", "--csv", str(csv_path), "--svg", str(svg_path)]) == 2
+    assert cli.main(["plot", "--ratio", "--csv", str(csv_path), "--svg", str(svg_path)]) == 2
     assert error in capsys.readouterr().err
     assert not svg_path.exists()
 

@@ -148,6 +148,42 @@ def test_gelu_matches_tanh_formula(rng):
     assert np.allclose(out, ref, atol=1e-12)
 
 
+def gelu_grad_closed_form(x, g):
+    """The gelu backward as it was when it rebuilt the derivative from x*x
+    and tanh(u) on the tape, operation for operation."""
+    x2 = x * x
+    t = np.empty_like(x)
+    np.multiply(x2, x, out=t)
+    t *= 0.044715
+    t += x
+    t *= engine._GELU_C
+    np.tanh(t, out=t)
+    d = x2 * (3 * 0.044715)
+    d += 1.0
+    d *= engine._GELU_C
+    tt = t * t
+    np.subtract(1.0, tt, out=tt)
+    d *= tt
+    d *= x
+    d += t
+    d += 1.0
+    d *= 0.5
+    d *= g
+    return d
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+def test_gelu_gradient_bit_identical_to_closed_form(dtype, rng):
+    x = (rng.standard_normal((3, 7, 16)) * 3).astype(dtype)
+    up = rng.standard_normal(x.shape).astype(dtype)
+    g = Graph()
+    with g:
+        out = engine.gelu(g.leaf(x))
+    (dx,) = out.node.grad_fn(up)
+    assert dx.dtype == dtype
+    assert np.array_equal(dx, gelu_grad_closed_form(x, up))
+
+
 # ---------------------------------------------------------------------------
 # backward
 # ---------------------------------------------------------------------------

@@ -2,6 +2,7 @@
 (determinism, divergence handling, resume)."""
 
 import dataclasses
+import math
 
 import numpy as np
 import pytest
@@ -150,9 +151,68 @@ def test_loss_kind_validation(rng):
         batch_loss(w, np.zeros((1, 3, 5)), loss_kind="l1")
 
 
+def one_graph_loss_and_grads(weights, ys, us, loss_kind):
+    g = engine.Graph()
+    with g:
+        loss = batch_loss(weights, ys, us, loss_kind)
+    grads = engine.backward(g, loss)
+    return loss.item(), {name: grads[leaf] for name, leaf in g.params.items()}
+
+
+def loss_and_grads_case(batch, n_inputs, loss_kind):
+    cfg = dataclasses.replace(TINY_MODEL, token_dim=5 + n_inputs)
+    weights = model.init_weights(cfg, stream(7, "chunks"))
+    draw = stream(8, "chunks")
+    ys = draw.standard_normal((batch, 12, 5))
+    us = draw.standard_normal((batch, 12, n_inputs)) if n_inputs else None
+    return (training._loss_and_grads(weights, ys, us, loss_kind),
+            one_graph_loss_and_grads(weights, ys, us, loss_kind))
+
+
+@pytest.mark.parametrize("loss_kind, n_inputs", [
+    ("l2_norm", 0), ("squared_l2", 0), ("l2_norm", 2)])
+def test_chunked_loss_and_grads_match_one_graph(loss_kind, n_inputs):
+    # 37 trajectories: chunks of 16, 16 and 5, each scaled by its share
+    (loss, grads), (ref_loss, ref_grads) = loss_and_grads_case(37, n_inputs, loss_kind)
+    assert loss == pytest.approx(ref_loss, rel=1e-12, abs=0)
+    assert grads.keys() == ref_grads.keys()
+    # attn.bk's exact gradient is 0 (the softmax ignores a per-query
+    # constant), so its entries are rounding noise on both sides; 1e-12 of
+    # the largest gradient entry is the floor under the relative tolerance
+    floor = 1e-12 * max(np.abs(g).max() for g in ref_grads.values())
+    for name, ref in ref_grads.items():
+        np.testing.assert_allclose(grads[name], ref, rtol=1e-12, atol=floor, err_msg=name)
+
+
+@pytest.mark.parametrize("loss_kind", training.LOSS_KINDS)
+def test_one_chunk_loss_and_grads_are_one_graph_bit_for_bit(loss_kind):
+    (loss, grads), (ref_loss, ref_grads) = loss_and_grads_case(8, 0, loss_kind)
+    assert loss == ref_loss
+    assert grads.keys() == ref_grads.keys()
+    for name, ref in ref_grads.items():
+        assert np.array_equal(grads[name], ref), name
+
+
 # ---------------------------------------------------------------------------
 # training loop
 # ---------------------------------------------------------------------------
+
+def test_train_step_tapes_one_chunk_at_a_time(tmp_path, monkeypatch):
+    tapes = []
+    backward = engine.backward
+
+    def recording_backward(graph, loss):
+        tapes.append([node.out_shape for node in graph.nodes if node.op != "leaf"])
+        return backward(graph, loss)
+
+    monkeypatch.setattr(engine, "backward", recording_backward)
+    training.train(tiny_cfg(steps=1, batch_size=64), tmp_path)
+    assert len(tapes) == math.ceil(64 / model.FORWARD_CHUNK) == 4
+    # parameter leaves are left out: their leading dims are model sizes.
+    # train_len 12 keeps the time axis (11) under the chunk, so only the
+    # batch axis of an activation could reach past it
+    assert max(shape[0] for tape in tapes for shape in tape if shape) == model.FORWARD_CHUNK
+
 
 def test_train_deterministic(tmp_path):
     cfg = tiny_cfg()
