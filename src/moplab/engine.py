@@ -15,6 +15,14 @@ of a transformer layer then record six `linear` nodes and one
 `causal_attention` node, not a chain of reshapes, transposes and
 score-sized temporaries.
 
+Memory contract of the tape. A node records its input nodes, not their
+Tensors, so the tape holds only the arrays its grad closures read: a
+residual sum or an MLP pre-activation that no backward reads is freed as
+soon as the forward drops its Tensor. `backward` consumes the tape: once a
+node's closure has run, the closure and the node's gradient are dropped,
+so activations and gradients are freed as the walk goes. It returns
+gradients for the leaves only, and a consumed graph cannot be walked again.
+
 Precision is a property of the arrays: float64 in filters and tests,
 float32 for training throughput.
 """
@@ -89,6 +97,9 @@ class Tensor:
 
 
 class _Node:
+    """One tape record: the op, its input nodes (None for a constant) and
+    the closure that maps the output gradient to the input gradients."""
+
     __slots__ = ("idx", "op", "inputs", "grad_fn", "out_shape")
 
     def __init__(self, idx, op, inputs, grad_fn, out_shape):
@@ -105,6 +116,7 @@ class Graph:
     def __init__(self):
         self.nodes: list[_Node] = []
         self.params: dict[str, Tensor] = {}  # named leaves (see `param`)
+        self.consumed = False                # set by `backward`
 
     def __enter__(self):
         if _active() is not None:
@@ -123,7 +135,8 @@ class Graph:
     def _record(self, op, out_data, inputs, grad_fn) -> Tensor:
         if _finite_checks and not np.all(np.isfinite(out_data)):
             raise FloatingPointError(f"non-finite values produced by op '{op}'")
-        node = _Node(len(self.nodes), op, inputs, grad_fn, out_data.shape)
+        node = _Node(len(self.nodes), op, tuple(t.node for t in inputs), grad_fn,
+                     out_data.shape)
         self.nodes.append(node)
         return Tensor(out_data, node)
 
@@ -140,22 +153,32 @@ def param(name: str, data) -> Tensor:
 
 
 class Gradients:
-    """Gradient arrays per node; zero for leaves the loss never reached."""
+    """Gradient arrays of a graph's leaves; zero for leaves the loss never
+    reached. Only leaves have one: looking up any other tensor raises
+    KeyError, since `backward` frees every non-leaf gradient once used."""
 
-    def __init__(self, slots):
-        self._slots = slots
+    def __init__(self, leaves: dict):
+        self._leaves = leaves   # leaf node -> gradient array or None
 
     def __getitem__(self, t: Tensor) -> np.ndarray:
-        if t.node is None or t.node.idx >= len(self._slots):
-            raise KeyError("tensor is not part of this graph")
-        g = self._slots[t.node.idx]
+        if t.node not in self._leaves:
+            raise KeyError("tensor is not a leaf of this graph")
+        g = self._leaves[t.node]
         if g is None:
             return np.zeros(t.data.shape, dtype=t.data.dtype)
         return g
 
 
 def backward(graph: Graph, loss: Tensor) -> Gradients:
-    """Exact reverse-mode gradients of a scalar loss over the whole tape."""
+    """Exact reverse-mode gradients of a scalar loss over the whole tape.
+
+    Consumes the graph: each node's grad closure, and with it the
+    activations it reads, is dropped once it has run, and each non-leaf
+    gradient once it has been passed on, so the walk frees memory as it
+    goes. Returns the leaf gradients; a second call raises RuntimeError.
+    """
+    if graph.consumed:
+        raise RuntimeError("graph was consumed by an earlier backward; record it again")
     if (
         loss.node is None
         or loss.node.idx >= len(graph.nodes)
@@ -164,20 +187,24 @@ def backward(graph: Graph, loss: Tensor) -> Gradients:
         raise ValueError("loss tensor is not attached to this graph")
     if loss.data.shape != ():
         raise NonScalarLossError(f"loss must be scalar, got shape {loss.data.shape}")
+    graph.consumed = True
     slots: list[np.ndarray | None] = [None] * len(graph.nodes)
     slots[loss.node.idx] = np.ones((), dtype=loss.data.dtype)
-    for node in reversed(graph.nodes[: loss.node.idx + 1]):
-        g = slots[node.idx]
-        if g is None or node.grad_fn is None:
+    for node in reversed(graph.nodes):
+        grad_fn, node.grad_fn = node.grad_fn, None
+        if grad_fn is None or slots[node.idx] is None:
             continue
-        for inp, gin in zip(node.inputs, node.grad_fn(g)):
-            if gin is None or inp.node is None:
+        g, slots[node.idx] = slots[node.idx], None
+        gins = grad_fn(g)
+        del grad_fn, g
+        for inp, gin in zip(node.inputs, gins):
+            if gin is None or inp is None:
                 continue
-            j = inp.node.idx
             # never mutate in place: grad arrays may alias forward data or
             # be shared between several inputs of one node
-            slots[j] = gin if slots[j] is None else slots[j] + gin
-    return Gradients(slots)
+            slots[inp.idx] = gin if slots[inp.idx] is None else slots[inp.idx] + gin
+        del gins, gin
+    return Gradients({node: slots[node.idx] for node in graph.nodes if node.op == "leaf"})
 
 
 # ---------------------------------------------------------------------------
@@ -429,11 +456,11 @@ def layer_norm(a, gain, bias) -> Tensor:
     out += bias.data
 
     def mk():
-        gdat = gain.data
+        gdat, sbias = gain.data, bias.data.shape
 
         def grad(g):
-            dgain = _unbroadcast(g * xhat, gain.data.shape)
-            dbias = _unbroadcast(g, bias.data.shape)
+            dgain = _unbroadcast(g * xhat, gdat.shape)
+            dbias = _unbroadcast(g, sbias)
             dxhat = g * gdat
             da = dxhat - dxhat.mean(axis=-1, keepdims=True)
             da -= xhat * np.mean(dxhat * xhat, axis=-1, keepdims=True)
@@ -449,36 +476,40 @@ _GELU_C = math.sqrt(2.0 / math.pi)
 
 
 def gelu(a) -> Tensor:
-    """GELU, tanh approximation (GPT-2 convention)."""
+    """GELU, tanh approximation (GPT-2 convention).
+
+    Eagerly one full-size array is allocated: x*x, then tanh(u), then the
+    output, all in one buffer. Recorded, x*x becomes the derivative and
+    tanh(u) the output, with one scratch for 1 - tanh(u)^2.
+    """
     a = _as_tensor(a)
     x = a.data
-    x2 = x * x
-    t = np.empty_like(x)
-    np.multiply(x2, x, out=t)
+    taped = _active() is not None
+    x2 = np.multiply(x, x, out=np.empty_like(x))
+    t = np.multiply(x2, x, out=np.empty_like(x) if taped else x2)
     t *= 0.044715
     t += x
     t *= _GELU_C
-    np.tanh(t, out=t)
-    out = 1.0 + t
-    out *= x
-    out *= 0.5
-
-    def mk():
-        # d/dx [0.5 x (1 + tanh u)] with u = c (x + 0.044715 x^3), taken
-        # while recording so the tape keeps d alone, not x*x and tanh(u)
-        d = x2 * (3 * 0.044715)
+    np.tanh(t, out=t)   # t = tanh(u), u = c (x + 0.044715 x^3)
+    if taped:
+        # d/dx [0.5 x (1 + tanh u)], taken while recording so the tape
+        # keeps d alone, not x*x and tanh(u)
+        d = x2
+        d *= 3 * 0.044715
         d += 1.0
         d *= _GELU_C
-        tt = t * t
+        tt = np.multiply(t, t, out=np.empty_like(t))
         np.subtract(1.0, tt, out=tt)
         d *= tt
         d *= x
         d += t
         d += 1.0
         d *= 0.5
-        return lambda g: (d * g,)
-
-    return _emit("gelu", out, (a,), mk)
+    out = t
+    out += 1.0
+    out *= x
+    out *= 0.5
+    return _emit("gelu", out, (a,), lambda: lambda g: (d * g,))
 
 
 def sum_lastdim(a) -> Tensor:
@@ -516,10 +547,11 @@ def l2norm_lastdim(a) -> Tensor:
     out = np.sqrt(sq)
 
     def mk():
+        x = a.data
         denom = np.sqrt(sq + L2NORM_GRAD_EPS)
 
         def grad(g):
-            return (a.data * (g / denom)[..., None],)
+            return (x * (g / denom)[..., None],)
 
         return grad
 

@@ -1,8 +1,10 @@
 """Run manifests and deterministic tabular output.
 
 Every artifact directory gets a manifest recording the fully resolved
-config, seeds, input/output hashes, and wallclock: enough to reproduce the
-outputs byte for byte (wallclock aside) by re-running the same subcommand.
+config, seeds, input/output hashes, wallclock and environment (Python,
+numpy and BLAS versions, BLAS thread settings, a hash of the moplab
+sources): enough to reproduce the outputs byte for byte (wallclock aside)
+by re-running the same subcommand on the same environment.
 Files are written atomically (a temp file, then `os.replace`), so an
 interrupted run never leaves a half-written manifest, log or checkpoint.
 """
@@ -14,14 +16,19 @@ import csv
 import hashlib
 import json
 import os
+import platform
 from pathlib import Path
+
+import numpy as np
 
 from . import __version__
 
 __all__ = [
     "sha256_file", "sha256_json", "atomic_open", "write_json",
-    "write_manifest", "write_csv", "read_csv",
+    "environment", "write_manifest", "write_csv", "read_csv",
 ]
+
+THREAD_VARS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
 
 
 def sha256_file(path) -> str:
@@ -59,6 +66,24 @@ def write_json(path, obj) -> None:
         fh.write(json.dumps(obj, indent=2, sort_keys=False) + "\n")
 
 
+def environment() -> dict:
+    """What a run's numbers depend on besides its config and seeds: the
+    Python, numpy and BLAS builds, the BLAS thread settings (None where
+    unset) and the sha256 of the moplab sources (each file's name, a NUL
+    and its bytes, in name order)."""
+    blas = np.show_config(mode="dicts").get("Build Dependencies", {}).get("blas", {})
+    digest = hashlib.sha256()
+    for path in sorted(Path(__file__).resolve().parent.glob("*.py")):
+        digest.update(path.name.encode() + b"\0" + path.read_bytes())
+    return {
+        "python": platform.python_version(),
+        "numpy": np.__version__,
+        "blas": {"name": blas.get("name"), "version": blas.get("version")},
+        "threads": {var: os.environ.get(var) for var in THREAD_VARS},
+        "source_sha256": digest.hexdigest(),
+    }
+
+
 def write_manifest(out_dir, command, config, base_seed, *, dataset_hash=None,
                    checkpoint_hashes=None, wallclock_s=None, outputs=None) -> None:
     manifest = {
@@ -71,6 +96,7 @@ def write_manifest(out_dir, command, config, base_seed, *, dataset_hash=None,
         "checkpoint_hashes": checkpoint_hashes or {},
         "wallclock_s": wallclock_s,
         "outputs": outputs or [],
+        "environment": environment(),
     }
     write_json(Path(out_dir) / "manifest.json", manifest)
 

@@ -148,10 +148,10 @@ def _loss_and_grads(weights: TransformerWeights, ys, us, loss_kind):
     taped one chunk of model.FORWARD_CHUNK trajectories at a time.
 
     Each chunk's loss is scaled by its share of the batch, so the chunks sum
-    to the batch mean; a chunk's tape is dropped before the next one is
-    recorded, which bounds the activations held to one chunk's. A batch of
-    one chunk is scaled by 1, and its loss and gradients are bit for bit
-    those of one graph.
+    to the batch mean; a chunk's backward consumes its tape before the next
+    one is recorded, which bounds the activations held to one chunk's. A
+    batch of one chunk is scaled by 1, and its loss and gradients are bit
+    for bit those of one graph.
     """
     n = len(ys)
     loss, grads = 0.0, {}
@@ -166,8 +166,7 @@ def _loss_and_grads(weights: TransformerWeights, ys, us, loss_kind):
         loss += part.item()
         for name, leaf in tape.params.items():
             grads[name] = grads[name] + by_node[leaf] if name in grads else by_node[leaf]
-        # part reaches every node of the tape, by_node holds a gradient per node
-        del tape, part, by_node
+        del by_node   # summed into grads; not held through the next chunk
     return loss, grads
 
 

@@ -1,8 +1,11 @@
 """The command-line entry point: exit codes, reproducible outputs, resumed
 training logs, plotting errors, CSV parsing and atomic artifact writes."""
 
+import hashlib
 import json
 import os
+import platform
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -56,6 +59,27 @@ def test_non_integer_mop_seed_exits_2(tmp_path, tiny_ckpt, monkeypatch, capsys):
     assert cli.main(eval_args(tiny_ckpt, tmp_path)) == 2
     assert "MOP_SEED" in capsys.readouterr().err
     assert not (tmp_path / "curves.csv").exists()
+
+
+def test_gen_manifest_records_the_environment(tmp_path, monkeypatch):
+    monkeypatch.setenv("OPENBLAS_NUM_THREADS", "3")
+    monkeypatch.delenv("MKL_NUM_THREADS", raising=False)
+    out = tmp_path / "systems.json"
+    assert cli.main(["gen", "--preset", "linear-dense", "--count", "2", "--seed", "1",
+                     "--out", str(out)]) == 0
+    env = json.loads((tmp_path / "manifest.json").read_text())["environment"]
+    blas = np.show_config(mode="dicts")["Build Dependencies"]["blas"]
+    assert env["python"] == platform.python_version()
+    assert env["numpy"] == np.__version__
+    assert env["blas"] == {"name": blas["name"], "version": blas["version"]}
+    assert env["threads"]["OPENBLAS_NUM_THREADS"] == "3"
+    assert env["threads"]["MKL_NUM_THREADS"] is None
+    assert set(env["threads"]) == {"OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS",
+                                   "MKL_NUM_THREADS"}
+    digest = hashlib.sha256()
+    for path in sorted(Path(cli.__file__).parent.glob("*.py")):
+        digest.update(path.name.encode() + b"\0" + path.read_bytes())
+    assert env["source_sha256"] == digest.hexdigest()
 
 
 def test_resumed_run_log_equals_uninterrupted_log(tmp_path):

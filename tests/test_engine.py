@@ -1,13 +1,18 @@
 """Tensor engine: op semantics, exact reverse-mode gradients vs central
-finite differences, and the small-matrix linear algebra oracles."""
+finite differences, the tape's memory contract, and the small-matrix
+linear algebra oracles."""
+
+import tracemalloc
+import weakref
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from moplab import engine, linalg
+from moplab import engine, linalg, model, presets, training
 from moplab.engine import Graph, Tensor
+from moplab.model import ModelConfig
 
 
 def eager(fn, arrays):
@@ -398,8 +403,8 @@ def test_graph_topological_order(rng):
         engine.mean_all(engine.gelu(d))
     for node in g.nodes:
         for inp in node.inputs:
-            if inp.node is not None:
-                assert inp.node.idx < node.idx
+            if inp is not None:
+                assert inp.idx < node.idx
 
 
 def test_param_is_the_named_leaf_of_the_active_graph(rng):
@@ -449,6 +454,148 @@ def test_softmax_rows_always_normalized(seed):
     out = engine.rowwise_softmax(Tensor(x)).data
     assert np.abs(out.sum(axis=-1) - 1).max() <= 1e-12
     assert (out >= 0).all()
+
+
+# ---------------------------------------------------------------------------
+# memory contract: the tape holds what the grad closures read, and backward
+# consumes it
+# ---------------------------------------------------------------------------
+
+TINY_MODEL = ModelConfig(layers=2, heads=2, embed_dim=8, context=16,
+                         token_dim=3, output_dim=3, precision="f64")
+
+
+def owner(a: np.ndarray) -> np.ndarray:
+    """The array that owns a's memory (a itself unless a is a view)."""
+    while a.base is not None:
+        a = a.base
+    return a
+
+
+def taped_tiny_loss(monkeypatch, rng):
+    """A tiny model's loss recorded on a graph, with a weak reference to
+    the memory of every non-leaf op's output, by node index."""
+    weights = model.init_weights(TINY_MODEL, rng)
+    ys = rng.standard_normal((3, 9, 3))
+    outputs = {}
+    record = Graph._record
+
+    def recording(self, op, out_data, inputs, grad_fn):
+        out = record(self, op, out_data, inputs, grad_fn)
+        if op != "leaf":
+            outputs[out.node.idx] = weakref.ref(owner(out_data))
+        return out
+
+    monkeypatch.setattr(Graph, "_record", recording)
+    g = Graph()
+    with g:
+        loss = training.batch_loss(weights, ys)
+    monkeypatch.undo()
+    return g, loss, outputs
+
+
+def test_tape_does_not_pin_residual_sums_or_mlp_preactivations(monkeypatch, rng):
+    g, loss, outputs = taped_tiny_loss(monkeypatch, rng)
+    residuals = [n.idx for n in g.nodes if n.op == "add"]
+    preacts = [n.inputs[0].idx for n in g.nodes if n.op == "gelu"]
+    assert len(residuals) == 1 + 2 * TINY_MODEL.layers
+    assert len(preacts) == TINY_MODEL.layers
+    for idx in residuals + preacts:
+        assert outputs[idx]() is None, g.nodes[idx].op
+    # the gelu outputs are read by the next linear's weight gradient
+    assert all(outputs[n.idx]() is not None for n in g.nodes if n.op == "gelu")
+
+
+def test_backward_frees_every_non_leaf_activation_and_gradient(monkeypatch, rng):
+    g, loss, outputs = taped_tiny_loss(monkeypatch, rng)
+    leaf_arrays = {id(owner(t.data)) for t in g.params.values()}
+    passed_on = []    # gradients handed to non-leaf nodes
+
+    def watch(grad_fn, inputs):
+        def grad(up):
+            gins = grad_fn(up)
+            passed_on.extend(weakref.ref(owner(gin)) for inp, gin in zip(inputs, gins)
+                             if inp is not None and inp.op != "leaf")
+            return gins
+        return grad
+
+    for node in g.nodes:
+        if node.grad_fn is not None:
+            node.grad_fn = watch(node.grad_fn, node.inputs)
+    grads = engine.backward(g, loss)
+    del loss
+    assert all(node.grad_fn is None for node in g.nodes)
+    alive = [idx for idx, ref in outputs.items()
+             if ref() is not None and id(ref()) not in leaf_arrays]
+    assert alive == [], [g.nodes[i].op for i in alive]
+    assert len(passed_on) > 0 and all(ref() is None for ref in passed_on)
+    assert all(grads[t].shape == t.shape for t in g.params.values())
+
+
+def test_backward_consumes_the_graph(rng):
+    g = Graph()
+    with g:
+        x = g.leaf(rng.standard_normal(4))
+        y = engine.mul(x, x)
+        loss = engine.mean_all(y)
+    grads = engine.backward(g, loss)
+    assert np.array_equal(grads[x], 2 * x.data / 4)
+    with pytest.raises(KeyError):
+        grads[y]
+    with pytest.raises(KeyError):
+        grads[loss]
+    with pytest.raises(RuntimeError, match="consumed"):
+        engine.backward(g, loss)
+
+
+def traced_bytes(fn):
+    """(bytes still allocated after fn(), peak bytes during it) above the
+    allocations before it, with fn's result dropped."""
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        fn()
+        current, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    return current - base, peak - base
+
+
+def test_gelu_allocates_only_what_it_returns_or_keeps(rng):
+    x = rng.standard_normal((64, 256))
+    slack = 4096
+    _, peak = traced_bytes(lambda: engine.gelu(Tensor(x)))
+    assert peak <= x.nbytes + slack                  # the output alone
+
+    def taped():
+        g = Graph()
+        with g:
+            keep.append((g, engine.gelu(g.leaf(x))))
+
+    keep = []
+    retained, peak = traced_bytes(taped)
+    assert retained <= 2 * x.nbytes + slack          # output and derivative
+    assert peak <= 3 * x.nbytes + slack              # and one scratch
+
+
+def test_chunk_backward_peak_stays_near_the_forward_tape():
+    """One desk-model chunk: the forward's tape is the high-water mark of
+    a taped step; backward frees as it goes and adds at most 10%."""
+    cfg = presets.desk_model_config("linear-dense")
+    weights = model.init_weights(cfg, np.random.default_rng(0))
+    ys = np.random.default_rng(1).standard_normal((model.FORWARD_CHUNK, 50, cfg.output_dim))
+    training._loss_and_grads(weights, ys, None, "l2_norm")   # warm caches
+
+    def forward():
+        g = Graph()
+        with g:
+            kept.append((g, training.batch_loss(weights, ys)))
+
+    kept = []
+    tape_bytes, _ = traced_bytes(forward)
+    kept.clear()
+    _, step_peak = traced_bytes(lambda: training._loss_and_grads(weights, ys, None, "l2_norm"))
+    assert step_peak <= 1.10 * tape_bytes, (step_peak, tape_bytes)
 
 
 # ---------------------------------------------------------------------------
