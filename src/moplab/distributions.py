@@ -78,24 +78,19 @@ class Distribution:
             sigma_v=float(np.sqrt(self.sigma_v2)), seed=seed)
 
     def make_trajectory(self, system, t_len: int, base_seed: int, role: str,
-                        index: int, epoch: int | None = None,
-                        switch=None) -> Trajectory:
+                        index: int, switch=None) -> Trajectory:
         """Roll one trajectory; quadrotor systems get fresh random rotor
         commands and divergent rollouts are re-drawn (bounded retries)."""
-        parts = [base_seed, self.name, role, "traj", index]
-        if epoch is not None:
-            parts += ["epoch", epoch]
-        seed = derive_seed(*parts)
+        seed = derive_seed(base_seed, self.name, role, "traj", index)
         if self.kind == "linear":
             return simulate(system, t_len, noise=self.noise,
-                            rng=np.random.default_rng(seed), switch=switch,
-                            seed=seed)
+                            rng=np.random.default_rng(seed), switch=switch)
         for attempt in range(QUAD_RESAMPLE_LIMIT):
             sub = np.random.default_rng(derive_seed(seed, "try", attempt))
             inputs = sample_random_inputs(sub, t_len, system)
             try:
                 return simulate(system, t_len, noise=self.noise, rng=sub,
-                                inputs=inputs, seed=seed)
+                                inputs=inputs)
             except DivergenceError:
                 logger.warning("quadrotor rollout diverged (system seed %d, "
                                "attempt %d); resampling", system.seed, attempt)

@@ -128,7 +128,7 @@ def predict_population(predictor_kind: str, systems, trajs, dist: Distribution,
     return preds
 
 
-def error_curve(predictor_kind: str, preset, n, horizon, seed,
+def error_curve(predictor_kind: str, dist: Distribution, n, horizon, seed,
                 weights: TransformerWeights | None = None,
                 population=None) -> ErrorCurve:
     """Per-timestep prediction-error statistics over n fresh test systems.
@@ -137,7 +137,6 @@ def error_curve(predictor_kind: str, preset, n, horizon, seed,
     pair so several predictors score identical data; the curve then takes
     its horizon from those trajectories.
     """
-    dist = preset if isinstance(preset, Distribution) else get_distribution(preset)
     if population is None:
         population = test_population(dist, n, horizon, seed)
     systems, trajs = population
@@ -233,14 +232,13 @@ class RiskReport:
     per_system_delta: np.ndarray
 
 
-def empirical_excess_risk(weights: TransformerWeights, preset, n, horizon,
-                          seed, baseline=None, population=None) -> RiskReport:
+def empirical_excess_risk(weights: TransformerWeights, dist: Distribution, n,
+                          horizon, seed, baseline=None, population=None) -> RiskReport:
     """Excess-risk proxy: empirical risk of the model minus that of the
     model-aware filter on the same fresh systems. For linear-Gaussian
     presets the filter is Bayes-optimal, making the proxy an upper bound on
     the true excess risk up to estimation noise.
     """
-    dist = preset if isinstance(preset, Distribution) else get_distribution(preset)
     if baseline is None:
         baseline = "ekf" if dist.kind == "quadrotor" else "kf"
     if baseline not in ("kf", "ekf"):
@@ -315,8 +313,8 @@ def scaling_report(preset: str, cells) -> dict:
 # the paper's diagnostics: robustness probe and matrix-power norms
 # ---------------------------------------------------------------------------
 
-def robustness_probe(weights: TransformerWeights, preset, horizon=50, n_systems=8,
-                     perturb_scale=1.0, mc_draws=256, seed=0) -> dict:
+def robustness_probe(weights: TransformerWeights, dist: Distribution, horizon=50,
+                     n_systems=8, perturb_scale=1.0, mc_draws=256, seed=0) -> dict:
     """Estimate the prompt-perturbation constant: replace the noise pair at
     one time tau, roll the paired trajectory, and measure how much the
     expected next-step loss moves at t_eval, per unit of accumulated output
@@ -326,7 +324,6 @@ def robustness_probe(weights: TransformerWeights, preset, horizon=50, n_systems=
     For an eval horizon H, t_eval is H - 5 and the taus run every 10 steps
     from 5, plus t_eval - 1 (45 and 5, 15, 25, 35, 44 at H = 50).
     """
-    dist = preset if isinstance(preset, Distribution) else get_distribution(preset)
     if dist.kind != "linear" or dist.noise.kind != "iid":
         raise ValueError("the robustness probe targets the i.i.d. linear preset")
     if horizon < 6:

@@ -84,9 +84,6 @@ class TransformerWeights:
         dt = cfg.dtype
         return TransformerWeights(cfg, {k: v.astype(dt) for k, v in self.arrays.items()})
 
-    def copy(self) -> "TransformerWeights":
-        return TransformerWeights(self.config, {k: v.copy() for k, v in self.arrays.items()})
-
 
 def _layout(cfg: ModelConfig):
     """Ordered (name, shape, init kind) triples; the checkpoint tensor

@@ -108,10 +108,6 @@ class Trajectory:
     ys: np.ndarray                 # T x m outputs, y_0 first
     xs: np.ndarray | None = None   # T x n states
     us: np.ndarray | None = None   # T x input-dim inputs
-    seed: int | None = None
-
-    def __len__(self) -> int:
-        return self.ys.shape[0]
 
 
 @dataclass(frozen=True)
@@ -272,7 +268,7 @@ def stack_quadrotors(systems) -> SimpleNamespace:
 
 def simulate(system, t_len, noise: NoiseModel = IID_NOISE, rng=None,
              switch: SwitchSpec | None = None, inputs=None,
-             record_states=False, seed=None) -> Trajectory:
+             record_states=False) -> Trajectory:
     """Roll a trajectory of t_len outputs y_0..y_{T-1} from x_0 = 0.
 
     Under `switch`, the dynamics (and output map) are replaced from
@@ -313,7 +309,7 @@ def simulate(system, t_len, noise: NoiseModel = IID_NOISE, rng=None,
             if not np.isfinite(norm) or norm > DIVERGENCE_LIMIT:
                 raise DivergenceError(f"state norm {norm:.3e} at t={t + 1}")
     us = np.asarray(inputs)[:t_len] if inputs is not None else None
-    return Trajectory(ys=ys, xs=xs, us=us, seed=seed)
+    return Trajectory(ys=ys, xs=xs, us=us)
 
 
 # ---------------------------------------------------------------------------

@@ -1,13 +1,13 @@
-"""Meta-training: minimize the average next-output prediction loss over M
-source systems and their trajectories.
+"""Meta-training: minimize the mean next-output error ||yhat - y|| over M
+source systems, one fixed length-T trajectory each.
 
-The dataset is a list of sampled systems plus per-system trajectory seeds;
-trajectories are regenerated from seeds on demand (a fixed trajectory per
-system by default, fresh noise per epoch optionally). A step records its
-batch on one tape per chunk of model.FORWARD_CHUNK trajectories and sums the
-chunks' gradients, so the tape it holds does not grow with the batch. The
-optimizer is Adam with gradient-norm clipping; every draw is seeded, so a
-(config, seed) pair reproduces the loss trace bit for bit.
+The dataset is a list of sampled systems; each system's trajectory is
+rolled from its seed the first time a batch draws it and cached, so the
+training data is the M*T outputs the excess-risk guarantee counts. A step
+records its batch on one tape per chunk of model.FORWARD_CHUNK trajectories
+and sums the chunks' gradients, so the tape it holds does not grow with the
+batch. The optimizer is Adam with gradient-norm clipping; every draw is
+seeded, so a (config, seed) pair reproduces the loss trace bit for bit.
 """
 
 from __future__ import annotations
@@ -30,7 +30,6 @@ __all__ = [
 
 DIVERGENCE_LOSS = 1e6
 LOG_EVERY = 50                       # steps between progress lines when not quiet
-LOSS_KINDS = ("l2_norm", "squared_l2")
 
 
 class TrainingAborted(RuntimeError):
@@ -54,14 +53,10 @@ class TrainConfig:
     adam_eps: float = 1e-8
     clip_norm: float = 1.0
     seed: int = 0
-    loss_kind: str = "l2_norm"
-    fresh_trajectories: bool = False
     checkpoint_every: int = 1000
     model: ModelConfig = field(default_factory=ModelConfig)
 
     def __post_init__(self):
-        if self.loss_kind not in LOSS_KINDS:
-            raise ValueError(f"loss_kind must be one of {LOSS_KINDS}")
         for name in ("m_systems", "train_len", "batch_size", "checkpoint_every"):
             if getattr(self, name) < 1:
                 raise ValueError(f"{name} must be positive")
@@ -74,7 +69,7 @@ class TrainConfig:
 
 
 class MetaDataset:
-    """Sampled source systems plus the seeds their trajectories grow from."""
+    """Sampled source systems plus the one trajectory each is trained on."""
 
     def __init__(self, dist: Distribution, m_systems, train_len, seed):
         self.dist = dist
@@ -85,17 +80,14 @@ class MetaDataset:
                         for i in range(m_systems)]
         self._cache: dict[int, tuple] = {}
 
-    def trajectory(self, i, epoch=None):
-        """(ys, us) for system i, regenerated from its seed; cached when the
-        trajectory is the fixed per-system one."""
-        if epoch is None and i in self._cache:
-            return self._cache[i]
-        traj = self.dist.make_trajectory(self.systems[i], self.train_len,
-                                         self.seed, "train", i, epoch=epoch)
-        pair = (traj.ys, traj.us)
-        if epoch is None:
-            self._cache[i] = pair
-        return pair
+    def trajectory(self, i):
+        """(ys, us) for system i: rolled from its seed on first use, then
+        cached."""
+        if i not in self._cache:
+            traj = self.dist.make_trajectory(self.systems[i], self.train_len,
+                                             self.seed, "train", i)
+            self._cache[i] = (traj.ys, traj.us)
+        return self._cache[i]
 
     def manifest(self) -> dict:
         from .systems import systems_to_json
@@ -116,17 +108,15 @@ def build_meta_dataset(preset, m_systems, train_len, seed) -> MetaDataset:
 # loss
 # ---------------------------------------------------------------------------
 
-def batch_loss(weights: TransformerWeights, ys, us=None,
-               loss_kind: str = "l2_norm") -> engine.Tensor:
-    """Mean next-output prediction loss over a batch of trajectories.
+def batch_loss(weights: TransformerWeights, ys, us=None) -> engine.Tensor:
+    """Mean next-output prediction error ||yhat - y|| over a batch of
+    trajectories.
 
     One forward pass per trajectory scores every position; the mean runs
     over all (trajectory, position) prediction terms in trajectory-major,
     time-minor order. Inside `with graph:` the loss is recorded on that
     graph, with the weights as its named leaves.
     """
-    if loss_kind not in LOSS_KINDS:
-        raise ValueError(f"loss_kind must be one of {LOSS_KINDS}")
     ys = np.asarray(ys)
     if ys.ndim == 2:
         ys = ys[None]
@@ -136,14 +126,10 @@ def batch_loss(weights: TransformerWeights, ys, us=None,
     preds = model.forward(weights, tokens)
     targets = ys[:, 1:].astype(weights.config.dtype)
     resid = engine.sub(preds, engine.Tensor(targets))
-    if loss_kind == "squared_l2":
-        per_pos = engine.sum_lastdim(engine.mul(resid, resid))
-    else:
-        per_pos = engine.l2norm_lastdim(resid)
-    return engine.mean_all(per_pos)
+    return engine.mean_all(engine.l2norm_lastdim(resid))
 
 
-def _loss_and_grads(weights: TransformerWeights, ys, us, loss_kind):
+def _loss_and_grads(weights: TransformerWeights, ys, us):
     """The batch's `batch_loss` value and its gradient per parameter name,
     taped one chunk of model.FORWARD_CHUNK trajectories at a time.
 
@@ -160,7 +146,7 @@ def _loss_and_grads(weights: TransformerWeights, ys, us, loss_kind):
         tape = engine.Graph()
         with tape:
             part = engine.scale(
-                batch_loss(weights, ys[rows], None if us is None else us[rows], loss_kind),
+                batch_loss(weights, ys[rows], None if us is None else us[rows]),
                 len(ys[rows]) / n)
         by_node = engine.backward(tape, part)
         loss += part.item()
@@ -279,23 +265,18 @@ def train(cfg: TrainConfig, out_dir, resume=None, quiet=True) -> TrainResult:
         checkpoints.append(str(path))
         return str(path)
 
-    if cfg.steps == 0 and resume is None:
-        last_ckpt = checkpoint(0, "ckpt-final.ckpt")
-        return TrainResult(last_ckpt, checkpoints, loss_rows, ds.manifest(), cfg)
-
     for step in range(start_step, cfg.steps):
         idx = stream(cfg.seed, "batch", step).integers(0, cfg.m_systems,
                                                        size=cfg.batch_size)
-        epoch = step if cfg.fresh_trajectories else None
         ys_list, us_list = [], []
         for i in idx:
-            ys, us = ds.trajectory(int(i), epoch=epoch)
+            ys, us = ds.trajectory(int(i))
             ys_list.append(ys)
             us_list.append(us)
         ys = np.stack(ys_list)
         us = np.stack(us_list) if us_list[0] is not None else None
 
-        loss_val, grads = _loss_and_grads(weights, ys, us, cfg.loss_kind)
+        loss_val, grads = _loss_and_grads(weights, ys, us)
         if not np.isfinite(loss_val):
             checkpoint(step, "ckpt-abort.ckpt")
             raise TrainingAborted(

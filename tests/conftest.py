@@ -2,15 +2,17 @@
 
 Heavy tests (meta-training runs) go through `ensure_trained`, which keys a
 cache directory by the exact training config and by the source of the
-modules training numerics depend on: the first full-suite run trains
-everything, reruns load checkpoints, and a change to any of those modules
-retrains rather than reading runs written by older code. Point
-MOPLAB_TEST_CACHE somewhere else to isolate runs.
+modules training numerics depend on, hashed once when this file imports
+moplab: the first full-suite run trains everything, reruns load
+checkpoints, and a change to any of those modules retrains rather than
+reading runs written by older code. Each trained directory's
+train-info.json records the environment it was trained in (the cached
+bytes depend on the BLAS build and thread count). Point MOPLAB_TEST_CACHE
+somewhere else to isolate runs.
 """
 
 import dataclasses
 import hashlib
-import json
 import os
 import time
 from pathlib import Path
@@ -19,7 +21,7 @@ import numpy as np
 import pytest
 
 from moplab import training
-from moplab.manifest import sha256_json, write_csv, write_json
+from moplab.manifest import environment, sha256_json, write_csv, write_json
 
 CACHE_ROOT = Path(os.environ.get(
     "MOPLAB_TEST_CACHE", Path(__file__).resolve().parent.parent / "results" / "test-cache"))
@@ -38,16 +40,18 @@ def source_key() -> str:
     return digest.hexdigest()[:16]
 
 
+# the sources of the code this process imported, not of files edited later
+SOURCES = source_key()
+
+
 def config_key(cfg: training.TrainConfig, sources: str) -> str:
     return sha256_json({"config": dataclasses.asdict(cfg), "sources": sources})[:16]
 
 
 def ensure_trained(cfg: training.TrainConfig, tag: str = "run") -> Path:
     """Train once per unique config and training source; later calls reuse
-    the checkpoint. The source key is taken once, so the directory's key
-    and its recorded sources agree even if a source changes meanwhile."""
-    sources = source_key()
-    out_dir = CACHE_ROOT / f"{tag}-{config_key(cfg, sources)}"
+    the checkpoint."""
+    out_dir = CACHE_ROOT / f"{tag}-{config_key(cfg, SOURCES)}"
     final = out_dir / "ckpt-final.ckpt"
     if final.exists():
         return final
@@ -58,7 +62,7 @@ def ensure_trained(cfg: training.TrainConfig, tag: str = "run") -> Path:
     write_json(out_dir / "config.json", dataclasses.asdict(cfg))
     write_json(out_dir / "train-info.json",
                {"wallclock_s": time.time() - t0, "steps": cfg.steps,
-                "sources": sources})
+                "sources": SOURCES, "environment": environment()})
     return final
 
 

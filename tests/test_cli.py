@@ -82,14 +82,46 @@ def test_gen_manifest_records_the_environment(tmp_path, monkeypatch):
     assert env["source_sha256"] == digest.hexdigest()
 
 
-def test_resumed_run_log_equals_uninterrupted_log(tmp_path):
+def train_config(tmp_path, **overrides):
+    """A tiny train config file; `overrides` add or replace its keys."""
     config = tmp_path / "config.json"
     config.write_text(json.dumps({
         "preset": "linear-dense", "m_systems": 8, "train_len": 12,
         "batch_size": 4, "seed": 5, "checkpoint_every": 100,
         "model": {"layers": 2, "heads": 2, "embed_dim": 16, "context": 32,
-                  "token_dim": 5, "output_dim": 5, "precision": "f64"}}))
-    base = ["train", "--config", str(config), "--quiet"]
+                  "token_dim": 5, "output_dim": 5, "precision": "f64"},
+        **overrides}))
+    return str(config)
+
+
+def test_train_exits_1_when_training_aborts(tmp_path, capsys):
+    config = train_config(tmp_path, lr=1e6, checkpoint_every=10)
+    assert cli.main(["train", "--config", config, "--steps", "200", "--quiet",
+                     "--out-dir", str(tmp_path / "run")]) == 1
+    assert "training aborted" in capsys.readouterr().err
+    assert not (tmp_path / "run" / "ckpt-final.ckpt").exists()
+
+
+def test_eval_exits_1_on_a_corrupt_checkpoint(tmp_path, tiny_ckpt, capsys):
+    blob = bytearray(Path(tiny_ckpt).read_bytes())
+    blob[-1] ^= 0xFF
+    Path(tiny_ckpt).write_bytes(bytes(blob))
+    assert cli.main(eval_args(tiny_ckpt, tmp_path / "out")) == 1
+    assert "CheckpointError" in capsys.readouterr().err
+    assert not (tmp_path / "out" / "curves.csv").exists()
+
+
+def test_config_with_removed_train_options_exits_2(tmp_path, capsys):
+    config = train_config(tmp_path, loss_kind="l2_norm", fresh_trajectories=False)
+    assert cli.main(["train", "--config", config, "--steps", "1", "--quiet",
+                     "--out-dir", str(tmp_path / "run")]) == 2
+    err = capsys.readouterr().err
+    assert "invalid config keys: fresh_trajectories, loss_kind" in err
+    assert not (tmp_path / "run").exists()
+
+
+def test_resumed_run_log_equals_uninterrupted_log(tmp_path):
+    base = ["train", "--config", train_config(tmp_path), "--quiet"]
     assert cli.main(base + ["--steps", "6", "--out-dir", str(tmp_path / "full")]) == 0
     part = tmp_path / "part"
     assert cli.main(base + ["--steps", "3", "--out-dir", str(part)]) == 0

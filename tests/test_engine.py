@@ -584,7 +584,7 @@ def test_chunk_backward_peak_stays_near_the_forward_tape():
     cfg = presets.desk_model_config("linear-dense")
     weights = model.init_weights(cfg, np.random.default_rng(0))
     ys = np.random.default_rng(1).standard_normal((model.FORWARD_CHUNK, 50, cfg.output_dim))
-    training._loss_and_grads(weights, ys, None, "l2_norm")   # warm caches
+    training._loss_and_grads(weights, ys, None)   # warm caches
 
     def forward():
         g = Graph()
@@ -594,7 +594,7 @@ def test_chunk_backward_peak_stays_near_the_forward_tape():
     kept = []
     tape_bytes, _ = traced_bytes(forward)
     kept.clear()
-    _, step_peak = traced_bytes(lambda: training._loss_and_grads(weights, ys, None, "l2_norm"))
+    _, step_peak = traced_bytes(lambda: training._loss_and_grads(weights, ys, None))
     assert step_peak <= 1.10 * tape_bytes, (step_peak, tape_bytes)
 
 

@@ -9,6 +9,7 @@ import json
 import pytest
 
 from moplab import cli, evaluation, model, presets, training
+from moplab.distributions import get_distribution
 from moplab.manifest import read_csv
 
 TRAIN = {"ckpt-000002.ckpt", "ckpt-000002.ckpt.opt", "ckpt-final.ckpt",
@@ -101,7 +102,7 @@ def test_linear_iid_probe_at_the_desk_horizon_is_the_default_probe(tmp_path,
     report = json.loads((root / "eval" / "report.json").read_text())
     weights = model.load_checkpoint(root / "train" / "ckpt-final.ckpt")
     assert report["robustness"] == evaluation.robustness_probe(
-        weights, "linear-dense", seed=cli.derive_eval_seed(3))
+        weights, get_distribution("linear-dense"), seed=cli.derive_eval_seed(3))
 
 
 def test_mop_seed_and_seed_flag_score_the_same_population(tmp_path, tiny_presets,

@@ -9,6 +9,7 @@ import pytest
 
 from conftest import ensure_trained, load_loss_rows
 from moplab import engine, evaluation, linalg, model, training
+from moplab.distributions import get_distribution
 from moplab.model import ModelConfig
 from moplab.seeding import derive_seed, stream
 from moplab.systems import Trajectory
@@ -48,8 +49,6 @@ def test_dataset_trajectories_fixed_and_reproducible():
     ds2 = build_meta_dataset("linear-dense", 4, 15, 6)
     y2, _ = ds2.trajectory(2)
     assert np.array_equal(y1, y2)
-    yf, _ = ds.trajectory(2, epoch=1)
-    assert not np.array_equal(y1, yf)
 
 
 def test_dataset_rng_streams_disjoint():
@@ -115,22 +114,10 @@ def test_batch_loss_matches_empirical_risk_formula(rng):
     ys = rng.standard_normal((4, 12, 5))
     via_loss = batch_loss(w, ys).item()
     population = ([None] * 4, [Trajectory(ys=y) for y in ys])
-    curve = evaluation.error_curve("mop", "linear-dense", 4, 12, 0, weights=w,
+    curve = evaluation.error_curve("mop", get_distribution("linear-dense"), 4, 12, 0, weights=w,
                                    population=population)
     via_risk = float(curve.per_system[:, 1:].mean(axis=1).mean())
     assert via_loss == pytest.approx(via_risk, abs=1e-12)
-
-
-def test_squared_l2_gradient_zero_at_match():
-    w = model.zero_weights(TINY_MODEL)
-    ys = np.zeros((1, 4, 5))
-    g = engine.Graph()
-    with g:
-        loss = batch_loss(w, ys, loss_kind="squared_l2")
-    grads = engine.backward(g, loss)
-    assert loss.item() == 0.0
-    for name, leaf in g.params.items():
-        assert np.array_equal(grads[leaf], np.zeros_like(w.arrays[name])), name
 
 
 def test_l2_norm_gradient_finite_at_match():
@@ -138,42 +125,36 @@ def test_l2_norm_gradient_finite_at_match():
     ys = np.zeros((1, 4, 5))
     g = engine.Graph()
     with g:
-        loss = batch_loss(w, ys, loss_kind="l2_norm")
+        loss = batch_loss(w, ys)
     grads = engine.backward(g, loss)
     for name, leaf in g.params.items():
         assert np.isfinite(grads[leaf]).all(), name
         assert np.array_equal(grads[leaf], np.zeros_like(w.arrays[name])), name
 
 
-def test_loss_kind_validation(rng):
-    w = model.zero_weights(TINY_MODEL)
-    with pytest.raises(ValueError):
-        batch_loss(w, np.zeros((1, 3, 5)), loss_kind="l1")
-
-
-def one_graph_loss_and_grads(weights, ys, us, loss_kind):
+def one_graph_loss_and_grads(weights, ys, us):
     g = engine.Graph()
     with g:
-        loss = batch_loss(weights, ys, us, loss_kind)
+        loss = batch_loss(weights, ys, us)
     grads = engine.backward(g, loss)
     return loss.item(), {name: grads[leaf] for name, leaf in g.params.items()}
 
 
-def loss_and_grads_case(batch, n_inputs, loss_kind):
+def loss_and_grads_case(batch, n_inputs):
     cfg = dataclasses.replace(TINY_MODEL, token_dim=5 + n_inputs)
     weights = model.init_weights(cfg, stream(7, "chunks"))
     draw = stream(8, "chunks")
     ys = draw.standard_normal((batch, 12, 5))
     us = draw.standard_normal((batch, 12, n_inputs)) if n_inputs else None
-    return (training._loss_and_grads(weights, ys, us, loss_kind),
-            one_graph_loss_and_grads(weights, ys, us, loss_kind))
+    return (training._loss_and_grads(weights, ys, us),
+            one_graph_loss_and_grads(weights, ys, us))
 
 
-@pytest.mark.parametrize("loss_kind, n_inputs", [
-    ("l2_norm", 0), ("squared_l2", 0), ("l2_norm", 2)])
-def test_chunked_loss_and_grads_match_one_graph(loss_kind, n_inputs):
+# ids: the loss (the l2 norm) and the number of input channels
+@pytest.mark.parametrize("n_inputs", [0, 2], ids=lambda n: f"l2_norm-{n}")
+def test_chunked_loss_and_grads_match_one_graph(n_inputs):
     # 37 trajectories: chunks of 16, 16 and 5, each scaled by its share
-    (loss, grads), (ref_loss, ref_grads) = loss_and_grads_case(37, n_inputs, loss_kind)
+    (loss, grads), (ref_loss, ref_grads) = loss_and_grads_case(37, n_inputs)
     assert loss == pytest.approx(ref_loss, rel=1e-12, abs=0)
     assert grads.keys() == ref_grads.keys()
     # attn.bk's exact gradient is 0 (the softmax ignores a per-query
@@ -184,9 +165,8 @@ def test_chunked_loss_and_grads_match_one_graph(loss_kind, n_inputs):
         np.testing.assert_allclose(grads[name], ref, rtol=1e-12, atol=floor, err_msg=name)
 
 
-@pytest.mark.parametrize("loss_kind", training.LOSS_KINDS)
-def test_one_chunk_loss_and_grads_are_one_graph_bit_for_bit(loss_kind):
-    (loss, grads), (ref_loss, ref_grads) = loss_and_grads_case(8, 0, loss_kind)
+def test_one_chunk_loss_and_grads_are_one_graph_bit_for_bit():
+    (loss, grads), (ref_loss, ref_grads) = loss_and_grads_case(8, 0)
     assert loss == ref_loss
     assert grads.keys() == ref_grads.keys()
     for name, ref in ref_grads.items():
@@ -259,16 +239,7 @@ def test_train_resume_reproduces_trace(tmp_path):
         == (tmp_path / "resumed" / "ckpt-final.ckpt").read_bytes()
 
 
-def test_train_fresh_trajectory_mode_differs(tmp_path):
-    fixed = training.train(tiny_cfg(), tmp_path / "fixed")
-    fresh = training.train(tiny_cfg(fresh_trajectories=True), tmp_path / "fresh")
-    assert [r["loss"] for r in fixed.loss_rows] \
-        != [r["loss"] for r in fresh.loss_rows]
-
-
 def test_train_config_validation():
-    with pytest.raises(ValueError):
-        tiny_cfg(loss_kind="huber")
     with pytest.raises(ValueError):
         tiny_cfg(m_systems=0)
     with pytest.raises(ValueError):
