@@ -121,7 +121,7 @@ def cmd_train(args) -> int:
             obj = obj["config"]          # accept a manifest as config source
     if args.steps is not None:
         obj["steps"] = args.steps
-    if args.seed is not None or os.environ.get("MOP_SEED"):
+    if args.seed is not None or "MOP_SEED" in os.environ:
         obj["seed"] = _resolve_seed(args.seed, obj.get("seed", 0))
     cfg = train_config_from_dict(obj)
     out_dir = Path(args.out_dir)

@@ -24,8 +24,8 @@ __all__ = [
     "ModelConfig", "TransformerWeights", "CheckpointError",
     "init_weights", "zero_weights", "forward", "predict_next",
     "predict_sequence", "make_tokens",
-    "save_checkpoint", "load_checkpoint", "inspect_checkpoint",
-    "write_tensor_file", "read_tensor_file",
+    "save_checkpoint", "load_checkpoint", "load_training_state",
+    "write_tensor_file",
 ]
 
 DTYPES = {"f32": np.float32, "f64": np.float64}
@@ -242,87 +242,97 @@ def write_tensor_file(path, meta: dict, tensors: dict[str, np.ndarray],
                       precision: str) -> None:
     dt = np.dtype(DTYPES[precision]).newbyteorder("<")
     directory = []
-    blobs = []
     offset = 0
     for name, arr in tensors.items():
         if not np.all(np.isfinite(arr)):
             raise CheckpointError(f"non-finite values in tensor {name!r}")
-        raw = np.ascontiguousarray(arr, dtype=dt).tobytes()
         directory.append({"name": name, "shape": list(arr.shape),
                           "offset": offset, "precision": precision})
-        blobs.append(raw)
-        offset += len(raw)
+        offset += arr.size * dt.itemsize
     header = json.dumps({"format": "moplab-tensors-v1", "meta": meta,
                          "tensors": directory}).encode("utf-8")
-    blob = b"".join(blobs)
-    crc = zlib.crc32(blob) & 0xFFFFFFFF
+    crc = 0
     with atomic_open(path, "wb") as fh:
         fh.write(header)
         fh.write(b"\0")
-        fh.write(blob)
+        for arr in tensors.values():
+            raw = np.ascontiguousarray(arr, dtype=dt)
+            crc = zlib.crc32(raw, crc)
+            fh.write(raw)
         fh.write(crc.to_bytes(4, "little"))
 
 
-def _read_header(data: bytes) -> tuple[dict, int]:
+def _read(path) -> tuple[TransformerWeights, dict, dict[str, np.ndarray]]:
+    """The weights, the meta and every tensor of a checkpoint file, after
+    checking its format, checksum and tensor shapes."""
+    with open(path, "rb") as fh:
+        data = fh.read()
     sep = data.find(b"\0")
     if sep < 0:
-        raise CheckpointError("missing header separator")
+        raise CheckpointError(f"{path}: missing header separator")
     try:
         header = json.loads(data[:sep].decode("utf-8"))
     except (UnicodeDecodeError, json.JSONDecodeError) as exc:
-        raise CheckpointError(f"corrupt header: {exc}") from exc
+        raise CheckpointError(f"{path}: corrupt header: {exc}") from exc
     if header.get("format") != "moplab-tensors-v1":
-        raise CheckpointError("not a moplab tensor file")
-    return header, sep + 1
-
-
-def read_tensor_file(path) -> tuple[dict, dict[str, np.ndarray]]:
-    with open(path, "rb") as fh:
-        data = fh.read()
-    header, start = _read_header(data)
-    if len(data) < start + 4:
-        raise CheckpointError("truncated file")
-    blob, stored = data[start:-4], int.from_bytes(data[-4:], "little")
-    if (zlib.crc32(blob) & 0xFFFFFFFF) != stored:
-        raise CheckpointError("checksum mismatch")
+        raise CheckpointError(f"{path}: not a moplab tensor file")
+    if len(data) < sep + 5:
+        raise CheckpointError(f"{path}: truncated file")
+    blob = memoryview(data)[sep + 1:-4]
+    if zlib.crc32(blob) != int.from_bytes(data[-4:], "little"):
+        raise CheckpointError(f"{path}: checksum mismatch")
     tensors = {}
     for entry in header["tensors"]:
         dt = np.dtype(DTYPES[entry["precision"]]).newbyteorder("<")
         shape = tuple(entry["shape"])
-        count = int(np.prod(shape)) if shape else 1
-        off = entry["offset"]
-        end = off + count * dt.itemsize
-        if end > len(blob):
-            raise CheckpointError(f"tensor {entry['name']!r} overruns blob")
-        arr = np.frombuffer(blob[off:end], dtype=dt).reshape(shape)
+        count = int(np.prod(shape))
+        if entry["offset"] + count * dt.itemsize > len(blob):
+            raise CheckpointError(f"{path}: tensor {entry['name']!r} overruns blob")
+        arr = np.frombuffer(blob, dt, count, entry["offset"]).reshape(shape)
         tensors[entry["name"]] = arr.astype(dt.newbyteorder("="))
-    return header["meta"], tensors
+    meta = header["meta"]
+    if meta.get("kind") != "checkpoint":
+        raise CheckpointError(f"{path}: not a model checkpoint")
+    cfg = ModelConfig(**meta["config"])
+    arrays = {}
+    for name, shape, _ in _layout(cfg):
+        if name not in tensors:
+            raise CheckpointError(f"{path}: missing tensor {name!r}")
+        if tensors[name].shape != shape:
+            raise CheckpointError(
+                f"{path}: shape mismatch for {name!r}: header {tensors[name].shape}, "
+                f"config wants {shape}")
+        arrays[name] = tensors[name]
+    return TransformerWeights(cfg, arrays), meta, tensors
 
 
-def save_checkpoint(weights: TransformerWeights, path) -> None:
+def save_checkpoint(weights: TransformerWeights, path, optimizer=None) -> None:
+    """One file holding the weights and, when `optimizer` is a training
+    run's (step, state), its step and each moment of `state` (a dict of
+    per-parameter arrays, stored as tensors `opt.<moment>.<name>`)."""
     meta = {"kind": "checkpoint", "config": asdict(weights.config)}
-    write_tensor_file(path, meta, weights.arrays, weights.config.precision)
+    tensors = dict(weights.arrays)
+    if optimizer is not None:
+        meta["step"], state = optimizer
+        for moment, arrays in state.items():
+            tensors.update({f"opt.{moment}.{name}": a for name, a in arrays.items()})
+    write_tensor_file(path, meta, tensors, weights.config.precision)
 
 
 def load_checkpoint(path) -> TransformerWeights:
-    meta, tensors = read_tensor_file(path)
-    if meta.get("kind") != "checkpoint":
-        raise CheckpointError("not a model checkpoint")
-    cfg = ModelConfig(**meta["config"])
-    expected = {name: shape for name, shape, _ in _layout(cfg)}
-    for name, shape in expected.items():
-        if name not in tensors:
-            raise CheckpointError(f"missing tensor {name!r}")
-        if tensors[name].shape != shape:
-            raise CheckpointError(
-                f"shape mismatch for {name!r}: header {tensors[name].shape}, "
-                f"config wants {shape}")
-    return TransformerWeights(cfg, tensors)
+    """The weights of any checkpoint; optimizer state, if any, is ignored."""
+    return _read(path)[0]
 
 
-def inspect_checkpoint(path) -> dict:
-    """Header-only view: config plus the ordered tensor directory."""
-    with open(path, "rb") as fh:
-        data = fh.read(4 << 20)
-    header, _ = _read_header(data)
-    return {"meta": header["meta"], "tensors": header["tensors"]}
+def load_training_state(path) -> tuple[TransformerWeights, int, dict]:
+    """(weights, step, state) of a checkpoint a training run saved, `state`
+    as `save_checkpoint` took it: {moment: {parameter name: array}}."""
+    weights, meta, tensors = _read(path)
+    if "step" not in meta:
+        raise CheckpointError(f"{path}: weights only, no optimizer state to resume from")
+    state = {}
+    for key, arr in tensors.items():
+        if key.startswith("opt."):
+            moment, name = key[4:].split(".", 1)
+            state.setdefault(moment, {})[name] = arr
+    return weights, meta["step"], state

@@ -1,7 +1,8 @@
 """Self-contained SVG line plots of error-curve CSVs (no plotting deps).
 
 One polyline per predictor with a shaded +-stderr band, labeled axes, and a
-legend. Ratio mode divides the first predictor's curve by the second's.
+legend. Series are drawn mop first, then by name, whatever the row order, so
+ratio mode divides the model's curve by the baseline's.
 """
 
 from __future__ import annotations
@@ -48,6 +49,7 @@ def render_from_rows(rows, ratio=False, title=None) -> str:
             (int(row["t"]), float(row["mean_err"]), float(row["stderr"])))
     for pts in series.values():
         pts.sort(key=lambda p: p[0])
+    series = dict(sorted(series.items(), key=lambda kv: (kv[0] != "mop", kv[0])))
     if ratio:
         if len(series) != 2:
             raise ValueError(f"ratio plot needs exactly 2 predictors, got {len(series)}")

@@ -161,11 +161,11 @@ def _loss_and_grads(weights: TransformerWeights, ys, us):
 # ---------------------------------------------------------------------------
 
 class _Adam:
-    def __init__(self, cfg: TrainConfig, arrays):
+    def __init__(self, cfg: TrainConfig, arrays, step=0, state=None):
         self.cfg = cfg
-        self.m = {k: np.zeros_like(v) for k, v in arrays.items()}
-        self.v = {k: np.zeros_like(v) for k, v in arrays.items()}
-        self.t = 0
+        self.state = state or {moment: {k: np.zeros_like(v) for k, v in arrays.items()}
+                               for moment in ("m", "v")}
+        self.t = step
 
     def apply(self, arrays, grads):
         cfg = self.cfg
@@ -174,26 +174,13 @@ class _Adam:
         b2c = 1.0 - cfg.beta2 ** self.t
         for name, w in arrays.items():
             g = grads[name]
-            m = self.m[name]
-            v = self.v[name]
+            m = self.state["m"][name]
+            v = self.state["v"][name]
             m *= cfg.beta1
             m += (1.0 - cfg.beta1) * g
             v *= cfg.beta2
             v += (1.0 - cfg.beta2) * (g * g)
             w -= cfg.lr * (m / b1c) / (np.sqrt(v / b2c) + cfg.adam_eps)
-
-    def state_tensors(self):
-        out = {}
-        for k, v in self.m.items():
-            out["m." + k] = v
-        for k, v in self.v.items():
-            out["v." + k] = v
-        return out
-
-    def load_state(self, tensors, step):
-        self.m = {k[2:]: v.copy() for k, v in tensors.items() if k.startswith("m.")}
-        self.v = {k[2:]: v.copy() for k, v in tensors.items() if k.startswith("v.")}
-        self.t = step
 
 
 def _clip_gradients(grads: dict, clip_norm: float):
@@ -221,18 +208,12 @@ class TrainResult:
     config: TrainConfig
 
 
-def _save_state(weights, adam, step, path):
-    model.save_checkpoint(weights, path)
-    model.write_tensor_file(
-        str(path) + ".opt", {"kind": "optimizer", "step": step},
-        adam.state_tensors(), weights.config.precision)
-
-
 def train(cfg: TrainConfig, out_dir, resume=None, quiet=True) -> TrainResult:
     """Run the meta-training loop, writing periodic checkpoints and a loss
-    log under out_dir. `resume` continues from a checkpoint path written by
-    an earlier (identically configured) run; the loss trace continues
-    exactly where the interrupted run would have gone.
+    log under out_dir. Each checkpoint is one file holding the weights, the
+    Adam moments and the step. `resume` continues from a checkpoint path
+    written by an earlier (identically configured) run; the loss trace
+    continues exactly where the interrupted run would have gone.
 
     Each step takes the batch loss and gradients chunk by chunk (see
     `_loss_and_grads`), checks the summed loss for divergence, then clips
@@ -243,11 +224,8 @@ def train(cfg: TrainConfig, out_dir, resume=None, quiet=True) -> TrainResult:
     ds = build_meta_dataset(cfg.preset, cfg.m_systems, cfg.train_len, cfg.seed)
 
     if resume is not None:
-        weights = model.load_checkpoint(resume)
-        meta, tensors = model.read_tensor_file(str(resume) + ".opt")
-        adam = _Adam(cfg, weights.arrays)
-        adam.load_state(tensors, meta["step"])
-        start_step = meta["step"]
+        weights, start_step, state = model.load_training_state(resume)
+        adam = _Adam(cfg, weights.arrays, start_step, state)
     else:
         weights = model.init_weights(cfg.model, stream(cfg.seed, "init"))
         adam = _Adam(cfg, weights.arrays)
@@ -261,7 +239,7 @@ def train(cfg: TrainConfig, out_dir, resume=None, quiet=True) -> TrainResult:
     def checkpoint(step, tag=None):
         name = tag or f"ckpt-{step:06d}.ckpt"
         path = out_dir / name
-        _save_state(weights, adam, step, path)
+        model.save_checkpoint(weights, path, optimizer=(step, adam.state))
         checkpoints.append(str(path))
         return str(path)
 

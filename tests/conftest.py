@@ -9,6 +9,9 @@ reading runs written by older code. Each trained directory's
 train-info.json records the environment it was trained in (the cached
 bytes depend on the BLAS build and thread count). Point MOPLAB_TEST_CACHE
 somewhere else to isolate runs.
+
+BLAS runs at one thread, set before numpy is first imported, so that the
+cached runs do not depend on the host's core count.
 """
 
 import dataclasses
@@ -16,6 +19,10 @@ import hashlib
 import os
 import time
 from pathlib import Path
+
+# moplab imports numpy, so this comes before any import of either
+os.environ.update(dict.fromkeys(
+    ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"), "1"))
 
 import numpy as np
 import pytest

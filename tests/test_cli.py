@@ -1,6 +1,7 @@
 """The command-line entry point: exit codes, reproducible outputs, resumed
 training logs, plotting errors, CSV parsing and atomic artifact writes."""
 
+import dataclasses
 import hashlib
 import json
 import os
@@ -10,10 +11,11 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from moplab import cli, manifest, model, svgplot
-from moplab.manifest import read_csv, write_csv, write_json
+from moplab import __version__, cli, manifest, model, svgplot
+from moplab.manifest import read_csv, sha256_file, sha256_json, write_csv, write_json
 from moplab.model import ModelConfig
 from moplab.seeding import stream
+from moplab.training import TrainConfig
 
 TINY_MODEL = ModelConfig(layers=2, heads=2, embed_dim=16, context=32,
                          token_dim=5, output_dim=5, precision="f64")
@@ -59,6 +61,24 @@ def test_non_integer_mop_seed_exits_2(tmp_path, tiny_ckpt, monkeypatch, capsys):
     assert cli.main(eval_args(tiny_ckpt, tmp_path)) == 2
     assert "MOP_SEED" in capsys.readouterr().err
     assert not (tmp_path / "curves.csv").exists()
+
+
+@pytest.mark.parametrize("command", ["gen", "train", "eval", "experiment"])
+def test_empty_mop_seed_exits_2(tmp_path, tiny_ckpt, monkeypatch, capsys, command):
+    out = tmp_path / "out"
+    argv = {
+        "gen": ["gen", "--preset", "linear-dense", "--count", "2",
+                "--out", str(out / "systems.json")],
+        "train": ["train", "--config", train_config(tmp_path), "--steps", "1",
+                  "--quiet", "--out-dir", str(out)],
+        "eval": eval_args(tiny_ckpt, out),
+        "experiment": ["experiment", "--name", "linear-iid", "--out-dir", str(out),
+                       "--quiet"],
+    }[command]
+    monkeypatch.setenv("MOP_SEED", "")
+    assert cli.main(argv) == 2
+    assert "MOP_SEED must be an integer, got ''" in capsys.readouterr().err
+    assert not out.exists()
 
 
 def test_gen_manifest_records_the_environment(tmp_path, monkeypatch):
@@ -137,6 +157,47 @@ def test_resumed_run_log_equals_uninterrupted_log(tmp_path):
     assert strip(resumed) == strip(full)
     assert (tmp_path / "full" / "ckpt-final.ckpt").read_bytes() \
         == (part / "ckpt-final.ckpt").read_bytes()
+
+
+def test_resume_from_a_weight_only_checkpoint_exits_1(tmp_path, tiny_ckpt, capsys):
+    run = tmp_path / "run"
+    assert cli.main(["train", "--config", train_config(tmp_path), "--steps", "2",
+                     "--quiet", "--out-dir", str(run), "--resume", tiny_ckpt]) == 1
+    err = capsys.readouterr().err
+    assert "CheckpointError" in err and tiny_ckpt in err
+    assert not (run / "ckpt-final.ckpt").exists()
+
+
+# ---------------------------------------------------------------------------
+# manifests
+# ---------------------------------------------------------------------------
+
+def test_train_manifest_records_config_dataset_and_checkpoints(tmp_path):
+    run = tmp_path / "run"
+    assert cli.main(["train", "--config", train_config(tmp_path, checkpoint_every=2),
+                     "--steps", "4", "--quiet", "--out-dir", str(run)]) == 0
+    written = json.loads((run / "manifest.json").read_text())
+    cfg = TrainConfig(preset="linear-dense", m_systems=8, train_len=12, steps=4,
+                      batch_size=4, seed=5, checkpoint_every=2, model=TINY_MODEL)
+    assert written["config"] == dataclasses.asdict(cfg)
+    assert (written["command"], written["base_seed"], written["version"]) \
+        == ("train", 5, __version__)
+    dataset = json.loads((run / "dataset.json").read_text())
+    assert written["dataset_hash"] == sha256_json(dataset)
+    ckpts = {p.name for p in run.iterdir()} - {"dataset.json", "loss.csv", "manifest.json"}
+    assert ckpts == {"ckpt-000002.ckpt", "ckpt-final.ckpt"}
+    assert written["checkpoint_hashes"] == {name: sha256_file(run / name) for name in ckpts}
+    assert written["outputs"] and all(Path(p).exists() for p in written["outputs"])
+
+
+def test_eval_manifest_records_the_scored_checkpoint(tmp_path, tiny_ckpt):
+    assert cli.main(eval_args(tiny_ckpt, tmp_path / "out")) == 0
+    written = json.loads((tmp_path / "out" / "manifest.json").read_text())
+    assert written["config"] == {"preset": "linear-iid", "n": 6, "horizon": 12,
+                                 "predictors": ["mop", "kf", "ar-ols"], "ckpt": tiny_ckpt}
+    assert written["checkpoint_hashes"] == {"tiny.ckpt": sha256_file(tiny_ckpt)}
+    assert (written["command"], written["base_seed"]) == ("eval", 3)
+    assert written["outputs"] and all(Path(p).exists() for p in written["outputs"])
 
 
 # ---------------------------------------------------------------------------

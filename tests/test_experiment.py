@@ -12,8 +12,8 @@ from moplab import cli, evaluation, model, presets, training
 from moplab.distributions import get_distribution
 from moplab.manifest import read_csv
 
-TRAIN = {"ckpt-000002.ckpt", "ckpt-000002.ckpt.opt", "ckpt-final.ckpt",
-         "ckpt-final.ckpt.opt", "dataset.json", "loss.csv", "manifest.json"}
+TRAIN = {"ckpt-000002.ckpt", "ckpt-final.ckpt", "dataset.json", "loss.csv",
+         "manifest.json"}
 CURVES = {"manifest.json", "curves.svg", "eval/curves.csv", "eval/report.json",
           "eval/manifest.json", *(f"train/{name}" for name in TRAIN)}
 GRID = ((4, 12), (8, 12), (8, 8))

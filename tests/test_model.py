@@ -1,13 +1,16 @@
 """Transformer model: init, forward semantics (causality, shapes,
 precision), gradient flow end to end, and the checkpoint container."""
 
+import json
+import zlib
+
 import numpy as np
 import pytest
 
 from moplab import engine, model
 from moplab.model import (
-    CheckpointError, ModelConfig, init_weights, inspect_checkpoint,
-    load_checkpoint, predict_next, predict_sequence, save_checkpoint,
+    CheckpointError, ModelConfig, init_weights, load_checkpoint,
+    load_training_state, predict_next, predict_sequence, save_checkpoint,
     zero_weights,
 )
 from moplab.seeding import stream
@@ -274,21 +277,51 @@ def test_checkpoint_corruption_detected(tmp_path, small_weights):
         load_checkpoint(path)
 
 
-def test_checkpoint_header_inspection(tmp_path, small_weights):
+def test_tensor_file_bytes_are_header_nul_blob_crc(tmp_path):
+    tensors = {"a": np.arange(6.0).reshape(2, 3), "b": np.float64(-1.5),
+               "c": np.ones((3, 1)).T}                      # not C-contiguous
+    path = tmp_path / "t.ckpt"
+    model.write_tensor_file(path, {"kind": "test"}, tensors, "f32")
+    blob = b"".join(np.asarray(a, dtype="<f4").tobytes() for a in tensors.values())
+    offsets = [0, 24, 28]
+    header = json.dumps({"format": "moplab-tensors-v1", "meta": {"kind": "test"},
+                         "tensors": [{"name": n, "shape": list(np.shape(a)), "offset": o,
+                                      "precision": "f32"}
+                                     for (n, a), o in zip(tensors.items(), offsets)]})
+    assert path.read_bytes() == (header.encode() + b"\0" + blob
+                                 + zlib.crc32(blob).to_bytes(4, "little"))
+
+
+def test_training_state_roundtrip(tmp_path, small_weights):
+    path = tmp_path / "model.ckpt"
+    draw = stream(22)
+    state = {moment: {k: draw.standard_normal(a.shape) for k, a in small_weights.arrays.items()}
+             for moment in ("m", "v")}
+    save_checkpoint(small_weights, path, optimizer=(7, state))
+    weights, step, loaded = load_training_state(path)
+    assert step == 7
+    assert loaded.keys() == state.keys()
+    for moment in state:
+        assert list(loaded[moment]) == list(small_weights.arrays)
+        for k, a in state[moment].items():
+            assert np.array_equal(loaded[moment][k], a)
+    # the weights read the same either way, and carry no optimizer tensors
+    plain = load_checkpoint(path)
+    for w in (weights, plain):
+        assert w.config == small_weights.config
+        assert list(w.arrays) == list(small_weights.arrays)
+        for k, a in small_weights.arrays.items():
+            assert np.array_equal(w.arrays[k], a)
+
+
+def test_weight_only_checkpoint_has_no_training_state(tmp_path, small_weights):
     path = tmp_path / "model.ckpt"
     save_checkpoint(small_weights, path)
-    info = inspect_checkpoint(path)
-    names = [t["name"] for t in info["tensors"]]
-    assert names == list(small_weights.arrays)
-    shapes = {t["name"]: tuple(t["shape"]) for t in info["tensors"]}
-    assert shapes["embed.w"] == (3, 16)
-    assert info["meta"]["config"]["layers"] == 2
-    offs = [t["offset"] for t in info["tensors"]]
-    assert offs == sorted(offs)
+    with pytest.raises(CheckpointError, match=f"{path}: weights only"):
+        load_training_state(path)
 
 
 def test_checkpoint_shape_mismatch_detected(tmp_path, small_weights):
-    import json
     path = tmp_path / "model.ckpt"
     save_checkpoint(small_weights, path)
     data = path.read_bytes()

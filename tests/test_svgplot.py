@@ -16,14 +16,20 @@ def curve_rows(predictors=("mop", "kf"), horizon=6):
 @pytest.mark.parametrize("ratio", [False, True])
 def test_output_is_byte_identical_under_a_shuffled_row_order(ratio):
     rows = curve_rows()
-    # shuffled, with each predictor's first row kept in order: the first
-    # predictor is the ratio's numerator and takes the first colour
-    firsts = [rows[0], rows[6]]
-    rest = [row for row in rows if row not in firsts]
-    shuffled = firsts + [rest[i] for i in np.random.default_rng(0).permutation(len(rest))]
-    assert shuffled != rows
-    assert svgplot.render_from_rows(shuffled, ratio=ratio, title="t") \
-        == svgplot.render_from_rows(rows, ratio=ratio, title="t")
+    # fully shuffled, with a baseline row first: mop still takes the first
+    # colour and is the ratio's numerator
+    shuffled = [rows[i] for i in np.random.default_rng(0).permutation(len(rows))]
+    shuffled.sort(key=lambda row: row["predictor"] == "mop")
+    assert shuffled[0]["predictor"] == "kf"
+    svg = svgplot.render_from_rows(shuffled, ratio=ratio, title="t")
+    assert svg == svgplot.render_from_rows(rows, ratio=ratio, title="t")
+    assert (">mop/kf</text>" in svg) == ratio
+
+
+def test_curves_are_drawn_mop_first_then_by_name():
+    svg = svgplot.render_from_rows(curve_rows(predictors=("kf", "ar-ols", "mop")))
+    legend = [svg.index(f">{name}</text>") for name in ("mop", "ar-ols", "kf")]
+    assert legend == sorted(legend)
 
 
 def test_ratio_mode_draws_the_dashed_line_at_one_and_labels_the_series():

@@ -239,6 +239,32 @@ def test_train_resume_reproduces_trace(tmp_path):
         == (tmp_path / "resumed" / "ckpt-final.ckpt").read_bytes()
 
 
+def test_failed_save_keeps_the_previous_checkpoint_whole(tmp_path, monkeypatch):
+    # a rerun into the same directory fails on writing the file that carries
+    # the optimizer step; the step-2 checkpoint it would have replaced must
+    # still resume onto the uninterrupted trace
+    cfg = tiny_cfg(steps=6, checkpoint_every=100)
+    full = training.train(cfg, tmp_path / "full")
+    run = tmp_path / "run"
+    training.train(dataclasses.replace(cfg, steps=2), run)
+    write = model.write_tensor_file
+
+    def failing_write(path, meta, tensors, precision):
+        if "step" in meta:
+            raise OSError("disk full")
+        write(path, meta, tensors, precision)
+
+    monkeypatch.setattr(model, "write_tensor_file", failing_write)
+    with pytest.raises(OSError, match="disk full"):
+        training.train(dataclasses.replace(cfg, steps=4), run)
+    monkeypatch.undo()
+    final = run / "ckpt-final.ckpt"
+    assert model.load_training_state(final)[1] == 2
+    resumed = training.train(cfg, tmp_path / "resumed", resume=final)
+    assert [(r["step"], r["loss"], r["grad_norm"]) for r in resumed.loss_rows] \
+        == [(r["step"], r["loss"], r["grad_norm"]) for r in full.loss_rows[2:]]
+
+
 def test_train_config_validation():
     with pytest.raises(ValueError):
         tiny_cfg(m_systems=0)
