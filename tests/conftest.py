@@ -3,11 +3,13 @@
 Heavy tests (meta-training runs) go through `ensure_trained`, which keys a
 cache directory by the exact training config and by the source of the
 modules training numerics depend on, hashed once when this file imports
-moplab: the first full-suite run trains everything, reruns load
-checkpoints, and a change to any of those modules retrains rather than
-reading runs written by older code. Each trained directory's
-train-info.json records the environment it was trained in (the cached
-bytes depend on the BLAS build and thread count). Point MOPLAB_TEST_CACHE
+moplab: the first full-suite run trains everything, reruns read the
+cached loss logs, and a change to any of those modules retrains rather
+than reading runs written by older code. A cache entry keeps only what the
+tests read and what identifies the run: loss.csv, config.json and
+train-info.json, which records the environment it was trained in (the
+cached numbers depend on the BLAS build and thread count); the
+checkpoints stay in a temporary directory. Point MOPLAB_TEST_CACHE
 somewhere else to isolate runs.
 
 BLAS runs at one thread, set before numpy is first imported, so that the
@@ -17,6 +19,7 @@ cached runs do not depend on the host's core count.
 import dataclasses
 import hashlib
 import os
+import tempfile
 import time
 from pathlib import Path
 
@@ -56,21 +59,23 @@ def config_key(cfg: training.TrainConfig, sources: str) -> str:
 
 
 def ensure_trained(cfg: training.TrainConfig, tag: str = "run") -> Path:
-    """Train once per unique config and training source; later calls reuse
-    the checkpoint."""
-    out_dir = CACHE_ROOT / f"{tag}-{config_key(cfg, SOURCES)}"
-    final = out_dir / "ckpt-final.ckpt"
-    if final.exists():
-        return final
+    """Train once per unique config and training source; return the cache
+    entry's directory. loss.csv is written last, so its presence marks a
+    complete entry."""
+    entry = CACHE_ROOT / f"{tag}-{config_key(cfg, SOURCES)}"
+    if (entry / "loss.csv").exists():
+        return entry
     t0 = time.time()
-    result = training.train(cfg, out_dir)
-    write_csv(out_dir / "loss.csv", result.loss_rows,
-              ["step", "loss", "grad_norm", "wallclock_s"])
-    write_json(out_dir / "config.json", dataclasses.asdict(cfg))
-    write_json(out_dir / "train-info.json",
+    with tempfile.TemporaryDirectory() as run_dir:
+        result = training.train(cfg, run_dir)
+    entry.mkdir(parents=True, exist_ok=True)
+    write_json(entry / "config.json", dataclasses.asdict(cfg))
+    write_json(entry / "train-info.json",
                {"wallclock_s": time.time() - t0, "steps": cfg.steps,
                 "sources": SOURCES, "environment": environment()})
-    return final
+    write_csv(entry / "loss.csv", result.loss_rows,
+              ["step", "loss", "grad_norm", "wallclock_s"])
+    return entry
 
 
 @pytest.fixture
@@ -84,11 +89,10 @@ def cache_root():
     return CACHE_ROOT
 
 
-def load_loss_rows(ckpt_path: Path) -> list:
+def load_loss_rows(entry: Path) -> list:
     rows = []
-    loss_csv = ckpt_path.parent / "loss.csv"
     import csv
-    with open(loss_csv) as fh:
+    with open(entry / "loss.csv") as fh:
         for row in csv.DictReader(fh):
             rows.append({k: float(v) if k != "step" else int(v)
                          for k, v in row.items()})

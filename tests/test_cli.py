@@ -168,6 +168,21 @@ def test_resume_from_a_weight_only_checkpoint_exits_1(tmp_path, tiny_ckpt, capsy
     assert not (run / "ckpt-final.ckpt").exists()
 
 
+def test_resume_with_another_model_config_exits_1(tmp_path, capsys):
+    small = {"layers": 1, "heads": 2, "embed_dim": 16, "context": 32,
+             "token_dim": 5, "output_dim": 5, "precision": "f64"}
+    part, run = tmp_path / "part", tmp_path / "run"
+    assert cli.main(["train", "--config", train_config(tmp_path, model=small),
+                     "--steps", "2", "--quiet", "--out-dir", str(part)]) == 0
+    larger = train_config(tmp_path, model=dict(small, layers=2, embed_dim=32))
+    assert cli.main(["train", "--config", larger, "--steps", "4", "--quiet",
+                     "--out-dir", str(run), "--resume", str(part / "ckpt-final.ckpt")]) == 1
+    err = capsys.readouterr().err
+    assert "CheckpointError" in err
+    assert "layers=1, heads=2, embed_dim=16" in err and "layers=2, heads=2, embed_dim=32" in err
+    assert not (run / "ckpt-final.ckpt").exists()
+
+
 # ---------------------------------------------------------------------------
 # manifests
 # ---------------------------------------------------------------------------

@@ -3,12 +3,14 @@
 
 import dataclasses
 import math
+import platform
+import resource
 
 import numpy as np
 import pytest
 
 from conftest import ensure_trained, load_loss_rows
-from moplab import engine, evaluation, linalg, model, training
+from moplab import engine, evaluation, linalg, model, presets, training
 from moplab.distributions import get_distribution
 from moplab.model import ModelConfig
 from moplab.seeding import derive_seed, stream
@@ -265,6 +267,42 @@ def test_failed_save_keeps_the_previous_checkpoint_whole(tmp_path, monkeypatch):
         == [(r["step"], r["loss"], r["grad_norm"]) for r in full.loss_rows[2:]]
 
 
+@pytest.mark.skipif(platform.libc_ver()[0] != "glibc", reason="the top pad is glibc's")
+def test_train_steps_reuse_the_freed_heap(tmp_path, monkeypatch):
+    # a desk step frees four chunks' tapes; with glibc's default pad the
+    # heap shrinks after each and a step faults about 12,000 pages back in
+    faults = []
+    loss_and_grads = training._loss_and_grads
+
+    def counting(*args):
+        before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
+        out = loss_and_grads(*args)
+        faults.append(resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before)
+        return out
+
+    monkeypatch.setattr(training, "_loss_and_grads", counting)
+    cfg = TrainConfig(m_systems=8, train_len=50, steps=4, batch_size=64,
+                      model=presets.desk_model_config("linear-dense"))
+    training.train(cfg, tmp_path)
+    assert max(faults[2:]) < 1000, faults
+
+
+def test_train_raises_the_top_pad_and_restores_it(tmp_path, monkeypatch):
+    pads = []
+    monkeypatch.setattr(training, "_set_top_pad", pads.append)
+    monkeypatch.setattr(platform, "libc_ver", lambda: ("glibc", "2.36"))
+    training.train(tiny_cfg(steps=1), tmp_path / "done")
+    assert pads == [64 * 2**20, 128 * 2**10]
+    pads.clear()
+    with pytest.raises(TrainingAborted):
+        training.train(tiny_cfg(lr=1e6, steps=200, checkpoint_every=10), tmp_path / "aborted")
+    assert pads == [64 * 2**20, 128 * 2**10]
+    pads.clear()
+    monkeypatch.setattr(platform, "libc_ver", lambda: ("", ""))
+    training.train(tiny_cfg(steps=1), tmp_path / "other-libc")
+    assert pads == []
+
+
 def test_train_config_validation():
     with pytest.raises(ValueError):
         tiny_cfg(m_systems=0)
@@ -298,8 +336,7 @@ def test_overfit_probe_two_systems(cache_root):
                       model=ModelConfig(layers=4, heads=4, embed_dim=64,
                                         context=32, token_dim=5, output_dim=5,
                                         precision="f32"))
-    ckpt = ensure_trained(cfg, tag="overfit")
-    rows = load_loss_rows(ckpt)
+    rows = load_loss_rows(ensure_trained(cfg, tag="overfit"))
     start = np.mean([r["loss"] for r in rows[:10]])
     end = np.mean([r["loss"] for r in rows[-10:]])
     assert end <= 0.10 * start
@@ -312,8 +349,7 @@ def test_loss_decreases_by_step_1000(cache_root):
                       model=ModelConfig(layers=4, heads=4, embed_dim=64,
                                         context=64, token_dim=5, output_dim=5,
                                         precision="f32"))
-    ckpt = ensure_trained(cfg, tag="step1000")
-    rows = load_loss_rows(ckpt)
+    rows = load_loss_rows(ensure_trained(cfg, tag="step1000"))
     first = np.mean([r["loss"] for r in rows[:5]])
     last = np.mean([r["loss"] for r in rows[-5:]])
     assert rows[-1]["step"] == 999
