@@ -15,6 +15,7 @@ so the next chunk reuses it instead of faulting fresh pages in.
 from __future__ import annotations
 
 import ctypes
+import os
 import platform
 import time
 from contextlib import contextmanager
@@ -219,18 +220,27 @@ def _set_top_pad(nbytes: int) -> None:
     mallopt(_M_TOP_PAD, nbytes)
 
 
+def _top_pad_chosen() -> bool:
+    """Whether the environment sets glibc's top pad itself."""
+    return ("MALLOC_TOP_PAD_" in os.environ
+            or "glibc.malloc.top_pad" in os.environ.get("GLIBC_TUNABLES", ""))
+
+
 @contextmanager
 def _retained_heap():
     """Keep freed memory in glibc's heap for the duration of the block.
 
     Each chunk's backward frees its tape; with glibc's default pad that
     memory goes back to the OS and the next chunk faults it in again, page
-    by page. The pad is process-wide, so it is set back on the way out and
-    the caller's later work sees the default; any mallopt call also stops
-    glibc from adapting its mmap and trim thresholds for the rest of the
-    process. Elsewhere than on glibc this does nothing.
+    by page. The pad is process-wide, so it is set back to the default on
+    the way out: the caller's later work (an experiment's scoring) then
+    runs on a trimmed heap instead of on top of the retained one. Any
+    mallopt call also stops glibc from adapting its mmap and trim
+    thresholds for the rest of the process. This does nothing off glibc
+    or when the environment chooses the top pad (MALLOC_TOP_PAD_ or
+    GLIBC_TUNABLES), so a chosen pad is never overwritten.
     """
-    if platform.libc_ver()[0] != "glibc":
+    if platform.libc_ver()[0] != "glibc" or _top_pad_chosen():
         yield
         return
     _set_top_pad(TRAIN_TOP_PAD)

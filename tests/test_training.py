@@ -291,6 +291,8 @@ def test_train_raises_the_top_pad_and_restores_it(tmp_path, monkeypatch):
     pads = []
     monkeypatch.setattr(training, "_set_top_pad", pads.append)
     monkeypatch.setattr(platform, "libc_ver", lambda: ("glibc", "2.36"))
+    monkeypatch.delenv("MALLOC_TOP_PAD_", raising=False)
+    monkeypatch.delenv("GLIBC_TUNABLES", raising=False)
     training.train(tiny_cfg(steps=1), tmp_path / "done")
     assert pads == [64 * 2**20, 128 * 2**10]
     pads.clear()
@@ -300,6 +302,14 @@ def test_train_raises_the_top_pad_and_restores_it(tmp_path, monkeypatch):
     pads.clear()
     monkeypatch.setattr(platform, "libc_ver", lambda: ("", ""))
     training.train(tiny_cfg(steps=1), tmp_path / "other-libc")
+    assert pads == []
+    # a pad the environment chose is left alone
+    monkeypatch.setattr(platform, "libc_ver", lambda: ("glibc", "2.36"))
+    monkeypatch.setenv("GLIBC_TUNABLES", "glibc.malloc.top_pad=1048576")
+    training.train(tiny_cfg(steps=1), tmp_path / "tunable")
+    monkeypatch.delenv("GLIBC_TUNABLES")
+    monkeypatch.setenv("MALLOC_TOP_PAD_", "1048576")
+    training.train(tiny_cfg(steps=1), tmp_path / "env")
     assert pads == []
 
 
