@@ -24,6 +24,7 @@ __all__ = [
 PSD_DIAG_TOL = -1e-10
 PSD_JITTER = 1e-9
 ZERO_GAIN_TOL = 1e-12
+AR_RIDGE = 1e-6                      # OnlineARPredictor's normal-equation ridge
 
 
 def _matvec(a, x) -> np.ndarray:
@@ -138,15 +139,14 @@ class OnlineARPredictor:
     system.
 
     Before three observations exist the prediction falls back to the last
-    output. The tiny ridge keeps the normal equations solvable in the
-    ill-posed early steps without measurably biasing the comparison.
+    output. The tiny ridge AR_RIDGE keeps the normal equations solvable in
+    the ill-posed early steps without measurably biasing the comparison.
     """
 
     LAGS = 2
 
-    def __init__(self, n_systems, m, ridge=1e-6):
+    def __init__(self, n_systems, m):
         self.m = m
-        self.ridge = float(ridge)
         self.gram = np.zeros((n_systems, 2 * m, 2 * m))
         self.cross = np.zeros((n_systems, 2 * m, m))
         self.prev = []                    # last two observations, newest first
@@ -158,7 +158,7 @@ class OnlineARPredictor:
         """Stacked (a1, a2) per system, [N, 2m, m] (zeros until data arrives)."""
         if self.samples == 0:
             return np.zeros_like(self.cross)
-        reg = self.gram + self.ridge * np.eye(2 * self.m)
+        reg = self.gram + AR_RIDGE * np.eye(2 * self.m)
         try:
             return solve_linear(reg, self.cross)
         except SingularMatrixError as exc:

@@ -1,7 +1,8 @@
 """System distributions the experiments draw from.
 
 A Distribution bundles everything needed to sample a system and roll a
-trajectory: the system family, noise behavior, and how prompts are
+trajectory: the system family, its noise variances and the moving window
+its noise is summed over (1 for white noise), and how prompts are
 tokenized for the model (the quadrotor concatenates the applied rotor
 commands onto each output token). Seed namespaces: systems and
 trajectories derive their streams from (base_seed, role, index), so train
@@ -17,9 +18,8 @@ import numpy as np
 
 from .seeding import derive_seed
 from .systems import (
-    IID_NOISE, NoiseModel, Trajectory,
-    sample_linear_system, sample_quadrotor, sample_random_inputs, simulate,
-    DivergenceError,
+    Trajectory, sample_linear_system, sample_quadrotor, sample_random_inputs,
+    simulate, DivergenceError,
 )
 
 __all__ = ["Distribution", "DISTRIBUTIONS", "get_distribution"]
@@ -38,10 +38,12 @@ class Distribution:
     sigma_w2: float              # per-coordinate noise variances
     sigma_v2: float
     mode: str = "dense"          # linear sampling mode
-    target_rho: float = 0.95
-    noise: NoiseModel = IID_NOISE
-    has_inputs: bool = False
+    noise_window: int = 1        # innovations each noise value sums
     input_scale: float = 1.0     # model conditioning scale suggested per preset
+
+    @property
+    def has_inputs(self) -> bool:
+        return self.kind == "quadrotor"
 
     @property
     def token_dim(self) -> int:
@@ -55,14 +57,12 @@ class Distribution:
         return replace(self, sigma_w2=float(sigma2), sigma_v2=float(sigma2))
 
     def filter_noise_stds(self) -> tuple[float, float]:
-        """Noise stds handed to the model-aware filter. For moving-average
-        noise the filter (wrongly, and knowingly: it assumes white noise)
-        receives the stationary marginal std sqrt(window * variance)."""
-        if self.noise.kind == "moving_average":
-            var = self.noise.variance
-            s = float(np.sqrt(self.noise.window * (var if var is not None else self.sigma_w2)))
-            return s, s
-        return float(np.sqrt(self.sigma_w2)), float(np.sqrt(self.sigma_v2))
+        """Noise stds handed to the model-aware filter: each channel's
+        stationary marginal std sqrt(window * sigma^2). Over a window longer
+        than 1 the filter (wrongly, and knowingly: it assumes white noise)
+        treats that std as white."""
+        return (float(np.sqrt(self.noise_window * self.sigma_w2)),
+                float(np.sqrt(self.noise_window * self.sigma_v2)))
 
     def sample_system(self, base_seed: int, role: str, index: int):
         """Draw system `index` of the given role ("train" / "test" / ...)."""
@@ -70,7 +70,7 @@ class Distribution:
         rng = np.random.default_rng(seed)
         if self.kind == "linear":
             return sample_linear_system(
-                rng, self.n, self.m, target_rho=self.target_rho, mode=self.mode,
+                rng, self.n, self.m, mode=self.mode,
                 sigma_w=float(np.sqrt(self.sigma_w2)),
                 sigma_v=float(np.sqrt(self.sigma_v2)), seed=seed)
         return sample_quadrotor(
@@ -83,13 +83,13 @@ class Distribution:
         commands and divergent rollouts are re-drawn (bounded retries)."""
         seed = derive_seed(base_seed, self.name, role, "traj", index)
         if self.kind == "linear":
-            return simulate(system, t_len, noise=self.noise,
-                            rng=np.random.default_rng(seed), switch=switch)
+            return simulate(system, t_len, np.random.default_rng(seed),
+                            self.noise_window, switch=switch)
         for attempt in range(QUAD_RESAMPLE_LIMIT):
             sub = np.random.default_rng(derive_seed(seed, "try", attempt))
             inputs = sample_random_inputs(sub, t_len, system)
             try:
-                return simulate(system, t_len, noise=self.noise, rng=sub,
+                return simulate(system, t_len, sub, self.noise_window,
                                 inputs=inputs)
             except DivergenceError:
                 logger.warning("quadrotor rollout diverged (system seed %d, "
@@ -106,15 +106,14 @@ DISTRIBUTIONS = {
         sigma_w2=0.01, sigma_v2=0.01),
     "linear-colored": Distribution(
         name="linear-colored", kind="linear", n=10, m=5,
-        sigma_w2=0.01, sigma_v2=0.01,
-        noise=NoiseModel(kind="moving_average", window=5, variance=0.01)),
+        sigma_w2=0.01, sigma_v2=0.01, noise_window=5),
     "linear-triangular": Distribution(
         name="linear-triangular", kind="linear", n=10, m=5,
         sigma_w2=0.01, sigma_v2=0.01, mode="upper_triangular",
         input_scale=0.25),
     "quadrotor": Distribution(
         name="quadrotor", kind="quadrotor", n=6, m=3,
-        sigma_w2=0.01, sigma_v2=0.01, has_inputs=True, input_scale=0.1),
+        sigma_w2=0.01, sigma_v2=0.01, input_scale=0.1),
 }
 
 

@@ -129,16 +129,13 @@ def predict_population(predictor_kind: str, systems, trajs, dist: Distribution,
 
 
 def error_curve(predictor_kind: str, dist: Distribution, n, horizon, seed,
-                weights: TransformerWeights | None = None,
-                population=None) -> ErrorCurve:
-    """Per-timestep prediction-error statistics over n fresh test systems.
-
-    `population` may carry a precomputed `test_population` (systems, trajs)
-    pair so several predictors score identical data; the curve then takes
-    its horizon from those trajectories.
+                weights: TransformerWeights | None = None, *,
+                population) -> ErrorCurve:
+    """Per-timestep prediction-error statistics over a `test_population`
+    (systems, trajs) pair, which several predictors share so they score
+    identical data. The curve takes its system count and horizon from
+    those trajectories.
     """
-    if population is None:
-        population = test_population(dist, n, horizon, seed)
     systems, trajs = population
     ys = np.stack([t.ys for t in trajs])
     horizon = ys.shape[1]
@@ -233,18 +230,14 @@ class RiskReport:
 
 
 def empirical_excess_risk(weights: TransformerWeights, dist: Distribution, n,
-                          horizon, seed, baseline=None, population=None) -> RiskReport:
+                          horizon, seed, *, population) -> RiskReport:
     """Excess-risk proxy: empirical risk of the model minus that of the
-    model-aware filter on the same fresh systems. For linear-Gaussian
-    presets the filter is Bayes-optimal, making the proxy an upper bound on
-    the true excess risk up to estimation noise.
+    model-aware filter (the EKF on the quadrotor, else the KF) on the same
+    test population. For linear-Gaussian presets the filter is
+    Bayes-optimal, making the proxy an upper bound on the true excess risk
+    up to estimation noise.
     """
-    if baseline is None:
-        baseline = "ekf" if dist.kind == "quadrotor" else "kf"
-    if baseline not in ("kf", "ekf"):
-        raise ValueError("excess risk needs a model-aware baseline (kf or ekf)")
-    if population is None:
-        population = test_population(dist, n, horizon, seed)
+    baseline = "ekf" if dist.kind == "quadrotor" else "kf"
     curves = [error_curve(kind, dist, n, horizon, seed, weights=weights,
                           population=population) for kind in ("mop", baseline)]
     for curve in curves:
@@ -254,7 +247,7 @@ def empirical_excess_risk(weights: TransformerWeights, dist: Distribution, n,
     # empirical risk: mean over the predicted positions 1..T-1 of the error
     model_risk, base_risk = (c.per_system[:, 1:].mean(axis=1) for c in curves)
     delta = model_risk - base_risk
-    n = len(delta)                     # a passed population sets the count
+    n = len(delta)                     # the population sets the count
     stderr = float(delta.std(ddof=1) / np.sqrt(n)) if n > 1 else 0.0
     return RiskReport(preset=dist.name, baseline=baseline, n_systems=n,
                       horizon=curves[0].horizon, seed=seed,
@@ -324,7 +317,7 @@ def robustness_probe(weights: TransformerWeights, dist: Distribution, horizon=50
     For an eval horizon H, t_eval is H - 5 and the taus run every 10 steps
     from 5, plus t_eval - 1 (45 and 5, 15, 25, 35, 44 at H = 50).
     """
-    if dist.kind != "linear" or dist.noise.kind != "iid":
+    if dist.kind != "linear" or dist.noise_window != 1:
         raise ValueError("the robustness probe targets the i.i.d. linear preset")
     if horizon < 6:
         raise ValueError("the robustness probe needs a horizon of at least 6")

@@ -46,22 +46,18 @@ class ExperimentPreset:
 
 
 def _linear_train(dist_name, **kw) -> TrainConfig:
-    defaults = dict(preset=dist_name, m_systems=2000, train_len=50, steps=5000,
-                    batch_size=64, seed=0, model=desk_model_config(dist_name))
-    defaults.update(kw)
-    return TrainConfig(**defaults)
+    """TrainConfig's defaults with the desk model for `dist_name`."""
+    return TrainConfig(preset=dist_name, model=desk_model_config(dist_name), **kw)
 
 
 EXPERIMENTS = {
     "linear-iid": ExperimentPreset(
         name="linear-iid",
         train=_linear_train("linear-dense"),
-        baselines=("kf", "ar-ols"),
     ),
     "linear-colored": ExperimentPreset(
         name="linear-colored",
         train=_linear_train("linear-colored"),
-        baselines=("kf", "ar-ols"),
     ),
     "linear-switching": ExperimentPreset(
         name="linear-switching",
@@ -74,7 +70,7 @@ EXPERIMENTS = {
     ),
     "quadrotor": ExperimentPreset(
         name="quadrotor",
-        train=_linear_train("quadrotor", steps=5000),
+        train=_linear_train("quadrotor"),
         baselines=("ekf",),
     ),
     "hard-triangular": ExperimentPreset(

@@ -2,9 +2,11 @@
 
 Systems follow x_{t+1} = f(x_t) + w_{t+1}, y_t = g(x_t) + v_t with x_0 = 0.
 Linear systems use f(x) = A x, g(x) = C x; the planar quadrotor uses the
-6-state discrete update in `quadrotor_step`. Noise is zero-mean Gaussian,
-either i.i.d. or a moving-average (colored) process. All randomness flows
-through explicit generators so trajectories are bit-reproducible.
+6-state discrete update in `quadrotor_step`. Noise is zero-mean Gaussian
+with the system's own stds sigma_w and sigma_v, summed over a moving window
+of i.i.d. innovations (window 1 is white noise; a longer window colors it).
+All randomness flows through explicit generators so trajectories are
+bit-reproducible.
 """
 
 from __future__ import annotations
@@ -17,7 +19,7 @@ import numpy as np
 from . import linalg
 
 __all__ = [
-    "LinearSystem", "QuadrotorSystem", "NoiseModel", "Trajectory",
+    "LinearSystem", "QuadrotorSystem", "Trajectory",
     "SwitchSpec", "DivergenceError", "SamplingError",
     "sample_linear_system", "sample_quadrotor", "sample_random_inputs",
     "simulate", "quadrotor_step", "quadrotor_jacobian", "stack_quadrotors",
@@ -26,6 +28,8 @@ __all__ = [
 
 DIVERGENCE_LIMIT = 1e9
 RESAMPLE_ATTEMPTS = 100
+TARGET_RHO = 0.95                    # spectral radius of a dense A
+INPUT_SPREAD = 0.5                   # quadrotor rotor-command perturbation
 
 
 class DivergenceError(RuntimeError):
@@ -79,30 +83,6 @@ class QuadrotorSystem:
         return self.mass * self.gravity / 2.0
 
 
-@dataclass(frozen=True)
-class NoiseModel:
-    """i.i.d. Gaussian noise or a moving-average sum of i.i.d. innovations.
-
-    `variance`, when set, overrides the per-coordinate innovation variance
-    of both channels (the colored-noise experiments use 0.01); when None the
-    system's own sigma_w / sigma_v apply.
-    """
-    kind: str = "iid"
-    window: int = 1
-    variance: float | None = None
-
-    def __post_init__(self):
-        if self.kind not in ("iid", "moving_average"):
-            raise ValueError(f"unknown noise kind {self.kind!r}")
-        if self.window < 1:
-            raise ValueError("window must be >= 1")
-        if self.kind == "iid" and self.window != 1:
-            raise ValueError("iid noise has window 1")
-
-
-IID_NOISE = NoiseModel()
-
-
 @dataclass
 class Trajectory:
     ys: np.ndarray                 # T x m outputs, y_0 first
@@ -122,25 +102,23 @@ class SwitchSpec:
 # sampling
 # ---------------------------------------------------------------------------
 
-def sample_linear_system(rng, n, m, target_rho=0.95, mode="dense",
-                         sigma_w=0.1, sigma_v=0.1, seed=0) -> LinearSystem:
+def sample_linear_system(rng, n, m, mode="dense", sigma_w=0.1, sigma_v=0.1,
+                         seed=0) -> LinearSystem:
     """Draw a linear system from the benchmark distribution.
 
     dense: A entries uniform [-1, 1], rescaled so the spectral radius hits
-    target_rho; upper_triangular: diagonal uniform [-0.95, 0.95], strict
+    TARGET_RHO; upper_triangular: diagonal uniform [-0.95, 0.95], strict
     upper uniform [-1, 1], no rescaling (the slow-mixing hard class).
     """
     if mode not in ("dense", "upper_triangular"):
         raise ValueError(f"unknown mode {mode!r}")
-    if not (0.0 < target_rho < 1.0):
-        raise ValueError("target_rho must be in (0, 1)")
     for _ in range(RESAMPLE_ATTEMPTS):
         if mode == "dense":
             a = rng.uniform(-1.0, 1.0, size=(n, n))
             rho = linalg.spectral_radius(a)
             if rho < 1e-9:
                 continue
-            a *= target_rho / rho
+            a *= TARGET_RHO / rho
         else:
             a = np.triu(rng.uniform(-1.0, 1.0, size=(n, n)), k=1)
             a[np.diag_indices(n)] = rng.uniform(-0.95, 0.95, size=n)
@@ -161,12 +139,11 @@ def sample_quadrotor(rng, sigma_w=0.1, sigma_v=0.1, seed=0) -> QuadrotorSystem:
                            seed=int(seed))
 
 
-def sample_random_inputs(rng, t_len, system: QuadrotorSystem,
-                         spread=0.5) -> np.ndarray:
-    """Rotor commands: hover thrust plus per-rotor uniform [-spread, spread]
-    perturbations each step (keeps desk-scale trajectories bounded while
-    exciting every mode)."""
-    return system.hover_thrust + rng.uniform(-spread, spread, size=(t_len, 2))
+def sample_random_inputs(rng, t_len, system: QuadrotorSystem) -> np.ndarray:
+    """Rotor commands: hover thrust plus per-rotor uniform
+    [-INPUT_SPREAD, INPUT_SPREAD] perturbations each step (keeps desk-scale
+    trajectories bounded while exciting every mode)."""
+    return system.hover_thrust + rng.uniform(-INPUT_SPREAD, INPUT_SPREAD, size=(t_len, 2))
 
 
 # ---------------------------------------------------------------------------
@@ -182,24 +159,21 @@ def _window_sum(eta: np.ndarray, window: int) -> np.ndarray:
     return out
 
 
-def _noise_sequences(system, t_len, noise: NoiseModel, rng):
-    """Standard draws scaled per channel; moving-average applied if asked.
+def _noise_sequences(system, t_len, window, rng):
+    """Standard draws scaled by the system's sigma_w and sigma_v, each value
+    the sum of the last `window` of them.
 
-    A moving-average value sums the last `window` innovations, those before
-    t = 0 included, so its variance is window * variance at every t. Draw
-    order (eps_w then eps_v, shapes fixed by t_len and window) never
-    depends on switching, keeping pre-switch prefixes bit-identical.
+    The window reaches back before t = 0, so a value's variance is
+    window * sigma^2 at every t. Draw order (eps_w then eps_v, shapes fixed
+    by t_len and window) never depends on switching, keeping pre-switch
+    prefixes bit-identical.
     """
-    pad = noise.window - 1
-    eps_w = rng.standard_normal((t_len + pad, system.n))
-    eps_v = rng.standard_normal((t_len + pad, system.m))
-    if noise.variance is not None:
-        std_w = std_v = float(np.sqrt(noise.variance))
-    else:
-        std_w, std_v = system.sigma_w, system.sigma_v
-    w = _window_sum(std_w * eps_w, noise.window)
-    v = _window_sum(std_v * eps_v, noise.window)
-    return w, v
+    if window < 1:
+        raise ValueError("window must be >= 1")
+    eps_w = rng.standard_normal((t_len + window - 1, system.n))
+    eps_v = rng.standard_normal((t_len + window - 1, system.m))
+    return (_window_sum(system.sigma_w * eps_w, window),
+            _window_sum(system.sigma_v * eps_v, window))
 
 
 # ---------------------------------------------------------------------------
@@ -266,10 +240,10 @@ def stack_quadrotors(systems) -> SimpleNamespace:
         for name in ("mass", "arm_length", "inertia", "gravity", "tau")})
 
 
-def simulate(system, t_len, noise: NoiseModel = IID_NOISE, rng=None,
-             switch: SwitchSpec | None = None, inputs=None,
-             record_states=False) -> Trajectory:
-    """Roll a trajectory of t_len outputs y_0..y_{T-1} from x_0 = 0.
+def simulate(system, t_len, rng, window=1, switch: SwitchSpec | None = None,
+             inputs=None, record_states=False) -> Trajectory:
+    """Roll a trajectory of t_len outputs y_0..y_{T-1} from x_0 = 0, its
+    noise summed over `window` innovations (see `_noise_sequences`).
 
     Under `switch`, the dynamics (and output map) are replaced from
     t_switch on while the state carries over; the noise draws are shared so
@@ -277,11 +251,9 @@ def simulate(system, t_len, noise: NoiseModel = IID_NOISE, rng=None,
     """
     if t_len < 1:
         raise ValueError("t_len must be >= 1")
-    if rng is None:
-        raise ValueError("an explicit rng is required")
     if switch is not None and not (0 < switch.t_switch < t_len):
         raise ValueError("switch time must satisfy 0 < t_switch < t_len")
-    w, v = _noise_sequences(system, t_len, noise, rng)
+    w, v = _noise_sequences(system, t_len, window, rng)
 
     is_quad = isinstance(system, QuadrotorSystem)
     if is_quad and inputs is None:

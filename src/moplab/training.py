@@ -47,11 +47,9 @@ _M_TOP_PAD = -2                     # mallopt parameter number, from malloc.h
 
 
 class TrainingAborted(RuntimeError):
-    def __init__(self, reason, step, last_checkpoint=None):
-        super().__init__(f"training aborted at step {step}: {reason}")
-        self.reason = reason
+    def __init__(self, message, step):
+        super().__init__(f"training aborted at step {step}: {message}")
         self.step = step
-        self.last_checkpoint = last_checkpoint
 
 
 @dataclass(frozen=True)
@@ -269,8 +267,9 @@ def train(cfg: TrainConfig, out_dir, resume=None, quiet=True) -> TrainResult:
     checkpoint of another model config raises `model.CheckpointError`.
 
     Each step takes the batch loss and gradients chunk by chunk (see
-    `_loss_and_grads`), checks the summed loss for divergence, then clips
-    and applies one Adam update.
+    `_loss_and_grads`), then clips and applies one Adam update. A loss
+    that is not finite or exceeds DIVERGENCE_LOSS writes the weights the
+    step started from to ckpt-abort.ckpt and raises `TrainingAborted`.
     """
     out_dir = Path(out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
@@ -289,12 +288,10 @@ def train(cfg: TrainConfig, out_dir, resume=None, quiet=True) -> TrainResult:
 
     checkpoints = []
     loss_rows = []
-    last_ckpt = None
     t0 = time.time()
 
     def checkpoint(step, tag=None):
-        name = tag or f"ckpt-{step:06d}.ckpt"
-        path = out_dir / name
+        path = out_dir / (tag or f"ckpt-{step:06d}.ckpt")
         model.save_checkpoint(weights, path, optimizer=(step, adam.state))
         checkpoints.append(str(path))
         return str(path)
@@ -311,15 +308,12 @@ def train(cfg: TrainConfig, out_dir, resume=None, quiet=True) -> TrainResult:
         us = np.stack(us_list) if us_list[0] is not None else None
 
         loss_val, grads = _loss_and_grads(weights, ys, us)
-        if not np.isfinite(loss_val):
+        if not loss_val <= DIVERGENCE_LOSS:      # a NaN loss fails this too
             checkpoint(step, "ckpt-abort.ckpt")
+            cause = "not finite" if np.isnan(loss_val) else f"above {DIVERGENCE_LOSS:.0e}"
             raise TrainingAborted(
-                f"non-finite loss (batch systems {sorted(set(int(i) for i in idx))[:8]}...)",
-                step, last_ckpt)
-        if loss_val > DIVERGENCE_LOSS:
-            path = last_ckpt or checkpoint(step, "ckpt-abort.ckpt")
-            raise TrainingAborted(f"loss {loss_val:.3e} exceeded {DIVERGENCE_LOSS:.0e}",
-                                  step, path)
+                f"loss {loss_val:.3e} is {cause} (batch systems "
+                f"{sorted(set(int(i) for i in idx))[:8]}...)", step)
 
         gnorm, grads = _clip_gradients(grads, cfg.clip_norm)
         adam.apply(weights.arrays, grads)
@@ -329,7 +323,7 @@ def train(cfg: TrainConfig, out_dir, resume=None, quiet=True) -> TrainResult:
         if not quiet and (step % LOG_EVERY == 0 or step == cfg.steps - 1):
             print(f"step {step:6d}  loss {loss_val:.5f}  gnorm {gnorm:.3f}")
         if (step + 1) % cfg.checkpoint_every == 0 and step + 1 < cfg.steps:
-            last_ckpt = checkpoint(step + 1)
+            checkpoint(step + 1)
 
     final = checkpoint(cfg.steps, "ckpt-final.ckpt")
     return TrainResult(final, checkpoints, loss_rows, ds.manifest(), cfg)

@@ -350,6 +350,13 @@ def test_probe_times_at_the_desk_horizon():
         evaluation.robustness_probe(weights, LINEAR, horizon=5)
 
 
+@pytest.mark.parametrize("name", ["linear-colored", "quadrotor"])
+def test_probe_targets_white_noise_linear_systems_only(name):
+    weights = model.init_weights(TINY_MODEL, stream(15, "probe"))
+    with pytest.raises(ValueError, match="i.i.d. linear"):
+        evaluation.robustness_probe(weights, get_distribution(name), n_systems=1)
+
+
 # ---------------------------------------------------------------------------
 # matrix-power norms
 # ---------------------------------------------------------------------------

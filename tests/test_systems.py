@@ -1,13 +1,14 @@
-"""System sampling, simulation, noise models, and matrix-power norms."""
+"""System sampling, simulation, noise windows, the quadrotor re-draw, and
+matrix-power norms."""
 
 import numpy as np
 import pytest
 
-from moplab import linalg
-from moplab.distributions import get_distribution
+from moplab import distributions, linalg
+from moplab.distributions import QUAD_RESAMPLE_LIMIT, get_distribution
 from moplab.seeding import derive_seed, stream
 from moplab.systems import (
-    DivergenceError, LinearSystem, NoiseModel, SwitchSpec,
+    DivergenceError, LinearSystem, SwitchSpec,
     _noise_sequences, quadrotor_jacobian,
     quadrotor_step, sample_linear_system, sample_quadrotor,
     sample_random_inputs, simulate, systems_from_json, systems_to_json,
@@ -26,7 +27,7 @@ def scalar_system(a=0.9, c=1.0, sigma_w=0.1, sigma_v=0.1):
 def test_dense_sample_hits_target_radius():
     rng = stream(0, "t")
     for _ in range(5):
-        system = sample_linear_system(rng, 10, 5, target_rho=0.95)
+        system = sample_linear_system(rng, 10, 5)
         assert linalg.spectral_radius(system.a) == pytest.approx(0.95, abs=1e-3)
         assert system.c.shape == (5, 10)
         assert system.c.min() >= 0.0 and system.c.max() <= 1.0
@@ -53,8 +54,6 @@ def test_sample_deterministic_per_seed():
 def test_sample_rejects_bad_mode():
     with pytest.raises(ValueError):
         sample_linear_system(stream(0), 4, 2, mode="lower")
-    with pytest.raises(ValueError):
-        sample_linear_system(stream(0), 4, 2, target_rho=1.5)
 
 
 # ---------------------------------------------------------------------------
@@ -137,10 +136,10 @@ def test_states_recorded_when_asked():
 # ---------------------------------------------------------------------------
 
 def colored_noise(seed, t_len=100_000):
-    """Process and output noise of a scalar system under the moving-average
-    model `linear-colored` runs (window 5, innovation variance 0.01)."""
-    noise = get_distribution("linear-colored").noise
-    w, v = _noise_sequences(scalar_system(), t_len, noise, stream(seed, "cn"))
+    """Process and output noise of a scalar system with innovation variance
+    0.01 over the window `linear-colored` runs (5)."""
+    window = get_distribution("linear-colored").noise_window
+    w, v = _noise_sequences(scalar_system(), t_len, window, stream(seed, "cn"))
     return w[:, 0], v[:, 0]
 
 
@@ -160,22 +159,9 @@ def test_colored_noise_lag_autocovariance():
         assert abs(autocov(5)) <= 0.002                       # disjoint windows
 
 
-def test_colored_window_one_equals_iid():
-    # bitwise: window=1 takes the same code path as the i.i.d. model
-    system = scalar_system(sigma_w=0.1, sigma_v=0.1)
-    iid = simulate(system, 100, rng=stream(6))
-    ma1 = simulate(system, 100, noise=NoiseModel("moving_average", window=1),
-                   rng=stream(6))
-    assert np.array_equal(iid.ys, ma1.ys)
-
-
-def test_noise_model_validation():
+def test_noise_window_below_one_rejected():
     with pytest.raises(ValueError):
-        NoiseModel(kind="pink")
-    with pytest.raises(ValueError):
-        NoiseModel(kind="moving_average", window=0)
-    with pytest.raises(ValueError):
-        NoiseModel(kind="iid", window=3)
+        simulate(scalar_system(), 10, stream(0), window=0)
 
 
 # ---------------------------------------------------------------------------
@@ -247,6 +233,45 @@ def test_quadrotor_zero_noise_deterministic():
     assert np.array_equal(t1.ys, t2.ys)
 
 
+def diverging_simulate(monkeypatch, failures):
+    """Make `Distribution.make_trajectory`'s simulate raise DivergenceError
+    on its first `failures` calls; return the inputs of every call."""
+    real, inputs = distributions.simulate, []
+
+    def fake(*args, **kw):
+        inputs.append(kw["inputs"])
+        if len(inputs) <= failures:
+            raise DivergenceError("forced")
+        return real(*args, **kw)
+
+    monkeypatch.setattr(distributions, "simulate", fake)
+    return inputs
+
+
+@pytest.mark.parametrize("k", [1, 3])
+def test_quadrotor_redraws_inputs_after_a_divergence(monkeypatch, k):
+    dist = get_distribution("quadrotor")
+    system = dist.sample_system(7, "test", 0)
+    inputs = diverging_simulate(monkeypatch, k)
+    traj = dist.make_trajectory(system, 20, 7, "test", 0)
+    assert len(inputs) == k + 1
+    # attempt k draws its inputs, then its noise, from its own stream
+    sub = np.random.default_rng(derive_seed(derive_seed(7, "quadrotor", "test", "traj", 0),
+                                            "try", k))
+    want_inputs = sample_random_inputs(sub, 20, system)
+    want = simulate(system, 20, sub, inputs=want_inputs)
+    assert np.array_equal(traj.us, want_inputs) and np.array_equal(inputs[k], want_inputs)
+    assert np.array_equal(traj.ys, want.ys)
+
+
+def test_quadrotor_gives_up_after_the_resample_limit(monkeypatch):
+    dist = get_distribution("quadrotor")
+    inputs = diverging_simulate(monkeypatch, float("inf"))
+    with pytest.raises(DivergenceError):
+        dist.make_trajectory(dist.sample_system(7, "test", 0), 20, 7, "test", 0)
+    assert len(inputs) == QUAD_RESAMPLE_LIMIT
+
+
 # ---------------------------------------------------------------------------
 # contraction profile: ||A^t||_2 over t
 # ---------------------------------------------------------------------------
@@ -268,7 +293,7 @@ def test_contraction_profile_dense_eventually_decreasing():
     # a draw whose dominant eigenvalue is real: ||A^t|| decays monotonically
     # past a finite burn-in (complex-pair draws oscillate under a decaying
     # envelope instead, covered below)
-    system = sample_linear_system(stream(31, "cp", 0), 10, 5, target_rho=0.95)
+    system = sample_linear_system(stream(31, "cp", 0), 10, 5)
     diffs = np.diff(linalg.matrix_power_norms(system.a, 100))
     t0 = next(i for i in range(len(diffs)) if (diffs[i:] < 0).all())
     assert t0 <= 100
@@ -276,7 +301,7 @@ def test_contraction_profile_dense_eventually_decreasing():
 
 def test_contraction_profile_dense_envelope_decays():
     for i in range(5):
-        system = sample_linear_system(stream(31, "cp", i), 10, 5, target_rho=0.95)
+        system = sample_linear_system(stream(31, "cp", i), 10, 5)
         norms = linalg.matrix_power_norms(system.a, 100)
         assert norms[60:].max() < norms[:40].max() * 0.1
 

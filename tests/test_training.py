@@ -219,13 +219,37 @@ def test_train_zero_steps_emits_initial_checkpoint(tmp_path):
         assert np.array_equal(w.arrays[k], ref.arrays[k])
 
 
-def test_train_divergence_aborts(tmp_path):
-    cfg = tiny_cfg(lr=1e6, steps=200, checkpoint_every=10)
+def train_until_aborted(cfg, out_dir) -> TrainingAborted:
+    """Train until `TrainingAborted` and return it, after checking that
+    ckpt-abort.ckpt holds the state its failing step started from."""
     with pytest.raises(TrainingAborted) as exc_info:
-        training.train(cfg, tmp_path)
-    assert exc_info.value.step < 200
-    paths = list(tmp_path.glob("*.ckpt"))
-    assert paths, "an abort must leave a checkpoint behind"
+        training.train(cfg, out_dir)
+    _, saved_step, _ = model.load_training_state(out_dir / "ckpt-abort.ckpt")
+    assert saved_step == exc_info.value.step
+    return exc_info.value
+
+
+def test_train_divergence_aborts(tmp_path):
+    exc = train_until_aborted(tiny_cfg(lr=1e6, steps=200, checkpoint_every=1), tmp_path)
+    assert 0 < exc.step < 200
+    # a periodic checkpoint exists by then, and the abort still writes its own
+    assert (tmp_path / f"ckpt-{exc.step:06d}.ckpt").exists()
+    assert "above 1e+06" in str(exc)
+
+
+def test_train_aborts_on_a_nan_loss(tmp_path, monkeypatch):
+    real = training._loss_and_grads
+    calls = []
+
+    def nan_on_third_step(weights, ys, us):
+        calls.append(None)
+        loss, grads = real(weights, ys, us)
+        return (math.nan if len(calls) == 3 else loss), grads
+
+    monkeypatch.setattr(training, "_loss_and_grads", nan_on_third_step)
+    exc = train_until_aborted(tiny_cfg(steps=10), tmp_path)
+    assert exc.step == 2
+    assert "nan is not finite" in str(exc)
 
 
 def test_train_resume_reproduces_trace(tmp_path):
