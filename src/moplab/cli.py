@@ -72,11 +72,8 @@ def train_config_from_dict(obj: dict) -> TrainConfig:
     if preset not in DISTRIBUTIONS:
         raise UsageError(f"unknown distribution preset {preset!r}; "
                          f"valid: {', '.join(sorted(DISTRIBUTIONS))}")
-    if model_obj is None:
-        mcfg = desk_model_config(preset)
-    else:
-        mcfg = ModelConfig(**model_obj)
     try:
+        mcfg = desk_model_config(preset) if model_obj is None else ModelConfig(**model_obj)
         return TrainConfig(model=mcfg, **kwargs)
     except (TypeError, ValueError) as exc:
         raise UsageError(f"invalid train config: {exc}") from exc
@@ -196,7 +193,7 @@ def _write_eval(out_dir: Path, name, curves, n, seed, ckpt, t0,
     write_csv(csv_path, rows, CSV_FIELDS)
     report = {"experiment": name, "curves": [c.to_json() for c in curves]}
     if len(curves) == 2:
-        report["ratio"] = evaluation.compare_predictors(*curves).to_json()
+        report["ratio"] = evaluation.compare_predictors(*curves)
     write_json(out_dir / "report.json", {**report, **diagnostics})
     hashes = {Path(ckpt).name: sha256_file(ckpt)} if ckpt else {}
     write_manifest(out_dir, "eval",
@@ -213,15 +210,18 @@ def cmd_eval(args) -> int:
     seed = _resolve_seed(args.seed, 1)
     predictors = (args.predictors.split(",") if args.predictors
                   else ["mop", *preset.baselines])
+    n = preset.eval_n if args.n is None else args.n
+    horizon = preset.eval_horizon if args.horizon is None else args.horizon
+    for flag, value in (("--n", n), ("--horizon", horizon)):
+        if value < 1:
+            raise UsageError(f"{flag} must be >= 1, got {value}")
     weights = None
     if "mop" in predictors:
         if not args.ckpt:
             raise UsageError("--ckpt is required when evaluating the mop predictor")
         weights = _load_weights_for(dist, args.ckpt)
-    n = args.n or preset.eval_n
     t0 = time.time()
-    curves = _score(predictors, dist, n, args.horizon or preset.eval_horizon,
-                    seed, weights, preset.switch_at)
+    curves = _score(predictors, dist, n, horizon, seed, weights, preset.switch_at)
     out_dir = Path(args.out_dir)
     _write_eval(out_dir, args.preset, curves, n, seed, args.ckpt, t0)
     print(f"wrote {out_dir / 'curves.csv'}")
@@ -337,7 +337,7 @@ def _experiment_shift(preset, seed, root: Path, ckpt) -> None:
                         preset.eval_n, preset.eval_horizon,
                         derive_eval_seed(seed), weights)
         rows += evaluation.curves_to_csv_rows(f"{preset.name}-s{s2}", curves)
-        late_ratios.append(evaluation.compare_predictors(*curves).late["ratio"])
+        late_ratios.append(evaluation.compare_predictors(*curves)["late"]["ratio"])
     write_csv(root / "curves.csv", rows, CSV_FIELDS)
     write_json(root / "report.json",
                {"preset": base.name, "train_sigma2": base.sigma_w2,

@@ -15,10 +15,12 @@ of a transformer layer then record six `linear` nodes and one
 `causal_attention` node, not a chain of reshapes, transposes and
 score-sized temporaries.
 
-Memory contract of the tape. A node records its input nodes, not their
-Tensors, so the tape holds only the arrays its grad closures read: a
-residual sum or an MLP pre-activation that no backward reads is freed as
-soon as the forward drops its Tensor. `backward` consumes the tape: once a
+Memory contract of the tape. Each op hands its grad closure to the tape
+as it runs; unrecorded, the closure is simply dropped. A node records its
+input nodes, and a closure refers only to arrays and shapes, never to a
+Tensor, so the tape holds only the arrays the backward reads: a residual
+sum or an MLP pre-activation that no backward reads is freed as soon as
+the forward drops its Tensor. `backward` consumes the tape: once a
 node's closure has run, the closure and the node's gradient are dropped,
 so activations and gradients are freed as the walk goes. It returns
 gradients for the leaves only, and a consumed graph cannot be walked again.
@@ -215,13 +217,13 @@ def _as_tensor(x) -> Tensor:
     return x if isinstance(x, Tensor) else Tensor(x)
 
 
-def _emit(op, out, inputs, make_grad_fn) -> Tensor:
+def _emit(op, out, inputs, grad_fn) -> Tensor:
     g = _active()
     if g is None:
         if _finite_checks and not np.all(np.isfinite(out)):
             raise FloatingPointError(f"non-finite values produced by op '{op}'")
         return Tensor(out)
-    return g._record(op, out, inputs, make_grad_fn())
+    return g._record(op, out, inputs, grad_fn)
 
 
 def _unbroadcast(g: np.ndarray, shape) -> np.ndarray:
@@ -237,45 +239,30 @@ def _unbroadcast(g: np.ndarray, shape) -> np.ndarray:
 def add(a, b) -> Tensor:
     a, b = _as_tensor(a), _as_tensor(b)
     out = a.data + b.data
-
-    def mk():
-        sa, sb = a.data.shape, b.data.shape
-        return lambda g: (_unbroadcast(g, sa), _unbroadcast(g, sb))
-
-    return _emit("add", out, (a, b), mk)
+    sa, sb = a.data.shape, b.data.shape
+    return _emit("add", out, (a, b),
+                 lambda g: (_unbroadcast(g, sa), _unbroadcast(g, sb)))
 
 
 def sub(a, b) -> Tensor:
     a, b = _as_tensor(a), _as_tensor(b)
     out = a.data - b.data
-
-    def mk():
-        sa, sb = a.data.shape, b.data.shape
-        return lambda g: (_unbroadcast(g, sa), -_unbroadcast(g, sb))
-
-    return _emit("sub", out, (a, b), mk)
+    sa, sb = a.data.shape, b.data.shape
+    return _emit("sub", out, (a, b),
+                 lambda g: (_unbroadcast(g, sa), -_unbroadcast(g, sb)))
 
 
 def mul(a, b) -> Tensor:
     a, b = _as_tensor(a), _as_tensor(b)
-    out = a.data * b.data
-
-    def mk():
-        da, db = a.data, b.data
-        return lambda g: (_unbroadcast(g * db, da.shape), _unbroadcast(g * da, db.shape))
-
-    return _emit("mul", out, (a, b), mk)
+    da, db = a.data, b.data
+    return _emit("mul", da * db, (a, b),
+                 lambda g: (_unbroadcast(g * db, da.shape), _unbroadcast(g * da, db.shape)))
 
 
 def scale(a, c: float) -> Tensor:
     a = _as_tensor(a)
     c = float(c)
-    out = a.data * c
-
-    def mk():
-        return lambda g: (g * c,)
-
-    return _emit("scale", out, (a,), mk)
+    return _emit("scale", a.data * c, (a,), lambda g: (g * c,))
 
 
 def matmul(a, b) -> Tensor:
@@ -285,14 +272,10 @@ def matmul(a, b) -> Tensor:
         raise ShapeError("matmul expects operands with ndim >= 2")
     if a.data.shape[-1] != b.data.shape[-2]:
         raise ShapeError(f"inner dims differ: {a.data.shape} @ {b.data.shape}")
-    out = a.data @ b.data
-
-    def mk():
-        da, db = a.data, b.data
-        return lambda g: (_unbroadcast(g @ db.swapaxes(-1, -2), da.shape),
-                          _unbroadcast(da.swapaxes(-1, -2) @ g, db.shape))
-
-    return _emit("matmul", out, (a, b), mk)
+    da, db = a.data, b.data
+    return _emit("matmul", da @ db, (a, b),
+                 lambda g: (_unbroadcast(g @ db.swapaxes(-1, -2), da.shape),
+                            _unbroadcast(da.swapaxes(-1, -2) @ g, db.shape)))
 
 
 def linear(x, w, b) -> Tensor:
@@ -310,41 +293,27 @@ def linear(x, w, b) -> Tensor:
     out = x2 @ w.data
     out += b.data
     out = out.reshape(shape[:-1] + w.data.shape[1:])
+    wt = w.data.T
 
-    def mk():
-        wt = w.data.T
+    def grad(g):
+        g = g.reshape(x2.shape[0], -1)
+        return (g @ wt).reshape(shape), x2.T @ g, g.sum(axis=0)
 
-        def grad(g):
-            g = g.reshape(x2.shape[0], -1)
-            return (g @ wt).reshape(shape), x2.T @ g, g.sum(axis=0)
-
-        return grad
-
-    return _emit("linear", out, (x, w, b), mk)
+    return _emit("linear", out, (x, w, b), grad)
 
 
 def transpose(a, axes) -> Tensor:
     a = _as_tensor(a)
     axes = tuple(axes)
-    out = a.data.transpose(axes)
-
-    def mk():
-        inv = tuple(np.argsort(axes))
-        return lambda g: (g.transpose(inv),)
-
-    return _emit("transpose", out, (a,), mk)
+    return _emit("transpose", a.data.transpose(axes), (a,),
+                 lambda g: (g.transpose(np.argsort(axes)),))
 
 
 def reshape(a, shape) -> Tensor:
     a = _as_tensor(a)
     shape = tuple(shape)
-    out = a.data.reshape(shape)
-
-    def mk():
-        orig = a.data.shape
-        return lambda g: (g.reshape(orig),)
-
-    return _emit("reshape", out, (a,), mk)
+    orig = a.data.shape
+    return _emit("reshape", a.data.reshape(shape), (a,), lambda g: (g.reshape(orig),))
 
 
 def _softmax(x, out=None) -> np.ndarray:
@@ -370,11 +339,7 @@ def rowwise_softmax(a) -> Tensor:
     if a.data.ndim < 1 or a.data.shape[-1] < 1:
         raise ShapeError("softmax needs a non-empty last dim")
     out = _softmax(a.data)
-
-    def mk():
-        return lambda g: (_softmax_grad(g, out),)
-
-    return _emit("rowwise_softmax", out, (a,), mk)
+    return _emit("rowwise_softmax", out, (a,), lambda g: (_softmax_grad(g, out),))
 
 
 CAUSAL_MASK_FILL = -1e30  # added to scores above the diagonal; exp() -> 0
@@ -425,22 +390,19 @@ def causal_attention(q, k, v, heads: int) -> Tensor:
     _softmax(p, out=p)
     out = merge(p @ v4)
 
-    def mk():
-        def grad(g):
-            g4 = split(g)
-            ds = g4 @ v4.swapaxes(-1, -2)
-            _softmax_grad(ds, p, out=ds)
-            dv4 = p.swapaxes(-1, -2) @ g4
-            ds *= c
-            dq4 = ds @ k4
-            # (q^T ds)^T, not ds^T q: the product the unfused op chain
-            # took, so the k gradient keeps its rounding
-            dk4 = (q4.swapaxes(-1, -2) @ ds).swapaxes(-1, -2)
-            return merge(dq4), merge(dk4), merge(dv4)
+    def grad(g):
+        g4 = split(g)
+        ds = g4 @ v4.swapaxes(-1, -2)
+        _softmax_grad(ds, p, out=ds)
+        dv4 = p.swapaxes(-1, -2) @ g4
+        ds *= c
+        dq4 = ds @ k4
+        # (q^T ds)^T, not ds^T q: the product the unfused op chain
+        # took, so the k gradient keeps its rounding
+        dk4 = (q4.swapaxes(-1, -2) @ ds).swapaxes(-1, -2)
+        return merge(dq4), merge(dk4), merge(dv4)
 
-        return grad
-
-    return _emit("causal_attention", out, (q, k, v), mk)
+    return _emit("causal_attention", out, (q, k, v), grad)
 
 
 def layer_norm(a, gain, bias) -> Tensor:
@@ -454,22 +416,18 @@ def layer_norm(a, gain, bias) -> Tensor:
     xhat *= inv
     out = xhat * gain.data
     out += bias.data
+    gdat, sbias = gain.data, bias.data.shape
 
-    def mk():
-        gdat, sbias = gain.data, bias.data.shape
+    def grad(g):
+        dgain = _unbroadcast(g * xhat, gdat.shape)
+        dbias = _unbroadcast(g, sbias)
+        dxhat = g * gdat
+        da = dxhat - dxhat.mean(axis=-1, keepdims=True)
+        da -= xhat * np.mean(dxhat * xhat, axis=-1, keepdims=True)
+        da *= inv
+        return da, dgain, dbias
 
-        def grad(g):
-            dgain = _unbroadcast(g * xhat, gdat.shape)
-            dbias = _unbroadcast(g, sbias)
-            dxhat = g * gdat
-            da = dxhat - dxhat.mean(axis=-1, keepdims=True)
-            da -= xhat * np.mean(dxhat * xhat, axis=-1, keepdims=True)
-            da *= inv
-            return da, dgain, dbias
-
-        return grad
-
-    return _emit("layer_norm", out, (a, gain, bias), mk)
+    return _emit("layer_norm", out, (a, gain, bias), grad)
 
 
 _GELU_C = math.sqrt(2.0 / math.pi)
@@ -509,31 +467,21 @@ def gelu(a) -> Tensor:
     out += 1.0
     out *= x
     out *= 0.5
-    return _emit("gelu", out, (a,), lambda: lambda g: (d * g,))
+    return _emit("gelu", out, (a,), lambda g: (d * g,))
 
 
 def sum_lastdim(a) -> Tensor:
     a = _as_tensor(a)
-    out = a.data.sum(axis=-1)
-
-    def mk():
-        n = a.data.shape[-1]
-        return lambda g: (np.repeat(g[..., None], n, axis=-1),)
-
-    return _emit("sum_lastdim", out, (a,), mk)
+    n = a.data.shape[-1]
+    return _emit("sum_lastdim", a.data.sum(axis=-1), (a,),
+                 lambda g: (np.repeat(g[..., None], n, axis=-1),))
 
 
 def mean_all(a) -> Tensor:
     a = _as_tensor(a)
-    out = np.asarray(a.data.mean())
-
-    def mk():
-        size = a.data.size
-        shape = a.data.shape
-        dt = a.data.dtype
-        return lambda g: (np.full(shape, g / size, dtype=dt),)
-
-    return _emit("mean_all", out, (a,), mk)
+    shape, size, dt = a.data.shape, a.data.size, a.data.dtype
+    return _emit("mean_all", np.asarray(a.data.mean()), (a,),
+                 lambda g: (np.full(shape, g / size, dtype=dt),))
 
 
 def l2norm_lastdim(a) -> Tensor:
@@ -544,15 +492,6 @@ def l2norm_lastdim(a) -> Tensor:
     """
     a = _as_tensor(a)
     sq = (a.data * a.data).sum(axis=-1)
-    out = np.sqrt(sq)
-
-    def mk():
-        x = a.data
-        denom = np.sqrt(sq + L2NORM_GRAD_EPS)
-
-        def grad(g):
-            return (x * (g / denom)[..., None],)
-
-        return grad
-
-    return _emit("l2norm_lastdim", out, (a,), mk)
+    x = a.data
+    return _emit("l2norm_lastdim", np.sqrt(sq), (a,),
+                 lambda g: (x * (g / np.sqrt(sq + L2NORM_GRAD_EPS))[..., None],))

@@ -33,7 +33,7 @@ from .seeding import stream
 from .systems import SwitchSpec, simulate
 
 __all__ = [
-    "ErrorCurve", "RatioCurve", "RiskReport",
+    "ErrorCurve", "RiskReport",
     "make_predictor", "test_population", "predict_population", "error_curve",
     "compare_predictors", "window_stats", "empirical_excess_risk",
     "scaling_report", "robustness_probe", "power_norm_report",
@@ -41,6 +41,13 @@ __all__ = [
 ]
 
 RATIO_GUARD = 1e-12
+
+
+def _mean_stderr(x) -> tuple:
+    """Mean over the first axis of x and its standard error (0 for one row)."""
+    n = len(x)
+    stderr = x.std(axis=0, ddof=1) / np.sqrt(n) if n > 1 else np.zeros(x.shape[1:])
+    return x.mean(axis=0), stderr
 
 
 # ---------------------------------------------------------------------------
@@ -146,9 +153,7 @@ def error_curve(predictor_kind: str, dist: Distribution, n, horizon, seed,
     good = errs[ok]
     if good.shape[0] == 0:
         raise RuntimeError("every test system produced non-finite predictions")
-    mean = good.mean(axis=0)
-    stderr = good.std(axis=0, ddof=1) / np.sqrt(good.shape[0]) if good.shape[0] > 1 \
-        else np.zeros(horizon)
+    mean, stderr = _mean_stderr(good)
     return ErrorCurve(preset=dist.name, predictor=predictor_kind,
                       n_systems=int(good.shape[0]), horizon=horizon, seed=seed,
                       mean=mean, stderr=stderr, per_system=good,
@@ -162,40 +167,16 @@ def window_stats(curve: ErrorCurve, lo, hi):
     hi = min(curve.horizon - 1, hi)
     if hi < lo:
         raise ValueError("empty window")
-    per_system = curve.per_system[:, lo:hi + 1].mean(axis=1)
-    mean = float(per_system.mean())
-    stderr = float(per_system.std(ddof=1) / np.sqrt(len(per_system))) \
-        if len(per_system) > 1 else 0.0
-    return mean, stderr
+    mean, stderr = _mean_stderr(curve.per_system[:, lo:hi + 1].mean(axis=1))
+    return float(mean), float(stderr)
 
 
-@dataclass
-class RatioCurve:
-    preset: str
-    numerator: str
-    denominator: str
-    ratio: np.ndarray                  # per-t mean_num / mean_den
-    undefined: np.ndarray              # bool mask where the guard tripped
-    early: dict
-    late: dict
-
-    def to_json(self) -> dict:
-        return {
-            "preset": self.preset, "numerator": self.numerator,
-            "denominator": self.denominator,
-            "ratio": [None if u else float(r)
-                      for r, u in zip(self.ratio, self.undefined)],
-            "early": self.early, "late": self.late,
-        }
-
-
-def compare_predictors(curve_a: ErrorCurve, curve_b: ErrorCurve) -> RatioCurve:
-    """Per-timestep error ratio A/B plus early/late window summaries."""
+def compare_predictors(curve_a: ErrorCurve, curve_b: ErrorCurve) -> dict:
+    """Report of the per-timestep error ratio A/B, None where B's mean error
+    is below RATIO_GUARD, plus early and late window summaries."""
     for f in ("preset", "horizon", "seed"):
         if getattr(curve_a, f) != getattr(curve_b, f):
             raise ValueError(f"curves disagree on {f}")
-    undefined = curve_b.mean < RATIO_GUARD
-    ratio = np.where(undefined, np.nan, curve_a.mean / np.maximum(curve_b.mean, RATIO_GUARD))
     t = curve_a.horizon
 
     def window(lo, hi):
@@ -205,10 +186,11 @@ def compare_predictors(curve_a: ErrorCurve, curve_b: ErrorCurve) -> RatioCurve:
                 "mean_den": mb, "stderr_den": sb,
                 "ratio": ma / mb if mb > RATIO_GUARD else None}
 
-    return RatioCurve(preset=curve_a.preset, numerator=curve_a.predictor,
-                      denominator=curve_b.predictor, ratio=ratio,
-                      undefined=undefined,
-                      early=window(2, 10), late=window(t - 10, t))
+    return {"preset": curve_a.preset, "numerator": curve_a.predictor,
+            "denominator": curve_b.predictor,
+            "ratio": [None if b < RATIO_GUARD else float(a / b)
+                      for a, b in zip(curve_a.mean, curve_b.mean)],
+            "early": window(2, 10), "late": window(t - 10, t)}
 
 
 # ---------------------------------------------------------------------------
@@ -247,13 +229,12 @@ def empirical_excess_risk(weights: TransformerWeights, dist: Distribution, n,
     # empirical risk: mean over the predicted positions 1..T-1 of the error
     model_risk, base_risk = (c.per_system[:, 1:].mean(axis=1) for c in curves)
     delta = model_risk - base_risk
-    n = len(delta)                     # the population sets the count
-    stderr = float(delta.std(ddof=1) / np.sqrt(n)) if n > 1 else 0.0
-    return RiskReport(preset=dist.name, baseline=baseline, n_systems=n,
+    mean_delta, stderr = _mean_stderr(delta)
+    return RiskReport(preset=dist.name, baseline=baseline, n_systems=len(delta),
                       horizon=curves[0].horizon, seed=seed,
                       risk_model=float(model_risk.mean()),
                       risk_baseline=float(base_risk.mean()),
-                      delta=float(delta.mean()), stderr=stderr,
+                      delta=float(mean_delta), stderr=float(stderr),
                       per_system_delta=delta)
 
 
@@ -377,9 +358,8 @@ def power_norm_report(dist: Distribution, n, horizon, seed) -> dict:
         peaks = np.array([
             linalg.matrix_power_norms(d.sample_system(seed, "test", i).a, horizon - 1).max()
             for i in range(n)])
-        report[d.name] = {
-            "n_systems": n, "mean": float(peaks.mean()),
-            "stderr": float(peaks.std(ddof=1) / np.sqrt(n)) if n > 1 else 0.0}
+        mean, stderr = _mean_stderr(peaks)
+        report[d.name] = {"n_systems": n, "mean": float(mean), "stderr": float(stderr)}
     return report
 
 

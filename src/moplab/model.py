@@ -203,15 +203,12 @@ def _pos_slice(pos: Tensor, t: int) -> Tensor:
     an active graph, the gradient scatters back into the full table."""
     full = pos.data
 
-    def mk():
-        def grad(g):
-            gp = np.zeros_like(full)
-            gp[:t] = g[0]
-            return (gp,)
+    def grad(g):
+        gp = np.zeros_like(full)
+        gp[:t] = g[0]
+        return (gp,)
 
-        return grad
-
-    return engine._emit("pos_slice", full[:t][None], (pos,), mk)
+    return engine._emit("pos_slice", full[:t][None], (pos,), grad)
 
 
 def predict_next(weights: TransformerWeights, ys, us=None) -> np.ndarray:

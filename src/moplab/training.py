@@ -35,6 +35,7 @@ __all__ = [
 ]
 
 DIVERGENCE_LOSS = 1e6
+ADAM_BETA1, ADAM_BETA2, ADAM_EPS = 0.9, 0.999, 1e-8  # moment decays, denominator guard
 LOG_EVERY = 50                       # steps between progress lines when not quiet
 
 # glibc's M_TOP_PAD while `train` runs: the free memory kept at the top of
@@ -60,9 +61,6 @@ class TrainConfig:
     steps: int = 5000
     batch_size: int = 64
     lr: float = 3e-4
-    beta1: float = 0.9
-    beta2: float = 0.999
-    adam_eps: float = 1e-8
     clip_norm: float = 1.0
     seed: int = 0
     checkpoint_every: int = 1000
@@ -173,26 +171,25 @@ def _loss_and_grads(weights: TransformerWeights, ys, us):
 # ---------------------------------------------------------------------------
 
 class _Adam:
-    def __init__(self, cfg: TrainConfig, arrays, step=0, state=None):
-        self.cfg = cfg
+    def __init__(self, lr: float, arrays, step=0, state=None):
+        self.lr = lr
         self.state = state or {moment: {k: np.zeros_like(v) for k, v in arrays.items()}
                                for moment in ("m", "v")}
         self.t = step
 
     def apply(self, arrays, grads):
-        cfg = self.cfg
         self.t += 1
-        b1c = 1.0 - cfg.beta1 ** self.t
-        b2c = 1.0 - cfg.beta2 ** self.t
+        b1c = 1.0 - ADAM_BETA1 ** self.t
+        b2c = 1.0 - ADAM_BETA2 ** self.t
         for name, w in arrays.items():
             g = grads[name]
             m = self.state["m"][name]
             v = self.state["v"][name]
-            m *= cfg.beta1
-            m += (1.0 - cfg.beta1) * g
-            v *= cfg.beta2
-            v += (1.0 - cfg.beta2) * (g * g)
-            w -= cfg.lr * (m / b1c) / (np.sqrt(v / b2c) + cfg.adam_eps)
+            m *= ADAM_BETA1
+            m += (1.0 - ADAM_BETA1) * g
+            v *= ADAM_BETA2
+            v += (1.0 - ADAM_BETA2) * (g * g)
+            w -= self.lr * (m / b1c) / (np.sqrt(v / b2c) + ADAM_EPS)
 
 
 def _clip_gradients(grads: dict, clip_norm: float):
@@ -279,10 +276,10 @@ def train(cfg: TrainConfig, out_dir, resume=None, quiet=True) -> TrainResult:
             raise model.CheckpointError(
                 f"{resume}: checkpoint model {weights.config} does not match "
                 f"the config's model {cfg.model}")
-        adam = _Adam(cfg, weights.arrays, start_step, state)
+        adam = _Adam(cfg.lr, weights.arrays, start_step, state)
     else:
         weights = model.init_weights(cfg.model, stream(cfg.seed, "init"))
-        adam = _Adam(cfg, weights.arrays)
+        adam = _Adam(cfg.lr, weights.arrays)
         start_step = 0
     ds = build_meta_dataset(cfg.preset, cfg.m_systems, cfg.train_len, cfg.seed)
 

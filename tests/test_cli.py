@@ -132,12 +132,33 @@ def test_eval_exits_1_on_a_corrupt_checkpoint(tmp_path, tiny_ckpt, capsys):
 
 
 def test_config_with_removed_train_options_exits_2(tmp_path, capsys):
-    config = train_config(tmp_path, loss_kind="l2_norm", fresh_trajectories=False)
+    config = train_config(tmp_path, loss_kind="l2_norm", fresh_trajectories=False,
+                          beta1=0.9, beta2=0.999, adam_eps=1e-8)
     assert cli.main(["train", "--config", config, "--steps", "1", "--quiet",
                      "--out-dir", str(tmp_path / "run")]) == 2
     err = capsys.readouterr().err
-    assert "invalid config keys: fresh_trajectories, loss_kind" in err
+    assert ("invalid config keys: adam_eps, beta1, beta2, fresh_trajectories, "
+            "loss_kind") in err
     assert not (tmp_path / "run").exists()
+
+
+def test_invalid_model_config_exits_2(tmp_path, capsys):
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps({"model": {"heads": 3}}))
+    assert cli.main(["train", "--config", str(config), "--steps", "1", "--quiet",
+                     "--out-dir", str(tmp_path / "run")]) == 2
+    assert "embed_dim must be divisible by heads" in capsys.readouterr().err
+    assert not (tmp_path / "run").exists()
+
+
+@pytest.mark.parametrize("flag", ["--n", "--horizon"])
+@pytest.mark.parametrize("value", ["0", "-3"])
+def test_eval_count_below_one_exits_2(tmp_path, flag, value, capsys):
+    argv = ["eval", "--preset", "linear-iid", "--predictors", "kf",
+            "--out-dir", str(tmp_path / "out"), flag, value]
+    assert cli.main(argv) == 2
+    assert f"{flag} must be >= 1" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
 
 
 def test_resumed_run_log_equals_uninterrupted_log(tmp_path):

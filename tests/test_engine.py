@@ -242,12 +242,13 @@ def test_backward_rejects_detached_loss():
         engine.backward(g, Tensor(np.array(1.0)))
 
 
-@pytest.mark.parametrize("op_name", [
-    "add", "sub", "mul", "scale", "matmul", "transpose", "reshape",
-    "rowwise_softmax", "layer_norm", "gelu", "sum_lastdim", "mean_all",
-    "l2norm_lastdim", "matmul_linear", "linear", "causal_attention",
-])
-def test_gradcheck_every_op(op_name, rng):
+OPS = ["add", "sub", "mul", "scale", "matmul", "transpose", "reshape",
+       "rowwise_softmax", "layer_norm", "gelu", "sum_lastdim", "mean_all",
+       "l2norm_lastdim", "matmul_linear", "linear", "causal_attention"]
+
+
+def op_builders(rng):
+    """Per op case: a scalar loss through that op, and its input arrays."""
     r = Tensor(rng.standard_normal((3, 4)))
 
     def reduce(t):
@@ -298,7 +299,12 @@ def test_gradcheck_every_op(op_name, rng):
             {"q": rng.standard_normal((2, 3, 4)), "k": rng.standard_normal((2, 3, 4)),
              "v": rng.standard_normal((2, 3, 4))}),
     }
-    fn, arrays = builders[op_name]
+    return builders
+
+
+@pytest.mark.parametrize("op_name", OPS)
+def test_gradcheck_every_op(op_name, rng):
+    fn, arrays = op_builders(rng)[op_name]
     check_grads(fn, arrays, tol=1e-4, h=1e-4)
 
 
@@ -504,6 +510,53 @@ def test_tape_does_not_pin_residual_sums_or_mlp_preactivations(monkeypatch, rng)
         assert outputs[idx]() is None, g.nodes[idx].op
     # the gelu outputs are read by the next linear's weight gradient
     assert all(outputs[n.idx]() is not None for n in g.nodes if n.op == "gelu")
+
+
+def closure_tensors(obj, seen) -> list:
+    """The Tensors reachable from `obj` through closure cells, following
+    nested functions (such as attention's split and merge) and containers."""
+    if id(obj) in seen:
+        return []
+    seen.add(id(obj))
+    if isinstance(obj, Tensor):
+        return [obj]
+    if isinstance(obj, (tuple, list)):
+        items = obj
+    elif isinstance(obj, dict):
+        items = obj.values()
+    elif callable(obj) and getattr(obj, "__closure__", None):
+        items = [cell.cell_contents for cell in obj.__closure__]
+    else:
+        return []
+    return [t for item in items for t in closure_tensors(item, seen)]
+
+
+def assert_closures_hold_no_tensor(graph):
+    for node in graph.nodes:
+        held = closure_tensors(node.grad_fn, set())
+        assert held == [], f"{node.op} grad closure holds {held}"
+
+
+@pytest.mark.parametrize("op_name", OPS)
+def test_grad_closures_hold_no_tensor(op_name, rng):
+    fn, arrays = op_builders(rng)[op_name]
+    g = Graph()
+    with g:
+        fn({k: g.leaf(v) for k, v in arrays.items()})
+    assert op_name.removesuffix("_linear") in {n.op for n in g.nodes}
+    assert_closures_hold_no_tensor(g)
+
+
+def test_desk_forward_grad_closures_hold_no_tensor():
+    cfg = presets.desk_model_config("linear-dense")
+    weights = model.init_weights(cfg, np.random.default_rng(0))
+    ys = np.random.default_rng(1).standard_normal((2, 9, cfg.output_dim))
+    g = Graph()
+    with g:
+        training.batch_loss(weights, ys)
+    assert {"linear", "causal_attention", "layer_norm", "gelu", "add",
+            "pos_slice"} <= {n.op for n in g.nodes}
+    assert_closures_hold_no_tensor(g)
 
 
 def test_backward_frees_every_non_leaf_activation_and_gradient(monkeypatch, rng):

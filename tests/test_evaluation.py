@@ -254,6 +254,29 @@ def test_error_curve_takes_its_horizon_from_the_population():
     assert np.array_equal(one.stderr, np.zeros(12))
 
 
+def curve_of(predictor, per_system):
+    mean, stderr = per_system.mean(axis=0), per_system.std(axis=0, ddof=1)
+    return evaluation.ErrorCurve("linear-dense", predictor, len(per_system),
+                                 per_system.shape[1], 4, mean, stderr, per_system)
+
+
+def test_compare_predictors_reports_ratios_and_windows(rng):
+    num = curve_of("mop", rng.uniform(0.5, 2.0, (5, HORIZON)))
+    den_errs = rng.uniform(0.5, 2.0, (5, HORIZON))
+    den_errs[:, 0] = 0.0              # a step the baseline predicts exactly
+    den = curve_of("kf", den_errs)
+    report = evaluation.compare_predictors(num, den)
+    assert report["numerator"] == "mop" and report["denominator"] == "kf"
+    assert report["ratio"][0] is None
+    assert report["ratio"][1:] == [float(a / b) for a, b in zip(num.mean[1:], den.mean[1:])]
+    for key, (lo, hi) in (("early", (2, 10)), ("late", (HORIZON - 10, HORIZON))):
+        (ma, sa), (mb, sb) = (evaluation.window_stats(c, lo, hi) for c in (num, den))
+        assert report[key] == {"lo": lo, "hi": hi, "mean_num": ma, "stderr_num": sa,
+                               "mean_den": mb, "stderr_den": sb, "ratio": ma / mb}
+    with pytest.raises(ValueError, match="horizon"):
+        evaluation.compare_predictors(num, curve_of("kf", den_errs[:, :20]))
+
+
 # ---------------------------------------------------------------------------
 # robustness probe
 # ---------------------------------------------------------------------------
