@@ -186,14 +186,16 @@ def _score(predictors, dist, n, horizon, seed, weights=None, switch_at=None):
 def _write_eval(out_dir: Path, name, curves, n, seed, ckpt, t0,
                 **diagnostics) -> list[dict]:
     """Write curves.csv, report.json (with any `diagnostics` as extra keys)
-    and the eval manifest for one scored population; returns the CSV rows."""
-    out_dir.mkdir(parents=True, exist_ok=True)
+    and the eval manifest for one scored population; returns the CSV rows.
+    The rows and the report are built before any file is written, so a
+    report that fails leaves no partial output."""
     rows = evaluation.curves_to_csv_rows(name, curves)
-    csv_path = out_dir / "curves.csv"
-    write_csv(csv_path, rows, CSV_FIELDS)
     report = {"experiment": name, "curves": [c.to_json() for c in curves]}
     if len(curves) == 2:
         report["ratio"] = evaluation.compare_predictors(*curves)
+    out_dir.mkdir(parents=True, exist_ok=True)
+    csv_path = out_dir / "curves.csv"
+    write_csv(csv_path, rows, CSV_FIELDS)
     write_json(out_dir / "report.json", {**report, **diagnostics})
     hashes = {Path(ckpt).name: sha256_file(ckpt)} if ckpt else {}
     write_manifest(out_dir, "eval",

@@ -15,6 +15,13 @@ of a transformer layer then record six `linear` nodes and one
 `causal_attention` node, not a chain of reshapes, transposes and
 score-sized temporaries.
 
+Row reductions run over long rows. numpy reduces along a short last axis
+in one short inner loop per row, so the ops keep their reductions off it:
+attention holds its scores keys-major, a (T, B * heads * T) array reduced
+over its leading axis (`rowwise_softmax` takes the same layout, so the two
+round alike), and `layer_norm` takes its row means as GEMVs over the
+flattened (rows, d) view.
+
 Memory contract of the tape. Each op hands its grad closure to the tape
 as it runs; unrecorded, the closure is simply dropped. A node records its
 input nodes, and a closure refers only to arrays and shapes, never to a
@@ -316,46 +323,63 @@ def reshape(a, shape) -> Tensor:
     return _emit("reshape", a.data.reshape(shape), (a,), lambda g: (g.reshape(orig),))
 
 
-def _softmax(x, out=None) -> np.ndarray:
-    """Softmax over the last dim of x, max-subtracted for stability, written
-    to `out` (which may be x itself; a new array when None)."""
-    out = np.subtract(x, x.max(axis=-1, keepdims=True), out=out)
-    np.exp(out, out=out)
-    out /= out.sum(axis=-1, keepdims=True)
-    return out
+def _softmax_keys(p) -> np.ndarray:
+    """Softmax down the columns of a 2-D (keys, rows) array, in place:
+    max-subtracted for stability, each reduction one pass over long rows."""
+    p -= p.max(axis=0)
+    np.exp(p, out=p)
+    p /= p.sum(axis=0)
+    return p
 
 
-def _softmax_grad(g, y, out=None) -> np.ndarray:
-    """Gradient through a last-dim softmax with output y, for the incoming
-    gradient g; written to `out` (which may be g itself) like `_softmax`."""
-    out = np.subtract(g, (g * y).sum(axis=-1, keepdims=True), out=out)
-    out *= y
-    return out
+def _softmax_keys_grad(g, p) -> np.ndarray:
+    """Gradient through `_softmax_keys` with output p, for the incoming
+    gradient g of the same (keys, rows) layout; written over g."""
+    g -= np.einsum("kr,kr->r", g, p)
+    g *= p
+    return g
+
+
+def _keys_major(x) -> np.ndarray:
+    """A fresh (n, rows) copy of x (..., n): its last axis first."""
+    return np.array(np.moveaxis(x, -1, 0), order="C").reshape(x.shape[-1], -1)
+
+
+def _rows_major(p, shape) -> np.ndarray:
+    """The (..., n) view of a `_keys_major` array of the given shape."""
+    return np.moveaxis(p.reshape((shape[-1],) + shape[:-1]), 0, -1)
 
 
 def rowwise_softmax(a) -> Tensor:
-    """Softmax over the last dim, max-subtracted for stability."""
+    """Softmax over the last dim, max-subtracted for stability; taken
+    keys-major like the softmax inside `causal_attention`, so the two
+    round alike."""
     a = _as_tensor(a)
     if a.data.ndim < 1 or a.data.shape[-1] < 1:
         raise ShapeError("softmax needs a non-empty last dim")
-    out = _softmax(a.data)
-    return _emit("rowwise_softmax", out, (a,), lambda g: (_softmax_grad(g, out),))
+    shape = a.data.shape
+    p = _softmax_keys(_keys_major(a.data))
+    return _emit("rowwise_softmax", _rows_major(p, shape), (a,),
+                 lambda g: (_rows_major(_softmax_keys_grad(_keys_major(g), p), shape),))
 
 
 CAUSAL_MASK_FILL = -1e30  # added to scores above the diagonal; exp() -> 0
 _causal_masks: dict[tuple, np.ndarray] = {}
 
 
-def _causal_mask(t, dtype) -> np.ndarray:
-    """(t, t) additive mask: 0 on and below the diagonal, CAUSAL_MASK_FILL
-    above it; built once per (t, dtype) and shared read-only."""
+def _causal_mask(t, rows, dtype) -> np.ndarray:
+    """(t, rows * t) additive mask over keys-major scores: 0 where the key
+    is at or before the query, CAUSAL_MASK_FILL after it, tiled `rows`
+    times. One read-only tile per (t, dtype), regrown when a call needs
+    more rows than it holds, and sliced to `rows`."""
     key = (t, np.dtype(dtype).str)
     m = _causal_masks.get(key)
-    if m is None:
-        m = np.triu(np.full((t, t), CAUSAL_MASK_FILL, dtype=dtype), k=1)
+    if m is None or m.shape[1] < rows * t:
+        tri = np.tril(np.full((t, t), CAUSAL_MASK_FILL, dtype=dtype), k=-1)
+        m = np.tile(tri, (1, rows))
         m.flags.writeable = False
         _causal_masks[key] = m
-    return m
+    return m[:, :rows * t]
 
 
 def causal_attention(q, k, v, heads: int) -> Tensor:
@@ -363,9 +387,16 @@ def causal_attention(q, k, v, heads: int) -> Tensor:
 
     Splits d into `heads` heads of d / heads, scores q.k^T / sqrt(d / heads)
     with the positions after each query masked out, softmaxes each row and
-    mixes v, then merges the heads back into (B, T, d). The score array is
-    scaled, masked and softmaxed in place, and only the probabilities are
-    kept for the backward.
+    mixes v, then merges the heads back into (B, T, d).
+
+    The scores are held keys-major: one (T, B * heads * T) array whose
+    column is one query of one head, which the k.q^T GEMM writes into
+    directly. numpy reduces over a leading axis as one pass over rows of
+    B * heads * T, against many short passes of T along the last axis, so
+    the softmax's max and sum, and the backward's softmax-gradient sum,
+    each take one pass over the scores. They are scaled, masked and
+    softmaxed in place, only the probabilities are kept for the backward,
+    and the value mix writes the merged heads directly.
     """
     q, k, v = _as_tensor(q), _as_tensor(k), _as_tensor(v)
     if q.data.ndim != 3 or not q.data.shape == k.data.shape == v.data.shape:
@@ -376,58 +407,73 @@ def causal_attention(q, k, v, heads: int) -> Tensor:
         raise ShapeError(f"{d} channels do not split into {heads} heads")
     dh = d // heads
     c = 1.0 / math.sqrt(dh)
+    dt = np.result_type(q.data, k.data, v.data)
 
     def split(x):   # (B, T, d) -> (B, heads, T, dh) view
         return x.reshape(b, t, heads, dh).transpose(0, 2, 1, 3)
 
-    def merge(x):   # (B, heads, T, dh) -> (B, T, d)
-        return x.transpose(0, 2, 1, 3).reshape(b, t, d)
+    def by_block(x):   # (T, B * heads * T) -> (B, heads, T keys, T queries) view
+        return x.reshape(t, b, heads, t).transpose(1, 2, 0, 3)
+
+    def merged(blocks):   # a (B, heads, T, dh) product, written as (B, T, d)
+        out = np.empty((b, t, d), dtype=dt)
+        np.matmul(*blocks, out=split(out))
+        return out
 
     q4, k4, v4 = split(q.data), split(k.data), split(v.data)
-    p = q4 @ k4.swapaxes(-1, -2)
+    p = np.empty((t, b * heads * t), dtype=dt)
+    np.matmul(k4, q4.swapaxes(-1, -2), out=by_block(p))
     p *= c
-    p += _causal_mask(t, p.dtype)
-    _softmax(p, out=p)
-    out = merge(p @ v4)
+    p += _causal_mask(t, b * heads, dt)
+    _softmax_keys(p)
+    pb = by_block(p)
+    out = merged((pb.swapaxes(-1, -2), v4))
 
     def grad(g):
         g4 = split(g)
-        ds = g4 @ v4.swapaxes(-1, -2)
-        _softmax_grad(ds, p, out=ds)
-        dv4 = p.swapaxes(-1, -2) @ g4
+        ds = np.empty_like(p)
+        dsb = by_block(ds)
+        np.matmul(v4, g4.swapaxes(-1, -2), out=dsb)
+        _softmax_keys_grad(ds, p)
+        dv = merged((pb, g4))
         ds *= c
-        dq4 = ds @ k4
-        # (q^T ds)^T, not ds^T q: the product the unfused op chain
-        # took, so the k gradient keeps its rounding
-        dk4 = (q4.swapaxes(-1, -2) @ ds).swapaxes(-1, -2)
-        return merge(dq4), merge(dk4), merge(dv4)
+        return merged((dsb.swapaxes(-1, -2), k4)), merged((dsb, q4)), dv
 
     return _emit("causal_attention", out, (q, k, v), grad)
 
 
 def layer_norm(a, gain, bias) -> Tensor:
-    """Normalize over the last dim to zero mean / unit variance, then affine."""
+    """Normalize over the last dim to zero mean / unit variance, then affine.
+
+    The row means, of x and of the squared deviations in the forward and
+    of the two products in the backward, are GEMVs with a (d,) vector of
+    1/d over the flattened (rows, d) view: one BLAS pass each, against
+    numpy's many short passes along a last axis of d.
+    """
     a, gain, bias = _as_tensor(a), _as_tensor(gain), _as_tensor(bias)
-    mu = a.data.mean(axis=-1, keepdims=True)
-    xhat = a.data - mu
-    var = np.mean(xhat * xhat, axis=-1, keepdims=True)
+    shape = a.data.shape
+    x = a.data.reshape(-1, shape[-1])
+    w = np.full(shape[-1], 1.0 / shape[-1], dtype=x.dtype)
+    xhat = x - (x @ w)[:, None]
+    var = (xhat * xhat) @ w
     var += LAYER_NORM_EPS
-    inv = 1.0 / np.sqrt(var)
+    inv = (1.0 / np.sqrt(var))[:, None]
     xhat *= inv
     out = xhat * gain.data
     out += bias.data
     gdat, sbias = gain.data, bias.data.shape
 
     def grad(g):
+        g = g.reshape(xhat.shape)
         dgain = _unbroadcast(g * xhat, gdat.shape)
         dbias = _unbroadcast(g, sbias)
         dxhat = g * gdat
-        da = dxhat - dxhat.mean(axis=-1, keepdims=True)
-        da -= xhat * np.mean(dxhat * xhat, axis=-1, keepdims=True)
+        da = dxhat - (dxhat @ w)[:, None]
+        da -= xhat * ((dxhat * xhat) @ w)[:, None]
         da *= inv
-        return da, dgain, dbias
+        return da.reshape(shape), dgain, dbias
 
-    return _emit("layer_norm", out, (a, gain, bias), grad)
+    return _emit("layer_norm", out.reshape(shape), (a, gain, bias), grad)
 
 
 _GELU_C = math.sqrt(2.0 / math.pi)

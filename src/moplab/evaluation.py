@@ -173,13 +173,16 @@ def window_stats(curve: ErrorCurve, lo, hi):
 
 def compare_predictors(curve_a: ErrorCurve, curve_b: ErrorCurve) -> dict:
     """Report of the per-timestep error ratio A/B, None where B's mean error
-    is below RATIO_GUARD, plus early and late window summaries."""
+    is below RATIO_GUARD, plus early and late window summaries (None for a
+    window that the horizon clips to empty: the early one below 3 steps)."""
     for f in ("preset", "horizon", "seed"):
         if getattr(curve_a, f) != getattr(curve_b, f):
             raise ValueError(f"curves disagree on {f}")
     t = curve_a.horizon
 
     def window(lo, hi):
+        if max(0, lo) > min(t - 1, hi):
+            return None
         ma, sa = window_stats(curve_a, lo, hi)
         mb, sb = window_stats(curve_b, lo, hi)
         return {"lo": lo, "hi": hi, "mean_num": ma, "stderr_num": sa,

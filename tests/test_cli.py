@@ -161,6 +161,20 @@ def test_eval_count_below_one_exits_2(tmp_path, flag, value, capsys):
     assert not (tmp_path / "out").exists()
 
 
+@pytest.mark.parametrize("horizon", [1, 2])
+def test_eval_below_three_steps_reports_an_empty_early_window(tmp_path, horizon):
+    out = tmp_path / "out"
+    argv = ["eval", "--preset", "linear-iid", "--predictors", "kf,ar-ols", "--n", "3",
+            "--horizon", str(horizon), "--out-dir", str(out)]
+    assert cli.main(argv) == 0
+    ratio = json.loads((out / "report.json").read_text())["ratio"]
+    assert ratio["early"] is None
+    assert (ratio["late"]["lo"], ratio["late"]["hi"]) == (horizon - 10, horizon)
+    assert len(ratio["ratio"]) == horizon
+    assert len(read_csv(out / "curves.csv")) == 2 * horizon
+    assert json.loads((out / "manifest.json").read_text())["config"]["horizon"] == horizon
+
+
 def test_resumed_run_log_equals_uninterrupted_log(tmp_path):
     base = ["train", "--config", train_config(tmp_path), "--quiet"]
     assert cli.main(base + ["--steps", "6", "--out-dir", str(tmp_path / "full")]) == 0

@@ -141,6 +141,29 @@ def test_layer_norm_zero_mean_unit_variance(rng):
     assert np.abs(out.std(axis=-1) - 1.0).max() <= 1e-3   # eps shrinks it slightly
 
 
+@pytest.mark.parametrize("d", [5, 7])
+def test_layer_norm_at_inexact_widths_matches_direct_formula(d, rng):
+    # 1/d is inexact, so the op's GEMV means round unlike np.mean
+    x = rng.standard_normal((3, 4, d)) * 3 + 1.0
+    gain, bias = rng.standard_normal(d), rng.standard_normal(d)
+    up = rng.standard_normal(x.shape)
+    g = Graph()
+    with g:
+        out = engine.layer_norm(g.leaf(x), g.leaf(gain), g.leaf(bias))
+    dx, dgain, dbias = out.node.grad_fn(up)
+
+    mu = x.mean(axis=-1, keepdims=True)
+    sigma = np.sqrt(((x - mu) ** 2).mean(axis=-1, keepdims=True) + engine.LAYER_NORM_EPS)
+    xhat = (x - mu) / sigma
+    dxhat = up * gain
+    ref_dx = (dxhat - dxhat.mean(axis=-1, keepdims=True)
+              - xhat * (dxhat * xhat).mean(axis=-1, keepdims=True)) / sigma
+    for got, ref in ((out.data, xhat * gain + bias), (dx, ref_dx),
+                     (dgain, (up * xhat).sum(axis=(0, 1))), (dbias, up.sum(axis=(0, 1)))):
+        assert got.shape == ref.shape
+        assert np.abs(got - ref).max() <= 1e-12
+
+
 def test_gelu_zero():
     assert engine.gelu(Tensor(np.array(0.0))).item() == 0.0
 
@@ -387,6 +410,30 @@ def test_causal_attention_gradient_ignores_later_rows(rng):
             assert np.any(grads[c][:, : j + 1] != 0), (c, j)
 
 
+def test_causal_mask_is_one_read_only_tile_per_length_and_dtype(monkeypatch, rng):
+    monkeypatch.setattr(engine, "_causal_masks", {})
+    t, heads = 7, 2
+    # chunks of 16 and a last one of 4, as when scoring 100 systems; then a
+    # larger chunk that regrows the tile, and the small one again. Batch
+    # rows are independent, so each chunk reads as the same rows of the first.
+    for dtype in (np.float64, np.float32):
+        x = rng.standard_normal((20, t, 4)).astype(dtype)
+        first = engine.causal_attention(*(Tensor(x[:16]),) * 3, heads=heads).data
+        for b in (16, 4, 20, 4):
+            out = engine.causal_attention(*(Tensor(x[:b]),) * 3, heads=heads).data
+            rows = min(b, 16)
+            assert np.array_equal(out[:rows], first[:rows])
+    masks = engine._causal_masks
+    assert sorted(masks) == [(t, "<f4"), (t, "<f8")]
+    tri = np.tril(np.full((t, t), engine.CAUSAL_MASK_FILL), k=-1)
+    for m in masks.values():
+        assert not m.flags.writeable
+        assert m.shape == (t, 20 * heads * t)
+        assert np.array_equal(m, np.tile(tri, (1, 20 * heads)).astype(m.dtype))
+    view = engine._causal_mask(t, 4 * heads, np.float32)
+    assert view.shape == (t, 4 * heads * t) and not view.flags.writeable
+
+
 def test_causal_attention_rejects_bad_shapes():
     x = Tensor(np.zeros((2, 3, 4)))
     with pytest.raises(engine.ShapeError):
@@ -445,7 +492,7 @@ def test_ops_are_pure_and_bit_reproducible(rng):
 def test_finite_checks_flag(rng):
     engine.set_finite_checks(True)
     try:
-        with pytest.raises(FloatingPointError):
+        with pytest.warns(RuntimeWarning, match="overflow"), pytest.raises(FloatingPointError):
             engine.scale(Tensor(np.array([1e308])), 10.0)
         out = engine.add(Tensor(np.ones(3)), Tensor(np.ones(3)))
         assert np.isfinite(out.data).all()
