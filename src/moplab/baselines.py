@@ -126,7 +126,7 @@ class QuadrotorEKF(GaussianFilter):
         params = stack_quadrotors(systems)
         super().__init__(
             propagate=lambda x, u: quadrotor_step(x, u, 0.0, params),
-            jacobian=lambda x, u: quadrotor_jacobian(x, u, params),
+            jacobian=lambda x, u: quadrotor_jacobian(x),
             c=np.stack([s.c for s in systems]),
             sigma_w=[s.sigma_w for s in systems],
             sigma_v=[s.sigma_v for s in systems],

@@ -129,8 +129,8 @@ def cmd_train(args) -> int:
         result.loss_rows[:0] = _earlier_loss_rows(
             Path(args.resume).parent / "loss.csv",
             result.loss_rows[0]["step"] if result.loss_rows else cfg.steps)
-    _write_train_outputs(out_dir, result, t0)
-    print(f"final checkpoint: {result.final_checkpoint}")
+    _write_train_outputs(out_dir, cfg, result, t0)
+    print(f"final checkpoint: {result.checkpoints[-1]}")
     return 0
 
 
@@ -145,17 +145,17 @@ def _earlier_loss_rows(path: Path, before_step: int) -> list[dict]:
     return [r for r in rows if r["step"] < before_step]
 
 
-def _write_train_outputs(out_dir: Path, result: training.TrainResult, t0) -> None:
+def _write_train_outputs(out_dir: Path, cfg: TrainConfig,
+                         result: training.TrainResult, t0) -> None:
     write_csv(out_dir / "loss.csv", result.loss_rows,
               ["step", "loss", "grad_norm", "wallclock_s"])
     write_json(out_dir / "dataset.json", result.dataset_manifest)
     ckpt_hashes = {Path(p).name: sha256_file(p) for p in result.checkpoints}
-    write_manifest(out_dir, "train", dataclasses.asdict(result.config),
-                   result.config.seed,
+    write_manifest(out_dir, "train", dataclasses.asdict(cfg), cfg.seed,
                    dataset_hash=sha256_json(result.dataset_manifest),
                    checkpoint_hashes=ckpt_hashes,
                    wallclock_s=time.time() - t0,
-                   outputs=[str(out_dir / "loss.csv"), result.final_checkpoint])
+                   outputs=[str(out_dir / "loss.csv"), result.checkpoints[-1]])
 
 
 def _load_weights_for(dist, path):
@@ -176,11 +176,24 @@ def _get_preset(name):
         raise UsageError(str(exc)) from None
 
 
-def _score(predictors, dist, n, horizon, seed, weights=None, switch_at=None):
-    """Error curves of each predictor kind on one shared test population."""
-    population = evaluation.test_population(dist, n, horizon, seed, switch_at)
-    return [evaluation.error_curve(kind, dist, n, horizon, seed, weights=weights,
-                                   population=population) for kind in predictors]
+def _timed(phases: dict, key, fn, *args, **kwargs):
+    """fn(*args, **kwargs), adding its wall seconds to phases[key]."""
+    t0 = time.perf_counter()
+    out = fn(*args, **kwargs)
+    phases[key] = (phases.get(key) or 0.0) + time.perf_counter() - t0
+    return out
+
+
+def _score(predictors, dist, n, horizon, seed, weights=None, switch_at=None,
+           phases=None):
+    """Error curves of each predictor kind on one shared test population,
+    timed into `phases` when it is given (see `cmd_experiment`)."""
+    phases = {"score": {}} if phases is None else phases
+    population = _timed(phases, "population", evaluation.test_population,
+                        dist, n, horizon, seed, switch_at)
+    return [_timed(phases["score"], kind, evaluation.error_curve, kind, dist, n,
+                   horizon, seed, weights=weights, population=population)
+            for kind in predictors]
 
 
 def _write_eval(out_dir: Path, name, curves, n, seed, ckpt, t0,
@@ -252,20 +265,27 @@ def cmd_plot(args) -> int:
 
 
 def cmd_experiment(args) -> int:
+    """Run a preset. The manifest's `phases_s` holds the wall seconds of the
+    dataset build, the rest of `training.train` (steps, checkpoint writes),
+    the test population, each predictor's scoring (risk-scaling's paired
+    scoring as "excess_risk"), the diagnostics and the plots: summed over
+    cells or noise levels, null where not run (or the run was reused)."""
     preset = _get_preset(args.name)
     seed = _resolve_seed(args.seed, preset.train.seed)
     root = Path(args.out_dir) / preset.name
     root.mkdir(parents=True, exist_ok=True)
     t0 = time.time()
+    phases = {"dataset": None, "train": None, "population": None, "score": {},
+              "diagnostics": None, "plots": None}
     if preset.scaling_grid is not None:
-        _experiment_scaling(preset, seed, root, args.quiet)
+        _experiment_scaling(preset, seed, root, args.quiet, phases)
     elif preset.shift_sigma2 is not None:
         _experiment_shift(preset, seed, root, args.ckpt or str(
-            Path(args.out_dir) / "linear-iid" / "train" / "ckpt-final.ckpt"))
+            Path(args.out_dir) / "linear-iid" / "train" / "ckpt-final.ckpt"), phases)
     else:
-        _experiment_curves(preset, seed, root, args.quiet)
+        _experiment_curves(preset, seed, root, args.quiet, phases)
     write_manifest(root, "experiment", {"name": preset.name}, seed,
-                   wallclock_s=time.time() - t0)
+                   wallclock_s=time.time() - t0, phases_s=phases)
     print(f"experiment {preset.name} done under {root}")
     return 0
 
@@ -275,10 +295,10 @@ def derive_eval_seed(seed: int) -> int:
     return seed + 10_000
 
 
-def _ensure_trained(cfg: TrainConfig, train_dir: Path, quiet=True) -> str:
+def _ensure_trained(cfg: TrainConfig, train_dir: Path, quiet, phases) -> str:
     """The final checkpoint of `cfg` under train_dir: reused when the run's
-    manifest records the same config, otherwise trained with its loss.csv,
-    dataset.json and manifest."""
+    manifest records the same config, otherwise trained (and timed into
+    `phases`) with its loss.csv, dataset.json and manifest."""
     final = train_dir / "ckpt-final.ckpt"
     manifest_path = train_dir / "manifest.json"
     if final.exists() and manifest_path.exists():
@@ -286,27 +306,32 @@ def _ensure_trained(cfg: TrainConfig, train_dir: Path, quiet=True) -> str:
         if sha256_json(prev) == sha256_json(dataclasses.asdict(cfg)):
             return str(final)
     t0 = time.time()
-    result = training.train(cfg, train_dir, quiet=quiet)
-    _write_train_outputs(train_dir, result, t0)
-    return result.final_checkpoint
+    result = _timed(phases, "train", training.train, cfg, train_dir, quiet=quiet)
+    phases["train"] -= result.dataset_s
+    phases["dataset"] = (phases["dataset"] or 0.0) + result.dataset_s
+    _write_train_outputs(train_dir, cfg, result, t0)
+    return result.checkpoints[-1]
 
 
-def _experiment_curves(preset, seed, root: Path, quiet) -> None:
+def _experiment_curves(preset, seed, root: Path, quiet, phases) -> None:
     ckpt = _ensure_trained(dataclasses.replace(preset.train, seed=seed),
-                           root / "train", quiet)
+                           root / "train", quiet, phases)
     dist = get_distribution(preset.distribution)
     weights = _load_weights_for(dist, ckpt)
     t0 = time.time()
     eval_seed = derive_eval_seed(seed)
     curves = _score(["mop", *preset.baselines], dist, preset.eval_n,
-                    preset.eval_horizon, eval_seed, weights, preset.switch_at)
+                    preset.eval_horizon, eval_seed, weights, preset.switch_at, phases)
     rows = _write_eval(root / "eval", preset.name, curves, preset.eval_n,
                        eval_seed, ckpt, t0,
-                       **_diagnostics(preset, dist, weights, eval_seed))
+                       **_timed(phases, "diagnostics", _diagnostics,
+                                preset, dist, weights, eval_seed))
+    t_plots = time.perf_counter()
     (root / "curves.svg").write_text(svgplot.render_from_rows(rows, title=preset.name))
     if len(curves) == 2:
         (root / "ratio.svg").write_text(svgplot.render_from_rows(
             rows, ratio=True, title=f"{preset.name} ratio"))
+    phases["plots"] = time.perf_counter() - t_plots
 
 
 def _diagnostics(preset, dist, weights, eval_seed) -> dict:
@@ -322,7 +347,7 @@ def _diagnostics(preset, dist, weights, eval_seed) -> dict:
     return {}
 
 
-def _experiment_shift(preset, seed, root: Path, ckpt) -> None:
+def _experiment_shift(preset, seed, root: Path, ckpt, phases) -> None:
     """Score the model trained at the preset's noise level on populations
     whose noise variance differs; systems and standardized noise draws are
     shared across levels, so only the noise scale moves."""
@@ -337,7 +362,7 @@ def _experiment_shift(preset, seed, root: Path, ckpt) -> None:
     for s2 in preset.shift_sigma2:
         curves = _score(["mop", *preset.baselines], base.with_noise_var(s2),
                         preset.eval_n, preset.eval_horizon,
-                        derive_eval_seed(seed), weights)
+                        derive_eval_seed(seed), weights, phases=phases)
         rows += evaluation.curves_to_csv_rows(f"{preset.name}-s{s2}", curves)
         late_ratios.append(evaluation.compare_predictors(*curves)["late"]["ratio"])
     write_csv(root / "curves.csv", rows, CSV_FIELDS)
@@ -347,13 +372,13 @@ def _experiment_shift(preset, seed, root: Path, ckpt) -> None:
                 "late_ratios": late_ratios})
 
 
-def _experiment_scaling(preset, seed, root: Path, quiet) -> None:
+def _experiment_scaling(preset, seed, root: Path, quiet, phases) -> None:
     """One model per (M, T^tr) cell at a fixed step budget, each scored by
     its excess-risk proxy on one shared test population."""
     dist = get_distribution(preset.distribution)
     eval_seed = derive_eval_seed(seed)
-    population = evaluation.test_population(dist, preset.eval_n,
-                                            preset.eval_horizon, eval_seed)
+    population = _timed(phases, "population", evaluation.test_population,
+                        dist, preset.eval_n, preset.eval_horizon, eval_seed)
     cells = []
     for m_systems, train_len in preset.scaling_grid:
         cfg = dataclasses.replace(preset.train, seed=seed, m_systems=m_systems,
@@ -363,14 +388,14 @@ def _experiment_scaling(preset, seed, root: Path, quiet) -> None:
                 "flagged": None}
         try:
             ckpt = _ensure_trained(
-                cfg, root / "cells" / f"cell-M{m_systems}-T{train_len}", quiet)
+                cfg, root / "cells" / f"cell-M{m_systems}-T{train_len}", quiet, phases)
         except training.TrainingAborted as exc:
             cell["flagged"] = str(exc)
         else:
-            risk = evaluation.empirical_excess_risk(
-                model.load_checkpoint(ckpt), dist, preset.eval_n,
-                preset.eval_horizon, eval_seed, population=population)
-            cell.update(delta=risk.delta, stderr=risk.stderr)
+            risk = _timed(phases["score"], "excess_risk", evaluation.empirical_excess_risk,
+                          model.load_checkpoint(ckpt), dist, eval_seed,
+                          population=population)
+            cell.update(delta=risk["delta"], stderr=risk["stderr"])
         cells.append(cell)
     report = evaluation.scaling_report(preset.distribution, cells)
     write_json(root / "scaling.json", report)

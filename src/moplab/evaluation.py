@@ -33,7 +33,7 @@ from .seeding import stream
 from .systems import SwitchSpec, simulate
 
 __all__ = [
-    "ErrorCurve", "RiskReport",
+    "ErrorCurve",
     "make_predictor", "test_population", "predict_population", "error_curve",
     "compare_predictors", "window_stats", "empirical_excess_risk",
     "scaling_report", "robustness_probe", "power_norm_report",
@@ -89,15 +89,28 @@ def test_population(dist: Distribution, n, horizon, seed, switch_at=None):
 
 @dataclass
 class ErrorCurve:
+    """Errors ||yhat_t - y_t|| of one predictor, one row per test system
+    that stayed finite. `n_systems` and `horizon` are the shape of
+    `per_system`; `mean` and `stderr` over its rows are computed at
+    construction."""
     preset: str
     predictor: str
-    n_systems: int
-    horizon: int
     seed: int
-    mean: np.ndarray                   # per-t mean of ||yhat_t - y_t||
-    stderr: np.ndarray
     per_system: np.ndarray             # (n_ok, horizon)
     failed_systems: list = field(default_factory=list)
+    mean: np.ndarray = field(init=False)
+    stderr: np.ndarray = field(init=False)
+
+    def __post_init__(self):
+        self.mean, self.stderr = _mean_stderr(self.per_system)
+
+    @property
+    def n_systems(self) -> int:
+        return len(self.per_system)
+
+    @property
+    def horizon(self) -> int:
+        return self.per_system.shape[1]
 
     def to_json(self) -> dict:
         return {
@@ -145,19 +158,14 @@ def error_curve(predictor_kind: str, dist: Distribution, n, horizon, seed,
     """
     systems, trajs = population
     ys = np.stack([t.ys for t in trajs])
-    horizon = ys.shape[1]
     preds = predict_population(predictor_kind, systems, trajs, dist, weights)
     errs = np.linalg.norm(preds - ys, axis=-1)
 
     ok = np.isfinite(errs).all(axis=1)
-    good = errs[ok]
-    if good.shape[0] == 0:
+    if not ok.any():
         raise RuntimeError("every test system produced non-finite predictions")
-    mean, stderr = _mean_stderr(good)
-    return ErrorCurve(preset=dist.name, predictor=predictor_kind,
-                      n_systems=int(good.shape[0]), horizon=horizon, seed=seed,
-                      mean=mean, stderr=stderr, per_system=good,
-                      failed_systems=np.flatnonzero(~ok).tolist())
+    return ErrorCurve(dist.name, predictor_kind, seed, errs[ok],
+                      np.flatnonzero(~ok).tolist())
 
 
 def window_stats(curve: ErrorCurve, lo, hi):
@@ -200,31 +208,23 @@ def compare_predictors(curve_a: ErrorCurve, curve_b: ErrorCurve) -> dict:
 # risk
 # ---------------------------------------------------------------------------
 
-@dataclass
-class RiskReport:
-    preset: str
-    baseline: str
-    n_systems: int
-    horizon: int
-    seed: int
-    risk_model: float                  # empirical risk of the transformer
-    risk_baseline: float               # same formula on the filter
-    delta: float                       # excess-risk proxy
-    stderr: float                      # stderr of the paired per-system delta
-    per_system_delta: np.ndarray
-
-
-def empirical_excess_risk(weights: TransformerWeights, dist: Distribution, n,
-                          horizon, seed, *, population) -> RiskReport:
+def empirical_excess_risk(weights: TransformerWeights, dist: Distribution, seed,
+                          *, population) -> dict:
     """Excess-risk proxy: empirical risk of the model minus that of the
     model-aware filter (the EKF on the quadrotor, else the KF) on the same
     test population. For linear-Gaussian presets the filter is
     Bayes-optimal, making the proxy an upper bound on the true excess risk
     up to estimation noise.
+
+    Returns the baseline's name, both risks, the per-system deltas and
+    their mean `delta` with its `stderr`; the system count and horizon are
+    the population's.
     """
     baseline = "ekf" if dist.kind == "quadrotor" else "kf"
-    curves = [error_curve(kind, dist, n, horizon, seed, weights=weights,
-                          population=population) for kind in ("mop", baseline)]
+    trajs = population[1]
+    curves = [error_curve(kind, dist, len(trajs), len(trajs[0].ys), seed,
+                          weights=weights, population=population)
+              for kind in ("mop", baseline)]
     for curve in curves:
         if curve.failed_systems:
             raise RuntimeError(f"{curve.predictor} failed on test systems "
@@ -233,12 +233,9 @@ def empirical_excess_risk(weights: TransformerWeights, dist: Distribution, n,
     model_risk, base_risk = (c.per_system[:, 1:].mean(axis=1) for c in curves)
     delta = model_risk - base_risk
     mean_delta, stderr = _mean_stderr(delta)
-    return RiskReport(preset=dist.name, baseline=baseline, n_systems=len(delta),
-                      horizon=curves[0].horizon, seed=seed,
-                      risk_model=float(model_risk.mean()),
-                      risk_baseline=float(base_risk.mean()),
-                      delta=float(mean_delta), stderr=float(stderr),
-                      per_system_delta=delta)
+    return {"baseline": baseline, "risk_model": float(model_risk.mean()),
+            "risk_baseline": float(base_risk.mean()), "delta": float(mean_delta),
+            "stderr": float(stderr), "per_system_delta": delta}
 
 
 # ---------------------------------------------------------------------------

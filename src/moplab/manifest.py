@@ -1,9 +1,9 @@
 """Run manifests and deterministic tabular output.
 
 Every artifact directory gets a manifest recording the fully resolved
-config, seeds, input/output hashes, wallclock and environment (Python,
+config, seeds, input/output hashes, wall times and environment (Python,
 numpy and BLAS versions, BLAS thread settings, a hash of the moplab
-sources): enough to reproduce the outputs byte for byte (wallclock aside)
+sources): enough to reproduce the outputs byte for byte (times aside)
 by re-running the same subcommand on the same environment.
 Files are written atomically (a temp file, then `os.replace`), so an
 interrupted run never leaves a half-written manifest, log or checkpoint.
@@ -85,7 +85,8 @@ def environment() -> dict:
 
 
 def write_manifest(out_dir, command, config, base_seed, *, dataset_hash=None,
-                   checkpoint_hashes=None, wallclock_s=None, outputs=None) -> None:
+                   checkpoint_hashes=None, wallclock_s=None, outputs=None,
+                   phases_s=None) -> None:
     manifest = {
         "tool": "moplab",
         "version": __version__,
@@ -95,6 +96,7 @@ def write_manifest(out_dir, command, config, base_seed, *, dataset_hash=None,
         "dataset_hash": dataset_hash,
         "checkpoint_hashes": checkpoint_hashes or {},
         "wallclock_s": wallclock_s,
+        "phases_s": phases_s,          # wall seconds per phase, where timed
         "outputs": outputs or [],
         "environment": environment(),
     }

@@ -30,6 +30,8 @@ DIVERGENCE_LIMIT = 1e9
 RESAMPLE_ATTEMPTS = 100
 TARGET_RHO = 0.95                    # spectral radius of a dense A
 INPUT_SPREAD = 0.5                   # quadrotor rotor-command perturbation
+GRAVITY = 10.0                       # quadrotor gravitational acceleration
+TAU = 0.1                            # quadrotor discretization step
 
 
 class DivergenceError(RuntimeError):
@@ -60,14 +62,14 @@ class LinearSystem:
 
 @dataclass(frozen=True)
 class QuadrotorSystem:
+    """A planar quadrotor's sampled parameters. Gravity and the time step
+    are the same for every quadrotor: the constants GRAVITY and TAU."""
     mass: float
     arm_length: float
     inertia: float
     c: np.ndarray           # 3 x 6 output matrix
     sigma_w: float
     sigma_v: float
-    gravity: float = 10.0
-    tau: float = 0.1
     seed: int = 0
 
     @property
@@ -80,7 +82,7 @@ class QuadrotorSystem:
 
     @property
     def hover_thrust(self) -> float:
-        return self.mass * self.gravity / 2.0
+        return self.mass * GRAVITY / 2.0
 
 
 @dataclass
@@ -185,12 +187,13 @@ def quadrotor_step(state, u, noise, system) -> np.ndarray:
     x, z, phi, xdot, zdot, phidot) with additive process noise.
 
     state [6] and u [2], or [N, 6] and [N, 2] for a population; the
-    parameters of `system` (mass, arm_length, inertia, gravity, tau) are
-    then arrays over those axes (see `stack_quadrotors`).
+    parameters of `system` (mass, arm_length, inertia) are then arrays over
+    those axes (see `stack_quadrotors`). Gravity and the step are GRAVITY
+    and TAU.
     """
     x, z, phi, xd, zd, phid = state.T
     u0, u1 = u.T
-    g, tau = system.gravity, system.tau
+    g, tau = GRAVITY, TAU
     c, s = np.cos(phi), np.sin(phi)
     nxt = np.array([
         x + (xd * c - zd * s) * tau,
@@ -203,11 +206,13 @@ def quadrotor_step(state, u, noise, system) -> np.ndarray:
     return nxt + noise
 
 
-def quadrotor_jacobian(state, u, system) -> np.ndarray:
-    """Analytic d(next state)/d(state) of `quadrotor_step` at (state, u),
-    shaped [6, 6], or [N, 6, 6] for a population of states [N, 6]."""
+def quadrotor_jacobian(state) -> np.ndarray:
+    """Analytic d(next state)/d(state) of `quadrotor_step` at `state`,
+    shaped [6, 6], or [N, 6, 6] for a population of states [N, 6]. It does
+    not depend on the inputs or on the sampled mass, arm length and
+    inertia, which enter the update only through the inputs."""
     _, _, phi, xd, zd, phid = state.T
-    g, tau = system.gravity, system.tau
+    g, tau = GRAVITY, TAU
     c, s = np.cos(phi), np.sin(phi)
     jac = np.zeros(state.shape[:-1] + (6, 6))
     jac[..., 0, 0] = 1.0
@@ -237,7 +242,7 @@ def stack_quadrotors(systems) -> SimpleNamespace:
     population, for the batched `quadrotor_step` / `quadrotor_jacobian`."""
     return SimpleNamespace(**{
         name: np.array([getattr(s, name) for s in systems])
-        for name in ("mass", "arm_length", "inertia", "gravity", "tau")})
+        for name in ("mass", "arm_length", "inertia")})
 
 
 def simulate(system, t_len, rng, window=1, switch: SwitchSpec | None = None,
@@ -306,8 +311,6 @@ def _system_record(system) -> dict:
         "mass": system.mass,
         "arm_length": system.arm_length,
         "inertia": system.inertia,
-        "gravity": system.gravity,
-        "tau": system.tau,
         "C": [float(x) for x in system.c.ravel()],
         "sigma_w": system.sigma_w,
         "sigma_v": system.sigma_v,
@@ -328,8 +331,7 @@ def _system_from_record(rec: dict):
         return QuadrotorSystem(
             mass=rec["mass"], arm_length=rec["arm_length"],
             inertia=rec["inertia"], c=np.array(rec["C"]).reshape(3, 6),
-            sigma_w=rec["sigma_w"], sigma_v=rec["sigma_v"],
-            gravity=rec["gravity"], tau=rec["tau"], seed=rec["seed"],
+            sigma_w=rec["sigma_w"], sigma_v=rec["sigma_v"], seed=rec["seed"],
         )
     raise ValueError(f"unknown system kind {rec['kind']!r}")
 

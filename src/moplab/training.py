@@ -247,11 +247,12 @@ def _retained_heap():
 
 @dataclass
 class TrainResult:
-    final_checkpoint: str
-    checkpoints: list
+    """What one `train` call wrote and measured; the caller holds its
+    config."""
+    checkpoints: list                # paths in write order; the last is the final one
     loss_rows: list                  # dicts: step, loss, grad_norm, wallclock_s
     dataset_manifest: dict
-    config: TrainConfig
+    dataset_s: float                 # building the dataset, before the steps' clock
 
 
 @_retained_heap()
@@ -267,6 +268,9 @@ def train(cfg: TrainConfig, out_dir, resume=None, quiet=True) -> TrainResult:
     `_loss_and_grads`), then clips and applies one Adam update. A loss
     that is not finite or exceeds DIVERGENCE_LOSS writes the weights the
     step started from to ckpt-abort.ckpt and raises `TrainingAborted`.
+
+    The result's `dataset_s` times the dataset build, which runs before the
+    clock of the loss rows' `wallclock_s` starts.
     """
     out_dir = Path(out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
@@ -281,7 +285,9 @@ def train(cfg: TrainConfig, out_dir, resume=None, quiet=True) -> TrainResult:
         weights = model.init_weights(cfg.model, stream(cfg.seed, "init"))
         adam = _Adam(cfg.lr, weights.arrays)
         start_step = 0
+    t_data = time.perf_counter()
     ds = build_meta_dataset(cfg.preset, cfg.m_systems, cfg.train_len, cfg.seed)
+    dataset_s = time.perf_counter() - t_data
 
     checkpoints = []
     loss_rows = []
@@ -291,7 +297,6 @@ def train(cfg: TrainConfig, out_dir, resume=None, quiet=True) -> TrainResult:
         path = out_dir / (tag or f"ckpt-{step:06d}.ckpt")
         model.save_checkpoint(weights, path, optimizer=(step, adam.state))
         checkpoints.append(str(path))
-        return str(path)
 
     for step in range(start_step, cfg.steps):
         idx = stream(cfg.seed, "batch", step).integers(0, cfg.m_systems,
@@ -322,5 +327,5 @@ def train(cfg: TrainConfig, out_dir, resume=None, quiet=True) -> TrainResult:
         if (step + 1) % cfg.checkpoint_every == 0 and step + 1 < cfg.steps:
             checkpoint(step + 1)
 
-    final = checkpoint(cfg.steps, "ckpt-final.ckpt")
-    return TrainResult(final, checkpoints, loss_rows, ds.manifest(), cfg)
+    checkpoint(cfg.steps, "ckpt-final.ckpt")
+    return TrainResult(checkpoints, loss_rows, ds.manifest(), dataset_s)

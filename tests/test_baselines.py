@@ -140,7 +140,7 @@ def test_ekf_jacobian_vs_finite_differences():
     for _ in range(20):
         x = rng.uniform(-1, 1, 6)
         u = rng.uniform(0, 2, 2)
-        jac = quadrotor_jacobian(x, u, system)
+        jac = quadrotor_jacobian(x)
         fd = np.zeros((6, 6))
         for j in range(6):
             e = np.zeros(6)

@@ -71,7 +71,7 @@ def test_batched_ekf_matches_scalar_recursion():
     for i, (system, traj) in enumerate(zip(systems, trajs)):
         oracle = scalar_gaussian_filter(
             lambda x, u: quadrotor_step(x, u, np.zeros(6), system),
-            lambda x, u: quadrotor_jacobian(x, u, system),
+            lambda x, u: quadrotor_jacobian(x),
             system.c, system.sigma_w ** 2, system.sigma_v ** 2, traj.ys, traj.us)
         worst = max(worst, np.abs(preds[i] - oracle).max())
     assert worst <= 1e-12
@@ -83,11 +83,11 @@ def test_batched_quadrotor_dynamics_match_per_system_calls():
     x, u, w = rng.uniform(-1, 1, (6, 6)), rng.uniform(0, 2, (6, 2)), rng.standard_normal((6, 6))
     params = stack_quadrotors(systems)
     step = quadrotor_step(x, u, w, params)
-    jac = quadrotor_jacobian(x, u, params)
+    jac = quadrotor_jacobian(x)
     assert step.shape == (6, 6) and jac.shape == (6, 6, 6)
     for i, system in enumerate(systems):
         assert np.abs(step[i] - quadrotor_step(x[i], u[i], w[i], system)).max() <= 1e-15
-        assert np.abs(jac[i] - quadrotor_jacobian(x[i], u[i], system)).max() <= 1e-15
+        assert np.abs(jac[i] - quadrotor_jacobian(x[i])).max() <= 1e-15
 
 
 def test_batched_ar_ols_matches_batch_ridge_oracle():
@@ -217,30 +217,27 @@ def test_zero_predictor_curve_is_the_output_norm():
 def test_excess_risk_pairs_the_mop_and_kf_curves():
     weights = model.init_weights(TINY_MODEL, stream(11, "risk"))
     pop = population(LINEAR, n=8)
-    report = evaluation.empirical_excess_risk(weights, LINEAR, 8, HORIZON, 4,
-                                              population=pop)
+    report = evaluation.empirical_excess_risk(weights, LINEAR, 4, population=pop)
     mop = evaluation.error_curve("mop", LINEAR, 8, HORIZON, 4, weights=weights,
                                  population=pop)
     kf = evaluation.error_curve("kf", LINEAR, 8, HORIZON, 4, population=pop)
     risk_mop = mop.per_system[:, 1:].mean(axis=1)
     risk_kf = kf.per_system[:, 1:].mean(axis=1)
-    assert report.baseline == "kf"
-    assert report.risk_model == float(risk_mop.mean())
-    assert report.risk_baseline == float(risk_kf.mean())
-    assert np.array_equal(report.per_system_delta, risk_mop - risk_kf)
+    assert report["baseline"] == "kf"
+    assert report["risk_model"] == float(risk_mop.mean())
+    assert report["risk_baseline"] == float(risk_kf.mean())
+    assert np.array_equal(report["per_system_delta"], risk_mop - risk_kf)
+    assert report["delta"] == float((risk_mop - risk_kf).mean())
 
 
 def test_excess_risk_stderr_counts_the_paired_systems():
-    # a 6-system population passed with n=8 and another horizon: the report
-    # describes the population
+    # the report describes the population it is given: 6 systems
     weights = model.init_weights(TINY_MODEL, stream(12, "risk"))
     pop = population(LINEAR, n=6)
-    report = evaluation.empirical_excess_risk(weights, LINEAR, 8, HORIZON + 10, 4,
-                                              population=pop)
-    delta = report.per_system_delta
-    assert len(delta) == 6 and report.n_systems == 6
-    assert report.horizon == HORIZON
-    assert report.stderr == float(delta.std(ddof=1) / np.sqrt(6))
+    report = evaluation.empirical_excess_risk(weights, LINEAR, 4, population=pop)
+    delta = report["per_system_delta"]
+    assert len(delta) == 6
+    assert report["stderr"] == float(delta.std(ddof=1) / np.sqrt(6))
 
 
 def test_error_curve_takes_its_horizon_from_the_population():
@@ -255,9 +252,30 @@ def test_error_curve_takes_its_horizon_from_the_population():
 
 
 def curve_of(predictor, per_system):
-    mean, stderr = per_system.mean(axis=0), per_system.std(axis=0, ddof=1)
-    return evaluation.ErrorCurve("linear-dense", predictor, len(per_system),
-                                 per_system.shape[1], 4, mean, stderr, per_system)
+    return evaluation.ErrorCurve("linear-dense", predictor, 4, per_system)
+
+
+@pytest.mark.parametrize("derived", ["n_systems", "horizon", "mean", "stderr"])
+def test_error_curve_does_not_take_what_it_derives(derived):
+    with pytest.raises(TypeError):
+        evaluation.ErrorCurve("linear-dense", "kf", 4, np.ones((3, 5)), **{derived: 1})
+
+
+def test_curve_with_a_failed_system_derives_its_shape_and_statistics():
+    systems, trajs = population(LINEAR, n=6)
+    broken = list(trajs)
+    ys = trajs[2].ys.copy()
+    ys[5] = np.nan
+    broken[2] = Trajectory(ys=ys)
+    curve = evaluation.error_curve("kf", LINEAR, 6, HORIZON, 4,
+                                   population=(systems, broken))
+    assert curve.failed_systems == [2]
+    assert curve.per_system.shape == (5, HORIZON)
+    assert (curve.n_systems, curve.horizon) == curve.per_system.shape
+    mean, stderr = evaluation._mean_stderr(curve.per_system)
+    assert curve.mean.tobytes() == mean.tobytes()
+    assert curve.stderr.tobytes() == stderr.tobytes()
+    assert curve.to_json()["n_systems"] == 5 and curve.to_json()["horizon"] == HORIZON
 
 
 def test_compare_predictors_reports_ratios_and_windows(rng):

@@ -90,6 +90,39 @@ def test_every_preset_writes_its_files_and_reruns_identically(tmp_path, tiny_pre
             assert extra == DIAGNOSTICS.get(name, set()), name
 
 
+def phases_of(root):
+    """The experiment manifest's phase times, after checking that each is a
+    number of seconds >= 0 or null."""
+    phases = json.loads((root / "manifest.json").read_text())["phases_s"]
+    assert set(phases) == {"dataset", "train", "population", "score",
+                           "diagnostics", "plots"}
+    for value in [*phases.values(), *phases["score"].values()]:
+        assert value is None or isinstance(value, dict) or value >= 0
+    return phases
+
+
+def test_experiment_manifest_times_every_phase(tmp_path, tiny_presets):
+    assert experiment("linear-iid", tmp_path, "--seed", "3") == 0
+    fresh = phases_of(tmp_path / "linear-iid")
+    assert set(fresh["score"]) == {"mop", "kf", "ar-ols"}
+    assert None not in fresh.values()
+    # a rerun at the same config reuses the trained model
+    assert experiment("linear-iid", tmp_path, "--seed", "3") == 0
+    reused = phases_of(tmp_path / "linear-iid")
+    assert reused["dataset"] is None and reused["train"] is None
+    assert None not in (reused["population"], reused["diagnostics"], reused["plots"])
+    # dist-shift scores that model at three noise levels and plots nothing
+    assert experiment("dist-shift", tmp_path, "--seed", "3") == 0
+    shift = phases_of(tmp_path / "dist-shift")
+    assert set(shift["score"]) == {"mop", "kf"} and shift["population"] is not None
+    assert [shift[k] for k in ("dataset", "train", "diagnostics", "plots")] == [None] * 4
+    # risk-scaling trains each cell and scores its excess risk
+    assert experiment("risk-scaling", tmp_path, "--seed", "3") == 0
+    scaling = phases_of(tmp_path / "risk-scaling")
+    assert set(scaling["score"]) == {"excess_risk"}
+    assert None not in (scaling["dataset"], scaling["train"], scaling["population"])
+
+
 def test_linear_iid_probe_at_the_desk_horizon_is_the_default_probe(tmp_path,
                                                                    monkeypatch):
     preset = tiny(presets.EXPERIMENTS["linear-iid"])

@@ -8,7 +8,7 @@ from moplab import distributions, linalg
 from moplab.distributions import QUAD_RESAMPLE_LIMIT, get_distribution
 from moplab.seeding import derive_seed, stream
 from moplab.systems import (
-    DivergenceError, LinearSystem, SwitchSpec,
+    GRAVITY, TAU, DivergenceError, LinearSystem, QuadrotorSystem, SwitchSpec,
     _noise_sequences, quadrotor_jacobian,
     quadrotor_step, sample_linear_system, sample_quadrotor,
     sample_random_inputs, simulate, systems_from_json, systems_to_json,
@@ -170,7 +170,6 @@ def test_noise_window_below_one_rejected():
 
 def quad(mass=1.0, arm=1.0, inertia=1.0):
     c = stream(0, "qc").uniform(0, 1, (3, 6))
-    from moplab.systems import QuadrotorSystem
     return QuadrotorSystem(mass=mass, arm_length=arm, inertia=inertia, c=c,
                            sigma_w=0.1, sigma_v=0.1)
 
@@ -186,7 +185,7 @@ def test_quadrotor_free_fall_row():
     system = quad()
     nxt = quadrotor_step(np.zeros(6), np.zeros(2), np.zeros(6), system)
     expected = np.zeros(6)
-    expected[4] = -system.gravity * system.tau    # zdot drops by g tau = 1.0
+    expected[4] = -GRAVITY * TAU                  # zdot drops by g tau = 1.0
     assert np.allclose(nxt, expected, atol=1e-14)
     assert nxt[4] == pytest.approx(-1.0)
 
@@ -198,9 +197,8 @@ def test_quadrotor_torque_row():
 
 
 def test_quadrotor_jacobian_entry_at_rest():
-    system = quad()
-    jac = quadrotor_jacobian(np.zeros(6), np.zeros(2), system)
-    assert jac[0, 3] == pytest.approx(np.cos(0.0) * system.tau)  # = 0.1
+    jac = quadrotor_jacobian(np.zeros(6))
+    assert jac[0, 3] == pytest.approx(np.cos(0.0) * TAU)  # = 0.1
 
 
 def test_sample_quadrotor_ranges():
@@ -333,6 +331,21 @@ def test_system_json_roundtrip():
     assert np.array_equal(back[1].a, systems[1].a)
     assert back[2].mass == systems[2].mass
     assert np.array_equal(back[2].c, systems[2].c)
+
+
+def test_quadrotor_record_round_trips_without_the_constants():
+    system = sample_quadrotor(stream(42, "ser"), seed=8)
+    record, = systems_to_json([system])
+    assert list(record) == ["kind", "mass", "arm_length", "inertia", "C",
+                            "sigma_w", "sigma_v", "seed"]
+    back, = systems_from_json([record])
+    assert back.mass == system.mass and back.arm_length == system.arm_length
+    assert back.inertia == system.inertia and back.seed == system.seed
+    assert np.array_equal(back.c, system.c)
+    assert back.hover_thrust == system.hover_thrust == system.mass * GRAVITY / 2
+    with pytest.raises(TypeError):
+        QuadrotorSystem(mass=1.0, arm_length=1.0, inertia=1.0, c=system.c,
+                        sigma_w=0.1, sigma_v=0.1, gravity=9.81)
 
 
 def test_derive_seed_stability():

@@ -213,7 +213,9 @@ def test_train_zero_steps_emits_initial_checkpoint(tmp_path):
     result = training.train(cfg, tmp_path)
     assert (tmp_path / "ckpt-final.ckpt").exists()
     assert result.loss_rows == []
-    w = model.load_checkpoint(result.final_checkpoint)
+    assert result.checkpoints == [str(tmp_path / "ckpt-final.ckpt")]
+    assert result.dataset_s >= 0
+    w = model.load_checkpoint(result.checkpoints[-1])
     ref = model.init_weights(cfg.model, stream(cfg.seed, "init"))
     for k in ref.arrays:
         assert np.array_equal(w.arrays[k], ref.arrays[k])
@@ -257,7 +259,7 @@ def test_train_resume_reproduces_trace(tmp_path):
     full = training.train(cfg_full, tmp_path / "full")
     part = training.train(dataclasses.replace(cfg_full, steps=8), tmp_path / "part")
     resumed = training.train(cfg_full, tmp_path / "resumed",
-                             resume=part.final_checkpoint)
+                             resume=part.checkpoints[-1])
     full_tail = [(r["step"], r["loss"], r["grad_norm"]) for r in full.loss_rows[8:]]
     res_rows = [(r["step"], r["loss"], r["grad_norm"]) for r in resumed.loss_rows]
     assert full_tail == res_rows
