@@ -287,8 +287,9 @@ def matmul(a, b) -> Tensor:
 
 def linear(x, w, b) -> Tensor:
     """Affine map over the last dim, x (..., k) @ w (k, n) + b (n,): one GEMM
-    over the flattened leading dims of x, the bias added in place, in the
-    forward and in the backward."""
+    over the flattened leading dims of x, the bias added in place. The
+    backward takes the bias gradient as a GEMV with a vector of ones, and
+    no input gradient for a constant x (the model's tokens)."""
     x, w, b = _as_tensor(x), _as_tensor(w), _as_tensor(b)
     if w.data.ndim != 2 or b.data.shape != w.data.shape[1:]:
         raise ShapeError(f"linear expects w (k, n) and b (n,), got {w.data.shape}, "
@@ -300,11 +301,12 @@ def linear(x, w, b) -> Tensor:
     out = x2 @ w.data
     out += b.data
     out = out.reshape(shape[:-1] + w.data.shape[1:])
-    wt = w.data.T
+    wt = None if x.node is None else w.data.T
 
     def grad(g):
         g = g.reshape(x2.shape[0], -1)
-        return (g @ wt).reshape(shape), x2.T @ g, g.sum(axis=0)
+        dx = None if wt is None else (g @ wt).reshape(shape)
+        return dx, x2.T @ g, np.ones(len(g), dtype=g.dtype) @ g
 
     return _emit("linear", out, (x, w, b), grad)
 

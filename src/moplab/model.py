@@ -29,17 +29,6 @@ __all__ = [
 ]
 
 DTYPES = {"f32": np.float32, "f64": np.float64}
-# Trajectories per forward, in training (one tape per chunk, gradients
-# summed over the chunks) and in scoring. Activations grow linearly with
-# the chunk. Traced by tracemalloc, the tape of a desk chunk of 16
-# trajectories of 50 outputs retains 15.8 MB, its forward peaks at
-# 17.2 MB and its backward, which frees the tape as it walks it, at
-# 16.5 MB. The eager scoring forward holds ~0.34 MB per system at horizon
-# 50. On a 2-core x86 VM with BLAS at one thread, batch-64 desk steps ran
-# as fast in chunks of 16 as whole (within 3%), and chunks of 16 scored
-# 100 quadrotor systems faster than one population-wide forward (about 90
-# vs 114 ms).
-FORWARD_CHUNK = 16
 
 
 @dataclass(frozen=True)

@@ -4,8 +4,8 @@ source systems, one fixed length-T trajectory each.
 The dataset is a list of sampled systems; each system's trajectory is
 rolled from its seed the first time a batch draws it and cached, so the
 training data is the M*T outputs the excess-risk guarantee counts. A step
-records its batch on one tape per chunk of model.FORWARD_CHUNK trajectories
-and sums the chunks' gradients, so the tape it holds does not grow with the
+records its batch on one tape per chunk of TRAIN_CHUNK trajectories and
+sums the chunks' gradients, so the tape it holds does not grow with the
 batch. The optimizer is Adam with gradient-norm clipping; every draw is
 seeded, so a (config, seed) pair reproduces the loss trace bit for bit.
 On glibc, the heap a chunk frees stays in the process while `train` runs,
@@ -38,10 +38,19 @@ DIVERGENCE_LOSS = 1e6
 ADAM_BETA1, ADAM_BETA2, ADAM_EPS = 0.9, 0.999, 1e-8  # moment decays, denominator guard
 LOG_EVERY = 50                       # steps between progress lines when not quiet
 
+# Trajectories per tape in a training step (gradients summed over the
+# chunks). The tape grows linearly with the chunk: traced by tracemalloc, a
+# desk chunk of 8 trajectories of 50 outputs retains a 7.9 MB tape, and its
+# forward and backward peak at 8.6 MB; a chunk of 16 retains 16.4 MB, and
+# its forward peaks at 17.8 MB. On a 2-core x86 VM with BLAS at one thread,
+# desk batch-64 steps took 102.0, 90.9, 93.0 and 97.2 ms in chunks of 4, 8,
+# 16 and 32 (30 interleaved rounds in one process).
+TRAIN_CHUNK = 8
+
 # glibc's M_TOP_PAD while `train` runs: the free memory kept at the top of
-# the heap instead of returned to the OS. A desk-model chunk of
-# model.FORWARD_CHUNK trajectories works in about 17 MB, which 16, 32 and
-# 64 MiB all keep; 64 MiB leaves room for a larger model.
+# the heap instead of returned to the OS. A desk-model chunk of TRAIN_CHUNK
+# trajectories works in about 9 MB, which 16, 32 and 64 MiB all keep;
+# 64 MiB leaves room for a larger model.
 TRAIN_TOP_PAD = 64 * 1024 * 1024
 GLIBC_TOP_PAD = 128 * 1024          # glibc's default M_TOP_PAD
 _M_TOP_PAD = -2                     # mallopt parameter number, from malloc.h
@@ -141,7 +150,7 @@ def batch_loss(weights: TransformerWeights, ys, us=None) -> engine.Tensor:
 
 def _loss_and_grads(weights: TransformerWeights, ys, us):
     """The batch's `batch_loss` value and its gradient per parameter name,
-    taped one chunk of model.FORWARD_CHUNK trajectories at a time.
+    taped one chunk of TRAIN_CHUNK trajectories at a time.
 
     Each chunk's loss is scaled by its share of the batch, so the chunks sum
     to the batch mean; a chunk's backward consumes its tape before the next
@@ -151,8 +160,8 @@ def _loss_and_grads(weights: TransformerWeights, ys, us):
     """
     n = len(ys)
     loss, grads = 0.0, {}
-    for lo in range(0, n, model.FORWARD_CHUNK):
-        rows = slice(lo, lo + model.FORWARD_CHUNK)
+    for lo in range(0, n, TRAIN_CHUNK):
+        rows = slice(lo, lo + TRAIN_CHUNK)
         tape = engine.Graph()
         with tape:
             part = engine.scale(

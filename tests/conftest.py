@@ -73,8 +73,9 @@ def ensure_trained(cfg: training.TrainConfig, tag: str = "run") -> Path:
     write_json(entry / "train-info.json",
                {"wallclock_s": time.time() - t0, "steps": cfg.steps,
                 "sources": SOURCES, "environment": environment()})
-    write_csv(entry / "loss.csv", result.loss_rows,
-              ["step", "loss", "grad_norm", "wallclock_s"])
+    # no wallclock_s: train-info.json times the run, and a bit-identical
+    # retrain then rewrites no line of the log
+    write_csv(entry / "loss.csv", result.loss_rows, ["step", "loss", "grad_norm"])
     return entry
 
 

@@ -164,6 +164,25 @@ def test_layer_norm_at_inexact_widths_matches_direct_formula(d, rng):
         assert np.abs(got - ref).max() <= 1e-12
 
 
+def test_linear_backward_matches_direct_formula_and_skips_a_constant_input(rng):
+    # the bias gradient is a GEMV with ones, so it rounds unlike a numpy sum
+    x = rng.standard_normal((3, 4, 5))
+    w, b = rng.standard_normal((5, 2)), rng.standard_normal(2)
+    up = rng.standard_normal((3, 4, 2))
+    g = Graph()
+    with g:
+        taped = engine.linear(g.leaf(x), g.leaf(w), g.leaf(b))
+        const = engine.linear(Tensor(x), g.leaf(w), g.leaf(b))
+    dx, dw, db = taped.node.grad_fn(up)
+    for got, ref in ((dx, up @ w.T), (dw, np.einsum("btk,btn->kn", x, up)),
+                     (db, up.sum(axis=(0, 1)))):
+        assert got.shape == ref.shape
+        assert np.abs(got - ref).max() <= 1e-12
+    dx_const, dw_const, db_const = const.node.grad_fn(up)
+    assert dx_const is None       # no gradient for the model's tokens
+    assert np.array_equal(dw_const, dw) and np.array_equal(db_const, db)
+
+
 def test_gelu_zero():
     assert engine.gelu(Tensor(np.array(0.0))).item() == 0.0
 
@@ -683,7 +702,7 @@ def test_chunk_backward_peak_stays_near_the_forward_tape():
     a taped step; backward frees as it goes and adds at most 10%."""
     cfg = presets.desk_model_config("linear-dense")
     weights = model.init_weights(cfg, np.random.default_rng(0))
-    ys = np.random.default_rng(1).standard_normal((model.FORWARD_CHUNK, 50, cfg.output_dim))
+    ys = np.random.default_rng(1).standard_normal((training.TRAIN_CHUNK, 50, cfg.output_dim))
     training._loss_and_grads(weights, ys, None)   # warm caches
 
     def forward():

@@ -108,7 +108,7 @@ def test_batched_ar_ols_matches_batch_ridge_oracle():
 def test_chunked_mop_forward_matches_one_population_forward():
     weights = model.init_weights(TINY_MODEL, stream(12, "chunk"))
     systems, trajs = population(LINEAR)
-    assert N_SYSTEMS > model.FORWARD_CHUNK          # more than one chunk
+    assert N_SYSTEMS > evaluation.SCORE_CHUNK       # more than one chunk
     preds = evaluation.predict_population("mop", systems, trajs, LINEAR, weights)
     ys = np.stack([t.ys for t in trajs])
     whole = model.predict_sequence(weights, ys[:, :-1])

@@ -155,7 +155,9 @@ def loss_and_grads_case(batch, n_inputs):
 # ids: the loss (the l2 norm) and the number of input channels
 @pytest.mark.parametrize("n_inputs", [0, 2], ids=lambda n: f"l2_norm-{n}")
 def test_chunked_loss_and_grads_match_one_graph(n_inputs):
-    # 37 trajectories: chunks of 16, 16 and 5, each scaled by its share
+    # 37 trajectories: full chunks and a short last one, each scaled by its
+    # share of the batch
+    assert 37 % training.TRAIN_CHUNK and 37 > training.TRAIN_CHUNK
     (loss, grads), (ref_loss, ref_grads) = loss_and_grads_case(37, n_inputs)
     assert loss == pytest.approx(ref_loss, rel=1e-12, abs=0)
     assert grads.keys() == ref_grads.keys()
@@ -168,7 +170,7 @@ def test_chunked_loss_and_grads_match_one_graph(n_inputs):
 
 
 def test_one_chunk_loss_and_grads_are_one_graph_bit_for_bit():
-    (loss, grads), (ref_loss, ref_grads) = loss_and_grads_case(8, 0)
+    (loss, grads), (ref_loss, ref_grads) = loss_and_grads_case(training.TRAIN_CHUNK, 0)
     assert loss == ref_loss
     assert grads.keys() == ref_grads.keys()
     for name, ref in ref_grads.items():
@@ -188,12 +190,13 @@ def test_train_step_tapes_one_chunk_at_a_time(tmp_path, monkeypatch):
         return backward(graph, loss)
 
     monkeypatch.setattr(engine, "backward", recording_backward)
-    training.train(tiny_cfg(steps=1, batch_size=64), tmp_path)
-    assert len(tapes) == math.ceil(64 / model.FORWARD_CHUNK) == 4
-    # parameter leaves are left out: their leading dims are model sizes.
-    # train_len 12 keeps the time axis (11) under the chunk, so only the
-    # batch axis of an activation could reach past it
-    assert max(shape[0] for tape in tapes for shape in tape if shape) == model.FORWARD_CHUNK
+    chunk = training.TRAIN_CHUNK
+    # train_len = chunk keeps the time axis (chunk - 1) under the chunk, so
+    # only the batch axis of an activation could reach it
+    training.train(tiny_cfg(steps=1, batch_size=64, train_len=chunk), tmp_path)
+    assert len(tapes) == math.ceil(64 / chunk) > 1
+    # parameter leaves are left out: their leading dims are model sizes
+    assert max(shape[0] for tape in tapes for shape in tape if shape) == chunk
 
 
 def test_train_deterministic(tmp_path):
@@ -295,7 +298,7 @@ def test_failed_save_keeps_the_previous_checkpoint_whole(tmp_path, monkeypatch):
 
 @pytest.mark.skipif(platform.libc_ver()[0] != "glibc", reason="the top pad is glibc's")
 def test_train_steps_reuse_the_freed_heap(tmp_path, monkeypatch):
-    # a desk step frees four chunks' tapes; with glibc's default pad the
+    # a desk step frees one tape per chunk; with glibc's default pad the
     # heap shrinks after each and a step faults about 12,000 pages back in
     faults = []
     loss_and_grads = training._loss_and_grads
