@@ -200,12 +200,15 @@ def _write_eval(out_dir: Path, name, curves, n, seed, ckpt, t0,
                 **diagnostics) -> list[dict]:
     """Write curves.csv, report.json (with any `diagnostics` as extra keys)
     and the eval manifest for one scored population; returns the CSV rows.
-    The rows and the report are built before any file is written, so a
-    report that fails leaves no partial output."""
+    The report's ratio block compares mop, when scored, with the first other
+    curve (a preset lists its filter first), and otherwise the first two
+    curves. The rows and the report are built before any file is written,
+    so a report that fails leaves no partial output."""
     rows = evaluation.curves_to_csv_rows(name, curves)
     report = {"experiment": name, "curves": [c.to_json() for c in curves]}
-    if len(curves) == 2:
-        report["ratio"] = evaluation.compare_predictors(*curves)
+    if len(curves) >= 2:
+        mop_first = sorted(curves, key=lambda c: c.predictor != "mop")
+        report["ratio"] = evaluation.compare_predictors(*mop_first[:2])
     out_dir.mkdir(parents=True, exist_ok=True)
     csv_path = out_dir / "curves.csv"
     write_csv(csv_path, rows, CSV_FIELDS)

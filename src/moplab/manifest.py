@@ -2,9 +2,10 @@
 
 Every artifact directory gets a manifest recording the fully resolved
 config, seeds, input/output hashes, wall times and environment (Python,
-numpy and BLAS versions, BLAS thread settings, a hash of the moplab
-sources): enough to reproduce the outputs byte for byte (times aside)
-by re-running the same subcommand on the same environment.
+numpy and BLAS versions, BLAS thread settings and the thread count OpenBLAS
+runs at, a hash of the moplab sources): enough to reproduce the outputs
+byte for byte (times aside) by re-running the same subcommand on the same
+environment.
 Files are written atomically (a temp file, then `os.replace`), so an
 interrupted run never leaves a half-written manifest, log or checkpoint.
 """
@@ -13,6 +14,7 @@ from __future__ import annotations
 
 import contextlib
 import csv
+import ctypes
 import hashlib
 import json
 import os
@@ -25,10 +27,13 @@ from . import __version__
 
 __all__ = [
     "sha256_file", "sha256_json", "atomic_open", "write_json",
-    "environment", "write_manifest", "write_csv", "read_csv",
+    "openblas_threads", "environment", "write_manifest", "write_csv", "read_csv",
 ]
 
 THREAD_VARS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
+# numpy's wheels ship OpenBLAS with a prefixed 64-bit-integer symbol
+OPENBLAS_THREAD_GETTERS = ("scipy_openblas_get_num_threads64_",
+                           "openblas_get_num_threads")
 
 
 def sha256_file(path) -> str:
@@ -66,11 +71,33 @@ def write_json(path, obj) -> None:
         fh.write(json.dumps(obj, indent=2, sort_keys=False) + "\n")
 
 
+def openblas_threads() -> int | None:
+    """The thread count the loaded OpenBLAS runs at, asked of the first
+    OpenBLAS library mapped into the process; None when none is loaded or
+    it exports no thread-count getter (or off Linux)."""
+    try:
+        with open("/proc/self/maps") as fh:
+            paths = dict.fromkeys(line.split()[-1] for line in fh
+                                  if "openblas" in line.lower())
+    except OSError:
+        return None
+    for path in paths:
+        try:
+            lib = ctypes.CDLL(path)
+        except OSError:              # not a loadable library, e.g. deleted
+            continue
+        for symbol in OPENBLAS_THREAD_GETTERS:
+            if hasattr(lib, symbol):
+                return int(getattr(lib, symbol)())
+    return None
+
+
 def environment() -> dict:
     """What a run's numbers depend on besides its config and seeds: the
     Python, numpy and BLAS builds, the BLAS thread settings (None where
-    unset) and the sha256 of the moplab sources (each file's name, a NUL
-    and its bytes, in name order)."""
+    unset), the thread count OpenBLAS really runs at (see
+    `openblas_threads`) and the sha256 of the moplab sources (each file's
+    name, a NUL and its bytes, in name order)."""
     blas = np.show_config(mode="dicts").get("Build Dependencies", {}).get("blas", {})
     digest = hashlib.sha256()
     for path in sorted(Path(__file__).resolve().parent.glob("*.py")):
@@ -80,6 +107,7 @@ def environment() -> dict:
         "numpy": np.__version__,
         "blas": {"name": blas.get("name"), "version": blas.get("version")},
         "threads": {var: os.environ.get(var) for var in THREAD_VARS},
+        "blas_threads": openblas_threads(),
         "source_sha256": digest.hexdigest(),
     }
 

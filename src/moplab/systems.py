@@ -11,7 +11,8 @@ bit-reproducible.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+import hashlib
+from dataclasses import dataclass, field, fields
 from types import SimpleNamespace
 
 import numpy as np
@@ -23,7 +24,7 @@ __all__ = [
     "SwitchSpec", "DivergenceError", "SamplingError",
     "sample_linear_system", "sample_quadrotor", "sample_random_inputs",
     "simulate", "quadrotor_step", "quadrotor_jacobian", "stack_quadrotors",
-    "systems_to_json", "systems_from_json",
+    "systems_to_json", "systems_from_json", "systems_sha256",
 ]
 
 DIVERGENCE_LIMIT = 1e9
@@ -342,3 +343,20 @@ def systems_to_json(systems) -> list[dict]:
 
 def systems_from_json(records) -> list:
     return [_system_from_record(r) for r in records]
+
+
+def systems_sha256(systems) -> str:
+    """sha256 streamed over the systems in index order: each system's kind,
+    then each field by name, an array as its dtype, shape and raw bytes and
+    a scalar as its repr. Nothing is held beyond one system's arrays."""
+    digest = hashlib.sha256()
+    for system in systems:
+        digest.update(type(system).__name__.encode())
+        for f in fields(system):
+            value = getattr(system, f.name)
+            if isinstance(value, np.ndarray):
+                digest.update(f"|{f.name}:{value.dtype.str}{value.shape}|".encode())
+                digest.update(np.ascontiguousarray(value).tobytes())
+            else:
+                digest.update(f"|{f.name}={value!r}".encode())
+    return digest.hexdigest()

@@ -9,7 +9,9 @@ sums the chunks' gradients, so the tape it holds does not grow with the
 batch. The optimizer is Adam with gradient-norm clipping; every draw is
 seeded, so a (config, seed) pair reproduces the loss trace bit for bit.
 On glibc, the heap a chunk frees stays in the process while `train` runs,
-so the next chunk reuses it instead of faulting fresh pages in.
+so the next chunk reuses it instead of faulting fresh pages in, and is
+handed back to the OS when `train` returns. The dataset is recorded by its
+config and one sha256 over its systems, so the record does not grow with M.
 """
 
 from __future__ import annotations
@@ -28,6 +30,7 @@ from . import engine, model
 from .distributions import Distribution, get_distribution
 from .model import ModelConfig, TransformerWeights
 from .seeding import stream
+from .systems import systems_sha256
 
 __all__ = [
     "TrainConfig", "MetaDataset", "TrainingAborted", "TrainResult",
@@ -109,13 +112,15 @@ class MetaDataset:
         return self._cache[i]
 
     def manifest(self) -> dict:
-        from .systems import systems_to_json
+        """The dataset's config and the sha256 of its systems (see
+        `systems_sha256`): the same size at any M."""
         return {
             "preset": self.dist.name,
             "m_systems": self.m_systems,
             "train_len": self.train_len,
             "seed": self.seed,
-            "systems": systems_to_json(self.systems),
+            "role": "train",
+            "systems_sha256": systems_sha256(self.systems),
         }
 
 
@@ -224,6 +229,11 @@ def _set_top_pad(nbytes: int) -> None:
     mallopt(_M_TOP_PAD, nbytes)
 
 
+def _trim_heap() -> None:
+    """Hand the free memory of glibc's heap back to the OS (malloc_trim)."""
+    ctypes.CDLL("libc.so.6").malloc_trim(ctypes.c_size_t(0))
+
+
 def _top_pad_chosen() -> bool:
     """Whether the environment sets glibc's top pad itself."""
     return ("MALLOC_TOP_PAD_" in os.environ
@@ -232,17 +242,24 @@ def _top_pad_chosen() -> bool:
 
 @contextmanager
 def _retained_heap():
-    """Keep freed memory in glibc's heap for the duration of the block.
+    """Keep freed memory in glibc's heap for the duration of the block,
+    and hand it back to the OS on the way out.
 
     Each chunk's backward frees its tape; with glibc's default pad that
     memory goes back to the OS and the next chunk faults it in again, page
     by page. The pad is process-wide, so it is set back to the default on
-    the way out: the caller's later work (an experiment's scoring) then
-    runs on a trimmed heap instead of on top of the retained one. Any
+    the way out. Resetting the pad returns nothing by itself: glibc only
+    trims when a later free crosses its threshold, and after a desk-model
+    run RSS stood 6-15 MB above where the call began. So the heap is
+    trimmed after the reset, on a normal return and on an abort alike, and
+    the caller's later work (an experiment's scoring) runs on a trimmed
+    heap instead of on top of the retained one. The next `train` call in
+    the process then faults its first step's heap back in. Any
     mallopt call also stops glibc from adapting its mmap and trim
     thresholds for the rest of the process. This does nothing off glibc
     or when the environment chooses the top pad (MALLOC_TOP_PAD_ or
-    GLIBC_TUNABLES), so a chosen pad is never overwritten.
+    GLIBC_TUNABLES), so a chosen pad is never overwritten and a heap the
+    environment manages is never trimmed.
     """
     if platform.libc_ver()[0] != "glibc" or _top_pad_chosen():
         yield
@@ -252,6 +269,7 @@ def _retained_heap():
         yield
     finally:
         _set_top_pad(GLIBC_TOP_PAD)
+        _trim_heap()
 
 
 @dataclass
@@ -260,7 +278,7 @@ class TrainResult:
     config."""
     checkpoints: list                # paths in write order; the last is the final one
     loss_rows: list                  # dicts: step, loss, grad_norm, wallclock_s
-    dataset_manifest: dict
+    dataset_manifest: dict           # MetaDataset.manifest(): config and systems' sha256
     dataset_s: float                 # building the dataset, before the steps' clock
 
 

@@ -6,6 +6,8 @@ import hashlib
 import json
 import os
 import platform
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -44,6 +46,16 @@ def test_eval_exits_zero_and_writes_identical_curves(tmp_path, tiny_ckpt):
     assert len(rows) == 3 * 12
     config = json.loads((tmp_path / "a" / "manifest.json").read_text())["config"]
     assert "threads" not in config
+
+
+def test_eval_of_three_predictors_reports_mop_over_the_filter(tmp_path, tiny_ckpt):
+    assert cli.main(eval_args(tiny_ckpt, tmp_path / "out")) == 0
+    report = json.loads((tmp_path / "out" / "report.json").read_text())
+    mean = {c["predictor"]: c["mean"] for c in report["curves"]}
+    assert list(mean) == ["mop", "kf", "ar-ols"]
+    ratio = report["ratio"]
+    assert (ratio["numerator"], ratio["denominator"]) == ("mop", "kf")
+    assert ratio["ratio"] == [a / b for a, b in zip(mean["mop"], mean["kf"])]
 
 
 @pytest.mark.parametrize("command", ["eval", "experiment"])
@@ -100,6 +112,17 @@ def test_gen_manifest_records_the_environment(tmp_path, monkeypatch):
     for path in sorted(Path(cli.__file__).parent.glob("*.py")):
         digest.update(path.name.encode() + b"\0" + path.read_bytes())
     assert env["source_sha256"] == digest.hexdigest()
+
+
+def test_manifest_records_the_blas_threads_in_use():
+    # in a fresh process: OpenBLAS reads its thread count when it loads
+    code = "from moplab import manifest; print(manifest.environment()['blas_threads'])"
+    env = {**os.environ, "OPENBLAS_NUM_THREADS": "1",
+           "PYTHONPATH": str(Path(manifest.__file__).resolve().parents[1])}
+    out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
+                         capture_output=True, text=True).stdout
+    assert out.strip() == ("1" if "openblas" in np.show_config(
+        mode="dicts")["Build Dependencies"]["blas"]["name"] else "None")
 
 
 def train_config(tmp_path, **overrides):

@@ -1,8 +1,11 @@
 """Meta-dataset construction, the training objective, and the training loop
 (determinism, divergence handling, resume)."""
 
+import ctypes
 import dataclasses
+import json
 import math
+import os
 import platform
 import resource
 
@@ -37,6 +40,21 @@ def test_dataset_manifest_reproducible():
     a = build_meta_dataset("linear-dense", 10, 20, 3).manifest()
     b = build_meta_dataset("linear-dense", 10, 20, 3).manifest()
     assert a == b
+
+
+def test_dataset_record_is_config_and_systems_hash():
+    a = build_meta_dataset("linear-dense", 10, 20, 3)
+    record = a.manifest()
+    assert record == {"preset": "linear-dense", "m_systems": 10, "train_len": 20,
+                      "seed": 3, "role": "train",
+                      "systems_sha256": record["systems_sha256"]}
+    assert build_meta_dataset("linear-dense", 10, 20, 4).manifest()["systems_sha256"] \
+        != record["systems_sha256"]
+    a.systems[7] = dataclasses.replace(a.systems[7], a=a.systems[7].a * (1 + 1e-12))
+    assert a.manifest()["systems_sha256"] != record["systems_sha256"]
+    # the record grows with M only by the digits of the count
+    large = build_meta_dataset("linear-dense", 100, 20, 3).manifest()
+    assert len(json.dumps(large)) - len(json.dumps(record)) == len("100") - len("10")
 
 
 def test_dataset_systems_hit_target_radius():
@@ -317,17 +335,18 @@ def test_train_steps_reuse_the_freed_heap(tmp_path, monkeypatch):
 
 
 def test_train_raises_the_top_pad_and_restores_it(tmp_path, monkeypatch):
-    pads = []
+    pads = []           # pad sizes and heap trims, in call order
     monkeypatch.setattr(training, "_set_top_pad", pads.append)
+    monkeypatch.setattr(training, "_trim_heap", lambda: pads.append("trim"))
     monkeypatch.setattr(platform, "libc_ver", lambda: ("glibc", "2.36"))
     monkeypatch.delenv("MALLOC_TOP_PAD_", raising=False)
     monkeypatch.delenv("GLIBC_TUNABLES", raising=False)
     training.train(tiny_cfg(steps=1), tmp_path / "done")
-    assert pads == [64 * 2**20, 128 * 2**10]
+    assert pads == [64 * 2**20, 128 * 2**10, "trim"]
     pads.clear()
     with pytest.raises(TrainingAborted):
         training.train(tiny_cfg(lr=1e6, steps=200, checkpoint_every=10), tmp_path / "aborted")
-    assert pads == [64 * 2**20, 128 * 2**10]
+    assert pads == [64 * 2**20, 128 * 2**10, "trim"]
     pads.clear()
     monkeypatch.setattr(platform, "libc_ver", lambda: ("", ""))
     training.train(tiny_cfg(steps=1), tmp_path / "other-libc")
@@ -340,6 +359,29 @@ def test_train_raises_the_top_pad_and_restores_it(tmp_path, monkeypatch):
     monkeypatch.setenv("MALLOC_TOP_PAD_", "1048576")
     training.train(tiny_cfg(steps=1), tmp_path / "env")
     assert pads == []
+
+
+def resident_mb():
+    with open("/proc/self/statm") as fh:
+        return int(fh.read().split()[1]) * os.sysconf("SC_PAGE_SIZE") / 2**20
+
+
+@pytest.mark.skipif(platform.system() != "Linux" or platform.libc_ver()[0] != "glibc",
+                    reason="reads /proc/self/statm and trims glibc's heap")
+def test_train_hands_its_heap_back(tmp_path, monkeypatch):
+    # without the trim a desk run's freed tapes stay resident after it
+    # returns. A first run pays the process's one-time costs (BLAS buffers,
+    # lazy imports); the heap is then trimmed, so that what it or earlier
+    # tests left free does not absorb the measured run
+    monkeypatch.delenv("MALLOC_TOP_PAD_", raising=False)
+    monkeypatch.delenv("GLIBC_TUNABLES", raising=False)
+    cfg = TrainConfig(m_systems=8, train_len=50, steps=2, batch_size=64,
+                      model=presets.desk_model_config("linear-dense"))
+    training.train(cfg, tmp_path / "first")
+    ctypes.CDLL("libc.so.6").malloc_trim(ctypes.c_size_t(0))
+    before = resident_mb()
+    training.train(cfg, tmp_path / "measured")
+    assert resident_mb() - before <= 2.0
 
 
 def test_train_config_validation():
