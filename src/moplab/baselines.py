@@ -115,7 +115,6 @@ class KalmanFilter(GaussianFilter):
             sigma_w=[s.sigma_w for s in systems] if sigma_w is None else sigma_w,
             sigma_v=[s.sigma_v for s in systems] if sigma_v is None else sigma_v,
         )
-        self.a = a
 
 
 class QuadrotorEKF(GaussianFilter):
@@ -142,8 +141,6 @@ class OnlineARPredictor:
     output. The tiny ridge AR_RIDGE keeps the normal equations solvable in
     the ill-posed early steps without measurably biasing the comparison.
     """
-
-    LAGS = 2
 
     def __init__(self, n_systems, m):
         self.m = m

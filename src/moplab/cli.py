@@ -1,8 +1,11 @@
-"""Command-line entry point: reproducible experiment presets plus the
-individual gen / train / eval / plot stages they chain together.
+"""Command-line entry point: the gen / train / eval / plot stages, and
+reproducible experiment presets that chain train, eval and plot (no stage
+reads gen's output).
 
-Exit codes: 0 success, 1 runtime failure, 2 usage or config error. The
-MOP_SEED environment variable overrides the base seed everywhere.
+Exit codes: 0 success, 1 runtime failure, 2 usage or config error, which
+includes a train --config that is not a JSON object and an eval
+--predictors name that cannot score the preset's systems. The MOP_SEED
+environment variable overrides the base seed everywhere.
 
 `moplab experiment` trains at the base seed and draws its test population
 at the base seed + 10000, so the two never share draws. The rule is the
@@ -56,8 +59,6 @@ _MODEL_KEYS = {f.name for f in dataclasses.fields(ModelConfig)}
 
 
 def train_config_from_dict(obj: dict) -> TrainConfig:
-    if not isinstance(obj, dict):
-        raise UsageError("train config must be a JSON object")
     bad = sorted(set(obj) - _TRAIN_KEYS - {"model"})
     model_obj = obj.get("model", None)
     bad_model = []
@@ -114,7 +115,9 @@ def cmd_train(args) -> int:
             raise UsageError(f"config file not found: {args.config}") from None
         except json.JSONDecodeError as exc:
             raise UsageError(f"config is not valid JSON: {exc}") from exc
-        if "config" in obj and isinstance(obj["config"], dict):
+        if not isinstance(obj, dict):
+            raise UsageError("train config must be a JSON object")
+        if isinstance(obj.get("config"), dict):
             obj = obj["config"]          # accept a manifest as config source
     if args.steps is not None:
         obj["steps"] = args.steps
@@ -161,11 +164,11 @@ def _write_train_outputs(out_dir: Path, cfg: TrainConfig,
 def _load_weights_for(dist, path):
     weights = model.load_checkpoint(path)
     if weights.config.token_dim != dist.token_dim \
-            or weights.config.output_dim != dist.output_dim:
+            or weights.config.output_dim != dist.m:
         raise UsageError(
             f"checkpoint/preset dimensionality mismatch: checkpoint tokens "
             f"{weights.config.token_dim}->{weights.config.output_dim}, preset "
-            f"{dist.name} wants {dist.token_dim}->{dist.output_dim}")
+            f"{dist.name} wants {dist.token_dim}->{dist.m}")
     return weights
 
 
@@ -228,6 +231,11 @@ def cmd_eval(args) -> int:
     seed = _resolve_seed(args.seed, 1)
     predictors = (args.predictors.split(",") if args.predictors
                   else ["mop", *preset.baselines])
+    for kind in predictors:
+        try:
+            evaluation.check_predictor(kind, dist)
+        except ValueError as exc:
+            raise UsageError(str(exc)) from None
     n = preset.eval_n if args.n is None else args.n
     horizon = preset.eval_horizon if args.horizon is None else args.horizon
     for flag, value in (("--n", n), ("--horizon", horizon)):
@@ -448,7 +456,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out-dir", required=True)
     p.set_defaults(func=cmd_eval)
 
-    p = sub.add_parser("experiment", help="one-shot gen->train->eval->plot")
+    p = sub.add_parser("experiment", help="one-shot train->eval->plot")
     p.add_argument("--name", required=True)
     p.add_argument("--seed", type=int, default=None)
     p.add_argument("--ckpt", default=None,

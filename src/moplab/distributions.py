@@ -42,16 +42,8 @@ class Distribution:
     input_scale: float = 1.0     # model conditioning scale suggested per preset
 
     @property
-    def has_inputs(self) -> bool:
-        return self.kind == "quadrotor"
-
-    @property
     def token_dim(self) -> int:
-        return self.m + (2 if self.has_inputs else 0)
-
-    @property
-    def output_dim(self) -> int:
-        return self.m
+        return self.m + (2 if self.kind == "quadrotor" else 0)
 
     def with_noise_var(self, sigma2: float) -> "Distribution":
         return replace(self, sigma_w2=float(sigma2), sigma_v2=float(sigma2))

@@ -34,7 +34,7 @@ from .systems import SwitchSpec, simulate
 
 __all__ = [
     "ErrorCurve",
-    "make_predictor", "test_population", "predict_population", "error_curve",
+    "check_predictor", "make_predictor", "test_population", "predict_population", "error_curve",
     "compare_predictors", "window_stats", "empirical_excess_risk",
     "scaling_report", "robustness_probe", "power_norm_report",
     "curves_to_csv_rows", "spearman",
@@ -48,6 +48,9 @@ RATIO_GUARD = 1e-12
 # against 80.1/84.6 ms in chunks of 8, and 50 linear systems in
 # 32.9/39.6 ms against 34.1/43.3 ms.
 SCORE_CHUNK = 16
+# The predictor kinds that can score each system kind.
+PREDICTORS = {"linear": ("mop", "kf", "ar-ols", "zero"),
+              "quadrotor": ("mop", "ekf", "ar-ols", "zero")}
 
 
 def _mean_stderr(x) -> tuple:
@@ -61,18 +64,25 @@ def _mean_stderr(x) -> tuple:
 # predictors
 # ---------------------------------------------------------------------------
 
+def check_predictor(kind: str, dist: Distribution) -> None:
+    """Raise ValueError unless predictor `kind` can score `dist`'s systems."""
+    if kind not in PREDICTORS[dist.kind]:
+        raise ValueError(f"predictor {kind!r} cannot score {dist.name} systems; "
+                         f"valid: {', '.join(PREDICTORS[dist.kind])}")
+
+
 def make_predictor(kind: str, systems, dist: Distribution):
     """One step predictor for the whole population of `systems`."""
+    check_predictor(kind, dist)
     if kind == "kf":
-        sw, sv = dist.filter_noise_stds()
-        return KalmanFilter(systems, sigma_w=sw, sigma_v=sv)
+        return KalmanFilter(systems, *dist.filter_noise_stds())
     if kind == "ekf":
         return QuadrotorEKF(systems)
     if kind == "ar-ols":
         return OnlineARPredictor(len(systems), dist.m)
     if kind == "zero":
         return ZeroPredictor(len(systems), dist.m)
-    raise ValueError(f"unknown predictor kind {kind!r}")
+    raise ValueError("mop is the model, scored by predict_population")
 
 
 # ---------------------------------------------------------------------------

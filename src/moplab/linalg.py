@@ -1,11 +1,11 @@
 """Small-matrix routines used by the simulators and filters.
 
 Everything here is deterministic: LAPACK solves and norms, a fixed
-power-iteration start vector and fixed iteration counts. `spectral_radius`,
-with its `spectral_norm` helper, is the only power-iteration routine left.
-It stays until the benchmark's peak-RSS measure stops growing with the
-number of passes a run fits: a faster eval set-up fits more passes into a
-run, which then reads as a memory regression.
+power-iteration start vector and fixed iteration counts. `spectral_radius`
+is the only power-iteration routine left. It stays until the benchmark's
+peak-RSS measure stops growing with the number of passes a run fits: a
+faster eval set-up fits more passes into a run, which then reads as a
+memory regression.
 """
 
 from __future__ import annotations
@@ -15,9 +15,12 @@ import math
 import numpy as np
 
 __all__ = [
-    "SingularMatrixError", "solve_linear", "spectral_norm",
-    "spectral_radius", "matrix_power_norms",
+    "SingularMatrixError", "solve_linear", "spectral_radius", "matrix_power_norms",
 ]
+
+SQUARINGS = 16          # Gelfand-sequence squarings in `spectral_radius`
+NORM_ITERS = 100        # power iterations per spectral norm
+
 
 class SingularMatrixError(ValueError):
     """Raised when LAPACK finds an exactly zero pivot in any matrix of a
@@ -32,10 +35,6 @@ class SingularMatrixError(ValueError):
         self.solution = solution
 
 
-def _data(x) -> np.ndarray:
-    return np.asarray(getattr(x, "data", x), dtype=np.float64)
-
-
 def solve_linear(a, b) -> np.ndarray:
     """Solve a @ x = b with LAPACK for one matrix or a stack of them.
 
@@ -43,8 +42,8 @@ def solve_linear(a, b) -> np.ndarray:
     right-hand side, which is returned as a vector. Each matrix is checked
     on its own: any with an exactly zero pivot raises SingularMatrixError.
     """
-    a = _data(a)
-    b = _data(b)
+    a = np.asarray(a, dtype=np.float64)
+    b = np.asarray(b, dtype=np.float64)
     if a.ndim < 2 or a.shape[-1] != a.shape[-2]:
         raise ValueError(f"coefficient matrix must be square, got {a.shape}")
     vector_rhs = b.ndim == a.ndim - 1
@@ -65,13 +64,12 @@ def solve_linear(a, b) -> np.ndarray:
     return x[..., 0] if vector_rhs else x
 
 
-def spectral_norm(a, iters: int = 100) -> float:
-    """Largest singular value via power iteration on A^T A."""
-    a = _data(a)
+def _spectral_norm(a) -> float:
+    """Largest singular value via NORM_ITERS power iterations on A^T A."""
     k = a.shape[1]
     v = np.full(k, 1.0 / math.sqrt(k))
     ata = a.T @ a
-    for _ in range(iters):
+    for _ in range(NORM_ITERS):
         w = ata @ v
         nw = np.linalg.norm(w)
         if nw == 0.0:
@@ -80,32 +78,33 @@ def spectral_norm(a, iters: int = 100) -> float:
     return float(math.sqrt(v @ (ata @ v)))
 
 
-def spectral_radius(a, squarings: int = 16, norm_iters: int = 100) -> float:
+def spectral_radius(a) -> float:
     """Spectral radius estimate via the repeated-squaring Gelfand sequence
-    ||A^(2^s)||^(1/2^s), renormalizing each squaring (log-norm bookkeeping)
-    so large powers never overflow. Returns 0 for nilpotent input.
+    ||A^(2^s)||^(1/2^s) at s = SQUARINGS, renormalizing each squaring
+    (log-norm bookkeeping) so large powers never overflow. Returns 0 for
+    nilpotent input.
     """
-    a = _data(a)
+    a = np.asarray(a, dtype=np.float64)
     if a.ndim != 2 or a.shape[0] != a.shape[1]:
         raise ValueError(f"square matrix required, got {a.shape}")
     cur = a
     log_scale = 0.0
-    for _ in range(squarings):
-        n = spectral_norm(cur, norm_iters)
+    for _ in range(SQUARINGS):
+        n = _spectral_norm(cur)
         if n == 0.0:
             return 0.0
         cur = cur / n
         log_scale = 2.0 * (log_scale + math.log(n))
         cur = cur @ cur
-    n = spectral_norm(cur, norm_iters)
+    n = _spectral_norm(cur)
     if n == 0.0:
         return 0.0
-    return float(math.exp((log_scale + math.log(n)) / 2.0 ** squarings))
+    return float(math.exp((log_scale + math.log(n)) / 2.0 ** SQUARINGS))
 
 
 def matrix_power_norms(a, t_max: int) -> np.ndarray:
     """||A^t||_2 for t = 0..t_max, one LAPACK 2-norm over the stacked powers."""
-    a = _data(a)
+    a = np.asarray(a, dtype=np.float64)
     powers = np.empty((t_max + 1,) + a.shape)
     powers[0] = np.eye(a.shape[0])
     for t in range(t_max):

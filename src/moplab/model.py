@@ -1,18 +1,18 @@
 """Decoder-only transformer over continuous output tokens.
 
-The model maps a prompt of past outputs y_0..y_t (vectors, not discrete
-tokens) to a prediction of the next output at every position: a learned
-linear projection embeds each output, pre-layer-norm GPT-2-style blocks
-with causal attention mix the sequence, and a linear head reads the
+The model maps a batch of prompts, each of past outputs y_0..y_t (vectors,
+not discrete tokens), to a prediction of the next output at every position:
+a learned linear projection embeds each output, pre-layer-norm GPT-2-style
+blocks with causal attention mix the sequence, and a linear head reads the
 prediction off each position. Forward is a pure function of (weights,
-prompt); training records it on an engine Graph, inference runs eagerly.
+prompts); training records it on an engine Graph, inference runs eagerly.
 """
 
 from __future__ import annotations
 
 import json
 import zlib
-from dataclasses import dataclass, field, asdict
+from dataclasses import dataclass, asdict
 
 import numpy as np
 
@@ -22,8 +22,7 @@ from .manifest import atomic_open
 
 __all__ = [
     "ModelConfig", "TransformerWeights", "CheckpointError",
-    "init_weights", "zero_weights", "forward", "predict_next",
-    "predict_sequence", "make_tokens",
+    "init_weights", "forward", "predict_sequence", "make_tokens",
     "save_checkpoint", "load_checkpoint", "load_training_state",
     "write_tensor_file",
 ]
@@ -52,10 +51,6 @@ class ModelConfig:
             raise ValueError("all dimensions must be >= 1")
 
     @property
-    def head_dim(self) -> int:
-        return self.embed_dim // self.heads
-
-    @property
     def dtype(self):
         return DTYPES[self.precision]
 
@@ -63,15 +58,7 @@ class ModelConfig:
 @dataclass
 class TransformerWeights:
     config: ModelConfig
-    arrays: dict[str, np.ndarray] = field(default_factory=dict)
-
-    def param_count(self) -> int:
-        return sum(a.size for a in self.arrays.values())
-
-    def astype(self, precision: str) -> "TransformerWeights":
-        cfg = ModelConfig(**{**asdict(self.config), "precision": precision})
-        dt = cfg.dtype
-        return TransformerWeights(cfg, {k: v.astype(dt) for k, v in self.arrays.items()})
+    arrays: dict[str, np.ndarray]
 
 
 def _layout(cfg: ModelConfig):
@@ -115,13 +102,6 @@ def init_weights(cfg: ModelConfig, rng) -> TransformerWeights:
     return TransformerWeights(cfg, arrays)
 
 
-def zero_weights(cfg: ModelConfig) -> TransformerWeights:
-    """All-zero parameters (test hook: forward must output zeros)."""
-    return TransformerWeights(
-        cfg, {name: np.zeros(shape, dtype=cfg.dtype) for name, shape, _ in _layout(cfg)}
-    )
-
-
 # ---------------------------------------------------------------------------
 # forward
 # ---------------------------------------------------------------------------
@@ -139,19 +119,18 @@ def make_tokens(ys, us=None) -> np.ndarray:
 
 
 def forward(weights: TransformerWeights, tokens):
-    """Predictions at every position; the entry at position j is the model's
-    estimate of y_{j+1} given tokens 0..j (the causal mask enforces this).
+    """Predictions at every position of a batch of prompts; entry [b, j] is
+    the model's estimate of y_{j+1} given tokens 0..j of prompt b.
 
-    tokens: (T, token_dim) or (B, T, token_dim). Returns a Tensor shaped
-    (B, T, output_dim) (leading batch dim squeezed for 2-D input). Inside
-    `with graph:` the forward is recorded on that graph and the parameters
-    are its named leaves (see `engine.param`); otherwise it runs eagerly.
+    tokens: (B, T, token_dim); any other rank raises ValueError. Returns a
+    Tensor shaped (B, T, output_dim). Inside `with graph:` the forward is
+    recorded on that graph and the parameters are its named leaves (see
+    `engine.param`); otherwise it runs eagerly.
     """
     cfg = weights.config
     toks = np.asarray(tokens, dtype=cfg.dtype)
-    single = toks.ndim == 2
-    if single:
-        toks = toks[None]
+    if toks.ndim != 3:
+        raise ValueError(f"tokens must be (batch, T, token_dim), got shape {toks.shape}")
     _, t, td = toks.shape
     if td != cfg.token_dim:
         raise ValueError(f"token dim {td} != configured {cfg.token_dim}")
@@ -182,8 +161,6 @@ def forward(weights: TransformerWeights, tokens):
     out = engine.linear(x, prm["head.w"], prm["head.b"])
     if cfg.input_scale != 1.0:
         out = engine.scale(out, 1.0 / cfg.input_scale)
-    if single:
-        out = engine.reshape(out, (t, cfg.output_dim))
     return out
 
 
@@ -200,24 +177,17 @@ def _pos_slice(pos: Tensor, t: int) -> Tensor:
     return engine._emit("pos_slice", full[:t][None], (pos,), grad)
 
 
-def predict_next(weights: TransformerWeights, ys, us=None) -> np.ndarray:
-    """Next-output prediction from the prompt y_0..y_t: the last row of the
-    all-positions forward pass."""
-    ys = np.asarray(ys)
-    if ys.ndim != 2 or ys.shape[0] < 1:
-        raise ValueError("prompt must be a non-empty (t+1, m) array")
-    return forward(weights, make_tokens(ys, us)).data[-1]
-
-
 def predict_sequence(weights: TransformerWeights, ys, us=None) -> np.ndarray:
-    """All next-output predictions for one or a batch of trajectories
-    (row j predicts y_{j+1}); equivalent to stepping position by position
-    thanks to the causal mask, in a single forward pass."""
+    """All next-output predictions for a batch of trajectories ys (B, T, m),
+    with inputs us (B, T' >= T, k) when the system has them: entry [b, j]
+    predicts y_{j+1} of trajectory b, as stepping position by position
+    would, in one forward pass (the causal mask makes them equal)."""
     return forward(weights, make_tokens(ys, us)).data
 
 
 # ---------------------------------------------------------------------------
-# checkpoint container: JSON header + NUL + little-endian blob + CRC32
+# checkpoint container: JSON header + NUL + little-endian blob + CRC32 of
+# all three, so an edited header fails the check as a flipped blob bit does
 # ---------------------------------------------------------------------------
 
 class CheckpointError(RuntimeError):
@@ -235,12 +205,11 @@ def write_tensor_file(path, meta: dict, tensors: dict[str, np.ndarray],
         directory.append({"name": name, "shape": list(arr.shape),
                           "offset": offset, "precision": precision})
         offset += arr.size * dt.itemsize
-    header = json.dumps({"format": "moplab-tensors-v1", "meta": meta,
-                         "tensors": directory}).encode("utf-8")
-    crc = 0
+    header = json.dumps({"format": "moplab-tensors-v2", "meta": meta,
+                         "tensors": directory}).encode("utf-8") + b"\0"
+    crc = zlib.crc32(header)
     with atomic_open(path, "wb") as fh:
         fh.write(header)
-        fh.write(b"\0")
         for arr in tensors.values():
             raw = np.ascontiguousarray(arr, dtype=dt)
             crc = zlib.crc32(raw, crc)
@@ -260,13 +229,13 @@ def _read(path) -> tuple[TransformerWeights, dict, dict[str, np.ndarray]]:
         header = json.loads(data[:sep].decode("utf-8"))
     except (UnicodeDecodeError, json.JSONDecodeError) as exc:
         raise CheckpointError(f"{path}: corrupt header: {exc}") from exc
-    if header.get("format") != "moplab-tensors-v1":
-        raise CheckpointError(f"{path}: not a moplab tensor file")
+    if header.get("format") != "moplab-tensors-v2":
+        raise CheckpointError(f"{path}: not a moplab-tensors-v2 file")
     if len(data) < sep + 5:
         raise CheckpointError(f"{path}: truncated file")
-    blob = memoryview(data)[sep + 1:-4]
-    if zlib.crc32(blob) != int.from_bytes(data[-4:], "little"):
+    if zlib.crc32(memoryview(data)[:-4]) != int.from_bytes(data[-4:], "little"):
         raise CheckpointError(f"{path}: checksum mismatch")
+    blob = memoryview(data)[sep + 1:-4]
     tensors = {}
     for entry in header["tensors"]:
         dt = np.dtype(DTYPES[entry["precision"]]).newbyteorder("<")

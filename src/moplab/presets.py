@@ -24,7 +24,7 @@ def desk_model_config(dist_name: str) -> ModelConfig:
     """Desk-scale model sized for the given distribution's token layout."""
     dist = get_distribution(dist_name)
     return ModelConfig(layers=4, heads=4, embed_dim=64, context=128,
-                       token_dim=dist.token_dim, output_dim=dist.output_dim,
+                       token_dim=dist.token_dim, output_dim=dist.m,
                        precision="f32", input_scale=dist.input_scale)
 
 

@@ -24,7 +24,7 @@ __all__ = [
     "SwitchSpec", "DivergenceError", "SamplingError",
     "sample_linear_system", "sample_quadrotor", "sample_random_inputs",
     "simulate", "quadrotor_step", "quadrotor_jacobian", "stack_quadrotors",
-    "systems_to_json", "systems_from_json", "systems_sha256",
+    "systems_to_json", "systems_sha256",
 ]
 
 DIVERGENCE_LIMIT = 1e9
@@ -319,30 +319,8 @@ def _system_record(system) -> dict:
     }
 
 
-def _system_from_record(rec: dict):
-    if rec["kind"] == "linear":
-        n, m = rec["n"], rec["m"]
-        return LinearSystem(
-            a=np.array(rec["A"]).reshape(n, n),
-            c=np.array(rec["C"]).reshape(m, n),
-            sigma_w=rec["sigma_w"], sigma_v=rec["sigma_v"],
-            seed=rec["seed"], mode=rec.get("mode", "dense"),
-        )
-    if rec["kind"] == "quadrotor":
-        return QuadrotorSystem(
-            mass=rec["mass"], arm_length=rec["arm_length"],
-            inertia=rec["inertia"], c=np.array(rec["C"]).reshape(3, 6),
-            sigma_w=rec["sigma_w"], sigma_v=rec["sigma_v"], seed=rec["seed"],
-        )
-    raise ValueError(f"unknown system kind {rec['kind']!r}")
-
-
 def systems_to_json(systems) -> list[dict]:
     return [_system_record(s) for s in systems]
-
-
-def systems_from_json(records) -> list:
-    return [_system_from_record(r) for r in records]
 
 
 def systems_sha256(systems) -> str:

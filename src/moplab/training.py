@@ -142,10 +142,8 @@ def batch_loss(weights: TransformerWeights, ys, us=None) -> engine.Tensor:
     graph, with the weights as its named leaves.
     """
     ys = np.asarray(ys)
-    if ys.ndim == 2:
-        ys = ys[None]
-    if ys.shape[1] < 2:
-        raise ValueError("trajectories need at least 2 outputs")
+    if ys.ndim != 3 or ys.shape[1] < 2:
+        raise ValueError(f"ys must be a batch (B, T >= 2, m), got shape {ys.shape}")
     tokens = model.make_tokens(ys[:, :-1], us)
     preds = model.forward(weights, tokens)
     targets = ys[:, 1:].astype(weights.config.dtype)

@@ -32,6 +32,7 @@ import pytest
 
 from moplab import training
 from moplab.manifest import environment, sha256_json, write_csv, write_json
+from moplab.model import TransformerWeights, init_weights
 
 CACHE_ROOT = Path(os.environ.get(
     "MOPLAB_TEST_CACHE", Path(__file__).resolve().parent.parent / "results" / "test-cache"))
@@ -77,6 +78,13 @@ def ensure_trained(cfg: training.TrainConfig, tag: str = "run") -> Path:
     # retrain then rewrites no line of the log
     write_csv(entry / "loss.csv", result.loss_rows, ["step", "loss", "grad_norm"])
     return entry
+
+
+def zero_model(cfg) -> TransformerWeights:
+    """A model of config `cfg` with every parameter zero: it predicts 0 at
+    every position."""
+    shapes = init_weights(cfg, np.random.default_rng(0)).arrays
+    return TransformerWeights(cfg, {k: np.zeros_like(a) for k, a in shapes.items()})
 
 
 @pytest.fixture

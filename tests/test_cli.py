@@ -13,7 +13,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from moplab import __version__, cli, manifest, model, svgplot
+from moplab import __version__, cli, evaluation, manifest, model, svgplot
 from moplab.manifest import read_csv, sha256_file, sha256_json, write_csv, write_json
 from moplab.model import ModelConfig
 from moplab.seeding import stream
@@ -172,6 +172,37 @@ def test_invalid_model_config_exits_2(tmp_path, capsys):
                      "--out-dir", str(tmp_path / "run")]) == 2
     assert "embed_dim must be divisible by heads" in capsys.readouterr().err
     assert not (tmp_path / "run").exists()
+
+
+@pytest.mark.parametrize("overrides", [[], ["--steps", "3"], ["--seed", "4"]])
+def test_train_config_that_is_not_an_object_exits_2(tmp_path, capsys, overrides):
+    # the type is checked before --steps or --seed is written into the config
+    config = tmp_path / "config.json"
+    config.write_text("[1, 2]")
+    assert cli.main(["train", "--config", str(config), "--quiet",
+                     "--out-dir", str(tmp_path / "run"), *overrides]) == 2
+    assert "train config must be a JSON object" in capsys.readouterr().err
+    assert not (tmp_path / "run").exists()
+
+
+@pytest.mark.parametrize("preset, bad, error", [
+    ("linear-iid", "foo", "'foo' cannot score linear-dense systems; valid: mop, kf, ar-ols, zero"),
+    ("linear-iid", "ekf", "'ekf' cannot score linear-dense systems; valid: mop, kf, ar-ols, zero"),
+    ("quadrotor", "kf", "'kf' cannot score quadrotor systems; valid: mop, ekf, ar-ols, zero"),
+], ids=["unknown", "ekf-on-linear", "kf-on-quadrotor"])
+def test_eval_predictor_that_cannot_score_the_preset_exits_2(
+        tmp_path, monkeypatch, capsys, preset, bad, error):
+    # checked before the weights load (the checkpoint does not exist, which
+    # would exit 1) and before any system is sampled
+    def sample(*args, **kwargs):
+        raise AssertionError("a population was sampled")
+
+    monkeypatch.setattr(evaluation, "test_population", sample)
+    argv = ["eval", "--preset", preset, "--predictors", f"mop,{bad}",
+            "--ckpt", str(tmp_path / "missing.ckpt"), "--out-dir", str(tmp_path / "out")]
+    assert cli.main(argv) == 2
+    assert f"error: predictor {error}" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
 
 
 @pytest.mark.parametrize("flag", ["--n", "--horizon"])

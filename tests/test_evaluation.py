@@ -1,7 +1,9 @@
 """The population scoring path: batched predictors against single-system
 oracles, the steady-state Riccati gain, failure isolation per system, the
-end-to-end plumbing of `error_curve`, and the paper's two diagnostics."""
+end-to-end plumbing of `error_curve`, the (M, T) scaling statistics, and
+the paper's two diagnostics."""
 
+import math
 from dataclasses import replace
 
 import numpy as np
@@ -296,6 +298,50 @@ def test_compare_predictors_reports_ratios_and_windows(rng):
 
 
 # ---------------------------------------------------------------------------
+# scaling statistics
+# ---------------------------------------------------------------------------
+
+def test_spearman_of_monotone_sequences_is_plus_or_minus_one():
+    x = [1.0, 2.0, 5.0, 9.0]
+    assert evaluation.spearman(x, [0.1, 0.4, 3.0, 70.0]) == 1.0
+    assert evaluation.spearman(x, [70.0, 3.0, 0.4, 0.1]) == -1.0
+
+
+def test_spearman_takes_average_ranks_on_ties():
+    # y ranks (1.5, 1.5, 3, 4) against (1, 2, 3, 4): centred, their products
+    # sum to 4.5 and their squares to 5 and 4.5
+    rho = evaluation.spearman([1.0, 2.0, 3.0, 4.0], [0.2, 0.2, 0.5, 0.9])
+    assert rho == pytest.approx(4.5 / math.sqrt(5 * 4.5), rel=1e-15)
+
+
+def test_spearman_of_a_constant_input_is_zero():
+    assert evaluation.spearman([1.0, 2.0, 3.0], [0.4, 0.4, 0.4]) == 0.0
+
+
+def test_loglog_slope_of_a_power_law():
+    mt = np.array([100.0, 400.0, 1600.0, 6400.0, 25600.0])
+    assert evaluation.fit_loglog_slope(mt, 3.0 * mt ** -0.5) \
+        == pytest.approx(-0.5, abs=1e-12)
+
+
+def test_loglog_slope_needs_two_positive_deltas():
+    assert evaluation.fit_loglog_slope([100, 200, 300], [0.1, -0.2, 0.0]) is None
+
+
+def test_scaling_report_leaves_flagged_cells_out_of_the_statistics():
+    def cell(mt, delta, flagged=None):
+        return {"m_systems": mt // 10, "train_len": 10, "mt": mt, "delta": delta,
+                "stderr": 0.01, "flagged": flagged}
+
+    cells = [cell(100, 0.3), cell(400, 0.15), cell(1600, 0.075),
+             cell(6400, 0.9, flagged="training aborted at step 3: loss nan")]
+    report = evaluation.scaling_report("linear-dense", cells)
+    assert report["cells"] == cells
+    assert report["spearman_delta_vs_mt"] == -1.0
+    assert report["loglog_slope"] == pytest.approx(-0.5, abs=1e-12)
+
+
+# ---------------------------------------------------------------------------
 # robustness probe
 # ---------------------------------------------------------------------------
 
@@ -365,9 +411,9 @@ def test_probe_matches_per_prompt_predictions_and_is_deterministic():
         wk = sw * mc.standard_normal((PROBE["mc_draws"], system.n))
         vk = sv * mc.standard_normal((PROBE["mc_draws"], system.m))
         y_next = (system.a @ xs[t_eval] + wk) @ system.c.T + vk
-        p1 = model.predict_next(weights, branches[0])
+        p1 = model.predict_sequence(weights, branches[:1])[0, -1]
         for j, tau in enumerate(taus):
-            p2 = model.predict_next(weights, branches[1 + j])
+            p2 = model.predict_sequence(weights, branches[1 + j:2 + j])[0, -1]
             dloss = np.linalg.norm(y_next - p1, axis=1) - np.linalg.norm(y_next - p2, axis=1)
             denom = np.linalg.norm(branches[1 + j, tau:] - branches[0, tau:], axis=1).sum()
             khat[j, i] = (t_eval - tau) * abs(dloss.mean()) / denom

@@ -1,17 +1,18 @@
 """Transformer model: init, forward semantics (causality, shapes,
 precision), gradient flow end to end, and the checkpoint container."""
 
+import dataclasses
 import json
 import zlib
 
 import numpy as np
 import pytest
 
+from conftest import zero_model
 from moplab import engine, model
 from moplab.model import (
-    CheckpointError, ModelConfig, init_weights, load_checkpoint,
-    load_training_state, predict_next, predict_sequence, save_checkpoint,
-    zero_weights,
+    CheckpointError, ModelConfig, TransformerWeights, init_weights, load_checkpoint,
+    load_training_state, predict_sequence, save_checkpoint,
 )
 from moplab.seeding import stream
 
@@ -24,7 +25,7 @@ def small_weights():
     return init_weights(SMALL, stream(0, "w"))
 
 
-def expected_param_count(cfg: ModelConfig) -> int:
+def expected_parameter_total(cfg: ModelConfig) -> int:
     d, td, od = cfg.embed_dim, cfg.token_dim, cfg.output_dim
     per_layer = (
         4 * (d * d + d)            # attention projections + biases
@@ -60,21 +61,16 @@ def test_param_count_closed_form():
     cfg = ModelConfig(layers=4, heads=4, embed_dim=64, context=128,
                       token_dim=5, output_dim=5)
     weights = init_weights(cfg, stream(1, "c"))
-    assert weights.param_count() == expected_param_count(cfg)
-    assert SMALL.head_dim == 8
+    assert sum(a.size for a in weights.arrays.values()) == expected_parameter_total(cfg)
 
 
 def test_zero_init_forward_is_zero(small_weights):
-    w = zero_weights(SMALL)
-    prompt = stream(2).standard_normal((7, 3))
-    out = model.forward(w, prompt).data
-    assert np.array_equal(out, np.zeros((7, 3)))
+    prompt = stream(2).standard_normal((1, 7, 3))
+    out = model.forward(zero_model(SMALL), prompt).data
+    assert np.array_equal(out, np.zeros((1, 7, 3)))
 
 
 def test_forward_output_shape(small_weights):
-    prompt = stream(3).standard_normal((9, 3))
-    out = model.forward(small_weights, prompt).data
-    assert out.shape == (9, 3)
     batch = stream(4).standard_normal((5, 9, 3))
     outb = model.forward(small_weights, batch).data
     assert outb.shape == (5, 9, 3)
@@ -82,59 +78,58 @@ def test_forward_output_shape(small_weights):
 
 def test_forward_causality_bitwise(small_weights):
     rng = stream(6, "caus")
-    prompt = rng.standard_normal((12, 3))
+    prompt = rng.standard_normal((1, 12, 3))
     base = model.forward(small_weights, prompt).data
     for j in [0, 4, 10]:
         tampered = prompt.copy()
-        tampered[j + 1:] += rng.standard_normal(tampered[j + 1:].shape)
+        tampered[:, j + 1:] += rng.standard_normal(tampered[:, j + 1:].shape)
         out = model.forward(small_weights, tampered).data
-        assert np.array_equal(out[: j + 1], base[: j + 1])
+        assert np.array_equal(out[:, : j + 1], base[:, : j + 1])
         if j + 1 < 12:
-            assert not np.array_equal(out[j + 1:], base[j + 1:])
+            assert not np.array_equal(out[:, j + 1:], base[:, j + 1:])
 
 
 def test_forward_prefix_consistency(small_weights):
     # a prefix run equals the sliced full run; not bitwise across prompt
     # lengths (BLAS regroups the masked-zero terms), so tight tolerance
-    prompt = stream(7).standard_normal((10, 3))
+    prompt = stream(7).standard_normal((2, 10, 3))
     full = model.forward(small_weights, prompt).data
-    half = model.forward(small_weights, prompt[:5]).data
-    assert np.allclose(half, full[:5], rtol=0, atol=1e-12)
+    half = model.forward(small_weights, prompt[:, :5]).data
+    assert np.allclose(half, full[:, :5], rtol=0, atol=1e-12)
 
 
 def test_forward_pure_function(small_weights):
-    prompt = stream(8).standard_normal((6, 3))
+    prompt = stream(8).standard_normal((2, 6, 3))
     a = model.forward(small_weights, prompt).data
     b = model.forward(small_weights, prompt).data
     assert np.array_equal(a, b)
 
 
 def test_forward_rejects_bad_prompts(small_weights):
-    with pytest.raises(ValueError):
-        model.forward(small_weights, np.zeros((33, 3)))     # context overflow
-    with pytest.raises(ValueError):
-        model.forward(small_weights, np.zeros((4, 2)))      # wrong token dim
-    with pytest.raises(ValueError):
-        predict_next(small_weights, np.zeros((0, 3)))       # empty prompt
+    with pytest.raises(ValueError, match="exceeds context"):
+        model.forward(small_weights, np.zeros((1, 33, 3)))
+    with pytest.raises(ValueError, match="token dim"):
+        model.forward(small_weights, np.zeros((1, 4, 2)))
+    with pytest.raises(ValueError, match="empty prompt"):
+        model.forward(small_weights, np.zeros((1, 0, 3)))
+    for shape in [(4, 3), (1, 1, 4, 3)]:                    # batches only
+        with pytest.raises(ValueError, match="batch"):
+            model.forward(small_weights, np.zeros(shape))
+        with pytest.raises(ValueError, match="batch"):
+            predict_sequence(small_weights, np.zeros(shape))
 
 
 def test_position_sensitivity(small_weights):
     rng = stream(9, "perm")
     prompt = rng.standard_normal((8, 3))
-    base = predict_next(small_weights, prompt)
     permuted = prompt[rng.permutation(8)]
-    assert not np.allclose(predict_next(small_weights, permuted), base)
+    last = predict_sequence(small_weights, np.stack([prompt, permuted]))[:, -1]
+    assert not np.allclose(last[1], last[0])
 
 
-def test_predict_next_is_last_forward_row(small_weights):
-    prompt = stream(10).standard_normal((7, 3))
-    full = model.forward(small_weights, prompt).data
-    assert np.array_equal(predict_next(small_weights, prompt), full[-1])
-
-
-def test_predict_next_stress_large_entries(small_weights):
-    prompt = stream(11).uniform(-1e3, 1e3, (12, 3))
-    out = predict_next(small_weights, prompt)
+def test_predict_sequence_stress_large_entries(small_weights):
+    prompt = stream(11).uniform(-1e3, 1e3, (2, 12, 3))
+    out = predict_sequence(small_weights, prompt)
     assert np.isfinite(out).all()
 
 
@@ -142,8 +137,9 @@ def test_dual_precision_agreement():
     cfg64 = ModelConfig(layers=2, heads=2, embed_dim=16, context=32,
                         token_dim=3, output_dim=3, precision="f64")
     w64 = init_weights(cfg64, stream(12, "p"))
-    w32 = w64.astype("f32")
-    prompt = stream(13).standard_normal((10, 3))
+    w32 = TransformerWeights(dataclasses.replace(cfg64, precision="f32"),
+                             {k: a.astype(np.float32) for k, a in w64.arrays.items()})
+    prompt = stream(13).standard_normal((2, 10, 3))
     o64 = model.forward(w64, prompt).data
     o32 = model.forward(w32, prompt).data.astype(np.float64)
     rel = np.abs(o64 - o32).max() / max(np.abs(o64).max(), 1e-9)
@@ -151,15 +147,14 @@ def test_dual_precision_agreement():
 
 
 def test_input_scale_conditions_but_keeps_raw_units():
-    import dataclasses
     cfg = dataclasses.replace(SMALL, input_scale=0.1)
     w = init_weights(cfg, stream(14, "s"))
-    prompt = stream(15).standard_normal((6, 3)) * 10
+    prompt = stream(15).standard_normal((2, 6, 3)) * 10
     out = model.forward(w, prompt).data
     assert np.isfinite(out).all()
     # the scaled model sees tokens 10x smaller; its raw-unit output is the
     # head output un-scaled, so magnitudes stay comparable to the unscaled rig
-    w1 = model.TransformerWeights(SMALL, dict(w.arrays))
+    w1 = TransformerWeights(SMALL, dict(w.arrays))
     out_ref = model.forward(w1, prompt * 0.1).data / 0.1
     assert np.allclose(out, out_ref, rtol=1e-12)
 
@@ -238,7 +233,8 @@ def test_desk_step_tape_size():
     activations = ((18 * cfg.layers + 3) * b * t * d + t * d
                    + 2 * b * t * od + b * t + 1)
     elements = sum(int(np.prod(node.out_shape)) for node in g.nodes)
-    assert elements == weights.param_count() + activations == 683580
+    params = sum(a.size for a in weights.arrays.values())
+    assert elements == params + activations == 683580
 
 
 # ---------------------------------------------------------------------------
@@ -247,7 +243,7 @@ def test_desk_step_tape_size():
 
 def test_checkpoint_roundtrip_bit_exact(tmp_path, small_weights):
     path = tmp_path / "model.ckpt"
-    prompt = stream(20).standard_normal((8, 3))
+    prompt = stream(20).standard_normal((2, 8, 3))
     before = model.forward(small_weights, prompt).data
     save_checkpoint(small_weights, path)
     loaded = load_checkpoint(path)
@@ -278,18 +274,44 @@ def test_checkpoint_corruption_detected(tmp_path, small_weights):
 
 
 def test_tensor_file_bytes_are_header_nul_blob_crc(tmp_path):
+    # the CRC32 covers every byte before it: header, NUL and blob
     tensors = {"a": np.arange(6.0).reshape(2, 3), "b": np.float64(-1.5),
                "c": np.ones((3, 1)).T}                      # not C-contiguous
     path = tmp_path / "t.ckpt"
     model.write_tensor_file(path, {"kind": "test"}, tensors, "f32")
     blob = b"".join(np.asarray(a, dtype="<f4").tobytes() for a in tensors.values())
     offsets = [0, 24, 28]
-    header = json.dumps({"format": "moplab-tensors-v1", "meta": {"kind": "test"},
+    header = json.dumps({"format": "moplab-tensors-v2", "meta": {"kind": "test"},
                          "tensors": [{"name": n, "shape": list(np.shape(a)), "offset": o,
                                       "precision": "f32"}
                                      for (n, a), o in zip(tensors.items(), offsets)]})
-    assert path.read_bytes() == (header.encode() + b"\0" + blob
-                                 + zlib.crc32(blob).to_bytes(4, "little"))
+    body = header.encode() + b"\0" + blob
+    assert path.read_bytes() == body + zlib.crc32(body).to_bytes(4, "little")
+
+
+def test_checkpoint_header_edit_detected(tmp_path, small_weights):
+    # one tensor's offset moved by 4 bytes, same length: the blob is intact,
+    # and only a checksum over the header catches it
+    path = tmp_path / "model.ckpt"
+    save_checkpoint(small_weights, path)
+    data = path.read_bytes()
+    sep = data.index(b"\0")
+    header = json.loads(data[:sep])
+    entry = next(e for e in header["tensors"] if e["name"] == "embed.b")
+    old = f'"offset": {entry["offset"]},'.encode()
+    new = f'"offset": {entry["offset"] + 4},'.encode()
+    assert len(old) == len(new) and data[:sep].count(old) == 1
+    path.write_bytes(data.replace(old, new, 1))
+    with pytest.raises(CheckpointError, match="checksum mismatch"):
+        load_checkpoint(path)
+
+
+def test_previous_format_is_reported_as_such(tmp_path, small_weights):
+    path = tmp_path / "model.ckpt"
+    save_checkpoint(small_weights, path)
+    path.write_bytes(path.read_bytes().replace(b"moplab-tensors-v2", b"moplab-tensors-v1", 1))
+    with pytest.raises(CheckpointError, match="not a moplab-tensors-v2 file"):
+        load_checkpoint(path)
 
 
 def test_training_state_roundtrip(tmp_path, small_weights):
@@ -322,20 +344,18 @@ def test_weight_only_checkpoint_has_no_training_state(tmp_path, small_weights):
 
 
 def test_checkpoint_shape_mismatch_detected(tmp_path, small_weights):
+    # a well-formed file whose config lies about the tensors' shapes
     path = tmp_path / "model.ckpt"
-    save_checkpoint(small_weights, path)
-    data = path.read_bytes()
-    sep = data.index(b"\0")
-    header = json.loads(data[:sep])
-    header["meta"]["config"]["embed_dim"] = 32    # lie about the shape
-    path.write_bytes(json.dumps(header).encode() + data[sep:])
-    with pytest.raises(CheckpointError):
+    config = {**dataclasses.asdict(SMALL), "embed_dim": 32}
+    model.write_tensor_file(path, {"kind": "checkpoint", "config": config},
+                            small_weights.arrays, SMALL.precision)
+    with pytest.raises(CheckpointError, match="shape mismatch"):
         load_checkpoint(path)
 
 
 def test_predict_sequence_matches_stepping(small_weights):
-    ys = stream(21).standard_normal((9, 3))
-    batched = predict_sequence(small_weights, ys[:-1])
-    stepped = np.stack([predict_next(small_weights, ys[: t + 1])
-                        for t in range(8)])
+    ys = stream(21).standard_normal((2, 9, 3))
+    batched = predict_sequence(small_weights, ys[:, :-1])
+    stepped = np.stack([predict_sequence(small_weights, ys[:, : t + 1])[:, -1]
+                        for t in range(8)], axis=1)
     assert np.allclose(batched, stepped, rtol=0, atol=1e-12)

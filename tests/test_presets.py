@@ -22,9 +22,9 @@ def test_iid_filter_gets_the_noise_stds():
 
 def test_quadrotor_tokens_carry_the_rotor_commands():
     quad = get_distribution("quadrotor")
-    assert (quad.token_dim, quad.output_dim) == (5, 3)
+    assert (quad.token_dim, quad.m) == (5, 3)
     dense = get_distribution("linear-dense")
-    assert (dense.token_dim, dense.output_dim) == (5, 5)
+    assert (dense.token_dim, dense.m) == (5, 5)
 
 
 @pytest.mark.parametrize("lookup, table", [(get_distribution, DISTRIBUTIONS),
@@ -47,5 +47,5 @@ def test_preset_trains_what_it_scores(name):
     assert train.train_len - 1 <= train.model.context
     dist = get_distribution(preset.distribution)
     assert (train.model.token_dim, train.model.output_dim) \
-        == (dist.token_dim, dist.output_dim)
+        == (dist.token_dim, dist.m)
     assert train.model == desk_model_config(preset.distribution)

@@ -7,12 +7,13 @@ import json
 import math
 import os
 import platform
+import re
 import resource
 
 import numpy as np
 import pytest
 
-from conftest import ensure_trained, load_loss_rows
+from conftest import ensure_trained, load_loss_rows, zero_model
 from moplab import engine, evaluation, linalg, model, presets, training
 from moplab.distributions import get_distribution
 from moplab.model import ModelConfig
@@ -98,17 +99,23 @@ def test_unknown_preset_rejected():
 
 def test_batch_loss_zero_when_predictions_match(rng):
     # craft a trajectory the zero model predicts exactly: all-zero targets
-    w = model.zero_weights(TINY_MODEL)
+    w = zero_model(TINY_MODEL)
     ys = np.zeros((2, 6, 5))
     assert batch_loss(w, ys).item() == 0.0
 
 
 def test_batch_loss_single_pair_euclidean():
     # one trajectory, one prediction term: loss = ||(3,4,0,0,0) - 0|| = 5
-    w = model.zero_weights(TINY_MODEL)
+    w = zero_model(TINY_MODEL)
     ys = np.zeros((1, 2, 5))
     ys[0, 1, :2] = [3.0, 4.0]
     assert batch_loss(w, ys).item() == pytest.approx(5.0, abs=1e-12)
+
+
+@pytest.mark.parametrize("shape", [(6,), (6, 5), (2, 1, 5)])
+def test_batch_loss_takes_batches_of_two_or_more_outputs(shape):
+    with pytest.raises(ValueError, match=re.escape(f"got shape {shape}")):
+        batch_loss(zero_model(TINY_MODEL), np.zeros(shape))
 
 
 def test_batch_loss_mean_invariance_duplicates(rng):
@@ -141,7 +148,7 @@ def test_batch_loss_matches_empirical_risk_formula(rng):
 
 
 def test_l2_norm_gradient_finite_at_match():
-    w = model.zero_weights(TINY_MODEL)
+    w = zero_model(TINY_MODEL)
     ys = np.zeros((1, 4, 5))
     g = engine.Graph()
     with g:
