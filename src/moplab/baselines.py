@@ -36,31 +36,27 @@ def _t(a) -> np.ndarray:
     return a.swapaxes(-1, -2)
 
 
-def _per_system(value, n_sys) -> np.ndarray:
-    return np.broadcast_to(np.asarray(value, dtype=np.float64), (n_sys,))
-
-
 class GaussianFilter:
     """Time-varying Kalman recursion with pluggable mean propagation.
 
     `propagate(x, u)` advances the means [N, n] and `jacobian(x, u)`
     supplies the linearizations [N, n, n] used for the covariances; passing
     the exact linear maps makes this the standard Kalman filter, passing a
-    nonlinear model plus its analytic Jacobian makes it the EKF. `c` is the
-    stack of output maps [N, m, n]; `sigma_w`, `sigma_v` are scalars or one
-    per system. Initialized at x_hat = 0, P = 0 (the initial state is
-    known to be zero). Each covariance is re-symmetrized every step; if its
-    diagonal drifts below -1e-10 a 1e-9 jitter is added to restore PSD.
+    nonlinear model plus its analytic Jacobian makes it the EKF. The output
+    maps C are the `systems`'; Q = sigma_w^2 I and R = sigma_v^2 I are
+    shared by every system. Initialized at x_hat = 0, P = 0 (the initial
+    state is known to be zero). Each covariance is re-symmetrized every
+    step; if its diagonal drifts below -1e-10 a 1e-9 jitter is added to
+    restore PSD.
     """
 
-    def __init__(self, propagate, jacobian, c, sigma_w, sigma_v):
+    def __init__(self, propagate, jacobian, systems, sigma_w, sigma_v):
         self.propagate = propagate
         self.jacobian = jacobian
-        self.c = np.asarray(c, dtype=np.float64)
+        self.c = np.stack([s.c for s in systems], dtype=np.float64)
         n_sys, self.m, self.n = self.c.shape
-        # process and output noise covariances Q, R per system
-        self.q = _per_system(sigma_w, n_sys)[:, None, None] ** 2 * np.eye(self.n)
-        self.r = _per_system(sigma_v, n_sys)[:, None, None] ** 2 * np.eye(self.m)
+        self.q = np.square(sigma_w) * np.eye(self.n)
+        self.r = np.square(sigma_v) * np.eye(self.m)
         self.x_hat = np.zeros((n_sys, self.n))
         self.p = np.zeros((n_sys, self.n, self.n))
         self.failed = np.zeros(n_sys, dtype=bool)
@@ -99,21 +95,15 @@ class GaussianFilter:
 
 
 class KalmanFilter(GaussianFilter):
-    """Optimal output predictor for known linear-Gaussian systems.
+    """Optimal output predictor for known linear-Gaussian systems, given
+    the population's noise stds (see `Distribution.filter_noise_stds`)."""
 
-    Noise stds may be overridden for the whole population, e.g. to hand the
-    filter the stationary marginal variance of a colored-noise process it
-    (wrongly) assumes white.
-    """
-
-    def __init__(self, systems, sigma_w=None, sigma_v=None):
+    def __init__(self, systems, sigma_w, sigma_v):
         a = np.stack([np.asarray(s.a, dtype=np.float64) for s in systems])
         super().__init__(
             propagate=lambda x, u: _matvec(a, x),
             jacobian=lambda x, u: a,
-            c=np.stack([s.c for s in systems]),
-            sigma_w=[s.sigma_w for s in systems] if sigma_w is None else sigma_w,
-            sigma_v=[s.sigma_v for s in systems] if sigma_v is None else sigma_v,
+            systems=systems, sigma_w=sigma_w, sigma_v=sigma_v,
         )
 
 
@@ -121,14 +111,12 @@ class QuadrotorEKF(GaussianFilter):
     """EKF for planar quadrotors: nonlinear mean propagation, analytic
     Jacobian linearization, linear output map."""
 
-    def __init__(self, systems):
+    def __init__(self, systems, sigma_w, sigma_v):
         params = stack_quadrotors(systems)
         super().__init__(
             propagate=lambda x, u: quadrotor_step(x, u, 0.0, params),
             jacobian=lambda x, u: quadrotor_jacobian(x),
-            c=np.stack([s.c for s in systems]),
-            sigma_w=[s.sigma_w for s in systems],
-            sigma_v=[s.sigma_v for s in systems],
+            systems=systems, sigma_w=sigma_w, sigma_v=sigma_v,
         )
 
 

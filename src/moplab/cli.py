@@ -95,7 +95,8 @@ def cmd_gen(args) -> int:
     t0 = time.time()
     systems = [dist.sample_system(seed, "gen", i) for i in range(args.count)]
     payload = {"preset": args.preset, "seed": seed, "count": args.count,
-               "systems": systems_to_json(systems)}
+               "sigma_w2": dist.sigma_w2, "sigma_v2": dist.sigma_v2,
+               "noise_window": dist.noise_window, "systems": systems_to_json(systems)}
     out = Path(args.out)
     out.parent.mkdir(parents=True, exist_ok=True)
     write_json(out, payload)
@@ -278,8 +279,8 @@ def cmd_plot(args) -> int:
 def cmd_experiment(args) -> int:
     """Run a preset. The manifest's `phases_s` holds the wall seconds of the
     dataset build, the rest of `training.train` (steps, checkpoint writes),
-    the test population, each predictor's scoring (risk-scaling's paired
-    scoring as "excess_risk"), the diagnostics and the plots: summed over
+    the test population, each predictor's scoring (risk-scaling's filter
+    once, its mop per cell), the diagnostics and the plots: summed over
     cells or noise levels, null where not run (or the run was reused)."""
     preset = _get_preset(args.name)
     seed = _resolve_seed(args.seed, preset.train.seed)
@@ -385,11 +386,18 @@ def _experiment_shift(preset, seed, root: Path, ckpt, phases) -> None:
 
 def _experiment_scaling(preset, seed, root: Path, quiet, phases) -> None:
     """One model per (M, T^tr) cell at a fixed step budget, each scored by
-    its excess-risk proxy on one shared test population."""
+    its excess risk over the preset's filter on one shared test population."""
     dist = get_distribution(preset.distribution)
     eval_seed = derive_eval_seed(seed)
     population = _timed(phases, "population", evaluation.test_population,
                         dist, preset.eval_n, preset.eval_horizon, eval_seed)
+
+    def score(kind, weights):
+        return _timed(phases["score"], kind, evaluation.error_curve, kind, dist,
+                      preset.eval_n, preset.eval_horizon, eval_seed,
+                      weights=weights, population=population)
+
+    filter_curve = score(preset.baselines[0], None)
     cells = []
     for m_systems, train_len in preset.scaling_grid:
         cfg = dataclasses.replace(preset.train, seed=seed, m_systems=m_systems,
@@ -403,9 +411,8 @@ def _experiment_scaling(preset, seed, root: Path, quiet, phases) -> None:
         except training.TrainingAborted as exc:
             cell["flagged"] = str(exc)
         else:
-            risk = _timed(phases["score"], "excess_risk", evaluation.empirical_excess_risk,
-                          model.load_checkpoint(ckpt), dist, eval_seed,
-                          population=population)
+            risk = evaluation.excess_risk(score("mop", model.load_checkpoint(ckpt)),
+                                          filter_curve)
             cell.update(delta=risk["delta"], stderr=risk["stderr"])
         cells.append(cell)
     report = evaluation.scaling_report(preset.distribution, cells)
@@ -428,7 +435,7 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--version", action="version", version=__version__)
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p = sub.add_parser("gen", help="sample a system collection to JSON")
+    p = sub.add_parser("gen", help="sample systems and their noise model to JSON")
     p.add_argument("--preset", required=True)
     p.add_argument("--count", type=int, required=True)
     p.add_argument("--seed", type=int, default=None)

@@ -4,9 +4,10 @@ A Distribution bundles everything needed to sample a system and roll a
 trajectory: the system family, its noise variances and the moving window
 its noise is summed over (1 for white noise), and how prompts are
 tokenized for the model (the quadrotor concatenates the applied rotor
-commands onto each output token). Seed namespaces: systems and
-trajectories derive their streams from (base_seed, role, index), so train
-and test populations never share draws.
+commands onto each output token). Every system drawn shares that noise
+model, which simulation and the model-aware filters read from here. Seed
+namespaces: systems and trajectories derive their streams from
+(base_seed, role, index), so train and test populations never share draws.
 """
 
 from __future__ import annotations
@@ -48,6 +49,11 @@ class Distribution:
     def with_noise_var(self, sigma2: float) -> "Distribution":
         return replace(self, sigma_w2=float(sigma2), sigma_v2=float(sigma2))
 
+    @property
+    def noise_stds(self) -> tuple[float, float]:
+        """(sigma_w, sigma_v): the stds `simulate` scales its innovations by."""
+        return float(np.sqrt(self.sigma_w2)), float(np.sqrt(self.sigma_v2))
+
     def filter_noise_stds(self) -> tuple[float, float]:
         """Noise stds handed to the model-aware filter: each channel's
         stationary marginal std sqrt(window * sigma^2). Over a window longer
@@ -61,13 +67,8 @@ class Distribution:
         seed = derive_seed(base_seed, self.name, role, "sys", index)
         rng = np.random.default_rng(seed)
         if self.kind == "linear":
-            return sample_linear_system(
-                rng, self.n, self.m, mode=self.mode,
-                sigma_w=float(np.sqrt(self.sigma_w2)),
-                sigma_v=float(np.sqrt(self.sigma_v2)), seed=seed)
-        return sample_quadrotor(
-            rng, sigma_w=float(np.sqrt(self.sigma_w2)),
-            sigma_v=float(np.sqrt(self.sigma_v2)), seed=seed)
+            return sample_linear_system(rng, self.n, self.m, mode=self.mode, seed=seed)
+        return sample_quadrotor(rng, seed=seed)
 
     def make_trajectory(self, system, t_len: int, base_seed: int, role: str,
                         index: int, switch=None) -> Trajectory:
@@ -76,13 +77,13 @@ class Distribution:
         seed = derive_seed(base_seed, self.name, role, "traj", index)
         if self.kind == "linear":
             return simulate(system, t_len, np.random.default_rng(seed),
-                            self.noise_window, switch=switch)
+                            self.noise_stds, self.noise_window, switch=switch)
         for attempt in range(QUAD_RESAMPLE_LIMIT):
             sub = np.random.default_rng(derive_seed(seed, "try", attempt))
             inputs = sample_random_inputs(sub, t_len, system)
             try:
-                return simulate(system, t_len, sub, self.noise_window,
-                                inputs=inputs)
+                return simulate(system, t_len, sub, self.noise_stds,
+                                self.noise_window, inputs=inputs)
             except DivergenceError:
                 logger.warning("quadrotor rollout diverged (system seed %d, "
                                "attempt %d); resampling", system.seed, attempt)

@@ -35,12 +35,15 @@ from .systems import SwitchSpec, simulate
 __all__ = [
     "ErrorCurve",
     "check_predictor", "make_predictor", "test_population", "predict_population", "error_curve",
-    "compare_predictors", "window_stats", "empirical_excess_risk",
+    "compare_predictors", "window_stats", "excess_risk",
     "scaling_report", "robustness_probe", "power_norm_report",
     "curves_to_csv_rows", "spearman",
 ]
 
 RATIO_GUARD = 1e-12
+# `robustness_probe`'s systems and its Monte-Carlo draws of the next noise pair.
+PROBE_SYSTEMS = 8
+PROBE_MC_DRAWS = 256
 # Systems per eager MOP forward in `predict_population`. The desk forward
 # peaks at about 0.24 MB per system at horizon 50 (tracemalloc). On a
 # 2-core x86 VM with BLAS at one thread and perfbench's calibration kernel
@@ -74,10 +77,9 @@ def check_predictor(kind: str, dist: Distribution) -> None:
 def make_predictor(kind: str, systems, dist: Distribution):
     """One step predictor for the whole population of `systems`."""
     check_predictor(kind, dist)
-    if kind == "kf":
-        return KalmanFilter(systems, *dist.filter_noise_stds())
-    if kind == "ekf":
-        return QuadrotorEKF(systems)
+    if kind in ("kf", "ekf"):
+        model_aware = KalmanFilter if kind == "kf" else QuadrotorEKF
+        return model_aware(systems, *dist.filter_noise_stds())
     if kind == "ar-ols":
         return OnlineARPredictor(len(systems), dist.m)
     if kind == "zero":
@@ -224,23 +226,16 @@ def compare_predictors(curve_a: ErrorCurve, curve_b: ErrorCurve) -> dict:
 # risk
 # ---------------------------------------------------------------------------
 
-def empirical_excess_risk(weights: TransformerWeights, dist: Distribution, seed,
-                          *, population) -> dict:
+def excess_risk(model_curve: ErrorCurve, filter_curve: ErrorCurve) -> dict:
     """Excess-risk proxy: empirical risk of the model minus that of the
-    model-aware filter (the EKF on the quadrotor, else the KF) on the same
-    test population. For linear-Gaussian presets the filter is
-    Bayes-optimal, making the proxy an upper bound on the true excess risk
-    up to estimation noise.
+    model-aware filter, from their curves on the same test population. For
+    linear-Gaussian presets the filter is Bayes-optimal, making the proxy an
+    upper bound on the true excess risk up to estimation noise.
 
-    Returns the baseline's name, both risks, the per-system deltas and
-    their mean `delta` with its `stderr`; the system count and horizon are
-    the population's.
+    Returns the filter's name, both risks, the per-system deltas and their
+    mean `delta` with its `stderr`.
     """
-    baseline = "ekf" if dist.kind == "quadrotor" else "kf"
-    trajs = population[1]
-    curves = [error_curve(kind, dist, len(trajs), len(trajs[0].ys), seed,
-                          weights=weights, population=population)
-              for kind in ("mop", baseline)]
+    curves = (model_curve, filter_curve)
     for curve in curves:
         if curve.failed_systems:
             raise RuntimeError(f"{curve.predictor} failed on test systems "
@@ -249,7 +244,7 @@ def empirical_excess_risk(weights: TransformerWeights, dist: Distribution, seed,
     model_risk, base_risk = (c.per_system[:, 1:].mean(axis=1) for c in curves)
     delta = model_risk - base_risk
     mean_delta, stderr = _mean_stderr(delta)
-    return {"baseline": baseline, "risk_model": float(model_risk.mean()),
+    return {"baseline": filter_curve.predictor, "risk_model": float(model_risk.mean()),
             "risk_baseline": float(base_risk.mean()), "delta": float(mean_delta),
             "stderr": float(stderr), "per_system_delta": delta}
 
@@ -304,12 +299,12 @@ def scaling_report(preset: str, cells) -> dict:
 # ---------------------------------------------------------------------------
 
 def robustness_probe(weights: TransformerWeights, dist: Distribution, horizon=50,
-                     n_systems=8, perturb_scale=1.0, mc_draws=256, seed=0) -> dict:
-    """Estimate the prompt-perturbation constant: replace the noise pair at
-    one time tau, roll the paired trajectory, and measure how much the
-    expected next-step loss moves at t_eval, per unit of accumulated output
-    difference. The expectation over the next noise pair uses mc_draws
-    Monte-Carlo samples shared by both branches.
+                     seed=0) -> dict:
+    """Estimate the prompt-perturbation constant on PROBE_SYSTEMS systems:
+    replace the noise pair at one time tau, roll the paired trajectory, and
+    measure how much the expected next-step loss moves at t_eval, per unit
+    of accumulated output difference. The expectation over the next noise
+    pair uses PROBE_MC_DRAWS Monte-Carlo samples shared by both branches.
 
     For an eval horizon H, t_eval is H - 5 and the taus run every 10 steps
     from 5, plus t_eval - 1 (45 and 5, 15, 25, 35, 44 at H = 50).
@@ -321,19 +316,20 @@ def robustness_probe(weights: TransformerWeights, dist: Distribution, horizon=50
     t_eval = horizon - 5
     taus = [*range(5, t_eval - 1, 10), t_eval - 1]
 
-    khat = np.zeros((len(taus), n_systems))
-    adl = np.zeros((len(taus), n_systems))
-    for i in range(n_systems):
+    sigma_w, sigma_v = dist.noise_stds
+    khat = np.zeros((len(taus), PROBE_SYSTEMS))
+    adl = np.zeros((len(taus), PROBE_SYSTEMS))
+    for i in range(PROBE_SYSTEMS):
         system = dist.sample_system(seed, "probe", i)
-        traj = simulate(system, t_eval + 1,
-                        rng=stream(seed, dist.name, "probe-noise", i), record_states=True)
+        traj = simulate(system, t_eval + 1, stream(seed, dist.name, "probe-noise", i),
+                        dist.noise_stds, record_states=True)
         # row 0: the base outputs; row 1 + j: the noise pair (dw, dv) at taus[j]
         # replaced, which by linearity adds C A^(t - tau) dw at t >= tau, dv at tau
         prompts = np.repeat(traj.ys[None], 1 + len(taus), axis=0)
         for j, tau in enumerate(taus):
             prng = stream(seed, dist.name, "probe-perturb", i, tau)
-            dx = perturb_scale * prng.standard_normal(system.n)
-            dv = perturb_scale * prng.standard_normal(system.m)
+            dx = prng.standard_normal(system.n)
+            dv = prng.standard_normal(system.m)
             for t in range(tau, t_eval + 1):
                 prompts[1 + j, t] += system.c @ dx
                 dx = system.a @ dx
@@ -341,8 +337,8 @@ def robustness_probe(weights: TransformerWeights, dist: Distribution, horizon=50
         preds = model.predict_sequence(weights, prompts)[:, -1]
 
         mc = stream(seed, dist.name, "probe-mc", i)
-        wk = system.sigma_w * mc.standard_normal((mc_draws, system.n))
-        vk = system.sigma_v * mc.standard_normal((mc_draws, system.m))
+        wk = sigma_w * mc.standard_normal((PROBE_MC_DRAWS, system.n))
+        vk = sigma_v * mc.standard_normal((PROBE_MC_DRAWS, system.m))
         # target draws from the unperturbed state, shared across branches
         y_next = (system.a @ traj.xs[t_eval] + wk) @ system.c.T + vk
         base_loss = np.linalg.norm(y_next - preds[0], axis=1)
@@ -356,8 +352,8 @@ def robustness_probe(weights: TransformerWeights, dist: Distribution, horizon=50
 
     gaps = [t_eval - tau for tau in taus]
     mean_adl = adl.mean(axis=1)
-    return {"n_systems": n_systems, "perturb_scale": perturb_scale,
-            "mc_draws": mc_draws, "t_eval": t_eval, "taus": taus,
+    return {"n_systems": PROBE_SYSTEMS, "perturb_scale": 1.0,
+            "mc_draws": PROBE_MC_DRAWS, "t_eval": t_eval, "taus": taus,
             "khat_max": float(khat.max()), "khat_median": float(np.median(khat)),
             "khat_by_tau": khat.mean(axis=1).tolist(),
             "abs_dloss_by_gap": [{"gap": g, "mean_abs_dloss": float(m)}

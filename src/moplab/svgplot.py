@@ -15,12 +15,13 @@ __all__ = ["render_curves", "render_from_rows"]
 WIDTH, HEIGHT = 640, 420
 MARGIN_L, MARGIN_R, MARGIN_T, MARGIN_B = 64, 20, 28, 48
 PALETTE = ["#1f77b4", "#d62728", "#2ca02c", "#9467bd", "#ff7f0e", "#8c564b"]
+TICKS = 5                            # tick intervals an axis aims for
 
 
-def _nice_ticks(lo, hi, n=5):
+def _nice_ticks(lo, hi):
     if hi <= lo:
         hi = lo + 1.0
-    raw = (hi - lo) / max(n, 1)
+    raw = (hi - lo) / TICKS
     mag = 10.0 ** math.floor(math.log10(raw))
     for mult in (1, 2, 2.5, 5, 10):
         if raw <= mult * mag:

@@ -3,8 +3,8 @@
 Systems follow x_{t+1} = f(x_t) + w_{t+1}, y_t = g(x_t) + v_t with x_0 = 0.
 Linear systems use f(x) = A x, g(x) = C x; the planar quadrotor uses the
 6-state discrete update in `quadrotor_step`. Noise is zero-mean Gaussian
-with the system's own stds sigma_w and sigma_v, summed over a moving window
-of i.i.d. innovations (window 1 is white noise; a longer window colors it).
+at the stds (sigma_w, sigma_v) passed to `simulate`, summed over a moving
+window of i.i.d. innovations (window 1 is white noise; a longer one colors it).
 All randomness flows through explicit generators so trajectories are
 bit-reproducible.
 """
@@ -47,8 +47,6 @@ class SamplingError(RuntimeError):
 class LinearSystem:
     a: np.ndarray           # n x n state matrix
     c: np.ndarray           # m x n output matrix
-    sigma_w: float          # process-noise std (per coordinate)
-    sigma_v: float          # output-noise std (per coordinate)
     seed: int = 0
     mode: str = "dense"
 
@@ -69,8 +67,6 @@ class QuadrotorSystem:
     arm_length: float
     inertia: float
     c: np.ndarray           # 3 x 6 output matrix
-    sigma_w: float
-    sigma_v: float
     seed: int = 0
 
     @property
@@ -105,8 +101,7 @@ class SwitchSpec:
 # sampling
 # ---------------------------------------------------------------------------
 
-def sample_linear_system(rng, n, m, mode="dense", sigma_w=0.1, sigma_v=0.1,
-                         seed=0) -> LinearSystem:
+def sample_linear_system(rng, n, m, mode="dense", seed=0) -> LinearSystem:
     """Draw a linear system from the benchmark distribution.
 
     dense: A entries uniform [-1, 1], rescaled so the spectral radius hits
@@ -126,20 +121,17 @@ def sample_linear_system(rng, n, m, mode="dense", sigma_w=0.1, sigma_v=0.1,
             a = np.triu(rng.uniform(-1.0, 1.0, size=(n, n)), k=1)
             a[np.diag_indices(n)] = rng.uniform(-0.95, 0.95, size=n)
         c = rng.uniform(0.0, 1.0, size=(m, n))
-        return LinearSystem(a=a, c=c, sigma_w=float(sigma_w),
-                            sigma_v=float(sigma_v), seed=int(seed), mode=mode)
+        return LinearSystem(a=a, c=c, seed=int(seed), mode=mode)
     raise SamplingError("could not sample a rescalable A (spectral radius ~ 0)")
 
 
-def sample_quadrotor(rng, sigma_w=0.1, sigma_v=0.1, seed=0) -> QuadrotorSystem:
+def sample_quadrotor(rng, seed=0) -> QuadrotorSystem:
     """Planar quadrotor with (mass, arm length, inertia) ~ U[0.5, 2] and a
     3x6 output matrix with entries ~ U[0, 1]."""
     mass, arm, inertia = rng.uniform(0.5, 2.0, size=3)
     c = rng.uniform(0.0, 1.0, size=(3, 6))
     return QuadrotorSystem(mass=float(mass), arm_length=float(arm),
-                           inertia=float(inertia), c=c,
-                           sigma_w=float(sigma_w), sigma_v=float(sigma_v),
-                           seed=int(seed))
+                           inertia=float(inertia), c=c, seed=int(seed))
 
 
 def sample_random_inputs(rng, t_len, system: QuadrotorSystem) -> np.ndarray:
@@ -162,9 +154,9 @@ def _window_sum(eta: np.ndarray, window: int) -> np.ndarray:
     return out
 
 
-def _noise_sequences(system, t_len, window, rng):
-    """Standard draws scaled by the system's sigma_w and sigma_v, each value
-    the sum of the last `window` of them.
+def _noise_sequences(system, t_len, stds, window, rng):
+    """Standard draws scaled by the stds (sigma_w, sigma_v), each value the
+    sum of the last `window` of them.
 
     The window reaches back before t = 0, so a value's variance is
     window * sigma^2 at every t. Draw order (eps_w then eps_v, shapes fixed
@@ -175,8 +167,8 @@ def _noise_sequences(system, t_len, window, rng):
         raise ValueError("window must be >= 1")
     eps_w = rng.standard_normal((t_len + window - 1, system.n))
     eps_v = rng.standard_normal((t_len + window - 1, system.m))
-    return (_window_sum(system.sigma_w * eps_w, window),
-            _window_sum(system.sigma_v * eps_v, window))
+    sigma_w, sigma_v = stds
+    return _window_sum(sigma_w * eps_w, window), _window_sum(sigma_v * eps_v, window)
 
 
 # ---------------------------------------------------------------------------
@@ -246,10 +238,10 @@ def stack_quadrotors(systems) -> SimpleNamespace:
         for name in ("mass", "arm_length", "inertia")})
 
 
-def simulate(system, t_len, rng, window=1, switch: SwitchSpec | None = None,
+def simulate(system, t_len, rng, stds, window=1, switch: SwitchSpec | None = None,
              inputs=None, record_states=False) -> Trajectory:
     """Roll a trajectory of t_len outputs y_0..y_{T-1} from x_0 = 0, its
-    noise summed over `window` innovations (see `_noise_sequences`).
+    noise at `stds` summed over `window` innovations (see `_noise_sequences`).
 
     Under `switch`, the dynamics (and output map) are replaced from
     t_switch on while the state carries over; the noise draws are shared so
@@ -259,7 +251,7 @@ def simulate(system, t_len, rng, window=1, switch: SwitchSpec | None = None,
         raise ValueError("t_len must be >= 1")
     if switch is not None and not (0 < switch.t_switch < t_len):
         raise ValueError("switch time must satisfy 0 < t_switch < t_len")
-    w, v = _noise_sequences(system, t_len, window, rng)
+    w, v = _noise_sequences(system, t_len, stds, window, rng)
 
     is_quad = isinstance(system, QuadrotorSystem)
     if is_quad and inputs is None:
@@ -302,8 +294,6 @@ def _system_record(system) -> dict:
             "m": system.m,
             "A": [float(x) for x in system.a.ravel()],
             "C": [float(x) for x in system.c.ravel()],
-            "sigma_w": system.sigma_w,
-            "sigma_v": system.sigma_v,
             "seed": system.seed,
             "mode": system.mode,
         }
@@ -313,8 +303,6 @@ def _system_record(system) -> dict:
         "arm_length": system.arm_length,
         "inertia": system.inertia,
         "C": [float(x) for x in system.c.ravel()],
-        "sigma_w": system.sigma_w,
-        "sigma_v": system.sigma_v,
         "seed": system.seed,
     }
 

@@ -88,6 +88,11 @@ class TrainConfig:
             raise ValueError("train_len must be >= 2 (need a prediction target)")
         if self.train_len - 1 > self.model.context:
             raise ValueError("train_len - 1 exceeds the model context")
+        dist, cfg = get_distribution(self.preset), self.model
+        if (cfg.token_dim, cfg.output_dim) != (dist.token_dim, dist.m):
+            raise ValueError(f"model/preset dimensionality mismatch: model tokens "
+                             f"{cfg.token_dim}->{cfg.output_dim}, preset {dist.name} "
+                             f"wants {dist.token_dim}->{dist.m}")
 
 
 class MetaDataset:

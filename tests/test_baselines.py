@@ -19,9 +19,11 @@ from moplab.systems import (
 )
 
 
-def scalar_system(a=0.9, c=1.0, q=0.01, r=0.01):
-    return LinearSystem(a=np.array([[a]]), c=np.array([[c]]),
-                        sigma_w=float(np.sqrt(q)), sigma_v=float(np.sqrt(r)))
+STDS = (0.1, 0.1)                    # (sigma_w, sigma_v): variances 0.01
+
+
+def scalar_system(a=0.9, c=1.0):
+    return LinearSystem(a=np.array([[a]]), c=np.array([[c]]))
 
 
 def riccati_fixed_point(a, c, q, r, tol=1e-14):
@@ -42,7 +44,7 @@ def riccati_fixed_point(a, c, q, r, tol=1e-14):
 
 def test_kf_memoryless_system_predicts_prior_mean():
     system = scalar_system(a=0.0)
-    kf = KalmanFilter([system])
+    kf = KalmanFilter([system], *STDS)
     rng = stream(1, "kfa0")
     for t in range(50):
         pred = kf.step(rng.standard_normal((1, 1)))
@@ -51,9 +53,9 @@ def test_kf_memoryless_system_predicts_prior_mean():
 
 
 def test_kf_riccati_convergence():
-    system = scalar_system(a=0.9, c=1.0, q=0.01, r=0.01)
-    kf = KalmanFilter([system])
-    traj = simulate(system, 201, rng=stream(2, "ric"))
+    system = scalar_system(a=0.9, c=1.0)
+    kf = KalmanFilter([system], *STDS)
+    traj = simulate(system, 201, stream(2, "ric"), STDS)
     for t in range(200):
         kf.step(traj.ys[t][None])
     oracle = riccati_fixed_point(0.9, 1.0, 0.01, 0.01)
@@ -61,9 +63,9 @@ def test_kf_riccati_convergence():
 
 
 def test_kf_zero_noise_exact():
-    system = scalar_system(q=0.0, r=0.0)
-    kf = KalmanFilter([system])
-    traj = simulate(system, 30, rng=stream(3))
+    system = scalar_system()
+    kf = KalmanFilter([system], 0.0, 0.0)
+    traj = simulate(system, 30, stream(3), (0.0, 0.0))
     errs = []
     pred = np.zeros((1, 1))
     for t in range(29):
@@ -75,8 +77,8 @@ def test_kf_zero_noise_exact():
 
 def test_kf_innovation_whiteness():
     system = sample_linear_system(stream(4, "white"), 10, 5)
-    traj = simulate(system, 2000, rng=stream(5, "white"))
-    kf = KalmanFilter([system])
+    traj = simulate(system, 2000, stream(5, "white"), STDS)
+    kf = KalmanFilter([system], *STDS)
     innovations = np.zeros((2000, 5))
     for t in range(2000):
         innovations[t] = traj.ys[t] - kf.predicted_output[0]
@@ -89,8 +91,8 @@ def test_kf_innovation_whiteness():
 
 def test_kf_covariance_trace_monotone_convergent():
     system = sample_linear_system(stream(6, "tr"), 10, 5)
-    traj = simulate(system, 600, rng=stream(7, "tr"))
-    kf = KalmanFilter([system])
+    traj = simulate(system, 600, stream(7, "tr"), STDS)
+    kf = KalmanFilter([system], *STDS)
     traces = []
     for t in range(600):
         kf.step(traj.ys[t][None])
@@ -106,8 +108,8 @@ def test_kf_dominates_ar_ols_on_average():
     ar_err = np.zeros((n_sys, t_len))
     for i in range(n_sys):
         system = sample_linear_system(stream(8, "dom", i), 10, 5)
-        traj = simulate(system, t_len, rng=stream(9, "dom", i))
-        kf, ar = KalmanFilter([system]), OnlineARPredictor(1, 5)
+        traj = simulate(system, t_len, stream(9, "dom", i), STDS)
+        kf, ar = KalmanFilter([system], *STDS), OnlineARPredictor(1, 5)
         pk = pa = np.zeros(5)
         for t in range(t_len):
             kf_err[i, t] = np.linalg.norm(pk - traj.ys[t])
@@ -120,8 +122,8 @@ def test_kf_dominates_ar_ols_on_average():
 
 def test_kf_psd_and_symmetry_maintained():
     system = sample_linear_system(stream(10, "psd"), 10, 5)
-    traj = simulate(system, 300, rng=stream(11, "psd"))
-    kf = KalmanFilter([system])
+    traj = simulate(system, 300, stream(11, "psd"), STDS)
+    kf = KalmanFilter([system], *STDS)
     for t in range(300):
         kf.step(traj.ys[t][None])
         assert np.array_equal(kf.p[0], kf.p[0].T)
@@ -152,11 +154,10 @@ def test_ekf_jacobian_vs_finite_differences():
 
 
 def test_ekf_zero_noise_hover_exact():
-    from dataclasses import replace
-    system = replace(sample_quadrotor(stream(14, "hover")), sigma_w=0.0, sigma_v=0.0)
+    system = sample_quadrotor(stream(14, "hover"))
     hover = np.full((40, 2), system.hover_thrust)
-    traj = simulate(system, 40, rng=stream(15), inputs=hover)
-    ekf = QuadrotorEKF([system])
+    traj = simulate(system, 40, stream(15), (0.0, 0.0), inputs=hover)
+    ekf = QuadrotorEKF([system], 0.0, 0.0)
     pred = np.zeros(3)
     for t in range(39):
         assert np.linalg.norm(pred - traj.ys[t]) <= 1e-9
@@ -166,12 +167,12 @@ def test_ekf_zero_noise_hover_exact():
 
 def test_ekf_reduces_to_kf_on_linear_system():
     system = sample_linear_system(stream(16, "lin"), 6, 3)
-    traj = simulate(system, 100, rng=stream(17, "lin"))
-    kf = KalmanFilter([system])
+    traj = simulate(system, 100, stream(17, "lin"), STDS)
+    kf = KalmanFilter([system], *STDS)
     a = np.asarray(system.a, dtype=np.float64)[None]
     generic = GaussianFilter(
         propagate=lambda x, u: (a @ x[..., None])[..., 0], jacobian=lambda x, u: a,
-        c=system.c[None], sigma_w=system.sigma_w, sigma_v=system.sigma_v)
+        systems=[system], sigma_w=STDS[0], sigma_v=STDS[1])
     for t in range(100):
         yk = kf.step(traj.ys[t][None])
         yg = generic.step(traj.ys[t][None])
@@ -181,8 +182,8 @@ def test_ekf_reduces_to_kf_on_linear_system():
 def test_ekf_tracks_quadrotor_reasonably():
     system = sample_quadrotor(stream(18, "trk"))
     inputs = sample_random_inputs(stream(19, "trk"), 50, system)
-    traj = simulate(system, 50, rng=stream(20, "trk"), inputs=inputs)
-    ekf = QuadrotorEKF([system])
+    traj = simulate(system, 50, stream(20, "trk"), STDS, inputs=inputs)
+    ekf = QuadrotorEKF([system], *STDS)
     zero = ZeroPredictor(1, 3)
     e_ekf, e_zero = [], []
     pe = pz = np.zeros(3)
@@ -257,7 +258,7 @@ def test_ar_recovers_identifiable_two_lag_recursion():
 
 def test_ar_online_equals_batch_on_noisy_vector_data():
     system = sample_linear_system(stream(21, "ar"), 6, 3)
-    traj = simulate(system, 60, rng=stream(22, "ar"))
+    traj = simulate(system, 60, stream(22, "ar"), STDS)
     ar = OnlineARPredictor(1, 3)
     for t in range(60):
         ar.step(traj.ys[t][None])

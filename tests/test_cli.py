@@ -114,6 +114,17 @@ def test_gen_manifest_records_the_environment(tmp_path, monkeypatch):
     assert env["source_sha256"] == digest.hexdigest()
 
 
+def test_gen_records_the_noise_model_once(tmp_path):
+    out = tmp_path / "systems.json"
+    assert cli.main(["gen", "--preset", "linear-colored", "--count", "3", "--seed", "1",
+                     "--out", str(out)]) == 0
+    payload = json.loads(out.read_text())
+    assert (payload["sigma_w2"], payload["sigma_v2"], payload["noise_window"]) \
+        == (0.01, 0.01, 5)
+    assert len(payload["systems"]) == 3
+    assert not any({"sigma_w", "sigma_v"} & set(record) for record in payload["systems"])
+
+
 def test_manifest_records_the_blas_threads_in_use():
     # in a fresh process: OpenBLAS reads its thread count when it loads
     code = "from moplab import manifest; print(manifest.environment()['blas_threads'])"
@@ -171,6 +182,23 @@ def test_invalid_model_config_exits_2(tmp_path, capsys):
     assert cli.main(["train", "--config", str(config), "--steps", "1", "--quiet",
                      "--out-dir", str(tmp_path / "run")]) == 2
     assert "embed_dim must be divisible by heads" in capsys.readouterr().err
+    assert not (tmp_path / "run").exists()
+
+
+@pytest.mark.parametrize("config, error", [
+    ({"preset": "quadrotor",
+      "model": {"layers": 1, "heads": 2, "embed_dim": 8, "context": 64}},
+     "model tokens 5->5, preset quadrotor wants 5->3"),
+    ({"model": {"layers": 1, "heads": 2, "embed_dim": 8, "context": 64, "token_dim": 3}},
+     "model tokens 3->5, preset linear-dense wants 5->5"),
+], ids=["output-dim", "token-dim"])
+def test_model_that_does_not_fit_the_preset_exits_2(tmp_path, capsys, config, error):
+    # checked with the config, before a dataset is built or --out-dir made
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps(config))
+    assert cli.main(["train", "--config", str(path), "--steps", "1", "--quiet",
+                     "--out-dir", str(tmp_path / "run")]) == 2
+    assert error in capsys.readouterr().err
     assert not (tmp_path / "run").exists()
 
 

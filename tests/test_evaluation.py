@@ -74,7 +74,7 @@ def test_batched_ekf_matches_scalar_recursion():
         oracle = scalar_gaussian_filter(
             lambda x, u: quadrotor_step(x, u, np.zeros(6), system),
             lambda x, u: quadrotor_jacobian(x),
-            system.c, system.sigma_w ** 2, system.sigma_v ** 2, traj.ys, traj.us)
+            system.c, QUAD.sigma_w2, QUAD.sigma_v2, traj.ys, traj.us)
         worst = max(worst, np.abs(preds[i] - oracle).max())
     assert worst <= 1e-12
 
@@ -120,7 +120,7 @@ def test_chunked_mop_forward_matches_one_population_forward():
 
 def test_late_kf_gain_matches_discrete_riccati_solution():
     systems = [LINEAR.sample_system(7, "dare", i) for i in range(5)]
-    kf = KalmanFilter(systems)
+    kf = KalmanFilter(systems, *LINEAR.noise_stds)
     zeros = np.zeros((len(systems), LINEAR.m))
     for _ in range(600):              # the covariance recursion ignores the data
         kf.step(zeros)
@@ -158,16 +158,19 @@ def test_nan_trajectory_fails_only_its_own_row(kind):
 
 
 def test_singular_system_fails_only_its_own_row():
-    # a noise-free output map with a dead output row: S = C P C^T is singular
-    # while C P is not zero, so that filter has no gain; the others keep going
+    # no output noise: P = 0 at t = 0 gives every row the zero gain, and from
+    # t = 1 on S = C Q C^T is singular only for the system with a dead output
+    # row, while C P is not zero, so that filter has no gain; the others keep
+    # going
     systems = [LINEAR.sample_system(9, "sing", i) for i in range(3)]
     c = systems[1].c.copy()
     c[0] = 0.0
-    singular = replace(systems[1], c=c, sigma_v=0.0)
+    singular = replace(systems[1], c=c)
     rng = stream(10, "sing")
     ys = rng.standard_normal((12, 3, LINEAR.m))
-    kf_ok = KalmanFilter(systems)
-    kf_bad = KalmanFilter([systems[0], singular, systems[2]])
+    sigma_w = LINEAR.noise_stds[0]
+    kf_ok = KalmanFilter(systems, sigma_w, 0.0)
+    kf_bad = KalmanFilter([systems[0], singular, systems[2]], sigma_w, 0.0)
     for t in range(12):
         ok, bad = kf_ok.step(ys[t]), kf_bad.step(ys[t])
         assert np.array_equal(ok[[0, 2]], bad[[0, 2]])
@@ -219,10 +222,10 @@ def test_zero_predictor_curve_is_the_output_norm():
 def test_excess_risk_pairs_the_mop_and_kf_curves():
     weights = model.init_weights(TINY_MODEL, stream(11, "risk"))
     pop = population(LINEAR, n=8)
-    report = evaluation.empirical_excess_risk(weights, LINEAR, 4, population=pop)
     mop = evaluation.error_curve("mop", LINEAR, 8, HORIZON, 4, weights=weights,
                                  population=pop)
     kf = evaluation.error_curve("kf", LINEAR, 8, HORIZON, 4, population=pop)
+    report = evaluation.excess_risk(mop, kf)
     risk_mop = mop.per_system[:, 1:].mean(axis=1)
     risk_kf = kf.per_system[:, 1:].mean(axis=1)
     assert report["baseline"] == "kf"
@@ -236,7 +239,9 @@ def test_excess_risk_stderr_counts_the_paired_systems():
     # the report describes the population it is given: 6 systems
     weights = model.init_weights(TINY_MODEL, stream(12, "risk"))
     pop = population(LINEAR, n=6)
-    report = evaluation.empirical_excess_risk(weights, LINEAR, 4, population=pop)
+    report = evaluation.excess_risk(*(
+        evaluation.error_curve(kind, LINEAR, 6, HORIZON, 4, weights=weights,
+                               population=pop) for kind in ("mop", "kf")))
     delta = report["per_system_delta"]
     assert len(delta) == 6
     assert report["stderr"] == float(delta.std(ddof=1) / np.sqrt(6))
@@ -345,10 +350,10 @@ def test_scaling_report_leaves_flagged_cells_out_of_the_statistics():
 # robustness probe
 # ---------------------------------------------------------------------------
 
-def hand_rolled_probe_rollouts(system, seed, i, taus, horizon, perturb_scale):
+def hand_rolled_probe_rollouts(system, seed, i, taus, horizon):
     """Oracle: the probe's base and perturbed rollouts simulated state by
     state, with the noise pair at tau replaced in the perturbed branch."""
-    sw, sv = np.sqrt(LINEAR.sigma_w2), np.sqrt(LINEAR.sigma_v2)
+    sw, sv = LINEAR.noise_stds
     rng = stream(seed, LINEAR.name, "probe-noise", i)
     w = sw * rng.standard_normal((horizon, system.n))
     v = sv * rng.standard_normal((horizon, system.m))
@@ -358,8 +363,8 @@ def hand_rolled_probe_rollouts(system, seed, i, taus, horizon, perturb_scale):
     branches = [xs @ system.c.T + v]
     for tau in taus:
         prng = stream(seed, LINEAR.name, "probe-perturb", i, tau)
-        dw = perturb_scale * prng.standard_normal(system.n)
-        dv = perturb_scale * prng.standard_normal(system.m)
+        dw = prng.standard_normal(system.n)
+        dv = prng.standard_normal(system.m)
         xs2 = xs.copy()
         xs2[tau] = xs[tau] + dw
         for t in range(tau + 1, horizon):
@@ -370,7 +375,7 @@ def hand_rolled_probe_rollouts(system, seed, i, taus, horizon, perturb_scale):
     return xs, np.stack(branches)
 
 
-PROBE = dict(horizon=25, n_systems=3, mc_draws=32, seed=2)
+PROBE = dict(horizon=25, seed=2)
 T_EVAL, TAUS = 20, (5, 15, 19)           # what horizon 25 implies
 
 
@@ -385,11 +390,10 @@ def test_probe_rollouts_match_the_hand_rolled_simulation(monkeypatch):
     monkeypatch.setattr(model, "predict_sequence", recording_predict_sequence)
     weights = model.init_weights(TINY_MODEL, stream(13, "probe"))
     evaluation.robustness_probe(weights, LINEAR, **PROBE)
-    assert len(prompts) == PROBE["n_systems"]
+    assert len(prompts) == evaluation.PROBE_SYSTEMS
     for i, got in enumerate(prompts):
         system = LINEAR.sample_system(PROBE["seed"], "probe", i)
-        _, want = hand_rolled_probe_rollouts(system, PROBE["seed"], i, TAUS,
-                                             T_EVAL + 1, 1.0)
+        _, want = hand_rolled_probe_rollouts(system, PROBE["seed"], i, TAUS, T_EVAL + 1)
         assert got.shape == want.shape
         assert np.abs(got - want).max() <= 1e-12
 
@@ -401,15 +405,15 @@ def test_probe_matches_per_prompt_predictions_and_is_deterministic():
     assert report["t_eval"] == T_EVAL and report["taus"] == list(TAUS)
     # oracle: the hand-rolled rollouts scored one prompt at a time
     t_eval, taus = T_EVAL, TAUS
-    sw, sv = np.sqrt(LINEAR.sigma_w2), np.sqrt(LINEAR.sigma_v2)
-    khat = np.zeros((len(taus), PROBE["n_systems"]))
-    for i in range(PROBE["n_systems"]):
+    sw, sv = LINEAR.noise_stds
+    khat = np.zeros((len(taus), evaluation.PROBE_SYSTEMS))
+    for i in range(evaluation.PROBE_SYSTEMS):
         system = LINEAR.sample_system(PROBE["seed"], "probe", i)
         xs, branches = hand_rolled_probe_rollouts(system, PROBE["seed"], i, taus,
-                                                  t_eval + 1, 1.0)
+                                                  t_eval + 1)
         mc = stream(PROBE["seed"], LINEAR.name, "probe-mc", i)
-        wk = sw * mc.standard_normal((PROBE["mc_draws"], system.n))
-        vk = sv * mc.standard_normal((PROBE["mc_draws"], system.m))
+        wk = sw * mc.standard_normal((evaluation.PROBE_MC_DRAWS, system.n))
+        vk = sv * mc.standard_normal((evaluation.PROBE_MC_DRAWS, system.m))
         y_next = (system.a @ xs[t_eval] + wk) @ system.c.T + vk
         p1 = model.predict_sequence(weights, branches[:1])[0, -1]
         for j, tau in enumerate(taus):
@@ -421,16 +425,9 @@ def test_probe_matches_per_prompt_predictions_and_is_deterministic():
     assert report["khat_max"] == pytest.approx(khat.max(), rel=1e-9)
 
 
-def test_probe_without_perturbation_reads_zero():
-    weights = model.init_weights(TINY_MODEL, stream(14, "probe"))
-    report = evaluation.robustness_probe(weights, LINEAR, perturb_scale=0.0, **PROBE)
-    assert report["khat_max"] == 0.0 and report["khat_median"] == 0.0
-    assert report["khat_by_tau"] == [0.0] * len(TAUS)
-
-
 def test_probe_times_at_the_desk_horizon():
     weights = model.init_weights(TINY_MODEL, stream(15, "probe"))
-    report = evaluation.robustness_probe(weights, LINEAR, n_systems=1, mc_draws=2)
+    report = evaluation.robustness_probe(weights, LINEAR)
     assert report["t_eval"] == 45 and report["taus"] == [5, 15, 25, 35, 44]
     assert [r["gap"] for r in report["abs_dloss_by_gap"]] == [1, 10, 20, 30, 40]
     with pytest.raises(ValueError):
@@ -441,7 +438,7 @@ def test_probe_times_at_the_desk_horizon():
 def test_probe_targets_white_noise_linear_systems_only(name):
     weights = model.init_weights(TINY_MODEL, stream(15, "probe"))
     with pytest.raises(ValueError, match="i.i.d. linear"):
-        evaluation.robustness_probe(weights, get_distribution(name), n_systems=1)
+        evaluation.robustness_probe(weights, get_distribution(name))
 
 
 # ---------------------------------------------------------------------------

@@ -116,10 +116,10 @@ def test_experiment_manifest_times_every_phase(tmp_path, tiny_presets):
     shift = phases_of(tmp_path / "dist-shift")
     assert set(shift["score"]) == {"mop", "kf"} and shift["population"] is not None
     assert [shift[k] for k in ("dataset", "train", "diagnostics", "plots")] == [None] * 4
-    # risk-scaling trains each cell and scores its excess risk
+    # risk-scaling trains each cell, scores its filter once and mop per cell
     assert experiment("risk-scaling", tmp_path, "--seed", "3") == 0
     scaling = phases_of(tmp_path / "risk-scaling")
-    assert set(scaling["score"]) == {"excess_risk"}
+    assert set(scaling["score"]) == {"mop", "kf"}
     assert None not in (scaling["dataset"], scaling["train"], scaling["population"])
 
 

@@ -62,3 +62,83 @@ def test_every_exported_name_is_used_outside_the_tests(path):
     unused = [name for name in exported
               if name not in used and (path.stem, name) not in EXEMPT]
     assert unused == [], f"{path.stem} exports names only the tests use"
+
+
+# ---------------------------------------------------------------------------
+# defaulted parameters that only the tests set
+# ---------------------------------------------------------------------------
+
+# Defaulted parameters that no call in the package or the benchmark passes,
+# each with the reason it stays.
+KNOB_EXEMPT = {
+    ("cli", "main", "argv"): "the console script calls main() and argparse "
+                             "reads sys.argv; tests pass argv",
+}
+# Functions that pass their trailing arguments on: cli._timed(phases, key, fn,
+# *args, **kwargs) calls fn(*args, **kwargs), so it counts as a call of fn.
+FORWARDERS = {"_timed": 2}
+
+
+def _callee(func):
+    if isinstance(func, ast.Name):
+        return func.id
+    if isinstance(func, ast.Attribute):
+        return func.attr
+    return None
+
+
+def _calls(tree):
+    """(callee name, positional args, keyword names) of every call, a
+    forwarded call taken as a call of the function it forwards to. A
+    starred argument stands for every later position, ** for every name."""
+    for node in ast.walk(tree):
+        if not isinstance(node, ast.Call):
+            continue
+        name, args = _callee(node.func), node.args
+        if name in FORWARDERS and len(args) > FORWARDERS[name]:
+            name, args = _callee(args[FORWARDERS[name]]), args[FORWARDERS[name] + 1:]
+        starred = [i for i, a in enumerate(args) if isinstance(a, ast.Starred)]
+        positional = float("inf") if starred else len(args)
+        keywords = {k.arg for k in node.keywords}
+        yield name, positional, keywords
+
+
+def _defaulted_params(tree):
+    """(qualified name, matched call name, {param: position or None}) of
+    every function with defaulted parameters; a method's position counts
+    from after self, and __init__ is called by its class's name."""
+    def visit(body, prefix, cls):
+        for node in body:
+            if isinstance(node, ast.ClassDef):
+                yield from visit(node.body, f"{prefix}{node.name}.", node.name)
+            elif isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                a = node.args
+                positional = a.posonlyargs + a.args
+                if cls is not None and not any(
+                        _callee(d) == "staticmethod" for d in node.decorator_list):
+                    positional = positional[1:]
+                params = {p.arg: i for i, p in enumerate(positional)
+                          if i >= len(positional) - len(a.defaults)}
+                params.update({p.arg: None for p, d in zip(a.kwonlyargs, a.kw_defaults)
+                               if d is not None})
+                if params:
+                    called = cls if node.name == "__init__" else node.name
+                    yield f"{prefix}{node.name}", called, params
+                yield from visit(node.body, f"{prefix}{node.name}.", None)
+
+    yield from visit(tree.body, "", None)
+
+
+def test_every_defaulted_parameter_is_passed_outside_the_tests():
+    calls = [c for tree in TREES.values() for c in _calls(tree)]
+    unpassed = []
+    for path in MODULES:
+        for qualname, called, params in _defaulted_params(TREES[path]):
+            for param, position in params.items():
+                passed = any(name == called and (
+                    None in keywords or param in keywords
+                    or (position is not None and positional > position))
+                    for name, positional, keywords in calls)
+                if not passed and (path.stem, qualname, param) not in KNOB_EXEMPT:
+                    unpassed.append(f"{path.stem}.{qualname}({param})")
+    assert unpassed == [], f"defaulted parameters that only the tests pass: {unpassed}"

@@ -17,9 +17,11 @@ from moplab.systems import (
 )
 
 
-def scalar_system(a=0.9, c=1.0, sigma_w=0.1, sigma_v=0.1):
-    return LinearSystem(a=np.array([[a]]), c=np.array([[c]]),
-                        sigma_w=sigma_w, sigma_v=sigma_v)
+STDS = (0.1, 0.1)                    # (sigma_w, sigma_v) handed to simulate
+
+
+def scalar_system(a=0.9, c=1.0):
+    return LinearSystem(a=np.array([[a]]), c=np.array([[c]]))
 
 
 # ---------------------------------------------------------------------------
@@ -63,17 +65,15 @@ def test_sample_rejects_bad_mode():
 # ---------------------------------------------------------------------------
 
 def test_zero_noise_trajectory_is_zero():
-    system = scalar_system(sigma_w=0.0, sigma_v=0.0)
-    traj = simulate(system, 50, rng=stream(3))
+    traj = simulate(scalar_system(), 50, stream(3), (0.0, 0.0))
     assert np.array_equal(traj.ys, np.zeros((50, 1)))
 
 
 def test_pure_output_noise_passthrough():
     # with sigma_w = 0 the state never leaves zero, so y_t is exactly the
     # output-noise draw (eps_w is drawn first, then eps_v: replicate that)
-    system = scalar_system(sigma_w=0.0, sigma_v=0.3)
     seed = 99
-    traj = simulate(system, 40, rng=np.random.default_rng(seed))
+    traj = simulate(scalar_system(), 40, np.random.default_rng(seed), (0.0, 0.3))
     ref = np.random.default_rng(seed)
     ref.standard_normal((40, 1))              # the (unused) process draws
     v = 0.3 * ref.standard_normal((40, 1))
@@ -82,27 +82,26 @@ def test_pure_output_noise_passthrough():
 
 def test_scalar_stationary_variance_oracle():
     # var(y) = c^2 q / (1 - a^2) + r for the stationary scalar system
-    system = scalar_system(a=0.9, c=1.0, sigma_w=0.1, sigma_v=0.1)
+    system = scalar_system(a=0.9, c=1.0)
     t_len = 101_000
-    traj = simulate(system, t_len, rng=stream(12, "var"))
+    traj = simulate(system, t_len, stream(12, "var"), STDS)
     ys = traj.ys[1000:, 0]
     expected = 0.01 / (1 - 0.81) + 0.01
     assert ys.var() == pytest.approx(expected, rel=0.05)
 
 
 def test_divergence_guard():
-    system = scalar_system(a=2.0, sigma_w=0.1, sigma_v=0.1)
+    system = scalar_system(a=2.0)
     with pytest.raises(DivergenceError):
-        simulate(system, 200, rng=stream(5))
+        simulate(system, 200, stream(5), STDS)
 
 
 def test_switch_prefix_bit_identical():
     rng = stream(21, "sw")
     system = sample_linear_system(rng, 6, 3, seed=1)
     other = sample_linear_system(rng, 6, 3, seed=2)
-    base = simulate(system, 60, rng=stream(77))
-    switched = simulate(system, 60, rng=stream(77),
-                        switch=SwitchSpec(30, other))
+    base = simulate(system, 60, stream(77), STDS)
+    switched = simulate(system, 60, stream(77), STDS, switch=SwitchSpec(30, other))
     assert np.array_equal(base.ys[:30], switched.ys[:30])
     assert not np.array_equal(base.ys[30:], switched.ys[30:])
 
@@ -110,7 +109,7 @@ def test_switch_prefix_bit_identical():
 def test_switch_time_validated():
     system = scalar_system()
     with pytest.raises(ValueError):
-        simulate(system, 10, rng=stream(0), switch=SwitchSpec(10, system))
+        simulate(system, 10, stream(0), STDS, switch=SwitchSpec(10, system))
 
 
 def test_mean_output_is_zero_over_population():
@@ -118,7 +117,7 @@ def test_mean_output_is_zero_over_population():
     means = []
     for i in range(200):
         system = sample_linear_system(rng, 6, 3)
-        traj = simulate(system, 50, rng=stream(9, "pop-traj", i))
+        traj = simulate(system, 50, stream(9, "pop-traj", i), STDS)
         means.append(traj.ys.mean())
     means = np.array(means)
     stderr = means.std(ddof=1) / np.sqrt(len(means))
@@ -127,7 +126,7 @@ def test_mean_output_is_zero_over_population():
 
 def test_states_recorded_when_asked():
     system = scalar_system()
-    traj = simulate(system, 20, rng=stream(2), record_states=True)
+    traj = simulate(system, 20, stream(2), STDS, record_states=True)
     assert traj.xs.shape == (20, 1)
     # output = c x + v is consistent with the recorded states
     assert np.isfinite(traj.xs).all()
@@ -141,7 +140,7 @@ def colored_noise(seed, t_len=100_000):
     """Process and output noise of a scalar system with innovation variance
     0.01 over the window `linear-colored` runs (5)."""
     window = get_distribution("linear-colored").noise_window
-    w, v = _noise_sequences(scalar_system(), t_len, window, stream(seed, "cn"))
+    w, v = _noise_sequences(scalar_system(), t_len, STDS, window, stream(seed, "cn"))
     return w[:, 0], v[:, 0]
 
 
@@ -163,7 +162,7 @@ def test_colored_noise_lag_autocovariance():
 
 def test_noise_window_below_one_rejected():
     with pytest.raises(ValueError):
-        simulate(scalar_system(), 10, stream(0), window=0)
+        simulate(scalar_system(), 10, stream(0), STDS, window=0)
 
 
 # ---------------------------------------------------------------------------
@@ -172,8 +171,7 @@ def test_noise_window_below_one_rejected():
 
 def quad(mass=1.0, arm=1.0, inertia=1.0):
     c = stream(0, "qc").uniform(0, 1, (3, 6))
-    return QuadrotorSystem(mass=mass, arm_length=arm, inertia=inertia, c=c,
-                           sigma_w=0.1, sigma_v=0.1)
+    return QuadrotorSystem(mass=mass, arm_length=arm, inertia=inertia, c=c)
 
 
 def test_quadrotor_hover_fixed_point():
@@ -225,11 +223,10 @@ def test_quadrotor_seeded_repeatability():
 
 
 def test_quadrotor_zero_noise_deterministic():
-    from dataclasses import replace
-    system = replace(sample_quadrotor(stream(15, "q")), sigma_w=0.0, sigma_v=0.0)
+    system = sample_quadrotor(stream(15, "q"))
     inputs = sample_random_inputs(stream(16), 30, system)
-    t1 = simulate(system, 30, rng=stream(17), inputs=inputs)
-    t2 = simulate(system, 30, rng=stream(17), inputs=inputs)
+    t1 = simulate(system, 30, stream(17), (0.0, 0.0), inputs=inputs)
+    t2 = simulate(system, 30, stream(17), (0.0, 0.0), inputs=inputs)
     assert np.array_equal(t1.ys, t2.ys)
 
 
@@ -259,7 +256,7 @@ def test_quadrotor_redraws_inputs_after_a_divergence(monkeypatch, k):
     sub = np.random.default_rng(derive_seed(derive_seed(7, "quadrotor", "test", "traj", 0),
                                             "try", k))
     want_inputs = sample_random_inputs(sub, 20, system)
-    want = simulate(system, 20, sub, inputs=want_inputs)
+    want = simulate(system, 20, sub, dist.noise_stds, inputs=want_inputs)
     assert np.array_equal(traj.us, want_inputs) and np.array_equal(inputs[k], want_inputs)
     assert np.array_equal(traj.ys, want.ys)
 
@@ -327,8 +324,7 @@ def test_system_json_roundtrip():
     # `moplab gen`'s records, through JSON text: each value comes back exact
     records = json.loads(json.dumps(systems_to_json(systems)))
     assert [r["kind"] for r in records] == ["linear", "linear", "quadrotor"]
-    assert list(records[0]) == ["kind", "n", "m", "A", "C", "sigma_w",
-                                "sigma_v", "seed", "mode"]
+    assert list(records[0]) == ["kind", "n", "m", "A", "C", "seed", "mode"]
     for rec, system in zip(records[:2], systems):
         n, m = rec["n"], rec["m"]
         assert np.array_equal(np.reshape(rec["A"], (n, n)), system.a)
@@ -341,8 +337,7 @@ def test_system_json_roundtrip():
 def test_quadrotor_record_round_trips_without_the_constants():
     system = sample_quadrotor(stream(42, "ser"), seed=8)
     record, = json.loads(json.dumps(systems_to_json([system])))
-    assert list(record) == ["kind", "mass", "arm_length", "inertia", "C",
-                            "sigma_w", "sigma_v", "seed"]
+    assert list(record) == ["kind", "mass", "arm_length", "inertia", "C", "seed"]
     fields = {k: v for k, v in record.items() if k not in ("kind", "C")}
     back = QuadrotorSystem(c=np.reshape(record["C"], (3, 6)), **fields)
     assert back.mass == system.mass and back.arm_length == system.arm_length
@@ -351,7 +346,7 @@ def test_quadrotor_record_round_trips_without_the_constants():
     assert back.hover_thrust == system.hover_thrust == system.mass * GRAVITY / 2
     with pytest.raises(TypeError):
         QuadrotorSystem(mass=1.0, arm_length=1.0, inertia=1.0, c=system.c,
-                        sigma_w=0.1, sigma_v=0.1, gravity=9.81)
+                        gravity=9.81)
 
 
 def test_derive_seed_stability():
