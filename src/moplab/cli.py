@@ -3,9 +3,10 @@ reproducible experiment presets that chain train, eval and plot (no stage
 reads gen's output).
 
 Exit codes: 0 success, 1 runtime failure, 2 usage or config error, which
-includes a train --config that is not a JSON object and an eval
---predictors name that cannot score the preset's systems. The MOP_SEED
-environment variable overrides the base seed everywhere.
+includes a train --config that is not a JSON object or gives a count or
+model dimension that is not an integer, and an eval --predictors name
+that cannot score the preset's systems. The MOP_SEED environment
+variable overrides the base seed everywhere.
 
 `moplab experiment` trains at the base seed and draws its test population
 at the base seed + 10000, so the two never share draws. The rule is the

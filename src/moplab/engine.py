@@ -29,8 +29,8 @@ Tensor, so the tape holds only the arrays the backward reads: a residual
 sum or an MLP pre-activation that no backward reads is freed as soon as
 the forward drops its Tensor. `backward` consumes the tape: once a
 node's closure has run, the closure and the node's gradient are dropped,
-so activations and gradients are freed as the walk goes. It returns
-gradients for the leaves only, and a consumed graph cannot be walked again.
+so activations and gradients are freed as the walk goes. It returns the
+gradients by parameter name, and a consumed graph cannot be walked again.
 
 Precision is a property of the arrays: float64 in filters and tests,
 float32 for training throughput.
@@ -44,7 +44,7 @@ import threading
 import numpy as np
 
 __all__ = [
-    "Tensor", "Graph", "Gradients", "ShapeError", "NonScalarLossError",
+    "Tensor", "Graph", "ShapeError", "NonScalarLossError",
     "add", "sub", "mul", "scale", "matmul", "linear", "transpose", "reshape",
     "rowwise_softmax", "causal_attention", "layer_norm", "gelu", "sum_lastdim",
     "mean_all", "l2norm_lastdim", "backward", "param", "set_finite_checks",
@@ -137,10 +137,6 @@ class Graph:
         _state.graph = None
         return False
 
-    def leaf(self, data) -> Tensor:
-        """Register a differentiable leaf."""
-        return self._record("leaf", np.asarray(data), (), None)
-
     def _record(self, op, out_data, inputs, grad_fn) -> Tensor:
         if _finite_checks and not np.all(np.isfinite(out_data)):
             raise FloatingPointError(f"non-finite values produced by op '{op}'")
@@ -151,40 +147,26 @@ class Graph:
 
 
 def param(name: str, data) -> Tensor:
-    """Parameter `name` of the active graph: its named leaf, registered on
-    first use and reused after. With no active graph, a plain constant."""
+    """Parameter `name` of the active graph: its leaf, recorded on first
+    use and reused after. With no active graph, a plain constant."""
     g = _active()
     if g is None:
         return Tensor(data)
     if name not in g.params:
-        g.params[name] = g.leaf(data)
+        g.params[name] = g._record("leaf", np.asarray(data), (), None)
     return g.params[name]
 
 
-class Gradients:
-    """Gradient arrays of a graph's leaves; zero for leaves the loss never
-    reached. Only leaves have one: looking up any other tensor raises
-    KeyError, since `backward` frees every non-leaf gradient once used."""
-
-    def __init__(self, leaves: dict):
-        self._leaves = leaves   # leaf node -> gradient array or None
-
-    def __getitem__(self, t: Tensor) -> np.ndarray:
-        if t.node not in self._leaves:
-            raise KeyError("tensor is not a leaf of this graph")
-        g = self._leaves[t.node]
-        if g is None:
-            return np.zeros(t.data.shape, dtype=t.data.dtype)
-        return g
-
-
-def backward(graph: Graph, loss: Tensor) -> Gradients:
+def backward(graph: Graph, loss: Tensor) -> dict[str, np.ndarray]:
     """Exact reverse-mode gradients of a scalar loss over the whole tape.
 
     Consumes the graph: each node's grad closure, and with it the
     activations it reads, is dropped once it has run, and each non-leaf
     gradient once it has been passed on, so the walk frees memory as it
-    goes. Returns the leaf gradients; a second call raises RuntimeError.
+    goes. Returns {name: gradient} for every parameter of the graph, in the
+    order `param` registered them, with zeros of the parameter's shape and
+    dtype where the loss never reached it; a second call raises
+    RuntimeError.
     """
     if graph.consumed:
         raise RuntimeError("graph was consumed by an earlier backward; record it again")
@@ -213,7 +195,8 @@ def backward(graph: Graph, loss: Tensor) -> Gradients:
             # be shared between several inputs of one node
             slots[inp.idx] = gin if slots[inp.idx] is None else slots[inp.idx] + gin
         del gins, gin
-    return Gradients({node: slots[node.idx] for node in graph.nodes if node.op == "leaf"})
+    return {name: np.zeros(p.data.shape, p.data.dtype) if slots[p.node.idx] is None
+            else slots[p.node.idx] for name, p in graph.params.items()}
 
 
 # ---------------------------------------------------------------------------

@@ -21,13 +21,21 @@ from .engine import Tensor
 from .manifest import atomic_open
 
 __all__ = [
-    "ModelConfig", "TransformerWeights", "CheckpointError",
+    "ModelConfig", "TransformerWeights", "CheckpointError", "require_ints",
     "init_weights", "forward", "predict_sequence", "make_tokens",
     "save_checkpoint", "load_checkpoint", "load_training_state",
     "write_tensor_file",
 ]
 
 DTYPES = {"f32": np.float32, "f64": np.float64}
+
+
+def require_ints(cfg, names) -> None:
+    """Raise TypeError naming the first field of `names` on cfg whose value
+    is not an int; a bool or a whole float is not one."""
+    for name in names:
+        if type(getattr(cfg, name)) is not int:
+            raise TypeError(f"{name} must be an integer, got {getattr(cfg, name)!r}")
 
 
 @dataclass(frozen=True)
@@ -42,6 +50,8 @@ class ModelConfig:
     input_scale: float = 1.0     # conditioning only; forward stays in raw units
 
     def __post_init__(self):
+        require_ints(self, ("layers", "heads", "embed_dim", "context", "token_dim",
+                            "output_dim"))
         if self.embed_dim % self.heads != 0:
             raise ValueError("embed_dim must be divisible by heads")
         if self.precision not in DTYPES:

@@ -79,6 +79,8 @@ class TrainConfig:
     model: ModelConfig = field(default_factory=ModelConfig)
 
     def __post_init__(self):
+        model.require_ints(self, ("m_systems", "train_len", "steps", "batch_size", "seed",
+                                  "checkpoint_every"))
         for name in ("m_systems", "train_len", "batch_size", "checkpoint_every"):
             if getattr(self, name) < 1:
                 raise ValueError(f"{name} must be positive")
@@ -175,11 +177,9 @@ def _loss_and_grads(weights: TransformerWeights, ys, us):
             part = engine.scale(
                 batch_loss(weights, ys[rows], None if us is None else us[rows]),
                 len(ys[rows]) / n)
-        by_node = engine.backward(tape, part)
         loss += part.item()
-        for name, leaf in tape.params.items():
-            grads[name] = grads[name] + by_node[leaf] if name in grads else by_node[leaf]
-        del by_node   # summed into grads; not held through the next chunk
+        for name, g in engine.backward(tape, part).items():
+            grads[name] = grads[name] + g if name in grads else g
     return loss, grads
 
 
@@ -292,7 +292,8 @@ def train(cfg: TrainConfig, out_dir, resume=None, quiet=True) -> TrainResult:
     Adam moments and the step. `resume` continues from a checkpoint path
     written by an earlier (identically configured) run; the loss trace
     continues exactly where the interrupted run would have gone. A
-    checkpoint of another model config raises `model.CheckpointError`.
+    checkpoint of another model config, or past `cfg.steps`, raises
+    `model.CheckpointError` before out_dir is made.
 
     Each step takes the batch loss and gradients chunk by chunk (see
     `_loss_and_grads`), then clips and applies one Adam update. A loss
@@ -302,14 +303,16 @@ def train(cfg: TrainConfig, out_dir, resume=None, quiet=True) -> TrainResult:
     The result's `dataset_s` times the dataset build, which runs before the
     clock of the loss rows' `wallclock_s` starts.
     """
-    out_dir = Path(out_dir)
-    out_dir.mkdir(parents=True, exist_ok=True)
     if resume is not None:
         weights, start_step, state = model.load_training_state(resume)
         if weights.config != cfg.model:
             raise model.CheckpointError(
                 f"{resume}: checkpoint model {weights.config} does not match "
                 f"the config's model {cfg.model}")
+        if start_step > cfg.steps:
+            raise model.CheckpointError(
+                f"{resume}: checkpoint is at step {start_step}, past the "
+                f"config's {cfg.steps} steps")
         adam = _Adam(cfg.lr, weights.arrays, start_step, state)
     else:
         weights = model.init_weights(cfg.model, stream(cfg.seed, "init"))
@@ -319,6 +322,8 @@ def train(cfg: TrainConfig, out_dir, resume=None, quiet=True) -> TrainResult:
     ds = build_meta_dataset(cfg.preset, cfg.m_systems, cfg.train_len, cfg.seed)
     dataset_s = time.perf_counter() - t_data
 
+    out_dir = Path(out_dir)
+    out_dir.mkdir(parents=True, exist_ok=True)
     checkpoints = []
     loss_rows = []
     t0 = time.time()

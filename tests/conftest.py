@@ -34,8 +34,8 @@ from moplab import training
 from moplab.manifest import environment, sha256_json, write_csv, write_json
 from moplab.model import TransformerWeights, init_weights
 
-CACHE_ROOT = Path(os.environ.get(
-    "MOPLAB_TEST_CACHE", Path(__file__).resolve().parent.parent / "results" / "test-cache"))
+COMMITTED_CACHE = Path(__file__).resolve().parent.parent / "results" / "test-cache"
+CACHE_ROOT = Path(os.environ.get("MOPLAB_TEST_CACHE", COMMITTED_CACHE))
 
 
 # modules whose code decides a training run's loss trace and checkpoint

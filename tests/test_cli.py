@@ -202,6 +202,23 @@ def test_model_that_does_not_fit_the_preset_exits_2(tmp_path, capsys, config, er
     assert not (tmp_path / "run").exists()
 
 
+@pytest.mark.parametrize("overrides, error", [
+    ({"steps": 2.5}, "steps must be an integer, got 2.5"),
+    ({"steps": 2, "batch_size": 2.0}, "batch_size must be an integer, got 2.0"),
+    ({"steps": 2, "model": dict(dataclasses.asdict(TINY_MODEL), layers=2.0)},
+     "layers must be an integer, got 2.0"),
+    ({"steps": 2, "checkpoint_every": 1.5}, "checkpoint_every must be an integer, got 1.5"),
+    ({"steps": True}, "steps must be an integer, got True"),
+], ids=["float-steps", "whole-float-batch", "float-layers", "float-checkpoint-every",
+        "bool-steps"])
+def test_non_integer_config_count_exits_2(tmp_path, capsys, overrides, error):
+    # each used to crash after making --out-dir (exit 1) or to train (exit 0)
+    assert cli.main(["train", "--config", train_config(tmp_path, **overrides), "--quiet",
+                     "--out-dir", str(tmp_path / "run")]) == 2
+    assert error in capsys.readouterr().err
+    assert not (tmp_path / "run").exists()
+
+
 @pytest.mark.parametrize("overrides", [[], ["--steps", "3"], ["--seed", "4"]])
 def test_train_config_that_is_not_an_object_exits_2(tmp_path, capsys, overrides):
     # the type is checked before --steps or --seed is written into the config
@@ -274,6 +291,18 @@ def test_resumed_run_log_equals_uninterrupted_log(tmp_path):
     assert strip(resumed) == strip(full)
     assert (tmp_path / "full" / "ckpt-final.ckpt").read_bytes() \
         == (part / "ckpt-final.ckpt").read_bytes()
+
+
+def test_resume_past_the_configured_steps_exits_1(tmp_path, capsys):
+    # it used to write a final checkpoint labelled step 2 holding step 4's state
+    base = ["train", "--config", train_config(tmp_path), "--quiet"]
+    part, run = tmp_path / "part", tmp_path / "run"
+    assert cli.main(base + ["--steps", "4", "--out-dir", str(part)]) == 0
+    assert cli.main(base + ["--steps", "2", "--out-dir", str(run),
+                            "--resume", str(part / "ckpt-final.ckpt")]) == 1
+    err = capsys.readouterr().err
+    assert "CheckpointError" in err and "at step 4, past the config's 2 steps" in err
+    assert not run.exists()
 
 
 def test_resume_from_a_weight_only_checkpoint_exits_1(tmp_path, tiny_ckpt, capsys):
@@ -358,13 +387,6 @@ def test_ratio_plot_of_three_predictors_raises():
             for kind in ("mop", "kf", "ar-ols") for t in range(3)]
     with pytest.raises(ValueError, match="exactly 2 predictors, got 3"):
         svgplot.render_from_rows(rows, ratio=True)
-
-
-def test_read_csv_names_the_malformed_line(tmp_path):
-    path = tmp_path / "curves.csv"
-    path.write_text("predictor,t\nkf,0\nkf\n")
-    with pytest.raises(ValueError, match="line 3: expected 2 fields, got 1"):
-        read_csv(path)
 
 
 # ---------------------------------------------------------------------------

@@ -22,10 +22,8 @@ def eager(fn, arrays):
 def ad_grads(fn, arrays):
     g = Graph()
     with g:
-        leaves = {k: g.leaf(v) for k, v in arrays.items()}
-        loss = fn(leaves)
-    grads = engine.backward(g, loss)
-    return {k: grads[t] for k, t in leaves.items()}, loss.item()
+        loss = fn({k: engine.param(k, v) for k, v in arrays.items()})
+    return engine.backward(g, loss), loss.item()
 
 
 def fd_grads(fn, arrays, h=1e-4):
@@ -149,7 +147,8 @@ def test_layer_norm_at_inexact_widths_matches_direct_formula(d, rng):
     up = rng.standard_normal(x.shape)
     g = Graph()
     with g:
-        out = engine.layer_norm(g.leaf(x), g.leaf(gain), g.leaf(bias))
+        out = engine.layer_norm(engine.param("x", x), engine.param("gain", gain),
+                                engine.param("bias", bias))
     dx, dgain, dbias = out.node.grad_fn(up)
 
     mu = x.mean(axis=-1, keepdims=True)
@@ -171,8 +170,9 @@ def test_linear_backward_matches_direct_formula_and_skips_a_constant_input(rng):
     up = rng.standard_normal((3, 4, 2))
     g = Graph()
     with g:
-        taped = engine.linear(g.leaf(x), g.leaf(w), g.leaf(b))
-        const = engine.linear(Tensor(x), g.leaf(w), g.leaf(b))
+        taped = engine.linear(engine.param("x", x), engine.param("w", w),
+                              engine.param("b", b))
+        const = engine.linear(Tensor(x), engine.param("w", w), engine.param("b", b))
     dx, dw, db = taped.node.grad_fn(up)
     for got, ref in ((dx, up @ w.T), (dw, np.einsum("btk,btn->kn", x, up)),
                      (db, up.sum(axis=(0, 1)))):
@@ -225,7 +225,7 @@ def test_gelu_gradient_bit_identical_to_closed_form(dtype, rng):
     up = rng.standard_normal(x.shape).astype(dtype)
     g = Graph()
     with g:
-        out = engine.gelu(g.leaf(x))
+        out = engine.gelu(engine.param("x", x))
     (dx,) = out.node.grad_fn(up)
     assert dx.dtype == dtype
     assert np.array_equal(dx, gelu_grad_closed_form(x, up))
@@ -258,22 +258,26 @@ def test_backward_linear_residual_norm_vs_fd(rng):
 
 
 def test_backward_unused_parameter_zero_grad(rng):
+    # every parameter gets a gradient, keyed by name in registration order;
+    # one the loss never reached gets zeros of its shape and dtype
     x = rng.standard_normal(5)
-    unused = rng.standard_normal(3)
     g = Graph()
     with g:
-        lx = g.leaf(x)
-        lu = g.leaf(unused)
+        engine.param("unused", np.ones(3, dtype=np.float32))
+        lx = engine.param("x", x)
         loss = engine.mean_all(engine.mul(lx, lx))
     grads = engine.backward(g, loss)
-    assert np.array_equal(grads[lu], np.zeros(3))
+    assert list(grads) == ["unused", "x"]
+    assert grads["unused"].dtype == np.float32
+    assert np.array_equal(grads["unused"], np.zeros(3))
+    assert np.allclose(grads["x"], 2 * x / 5, rtol=1e-15, atol=0)
 
 
 def test_backward_rejects_non_scalar_loss(rng):
     g = Graph()
     with g:
-        leaf = g.leaf(rng.standard_normal(4))
-        out = engine.mul(leaf, leaf)
+        x = engine.param("x", rng.standard_normal(4))
+        out = engine.mul(x, x)
     with pytest.raises(engine.NonScalarLossError):
         engine.backward(g, out)
 
@@ -353,11 +357,10 @@ def test_gradcheck_every_op(op_name, rng):
 def test_l2norm_gradient_at_zero_is_zero():
     g = Graph()
     with g:
-        leaf = g.leaf(np.zeros((2, 3)))
-        loss = engine.mean_all(engine.l2norm_lastdim(leaf))
+        loss = engine.mean_all(engine.l2norm_lastdim(engine.param("x", np.zeros((2, 3)))))
     grads = engine.backward(g, loss)
-    assert np.array_equal(grads[leaf], np.zeros((2, 3)))
-    assert np.isfinite(grads[leaf]).all()
+    assert np.array_equal(grads["x"], np.zeros((2, 3)))
+    assert np.isfinite(grads["x"]).all()
 
 
 def test_broadcast_add_gradient(rng):
@@ -468,8 +471,8 @@ def test_causal_attention_rejects_bad_shapes():
 def test_graph_topological_order(rng):
     g = Graph()
     with g:
-        a = g.leaf(rng.standard_normal((3, 3)))
-        b = g.leaf(rng.standard_normal((3, 3)))
+        a = engine.param("a", rng.standard_normal((3, 3)))
+        b = engine.param("b", rng.standard_normal((3, 3)))
         c = engine.matmul(a, b)
         d = engine.add(c, a)
         engine.mean_all(engine.gelu(d))
@@ -608,7 +611,7 @@ def test_grad_closures_hold_no_tensor(op_name, rng):
     fn, arrays = op_builders(rng)[op_name]
     g = Graph()
     with g:
-        fn({k: g.leaf(v) for k, v in arrays.items()})
+        fn({k: engine.param(k, v) for k, v in arrays.items()})
     assert op_name.removesuffix("_linear") in {n.op for n in g.nodes}
     assert_closures_hold_no_tensor(g)
 
@@ -648,21 +651,17 @@ def test_backward_frees_every_non_leaf_activation_and_gradient(monkeypatch, rng)
              if ref() is not None and id(ref()) not in leaf_arrays]
     assert alive == [], [g.nodes[i].op for i in alive]
     assert len(passed_on) > 0 and all(ref() is None for ref in passed_on)
-    assert all(grads[t].shape == t.shape for t in g.params.values())
+    assert {k: a.shape for k, a in grads.items()} \
+        == {k: t.shape for k, t in g.params.items()}
 
 
 def test_backward_consumes_the_graph(rng):
     g = Graph()
     with g:
-        x = g.leaf(rng.standard_normal(4))
-        y = engine.mul(x, x)
-        loss = engine.mean_all(y)
+        x = engine.param("x", rng.standard_normal(4))
+        loss = engine.mean_all(engine.mul(x, x))
     grads = engine.backward(g, loss)
-    assert np.array_equal(grads[x], 2 * x.data / 4)
-    with pytest.raises(KeyError):
-        grads[y]
-    with pytest.raises(KeyError):
-        grads[loss]
+    assert np.array_equal(grads["x"], 2 * x.data / 4)
     with pytest.raises(RuntimeError, match="consumed"):
         engine.backward(g, loss)
 
@@ -689,7 +688,7 @@ def test_gelu_allocates_only_what_it_returns_or_keeps(rng):
     def taped():
         g = Graph()
         with g:
-            keep.append((g, engine.gelu(g.leaf(x))))
+            keep.append((g, engine.gelu(engine.param("x", x))))
 
     keep = []
     retained, peak = traced_bytes(taped)

@@ -182,7 +182,7 @@ def test_end_to_end_gradients_vs_finite_differences():
         name = names[int(rng.integers(len(names)))]
         arr = weights.arrays[name]
         idx = tuple(int(rng.integers(s)) for s in arr.shape)
-        ad = grads[g.params[name]][idx]
+        ad = grads[name][idx]
         keep = arr[idx]
         arr[idx] = keep + h
         lp = loss_value()
@@ -201,7 +201,7 @@ def test_weights_unreached_by_loss_get_zero_grad(small_weights):
     with g:
         loss = batch_loss(small_weights, ys)
     grads = engine.backward(g, loss)
-    gpos = grads[g.params["pos"]]
+    gpos = grads["pos"]
     assert np.array_equal(gpos[1:], np.zeros_like(gpos[1:]))
     assert not np.array_equal(gpos[0], np.zeros_like(gpos[0]))
 

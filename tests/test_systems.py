@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 from moplab import distributions, linalg
-from moplab.distributions import QUAD_RESAMPLE_LIMIT, get_distribution
+from moplab.distributions import get_distribution
 from moplab.seeding import derive_seed, stream
 from moplab.systems import (
     GRAVITY, TAU, DivergenceError, LinearSystem, QuadrotorSystem, SwitchSpec,
@@ -259,14 +259,6 @@ def test_quadrotor_redraws_inputs_after_a_divergence(monkeypatch, k):
     want = simulate(system, 20, sub, dist.noise_stds, inputs=want_inputs)
     assert np.array_equal(traj.us, want_inputs) and np.array_equal(inputs[k], want_inputs)
     assert np.array_equal(traj.ys, want.ys)
-
-
-def test_quadrotor_gives_up_after_the_resample_limit(monkeypatch):
-    dist = get_distribution("quadrotor")
-    inputs = diverging_simulate(monkeypatch, float("inf"))
-    with pytest.raises(DivergenceError):
-        dist.make_trajectory(dist.sample_system(7, "test", 0), 20, 7, "test", 0)
-    assert len(inputs) == QUAD_RESAMPLE_LIMIT
 
 
 # ---------------------------------------------------------------------------

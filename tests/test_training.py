@@ -13,7 +13,7 @@ import resource
 import numpy as np
 import pytest
 
-from conftest import ensure_trained, load_loss_rows, zero_model
+from conftest import COMMITTED_CACHE, SOURCES, ensure_trained, load_loss_rows, zero_model
 from moplab import engine, evaluation, linalg, model, presets, training
 from moplab.distributions import get_distribution
 from moplab.model import ModelConfig
@@ -154,17 +154,17 @@ def test_l2_norm_gradient_finite_at_match():
     with g:
         loss = batch_loss(w, ys)
     grads = engine.backward(g, loss)
-    for name, leaf in g.params.items():
-        assert np.isfinite(grads[leaf]).all(), name
-        assert np.array_equal(grads[leaf], np.zeros_like(w.arrays[name])), name
+    assert grads.keys() == w.arrays.keys()
+    for name, grad in grads.items():
+        assert np.isfinite(grad).all(), name
+        assert np.array_equal(grad, np.zeros_like(w.arrays[name])), name
 
 
 def one_graph_loss_and_grads(weights, ys, us):
     g = engine.Graph()
     with g:
         loss = batch_loss(weights, ys, us)
-    grads = engine.backward(g, loss)
-    return loss.item(), {name: grads[leaf] for name, leaf in g.params.items()}
+    return loss.item(), engine.backward(g, loss)
 
 
 def loss_and_grads_case(batch, n_inputs):
@@ -416,6 +416,14 @@ def test_gradient_clipping_engages(tmp_path):
 # ---------------------------------------------------------------------------
 # heavier probes (cached across runs)
 # ---------------------------------------------------------------------------
+
+def test_committed_cache_entries_were_trained_by_these_sources():
+    # a change to the training sources retrains the committed entries; the
+    # ones it replaces are removed, not left next to the new ones
+    stale = [info.parent.name for info in sorted(COMMITTED_CACHE.glob("*/train-info.json"))
+             if json.loads(info.read_text())["sources"] != SOURCES]
+    assert stale == []
+
 
 def test_overfit_probe_two_systems(cache_root):
     # end-to-end gradient flow: 2 systems memorized to <= 10% of start loss
