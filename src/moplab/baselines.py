@@ -4,9 +4,12 @@ Every predictor holds a stack of N systems and advances all of them at
 once: `step(y_t, u_t=None)` takes the newest outputs [N, m] (and inputs
 [N, k]) and returns the predictions for y_{t+1} as [N, m], so the
 evaluation harness scores a whole test population with T-1 calls. Rows
-never interact: a system that turns singular or non-finite marks only its
-own row as failed (NaN predictions from then on), and every other row is
-what a predictor for that system alone would compute.
+never interact: a filter whose system turns singular or non-finite marks
+only its own row as failed (NaN predictions from then on), and every other
+row is what a predictor for that system alone would compute. The AR
+baseline has no singular case: its inverse Gram matrix is positive
+definite by construction, and a non-finite observation only makes its own
+row's predictions NaN.
 """
 
 from __future__ import annotations
@@ -24,7 +27,7 @@ __all__ = [
 PSD_DIAG_TOL = -1e-10
 PSD_JITTER = 1e-9
 ZERO_GAIN_TOL = 1e-12
-AR_RIDGE = 1e-6                      # OnlineARPredictor's normal-equation ridge
+AR_RIDGE = 1e-6                      # OnlineARPredictor's ridge
 
 
 def _matvec(a, x) -> np.ndarray:
@@ -122,48 +125,38 @@ class QuadrotorEKF(GaussianFilter):
 
 class OnlineARPredictor:
     """Two-lag linear autoregressor y_{t+1} = a1 y_t + a2 y_{t-1} refit by
-    (ridge-stabilized) least squares after every observation, one fit per
+    ridge-regularized least squares after every observation, one fit per
     system.
 
-    Before three observations exist the prediction falls back to the last
-    output. The tiny ridge AR_RIDGE keeps the normal equations solvable in
-    the ill-posed early steps without measurably biasing the comparison.
+    The refit is recursive least squares. `p` is the inverse of the ridge
+    Gram matrix, starting at I / AR_RIDGE, and each new regressor-target
+    pair is one rank-one update of `p` and `coefficients`, so after every
+    step they equal the batch ridge solution over the pairs seen so far.
+    The update forms the outer product of P z with itself elementwise before
+    dividing by the scalar 1 + z P z, so `p` stays exactly symmetric; the
+    matrix product (P z / den) @ (P z)^T is not, and its asymmetry grows
+    over long trajectories. Before three observations exist the prediction
+    falls back to the last output. The tiny ridge keeps the early
+    ill-posed fits bounded without measurably biasing the comparison.
     """
 
     def __init__(self, n_systems, m):
-        self.m = m
-        self.gram = np.zeros((n_systems, 2 * m, 2 * m))
-        self.cross = np.zeros((n_systems, 2 * m, m))
+        self.p = np.tile(np.eye(2 * m) / AR_RIDGE, (n_systems, 1, 1))
+        self.coefficients = np.zeros((n_systems, 2 * m, m))   # stacked (a1, a2)
         self.prev = []                    # last two observations, newest first
-        self.samples = 0
-        self.failed = np.zeros(n_systems, dtype=bool)
-
-    @property
-    def coefficients(self) -> np.ndarray:
-        """Stacked (a1, a2) per system, [N, 2m, m] (zeros until data arrives)."""
-        if self.samples == 0:
-            return np.zeros_like(self.cross)
-        reg = self.gram + AR_RIDGE * np.eye(2 * self.m)
-        try:
-            return solve_linear(reg, self.cross)
-        except SingularMatrixError as exc:
-            self.failed |= exc.singular
-            return exc.solution
 
     def step(self, y, u=None) -> np.ndarray:
         y = np.asarray(y, dtype=np.float64)
-        if len(self.prev) == 2:
-            z = np.concatenate(self.prev, axis=1)        # [y_{t-1}; y_{t-2}]
-            self.gram += z[:, :, None] * z[:, None, :]
-            self.cross += z[:, :, None] * y[:, None, :]
-            self.samples += 1
-        if self.samples == 0:
+        if len(self.prev) < 2:
             pred = y.copy()
         else:
-            z_now = np.concatenate([y, self.prev[0]], axis=1)
-            pred = _matvec(_t(self.coefficients), z_now)
+            z = np.concatenate(self.prev, axis=1)[:, None, :]   # [y_{t-1}; y_{t-2}]
+            pz = self.p @ _t(z)
+            den = 1.0 + z @ pz
+            self.coefficients += pz @ ((y[:, None, :] - z @ self.coefficients) / den)
+            self.p -= (pz * _t(pz)) / den
+            pred = _matvec(_t(self.coefficients), np.concatenate([y, self.prev[0]], axis=1))
         self.prev = [y] + self.prev[:1]
-        pred[self.failed] = np.nan
         return pred
 
 

@@ -1,12 +1,12 @@
-"""Command-line entry point: the gen / train / eval / plot stages, and
-reproducible experiment presets that chain train, eval and plot (no stage
-reads gen's output).
+"""Command-line entry point: the train / eval / plot stages, and
+reproducible experiment presets that chain them.
 
 Exit codes: 0 success, 1 runtime failure, 2 usage or config error, which
 includes a train --config that is not a JSON object or gives a count or
-model dimension that is not an integer, and an eval --predictors name
-that cannot score the preset's systems. The MOP_SEED environment
-variable overrides the base seed everywhere.
+model dimension that is not an integer, an eval --predictors name that
+cannot score the preset's systems or that is given twice, and an eval
+--horizon that does not reach past a switching preset's switch time.
+The MOP_SEED environment variable overrides the base seed everywhere.
 
 `moplab experiment` trains at the base seed and draws its test population
 at the base seed + 10000, so the two never share draws. The rule is the
@@ -29,7 +29,6 @@ from .manifest import (read_csv, sha256_file, sha256_json, write_csv,
                        write_json, write_manifest)
 from .model import ModelConfig
 from .presets import desk_model_config, get_experiment
-from .systems import systems_to_json
 from .training import TrainConfig
 
 CSV_FIELDS = ["experiment", "preset", "predictor", "t", "mean_err", "stderr",
@@ -84,29 +83,6 @@ def train_config_from_dict(obj: dict) -> TrainConfig:
 # ---------------------------------------------------------------------------
 # subcommands
 # ---------------------------------------------------------------------------
-
-def cmd_gen(args) -> int:
-    if args.preset not in DISTRIBUTIONS:
-        raise UsageError(f"unknown distribution preset {args.preset!r}; "
-                         f"valid: {', '.join(sorted(DISTRIBUTIONS))}")
-    if args.count < 0:
-        raise UsageError("--count must be >= 0")
-    seed = _resolve_seed(args.seed)
-    dist = get_distribution(args.preset)
-    t0 = time.time()
-    systems = [dist.sample_system(seed, "gen", i) for i in range(args.count)]
-    payload = {"preset": args.preset, "seed": seed, "count": args.count,
-               "sigma_w2": dist.sigma_w2, "sigma_v2": dist.sigma_v2,
-               "noise_window": dist.noise_window, "systems": systems_to_json(systems)}
-    out = Path(args.out)
-    out.parent.mkdir(parents=True, exist_ok=True)
-    write_json(out, payload)
-    write_manifest(out.parent, "gen", {"preset": args.preset, "count": args.count},
-                   seed, dataset_hash=sha256_json(payload),
-                   wallclock_s=time.time() - t0, outputs=[str(out)])
-    print(f"wrote {args.count} systems to {out}")
-    return 0
-
 
 def cmd_train(args) -> int:
     obj = {}
@@ -233,7 +209,9 @@ def cmd_eval(args) -> int:
     seed = _resolve_seed(args.seed, 1)
     predictors = (args.predictors.split(",") if args.predictors
                   else ["mop", *preset.baselines])
-    for kind in predictors:
+    for i, kind in enumerate(predictors):
+        if kind in predictors[:i]:
+            raise UsageError(f"--predictors names {kind!r} twice")
         try:
             evaluation.check_predictor(kind, dist)
         except ValueError as exc:
@@ -243,6 +221,9 @@ def cmd_eval(args) -> int:
     for flag, value in (("--n", n), ("--horizon", horizon)):
         if value < 1:
             raise UsageError(f"{flag} must be >= 1, got {value}")
+    if preset.switch_at is not None and horizon <= preset.switch_at:
+        raise UsageError(f"--horizon must exceed {args.preset}'s switch time "
+                         f"{preset.switch_at}, got {horizon}")
     weights = None
     if "mop" in predictors:
         if not args.ckpt:
@@ -435,13 +416,6 @@ def build_parser() -> argparse.ArgumentParser:
                     "in-context transformer against model-aware filters")
     parser.add_argument("--version", action="version", version=__version__)
     sub = parser.add_subparsers(dest="command", required=True)
-
-    p = sub.add_parser("gen", help="sample systems and their noise model to JSON")
-    p.add_argument("--preset", required=True)
-    p.add_argument("--count", type=int, required=True)
-    p.add_argument("--seed", type=int, default=None)
-    p.add_argument("--out", required=True)
-    p.set_defaults(func=cmd_gen)
 
     p = sub.add_parser("train", help="meta-train a model from a config file")
     p.add_argument("--config", default=None, help="JSON train config (or a "

@@ -24,7 +24,7 @@ __all__ = [
     "SwitchSpec", "DivergenceError", "SamplingError",
     "sample_linear_system", "sample_quadrotor", "sample_random_inputs",
     "simulate", "quadrotor_step", "quadrotor_jacobian", "stack_quadrotors",
-    "systems_to_json", "systems_sha256",
+    "systems_sha256",
 ]
 
 DIVERGENCE_LIMIT = 1e9
@@ -283,33 +283,8 @@ def simulate(system, t_len, rng, stds, window=1, switch: SwitchSpec | None = Non
 
 
 # ---------------------------------------------------------------------------
-# serialization
+# digest
 # ---------------------------------------------------------------------------
-
-def _system_record(system) -> dict:
-    if isinstance(system, LinearSystem):
-        return {
-            "kind": "linear",
-            "n": system.n,
-            "m": system.m,
-            "A": [float(x) for x in system.a.ravel()],
-            "C": [float(x) for x in system.c.ravel()],
-            "seed": system.seed,
-            "mode": system.mode,
-        }
-    return {
-        "kind": "quadrotor",
-        "mass": system.mass,
-        "arm_length": system.arm_length,
-        "inertia": system.inertia,
-        "C": [float(x) for x in system.c.ravel()],
-        "seed": system.seed,
-    }
-
-
-def systems_to_json(systems) -> list[dict]:
-    return [_system_record(s) for s in systems]
-
 
 def systems_sha256(systems) -> str:
     """sha256 streamed over the systems in index order: each system's kind,

@@ -9,8 +9,10 @@ import numpy as np
 import pytest
 
 from moplab.baselines import (
-    GaussianFilter, KalmanFilter, OnlineARPredictor, QuadrotorEKF, ZeroPredictor,
+    AR_RIDGE, GaussianFilter, KalmanFilter, OnlineARPredictor, QuadrotorEKF,
+    ZeroPredictor,
 )
+from moplab.distributions import get_distribution
 from moplab.linalg import solve_linear
 from moplab.seeding import stream
 from moplab.systems import (
@@ -263,6 +265,50 @@ def test_ar_online_equals_batch_on_noisy_vector_data():
     for t in range(60):
         ar.step(traj.ys[t][None])
     assert np.allclose(ar.coefficients[0], batch_ridge_oracle(traj.ys), atol=1e-8)
+
+
+def population_ys(dist_name, n, t_len):
+    dist = get_distribution(dist_name)
+    return np.stack([dist.make_trajectory(dist.sample_system(0, "test", i), t_len,
+                                          0, "test", i).ys for i in range(n)])
+
+
+@pytest.mark.parametrize("dist_name", ["linear-colored", "quadrotor"])
+def test_ar_long_run_matches_a_least_squares_oracle(dist_name):
+    # the rank-one refit must not drift from the batch ridge fit over a
+    # long trajectory; the oracle solves the ridge-augmented design
+    # [Z; sqrt(ridge) I] with SVD-based least squares, not normal equations
+    ys = population_ys(dist_name, 3, 2000)
+    n, t_len, m = ys.shape
+    ar = OnlineARPredictor(n, m)
+    for t in range(t_len):
+        ar.step(ys[:, t])
+    for i, y in enumerate(ys):
+        design = np.vstack([np.concatenate([y[1:-1], y[:-2]], axis=1),
+                            np.sqrt(AR_RIDGE) * np.eye(2 * m)])
+        target = np.vstack([y[2:], np.zeros((2 * m, m))])
+        oracle = np.linalg.lstsq(design, target, rcond=None)[0]
+        assert np.abs(ar.coefficients[i] - oracle).max() <= 1e-8 * np.abs(oracle).max()
+
+
+def test_ar_inverse_gram_stays_exactly_symmetric():
+    ys = population_ys("linear-dense", 4, 300)
+    ar = OnlineARPredictor(4, 5)
+    for t in range(300):
+        ar.step(ys[:, t])
+        assert np.array_equal(ar.p, ar.p.swapaxes(1, 2))
+
+
+def test_ar_non_finite_observation_poisons_only_its_own_row():
+    ys = population_ys("linear-dense", 4, 50)
+    bad = ys.copy()
+    bad[2, 10] = np.nan
+    clean_ar, bad_ar = OnlineARPredictor(4, 5), OnlineARPredictor(4, 5)
+    for t in range(50):
+        clean, poisoned = clean_ar.step(ys[:, t]), bad_ar.step(bad[:, t])
+        others = [0, 1, 3] if t >= 10 else slice(None)
+        assert np.array_equal(poisoned[others], clean[others])
+        assert np.isnan(poisoned[2]).all() == (t >= 10)
 
 
 def test_zero_predictor():

@@ -75,12 +75,10 @@ def test_non_integer_mop_seed_exits_2(tmp_path, tiny_ckpt, monkeypatch, capsys):
     assert not (tmp_path / "curves.csv").exists()
 
 
-@pytest.mark.parametrize("command", ["gen", "train", "eval", "experiment"])
+@pytest.mark.parametrize("command", ["train", "eval", "experiment"])
 def test_empty_mop_seed_exits_2(tmp_path, tiny_ckpt, monkeypatch, capsys, command):
     out = tmp_path / "out"
     argv = {
-        "gen": ["gen", "--preset", "linear-dense", "--count", "2",
-                "--out", str(out / "systems.json")],
         "train": ["train", "--config", train_config(tmp_path), "--steps", "1",
                   "--quiet", "--out-dir", str(out)],
         "eval": eval_args(tiny_ckpt, out),
@@ -93,13 +91,13 @@ def test_empty_mop_seed_exits_2(tmp_path, tiny_ckpt, monkeypatch, capsys, comman
     assert not out.exists()
 
 
-def test_gen_manifest_records_the_environment(tmp_path, monkeypatch):
+def test_train_manifest_records_the_environment(tmp_path, monkeypatch):
     monkeypatch.setenv("OPENBLAS_NUM_THREADS", "3")
     monkeypatch.delenv("MKL_NUM_THREADS", raising=False)
-    out = tmp_path / "systems.json"
-    assert cli.main(["gen", "--preset", "linear-dense", "--count", "2", "--seed", "1",
-                     "--out", str(out)]) == 0
-    env = json.loads((tmp_path / "manifest.json").read_text())["environment"]
+    out = tmp_path / "run"
+    assert cli.main(["train", "--config", train_config(tmp_path), "--steps", "1",
+                     "--quiet", "--out-dir", str(out)]) == 0
+    env = json.loads((out / "manifest.json").read_text())["environment"]
     blas = np.show_config(mode="dicts")["Build Dependencies"]["blas"]
     assert env["python"] == platform.python_version()
     assert env["numpy"] == np.__version__
@@ -112,17 +110,6 @@ def test_gen_manifest_records_the_environment(tmp_path, monkeypatch):
     for path in sorted(Path(cli.__file__).parent.glob("*.py")):
         digest.update(path.name.encode() + b"\0" + path.read_bytes())
     assert env["source_sha256"] == digest.hexdigest()
-
-
-def test_gen_records_the_noise_model_once(tmp_path):
-    out = tmp_path / "systems.json"
-    assert cli.main(["gen", "--preset", "linear-colored", "--count", "3", "--seed", "1",
-                     "--out", str(out)]) == 0
-    payload = json.loads(out.read_text())
-    assert (payload["sigma_w2"], payload["sigma_v2"], payload["noise_window"]) \
-        == (0.01, 0.01, 5)
-    assert len(payload["systems"]) == 3
-    assert not any({"sigma_w", "sigma_v"} & set(record) for record in payload["systems"])
 
 
 def test_manifest_records_the_blas_threads_in_use():
@@ -258,6 +245,32 @@ def test_eval_count_below_one_exits_2(tmp_path, flag, value, capsys):
     assert cli.main(argv) == 2
     assert f"{flag} must be >= 1" in capsys.readouterr().err
     assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("predictors, twice", [("kf,kf", "kf"), ("mop,ar-ols,mop", "mop")])
+def test_eval_repeated_predictor_exits_2(tmp_path, monkeypatch, capsys, predictors, twice):
+    # checked before the weights load (the checkpoint does not exist, which
+    # would exit 1) and before any system is sampled
+    def sample(*args, **kwargs):
+        raise AssertionError("a population was sampled")
+
+    monkeypatch.setattr(evaluation, "test_population", sample)
+    argv = ["eval", "--preset", "linear-iid", "--predictors", predictors, "--n", "3",
+            "--ckpt", str(tmp_path / "missing.ckpt"), "--out-dir", str(tmp_path / "out")]
+    assert cli.main(argv) == 2
+    assert f"error: --predictors names {twice!r} twice" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("horizon", [10, 50])
+def test_eval_horizon_not_past_the_switch_exits_2(tmp_path, capsys, horizon):
+    argv = ["eval", "--preset", "linear-switching", "--predictors", "kf,ar-ols",
+            "--n", "3", "--horizon", str(horizon), "--out-dir", str(tmp_path / "out")]
+    assert cli.main(argv) == 2
+    assert (f"--horizon must exceed linear-switching's switch time 50, got {horizon}"
+            in capsys.readouterr().err)
+    assert not (tmp_path / "out").exists()
+    assert cli.main(argv[:-4] + ["--horizon", "51", "--out-dir", str(tmp_path / "out")]) == 0
 
 
 @pytest.mark.parametrize("horizon", [1, 2])

@@ -1,8 +1,6 @@
 """System sampling, simulation, noise windows, the quadrotor re-draw, and
 matrix-power norms."""
 
-import json
-
 import numpy as np
 import pytest
 
@@ -13,7 +11,7 @@ from moplab.systems import (
     GRAVITY, TAU, DivergenceError, LinearSystem, QuadrotorSystem, SwitchSpec,
     _noise_sequences, quadrotor_jacobian,
     quadrotor_step, sample_linear_system, sample_quadrotor,
-    sample_random_inputs, simulate, systems_to_json,
+    sample_random_inputs, simulate,
 )
 
 
@@ -176,9 +174,13 @@ def quad(mass=1.0, arm=1.0, inertia=1.0):
 
 def test_quadrotor_hover_fixed_point():
     system = quad(mass=1.3)
+    assert system.hover_thrust == system.mass * GRAVITY / 2
     hover = np.full(2, system.hover_thrust)
     nxt = quadrotor_step(np.zeros(6), hover, np.zeros(6), system)
     assert np.allclose(nxt, 0.0, atol=1e-14)
+    with pytest.raises(TypeError):                # the constants are not fields
+        QuadrotorSystem(mass=1.0, arm_length=1.0, inertia=1.0, c=system.c,
+                        gravity=9.81)
 
 
 def test_quadrotor_free_fall_row():
@@ -302,43 +304,6 @@ def test_matrix_power_norms_match_lapack_on_dense_draws():
         want = np.array([np.linalg.norm(np.linalg.matrix_power(a, t), 2)
                          for t in range(101)])
         assert (np.abs(norms - want) / want).max() <= 1e-12
-
-
-# ---------------------------------------------------------------------------
-# serialization
-# ---------------------------------------------------------------------------
-
-def test_system_json_roundtrip():
-    rng = stream(41, "ser")
-    systems = [sample_linear_system(rng, 6, 3, seed=5),
-               sample_linear_system(rng, 6, 3, mode="upper_triangular", seed=6),
-               sample_quadrotor(rng, seed=7)]
-    # `moplab gen`'s records, through JSON text: each value comes back exact
-    records = json.loads(json.dumps(systems_to_json(systems)))
-    assert [r["kind"] for r in records] == ["linear", "linear", "quadrotor"]
-    assert list(records[0]) == ["kind", "n", "m", "A", "C", "seed", "mode"]
-    for rec, system in zip(records[:2], systems):
-        n, m = rec["n"], rec["m"]
-        assert np.array_equal(np.reshape(rec["A"], (n, n)), system.a)
-        assert np.array_equal(np.reshape(rec["C"], (m, n)), system.c)
-        assert (rec["mode"], rec["seed"]) == (system.mode, system.seed)
-    assert records[2]["mass"] == systems[2].mass
-    assert np.array_equal(np.reshape(records[2]["C"], (3, 6)), systems[2].c)
-
-
-def test_quadrotor_record_round_trips_without_the_constants():
-    system = sample_quadrotor(stream(42, "ser"), seed=8)
-    record, = json.loads(json.dumps(systems_to_json([system])))
-    assert list(record) == ["kind", "mass", "arm_length", "inertia", "C", "seed"]
-    fields = {k: v for k, v in record.items() if k not in ("kind", "C")}
-    back = QuadrotorSystem(c=np.reshape(record["C"], (3, 6)), **fields)
-    assert back.mass == system.mass and back.arm_length == system.arm_length
-    assert back.inertia == system.inertia and back.seed == system.seed
-    assert np.array_equal(back.c, system.c)
-    assert back.hover_thrust == system.hover_thrust == system.mass * GRAVITY / 2
-    with pytest.raises(TypeError):
-        QuadrotorSystem(mass=1.0, arm_length=1.0, inertia=1.0, c=system.c,
-                        gravity=9.81)
 
 
 def test_derive_seed_stability():
