@@ -2,10 +2,13 @@
 reproducible experiment presets that chain them.
 
 Exit codes: 0 success, 1 runtime failure, 2 usage or config error, which
-includes a train --config that is not a JSON object or gives a count or
-model dimension that is not an integer, an eval --predictors name that
-cannot score the preset's systems or that is given twice, and an eval
---horizon that does not reach past a switching preset's switch time.
+includes a train --config that is not a JSON object, gives a count or
+model dimension that is not an integer, or gives an lr, clip_norm or
+input_scale that is not a finite positive number; an eval --predictors
+name that cannot score the preset's systems or that is given twice; an
+eval --ckpt when mop is not among the predictors; an eval --horizon that
+does not reach past a switching preset's switch time; and a plot CSV with
+a non-finite mean_err or stderr.
 The MOP_SEED environment variable overrides the base seed everywhere.
 
 `moplab experiment` trains at the base seed and draws its test population
@@ -229,6 +232,9 @@ def cmd_eval(args) -> int:
         if not args.ckpt:
             raise UsageError("--ckpt is required when evaluating the mop predictor")
         weights = _load_weights_for(dist, args.ckpt)
+    elif args.ckpt:
+        raise UsageError("--ckpt is only read for the mop predictor, which "
+                         "--predictors does not name")
     t0 = time.time()
     curves = _score(predictors, dist, n, horizon, seed, weights, preset.switch_at)
     out_dir = Path(args.out_dir)

@@ -1,11 +1,12 @@
-"""Small-matrix routines used by the simulators and filters.
+"""Small-matrix routines used by the simulators and the evaluation set-up.
 
-Everything here is deterministic: LAPACK solves and norms, a fixed
-power-iteration start vector and fixed iteration counts. `spectral_radius`
-is the only power-iteration routine left. It stays until the benchmark's
-peak-RSS measure stops growing with the number of passes a run fits: a
-faster eval set-up fits more passes into a run, which then reads as a
-memory regression.
+No linear solves are left here: the filters call LAPACK's solve directly.
+Everything is deterministic: LAPACK norms, a fixed power-iteration start
+vector and fixed iteration counts. `spectral_radius` is the only
+power-iteration routine left. It stays until the benchmark's peak-RSS
+measure stops growing with the number of passes a run fits: a faster eval
+set-up fits more passes into a run, which then reads as a memory
+regression.
 """
 
 from __future__ import annotations
@@ -14,54 +15,10 @@ import math
 
 import numpy as np
 
-__all__ = [
-    "SingularMatrixError", "solve_linear", "spectral_radius", "matrix_power_norms",
-]
+__all__ = ["spectral_radius", "matrix_power_norms"]
 
 SQUARINGS = 16          # Gelfand-sequence squarings in `spectral_radius`
 NORM_ITERS = 100        # power iterations per spectral norm
-
-
-class SingularMatrixError(ValueError):
-    """Raised when LAPACK finds an exactly zero pivot in any matrix of a
-    stack. `singular` marks those matrices (a bool array over the stack's
-    leading axes) and `solution` holds the solve of every other matrix, with
-    NaN in the singular slots, so callers can keep the well-posed systems."""
-
-    def __init__(self, singular, solution):
-        super().__init__(f"{int(np.count_nonzero(singular))} of {singular.size} "
-                         f"matrices are singular")
-        self.singular = singular
-        self.solution = solution
-
-
-def solve_linear(a, b) -> np.ndarray:
-    """Solve a @ x = b with LAPACK for one matrix or a stack of them.
-
-    a is [..., k, k] and b is [..., k, r], or [..., k] for a single
-    right-hand side, which is returned as a vector. Each matrix is checked
-    on its own: any with an exactly zero pivot raises SingularMatrixError.
-    """
-    a = np.asarray(a, dtype=np.float64)
-    b = np.asarray(b, dtype=np.float64)
-    if a.ndim < 2 or a.shape[-1] != a.shape[-2]:
-        raise ValueError(f"coefficient matrix must be square, got {a.shape}")
-    vector_rhs = b.ndim == a.ndim - 1
-    if vector_rhs:
-        b = b[..., None]
-    if b.shape[-2] != a.shape[-1]:
-        raise ValueError(f"rhs rows {b.shape[-2]} != matrix size {a.shape[-1]}")
-    try:
-        x = np.linalg.solve(a, b)
-    except np.linalg.LinAlgError:
-        # slogdet factors with the same LU as the solve: sign 0 <=> zero pivot
-        with np.errstate(invalid="ignore"):
-            singular = np.linalg.slogdet(a)[0] == 0
-        eye = np.eye(a.shape[-1])
-        x = np.linalg.solve(np.where(singular[..., None, None], eye, a), b)
-        x[singular] = np.nan
-        raise SingularMatrixError(singular, x[..., 0] if vector_rhs else x) from None
-    return x[..., 0] if vector_rhs else x
 
 
 def _spectral_norm(a) -> float:

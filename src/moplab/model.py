@@ -11,6 +11,7 @@ prompts); training records it on an engine Graph, inference runs eagerly.
 from __future__ import annotations
 
 import json
+import math
 import zlib
 from dataclasses import dataclass, asdict
 
@@ -22,7 +23,7 @@ from .manifest import atomic_open
 
 __all__ = [
     "ModelConfig", "TransformerWeights", "CheckpointError", "require_ints",
-    "init_weights", "forward", "predict_sequence", "make_tokens",
+    "require_positive_reals", "init_weights", "forward", "predict_sequence", "make_tokens",
     "save_checkpoint", "load_checkpoint", "load_training_state",
     "write_tensor_file",
 ]
@@ -36,6 +37,18 @@ def require_ints(cfg, names) -> None:
     for name in names:
         if type(getattr(cfg, name)) is not int:
             raise TypeError(f"{name} must be an integer, got {getattr(cfg, name)!r}")
+
+
+def require_positive_reals(cfg, names) -> None:
+    """Raise TypeError or ValueError naming the first field of `names` on
+    cfg whose value is not a finite, positive int or float; a bool is not
+    one."""
+    for name in names:
+        value = getattr(cfg, name)
+        if type(value) not in (int, float):
+            raise TypeError(f"{name} must be a number, got {value!r}")
+        if not 0 < value < math.inf:
+            raise ValueError(f"{name} must be finite and positive, got {value!r}")
 
 
 @dataclass(frozen=True)
@@ -52,6 +65,7 @@ class ModelConfig:
     def __post_init__(self):
         require_ints(self, ("layers", "heads", "embed_dim", "context", "token_dim",
                             "output_dim"))
+        require_positive_reals(self, ("input_scale",))
         if self.embed_dim % self.heads != 0:
             raise ValueError("embed_dim must be divisible by heads")
         if self.precision not in DTYPES:

@@ -42,12 +42,16 @@ def _fmt(v: float) -> str:
 
 def render_from_rows(rows, ratio=False, title=None) -> str:
     """Build the SVG text from CSV rows (dicts with predictor, t, mean_err,
-    stderr). In ratio mode exactly two predictors are required."""
+    stderr). Every mean_err and stderr must be finite, and in ratio mode
+    exactly two predictors are required."""
     series = {}
     for row in rows:
         name = row["predictor"]
-        series.setdefault(name, []).append(
-            (int(row["t"]), float(row["mean_err"]), float(row["stderr"])))
+        point = (int(row["t"]), float(row["mean_err"]), float(row["stderr"]))
+        if not all(map(math.isfinite, point[1:])):
+            raise ValueError(f"predictor {name!r} at t={point[0]} has a non-finite "
+                             f"mean_err or stderr ({point[1]}, {point[2]})")
+        series.setdefault(name, []).append(point)
     for pts in series.values():
         pts.sort(key=lambda p: p[0])
     series = dict(sorted(series.items(), key=lambda kv: (kv[0] != "mop", kv[0])))

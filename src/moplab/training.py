@@ -81,11 +81,12 @@ class TrainConfig:
     def __post_init__(self):
         model.require_ints(self, ("m_systems", "train_len", "steps", "batch_size", "seed",
                                   "checkpoint_every"))
+        model.require_positive_reals(self, ("lr", "clip_norm"))
         for name in ("m_systems", "train_len", "batch_size", "checkpoint_every"):
             if getattr(self, name) < 1:
                 raise ValueError(f"{name} must be positive")
-        if self.steps < 0 or self.lr <= 0:
-            raise ValueError("steps must be >= 0 and lr > 0")
+        if self.steps < 0:
+            raise ValueError("steps must be >= 0")
         if self.train_len < 2:
             raise ValueError("train_len must be >= 2 (need a prediction target)")
         if self.train_len - 1 > self.model.context:
@@ -215,7 +216,7 @@ def _clip_gradients(grads: dict, clip_norm: float):
         g = grads[name]
         total += float((g.astype(np.float64) ** 2).sum())
     norm = float(np.sqrt(total))
-    if clip_norm > 0 and norm > clip_norm:
+    if norm > clip_norm:
         s = clip_norm / norm
         grads = {k: g * s for k, g in grads.items()}
     return norm, grads

@@ -13,7 +13,6 @@ from moplab.baselines import (
     ZeroPredictor,
 )
 from moplab.distributions import get_distribution
-from moplab.linalg import solve_linear
 from moplab.seeding import stream
 from moplab.systems import (
     LinearSystem, quadrotor_jacobian, quadrotor_step, sample_linear_system,
@@ -66,7 +65,7 @@ def test_kf_riccati_convergence():
 
 def test_kf_zero_noise_exact():
     system = scalar_system()
-    kf = KalmanFilter([system], 0.0, 0.0)
+    kf = KalmanFilter([system], 0.0, STDS[1])
     traj = simulate(system, 30, stream(3), (0.0, 0.0))
     errs = []
     pred = np.zeros((1, 1))
@@ -74,7 +73,18 @@ def test_kf_zero_noise_exact():
         errs.append(abs(pred[0, 0] - traj.ys[t][0]))
         pred = kf.step(traj.ys[t][None])
     assert max(errs) == 0.0
-    assert not kf.failed.any()
+
+
+@pytest.mark.parametrize("sigma_v", [0.0, -0.1, float("nan")])
+@pytest.mark.parametrize("kind", ["kf", "ekf"])
+def test_filters_reject_nonpositive_output_noise(kind, sigma_v):
+    # S = C P C^T + sigma_v^2 I is positive definite only for sigma_v > 0
+    if kind == "kf":
+        build, system = KalmanFilter, scalar_system()
+    else:
+        build, system = QuadrotorEKF, sample_quadrotor(stream(14, "hover"))
+    with pytest.raises(ValueError, match="sigma_v must be positive"):
+        build([system], STDS[0], sigma_v)
 
 
 def test_kf_innovation_whiteness():
@@ -159,12 +169,11 @@ def test_ekf_zero_noise_hover_exact():
     system = sample_quadrotor(stream(14, "hover"))
     hover = np.full((40, 2), system.hover_thrust)
     traj = simulate(system, 40, stream(15), (0.0, 0.0), inputs=hover)
-    ekf = QuadrotorEKF([system], 0.0, 0.0)
+    ekf = QuadrotorEKF([system], 0.0, STDS[1])
     pred = np.zeros(3)
     for t in range(39):
         assert np.linalg.norm(pred - traj.ys[t]) <= 1e-9
         pred = ekf.step(traj.ys[t][None], hover[t][None])[0]
-    assert not ekf.failed.any()
 
 
 def test_ekf_reduces_to_kf_on_linear_system():
@@ -212,7 +221,7 @@ def batch_ridge_oracle(ys, ridge=1e-6):
     z = np.array(zs)
     y = np.array(targets)
     gram = z.T @ z + ridge * np.eye(2 * m)
-    return solve_linear(gram, z.T @ y)
+    return np.linalg.solve(gram, z.T @ y)
 
 
 def test_ar_fallback_before_three_observations():

@@ -196,10 +196,21 @@ def test_model_that_does_not_fit_the_preset_exits_2(tmp_path, capsys, config, er
      "layers must be an integer, got 2.0"),
     ({"steps": 2, "checkpoint_every": 1.5}, "checkpoint_every must be an integer, got 1.5"),
     ({"steps": True}, "steps must be an integer, got True"),
+    ({"steps": 2, "lr": True}, "lr must be a number, got True"),
+    ({"steps": 2, "clip_norm": "1"}, "clip_norm must be a number, got '1'"),
+    ({"steps": 2, "clip_norm": -1}, "clip_norm must be finite and positive, got -1"),
+    ({"steps": 2, "lr": float("nan")}, "lr must be finite and positive, got nan"),
+    ({"steps": 2, "lr": float("inf")}, "lr must be finite and positive, got inf"),
+    ({"steps": 2, "model": dict(dataclasses.asdict(TINY_MODEL), input_scale=0)},
+     "input_scale must be finite and positive, got 0"),
+    ({"steps": 2, "model": dict(dataclasses.asdict(TINY_MODEL), input_scale=True)},
+     "input_scale must be a number, got True"),
 ], ids=["float-steps", "whole-float-batch", "float-layers", "float-checkpoint-every",
-        "bool-steps"])
+        "bool-steps", "bool-lr", "string-clip-norm", "negative-clip-norm", "nan-lr",
+        "infinite-lr", "zero-input-scale", "bool-input-scale"])
 def test_non_integer_config_count_exits_2(tmp_path, capsys, overrides, error):
-    # each used to crash after making --out-dir (exit 1) or to train (exit 0)
+    # each used to crash after making --out-dir (exit 1), to train (exit 0) or,
+    # for a negative clip_norm, to train with clipping silently off
     assert cli.main(["train", "--config", train_config(tmp_path, **overrides), "--quiet",
                      "--out-dir", str(tmp_path / "run")]) == 2
     assert error in capsys.readouterr().err
@@ -259,6 +270,24 @@ def test_eval_repeated_predictor_exits_2(tmp_path, monkeypatch, capsys, predicto
             "--ckpt", str(tmp_path / "missing.ckpt"), "--out-dir", str(tmp_path / "out")]
     assert cli.main(argv) == 2
     assert f"error: --predictors names {twice!r} twice" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("ckpt", ["missing", "garbage"])
+def test_eval_ckpt_without_mop_exits_2(tmp_path, monkeypatch, capsys, ckpt):
+    # a missing checkpoint used to exit 1 after curves.csv and report.json
+    # were written, and a garbage one to exit 0 with its hash in the manifest
+    def sample(*args, **kwargs):
+        raise AssertionError("a population was sampled")
+
+    path = tmp_path / "model.ckpt"
+    if ckpt == "garbage":
+        path.write_bytes(b"not a checkpoint")
+    monkeypatch.setattr(evaluation, "test_population", sample)
+    argv = ["eval", "--preset", "linear-iid", "--predictors", "kf,ar-ols", "--n", "3",
+            "--ckpt", str(path), "--out-dir", str(tmp_path / "out")]
+    assert cli.main(argv) == 2
+    assert "--ckpt is only read for the mop predictor" in capsys.readouterr().err
     assert not (tmp_path / "out").exists()
 
 
@@ -384,10 +413,17 @@ def test_eval_manifest_records_the_scored_checkpoint(tmp_path, tiny_ckpt):
     ("", "line 1: empty file"),
     ("predictor,t,mean_err,stderr\nmop,0,1,0\nkf,0,1,0\nar-ols,0,1,0\n",
      "ratio plot needs exactly 2 predictors, got 3"),
+    ("predictor,t,mean_err,stderr\nmop,0,1,0\nkf,0,1,0\nmop,1,1,0\nkf,1,inf,0\n",
+     "predictor 'kf' at t=1 has a non-finite mean_err or stderr (inf, 0.0)"),
+    ("predictor,t,mean_err,stderr\nmop,0,1,0\nkf,0,1,0\nmop,1,nan,0\nkf,1,1,0\n",
+     "predictor 'mop' at t=1 has a non-finite mean_err or stderr (nan, 0.0)"),
+    ("predictor,t,mean_err,stderr\nmop,0,1,0\nkf,0,1,0\nmop,1,1,0\nkf,1,1,inf\n",
+     "predictor 'kf' at t=1 has a non-finite mean_err or stderr (1.0, inf)"),
 ])
 def test_plot_rejects_an_unusable_csv_with_exit_2(tmp_path, capsys, text, error):
     # a ratio plot, so that three predictors are unusable too; the other
-    # cases fail before the kind of plot matters
+    # cases fail before the kind of plot matters (an inf mean_err used to
+    # exit 1 with an OverflowError, and a nan one to exit 2 naming no row)
     csv_path, svg_path = tmp_path / "curves.csv", tmp_path / "curves.svg"
     csv_path.write_text(text)
     assert cli.main(["plot", "--ratio", "--csv", str(csv_path), "--svg", str(svg_path)]) == 2

@@ -717,40 +717,6 @@ def test_chunk_backward_peak_stays_near_the_forward_tape():
 
 
 # ---------------------------------------------------------------------------
-# solve_linear
-# ---------------------------------------------------------------------------
-
-def test_solve_identity(rng):
-    b = rng.standard_normal((4, 2))
-    assert np.allclose(linalg.solve_linear(np.eye(4), b), b, atol=1e-14)
-
-
-def test_solve_diagonal():
-    x = linalg.solve_linear(np.diag([2.0, 4.0]), np.array([2.0, 4.0]))
-    assert np.allclose(x, [1.0, 1.0], atol=1e-14)
-
-
-def test_solve_residual_oracle(rng):
-    a = rng.standard_normal((5, 5)) + 5 * np.eye(5)
-    b = rng.standard_normal((5, 3))
-    x = linalg.solve_linear(a, b)
-    assert np.linalg.norm(a @ x - b) <= 1e-8 * np.linalg.norm(b)
-
-
-def test_solve_singular_raises():
-    a = np.array([[1.0, 2.0], [2.0, 4.0]])
-    with pytest.raises(linalg.SingularMatrixError):
-        linalg.solve_linear(a, np.ones(2))
-
-
-def test_solve_needs_pivoting():
-    # zero leading pivot: plain elimination would fail, pivoting must not
-    a = np.array([[0.0, 1.0], [1.0, 0.0]])
-    x = linalg.solve_linear(a, np.array([2.0, 3.0]))
-    assert np.allclose(x, [3.0, 2.0], atol=1e-14)
-
-
-# ---------------------------------------------------------------------------
 # spectral radius
 # ---------------------------------------------------------------------------
 

@@ -157,27 +157,6 @@ def test_nan_trajectory_fails_only_its_own_row(kind):
     assert np.array_equal(curve.per_system, clean.per_system[keep])
 
 
-def test_singular_system_fails_only_its_own_row():
-    # no output noise: P = 0 at t = 0 gives every row the zero gain, and from
-    # t = 1 on S = C Q C^T is singular only for the system with a dead output
-    # row, while C P is not zero, so that filter has no gain; the others keep
-    # going
-    systems = [LINEAR.sample_system(9, "sing", i) for i in range(3)]
-    c = systems[1].c.copy()
-    c[0] = 0.0
-    singular = replace(systems[1], c=c)
-    rng = stream(10, "sing")
-    ys = rng.standard_normal((12, 3, LINEAR.m))
-    sigma_w = LINEAR.noise_stds[0]
-    kf_ok = KalmanFilter(systems, sigma_w, 0.0)
-    kf_bad = KalmanFilter([systems[0], singular, systems[2]], sigma_w, 0.0)
-    for t in range(12):
-        ok, bad = kf_ok.step(ys[t]), kf_bad.step(ys[t])
-        assert np.array_equal(ok[[0, 2]], bad[[0, 2]])
-    assert kf_bad.failed.tolist() == [False, True, False]
-    assert np.isnan(bad[1]).all() and np.isfinite(ok).all()
-
-
 class OraclePredictor:
     """Plumbing-test device: peeks at the trajectories and returns the true
     next outputs, so its error curve is exactly zero end to end."""
