@@ -7,8 +7,9 @@ model dimension that is not an integer, or gives an lr, clip_norm or
 input_scale that is not a finite positive number; an eval --predictors
 name that cannot score the preset's systems or that is given twice; an
 eval --ckpt when mop is not among the predictors; an eval --horizon that
-does not reach past a switching preset's switch time; and a plot CSV with
-a non-finite mean_err or stderr.
+does not reach past a switching preset's switch time, or whose prompts
+(horizon - 1 outputs) outgrow the mop checkpoint's context; and a plot CSV
+with a non-finite mean_err or stderr.
 The MOP_SEED environment variable overrides the base seed everywhere.
 
 `moplab experiment` trains at the base seed and draws its test population
@@ -232,6 +233,9 @@ def cmd_eval(args) -> int:
         if not args.ckpt:
             raise UsageError("--ckpt is required when evaluating the mop predictor")
         weights = _load_weights_for(dist, args.ckpt)
+        if horizon - 1 > weights.config.context:
+            raise UsageError(f"--horizon {horizon} needs a mop context of {horizon - 1}, "
+                             f"but the checkpoint's context is {weights.config.context}")
     elif args.ckpt:
         raise UsageError("--ckpt is only read for the mop predictor, which "
                          "--predictors does not name")

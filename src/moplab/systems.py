@@ -21,14 +21,13 @@ from . import linalg
 
 __all__ = [
     "LinearSystem", "QuadrotorSystem", "Trajectory",
-    "SwitchSpec", "DivergenceError", "SamplingError",
+    "SwitchSpec", "DivergenceError",
     "sample_linear_system", "sample_quadrotor", "sample_random_inputs",
     "simulate", "quadrotor_step", "quadrotor_jacobian", "stack_quadrotors",
     "systems_sha256",
 ]
 
 DIVERGENCE_LIMIT = 1e9
-RESAMPLE_ATTEMPTS = 100
 TARGET_RHO = 0.95                    # spectral radius of a dense A
 INPUT_SPREAD = 0.5                   # quadrotor rotor-command perturbation
 GRAVITY = 10.0                       # quadrotor gravitational acceleration
@@ -36,10 +35,6 @@ TAU = 0.1                            # quadrotor discretization step
 
 
 class DivergenceError(RuntimeError):
-    pass
-
-
-class SamplingError(RuntimeError):
     pass
 
 
@@ -110,19 +105,14 @@ def sample_linear_system(rng, n, m, mode="dense", seed=0) -> LinearSystem:
     """
     if mode not in ("dense", "upper_triangular"):
         raise ValueError(f"unknown mode {mode!r}")
-    for _ in range(RESAMPLE_ATTEMPTS):
-        if mode == "dense":
-            a = rng.uniform(-1.0, 1.0, size=(n, n))
-            rho = linalg.spectral_radius(a)
-            if rho < 1e-9:
-                continue
-            a *= TARGET_RHO / rho
-        else:
-            a = np.triu(rng.uniform(-1.0, 1.0, size=(n, n)), k=1)
-            a[np.diag_indices(n)] = rng.uniform(-0.95, 0.95, size=n)
-        c = rng.uniform(0.0, 1.0, size=(m, n))
-        return LinearSystem(a=a, c=c, seed=int(seed), mode=mode)
-    raise SamplingError("could not sample a rescalable A (spectral radius ~ 0)")
+    if mode == "dense":
+        a = rng.uniform(-1.0, 1.0, size=(n, n))
+        a *= TARGET_RHO / linalg.spectral_radius(a)
+    else:
+        a = np.triu(rng.uniform(-1.0, 1.0, size=(n, n)), k=1)
+        a[np.diag_indices(n)] = rng.uniform(-0.95, 0.95, size=n)
+    c = rng.uniform(0.0, 1.0, size=(m, n))
+    return LinearSystem(a=a, c=c, seed=int(seed), mode=mode)
 
 
 def sample_quadrotor(rng, seed=0) -> QuadrotorSystem:

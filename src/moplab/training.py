@@ -1,9 +1,10 @@
 """Meta-training: minimize the mean next-output error ||yhat - y|| over M
 source systems, one fixed length-T trajectory each.
 
-The dataset is a list of sampled systems; each system's trajectory is
-rolled from its seed the first time a batch draws it and cached, so the
-training data is the M*T outputs the excess-risk guarantee counts. A step
+The dataset is its stacked outputs: each sampled system's trajectory is
+rolled once when the dataset is built, and only the M*T outputs the
+excess-risk guarantee counts (with the inputs, for systems that take
+them) are kept, so a step's batch is one index into them. A step
 records its batch on one tape per chunk of TRAIN_CHUNK trajectories and
 sums the chunks' gradients, so the tape it holds does not grow with the
 batch. The optimizer is Adam with gradient-norm clipping; every draw is
@@ -99,36 +100,44 @@ class TrainConfig:
 
 
 class MetaDataset:
-    """Sampled source systems plus the one trajectory each is trained on."""
+    """The training set: M sampled source systems' trajectories, each rolled
+    once and stacked, so row i of `ys` (M, T, m) and of `us` (M, T, k) is
+    system i's trajectory; `us` is None when the systems take no inputs.
+    The systems are kept only as their sha256 (see `systems_sha256`),
+    streamed while they are rolled, so none is held beyond its own roll."""
 
     def __init__(self, dist: Distribution, m_systems, train_len, seed):
         self.dist = dist
         self.m_systems = m_systems
         self.train_len = train_len
         self.seed = seed
-        self.systems = [dist.sample_system(seed, "train", i)
-                        for i in range(m_systems)]
-        self._cache: dict[int, tuple] = {}
+        rows = []
 
-    def trajectory(self, i):
-        """(ys, us) for system i: rolled from its seed on first use, then
-        cached."""
-        if i not in self._cache:
-            traj = self.dist.make_trajectory(self.systems[i], self.train_len,
-                                             self.seed, "train", i)
-            self._cache[i] = (traj.ys, traj.us)
-        return self._cache[i]
+        def rolled_systems():
+            for i in range(m_systems):
+                system = dist.sample_system(seed, "train", i)
+                rows.append(self.trajectory(system, i))
+                yield system
+
+        self.systems_sha256 = systems_sha256(rolled_systems())
+        self.ys = np.stack([ys for ys, _ in rows])
+        self.us = None if rows[0][1] is None else np.stack([us for _, us in rows])
+
+    def trajectory(self, system, i):
+        """(ys, us) of system i's training trajectory."""
+        traj = self.dist.make_trajectory(system, self.train_len, self.seed, "train", i)
+        return traj.ys, traj.us
 
     def manifest(self) -> dict:
-        """The dataset's config and the sha256 of its systems (see
-        `systems_sha256`): the same size at any M."""
+        """The dataset's config and the sha256 of its systems: the same size
+        at any M."""
         return {
             "preset": self.dist.name,
             "m_systems": self.m_systems,
             "train_len": self.train_len,
             "seed": self.seed,
             "role": "train",
-            "systems_sha256": systems_sha256(self.systems),
+            "systems_sha256": self.systems_sha256,
         }
 
 
@@ -283,7 +292,7 @@ class TrainResult:
     checkpoints: list                # paths in write order; the last is the final one
     loss_rows: list                  # dicts: step, loss, grad_norm, wallclock_s
     dataset_manifest: dict           # MetaDataset.manifest(): config and systems' sha256
-    dataset_s: float                 # building the dataset, before the steps' clock
+    dataset_s: float                 # sampling and rolling the dataset, before the steps' clock
 
 
 @_retained_heap()
@@ -301,8 +310,9 @@ def train(cfg: TrainConfig, out_dir, resume=None, quiet=True) -> TrainResult:
     that is not finite or exceeds DIVERGENCE_LOSS writes the weights the
     step started from to ckpt-abort.ckpt and raises `TrainingAborted`.
 
-    The result's `dataset_s` times the dataset build, which runs before the
-    clock of the loss rows' `wallclock_s` starts.
+    The result's `dataset_s` times the dataset build, which samples and
+    rolls every training trajectory before the clock of the loss rows'
+    `wallclock_s` starts.
     """
     if resume is not None:
         weights, start_step, state = model.load_training_state(resume)
@@ -337,15 +347,8 @@ def train(cfg: TrainConfig, out_dir, resume=None, quiet=True) -> TrainResult:
     for step in range(start_step, cfg.steps):
         idx = stream(cfg.seed, "batch", step).integers(0, cfg.m_systems,
                                                        size=cfg.batch_size)
-        ys_list, us_list = [], []
-        for i in idx:
-            ys, us = ds.trajectory(int(i))
-            ys_list.append(ys)
-            us_list.append(us)
-        ys = np.stack(ys_list)
-        us = np.stack(us_list) if us_list[0] is not None else None
-
-        loss_val, grads = _loss_and_grads(weights, ys, us)
+        loss_val, grads = _loss_and_grads(weights, ds.ys[idx],
+                                          None if ds.us is None else ds.us[idx])
         if not loss_val <= DIVERGENCE_LOSS:      # a NaN loss fails this too
             checkpoint(step, "ckpt-abort.ckpt")
             cause = "not finite" if np.isnan(loss_val) else f"above {DIVERGENCE_LOSS:.0e}"

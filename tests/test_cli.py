@@ -302,6 +302,43 @@ def test_eval_horizon_not_past_the_switch_exits_2(tmp_path, capsys, horizon):
     assert cli.main(argv[:-4] + ["--horizon", "51", "--out-dir", str(tmp_path / "out")]) == 0
 
 
+def test_eval_horizon_past_the_checkpoint_context_exits_2(tmp_path, tiny_ckpt,
+                                                         monkeypatch, capsys):
+    # a horizon-34 population needs 33-output prompts, one more than the
+    # context of 32: this used to exit 1 after the population was sampled
+    def refuse(*args, **kwargs):
+        raise AssertionError("a population was sampled")
+
+    monkeypatch.setattr(evaluation, "test_population", refuse)
+    argv = ["eval", "--preset", "linear-iid", "--ckpt", tiny_ckpt, "--n", "2",
+            "--seed", "3", "--out-dir", str(tmp_path / "out")]
+    assert cli.main(argv + ["--horizon", "34"]) == 2
+    assert ("--horizon 34 needs a mop context of 33, but the checkpoint's "
+            "context is 32") in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+    monkeypatch.undo()
+    assert cli.main(argv + ["--horizon", "33"]) == 0
+
+
+def test_eval_with_a_checkpoint_of_another_preset_exits_2(tmp_path, capsys):
+    path = tmp_path / "quadrotor.ckpt"
+    model.save_checkpoint(model.init_weights(
+        dataclasses.replace(TINY_MODEL, output_dim=3), stream(1, "cli")), path)
+    assert cli.main(eval_args(str(path), tmp_path / "out")) == 2
+    assert ("checkpoint/preset dimensionality mismatch: checkpoint tokens 5->3, "
+            "preset linear-dense wants 5->5") in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+
+
+def test_dist_shift_without_a_linear_iid_model_exits_2(tmp_path, capsys):
+    assert cli.main(["experiment", "--name", "dist-shift",
+                     "--out-dir", str(tmp_path)]) == 2
+    err = capsys.readouterr().err
+    assert "dist-shift reuses the linear-iid model" in err
+    assert str(tmp_path / "linear-iid" / "train" / "ckpt-final.ckpt") in err
+    assert not (tmp_path / "dist-shift" / "manifest.json").exists()
+
+
 @pytest.mark.parametrize("horizon", [1, 2])
 def test_eval_below_three_steps_reports_an_empty_early_window(tmp_path, horizon):
     out = tmp_path / "out"
@@ -314,6 +351,36 @@ def test_eval_below_three_steps_reports_an_empty_early_window(tmp_path, horizon)
     assert len(ratio["ratio"]) == horizon
     assert len(read_csv(out / "curves.csv")) == 2 * horizon
     assert json.loads((out / "manifest.json").read_text())["config"]["horizon"] == horizon
+
+
+@pytest.mark.parametrize("text, error", [
+    (None, "config file not found"),
+    ("{\"steps\": 2,", "config is not valid JSON"),
+], ids=["missing", "invalid-json"])
+def test_unreadable_train_config_exits_2(tmp_path, capsys, text, error):
+    config = tmp_path / "config.json"
+    if text is not None:
+        config.write_text(text)
+    assert cli.main(["train", "--config", str(config), "--quiet",
+                     "--out-dir", str(tmp_path / "run")]) == 2
+    assert f"error: {error}" in capsys.readouterr().err
+    assert not (tmp_path / "run").exists()
+
+
+def test_train_manifest_as_config_reruns_the_same_training(tmp_path):
+    first, second = tmp_path / "first", tmp_path / "second"
+    assert cli.main(["train", "--config", train_config(tmp_path), "--steps", "2",
+                     "--quiet", "--out-dir", str(first)]) == 0
+    assert cli.main(["train", "--config", str(first / "manifest.json"), "--quiet",
+                     "--out-dir", str(second)]) == 0
+    config = [json.loads((d / "manifest.json").read_text())["config"]
+              for d in (first, second)]
+    assert config[0] == config[1] and config[0]["steps"] == 2
+    loss = [[(r["step"], r["loss"], r["grad_norm"]) for r in read_csv(d / "loss.csv")]
+            for d in (first, second)]
+    assert loss[0] == loss[1] and len(loss[0]) == 2
+    assert ((first / "ckpt-final.ckpt").read_bytes()
+            == (second / "ckpt-final.ckpt").read_bytes())
 
 
 def test_resumed_run_log_equals_uninterrupted_log(tmp_path):
@@ -429,6 +496,20 @@ def test_plot_rejects_an_unusable_csv_with_exit_2(tmp_path, capsys, text, error)
     assert cli.main(["plot", "--ratio", "--csv", str(csv_path), "--svg", str(svg_path)]) == 2
     assert error in capsys.readouterr().err
     assert not svg_path.exists()
+
+
+@pytest.mark.parametrize("ratio", [False, True], ids=["curves", "ratio"])
+def test_plot_of_an_eval_csv_writes_the_svg(tmp_path, capsys, ratio):
+    assert cli.main(["eval", "--preset", "linear-iid", "--predictors", "kf,ar-ols",
+                     "--n", "3", "--horizon", "12", "--out-dir", str(tmp_path / "eval")]) == 0
+    svg_path = tmp_path / "plots" / "curves.svg"
+    argv = ["plot", "--csv", str(tmp_path / "eval" / "curves.csv"),
+            "--svg", str(svg_path), "--title", "kf vs ar-ols"]
+    assert cli.main(argv + (["--ratio"] if ratio else [])) == 0
+    assert f"wrote {svg_path}" in capsys.readouterr().out
+    svg = svg_path.read_text()
+    assert svg.startswith("<svg") and svg.rstrip().endswith("</svg>")
+    assert "kf vs ar-ols" in svg
 
 
 def test_ratio_plot_of_three_predictors_raises():

@@ -3,6 +3,7 @@ precision), gradient flow end to end, and the checkpoint container."""
 
 import dataclasses
 import json
+import re
 import zlib
 
 import numpy as np
@@ -350,6 +351,48 @@ def test_checkpoint_shape_mismatch_detected(tmp_path, small_weights):
     model.write_tensor_file(path, {"kind": "checkpoint", "config": config},
                             small_weights.arrays, SMALL.precision)
     with pytest.raises(CheckpointError, match="shape mismatch"):
+        load_checkpoint(path)
+
+
+def _with_crc(body: bytes) -> bytes:
+    return body + zlib.crc32(body).to_bytes(4, "little")
+
+
+def _v2_header(meta, tensors) -> bytes:
+    return json.dumps({"format": "moplab-tensors-v2", "meta": meta,
+                       "tensors": tensors}).encode() + b"\0"
+
+
+def _write_overrun(path, weights):
+    entry = {"name": "a", "shape": [100], "offset": 0, "precision": "f64"}
+    path.write_bytes(_with_crc(_v2_header({"kind": "checkpoint"}, [entry])
+                               + np.zeros(1).tobytes()))
+
+
+def _write_without_a_tensor(path, weights):
+    arrays = dict(weights.arrays)
+    del arrays["head.w"]
+    model.write_tensor_file(path, {"kind": "checkpoint",
+                                   "config": dataclasses.asdict(SMALL)},
+                            arrays, SMALL.precision)
+
+
+@pytest.mark.parametrize("write, error", [
+    (lambda path, w: path.write_bytes(b"no separator anywhere"),
+     "missing header separator"),
+    (lambda path, w: path.write_bytes(b"{not json\0" + bytes(8)), "corrupt header"),
+    (lambda path, w: path.write_bytes(_v2_header({}, []) + b"abc"), "truncated file"),
+    (_write_overrun, "tensor 'a' overruns blob"),
+    (lambda path, w: model.write_tensor_file(path, {"kind": "test"},
+                                             {"a": np.ones(2)}, "f64"),
+     "not a model checkpoint"),
+    (_write_without_a_tensor, "missing tensor 'head.w'"),
+], ids=["missing-separator", "corrupt-header", "truncated", "overrun",
+        "not-a-checkpoint", "missing-tensor"])
+def test_malformed_checkpoint_names_its_fault(tmp_path, small_weights, write, error):
+    path = tmp_path / "model.ckpt"
+    write(path, small_weights)
+    with pytest.raises(CheckpointError, match=re.escape(f"{path}: {error}")):
         load_checkpoint(path)
 
 

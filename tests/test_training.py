@@ -18,7 +18,7 @@ from moplab import engine, evaluation, linalg, model, presets, training
 from moplab.distributions import get_distribution
 from moplab.model import ModelConfig
 from moplab.seeding import derive_seed, stream
-from moplab.systems import Trajectory
+from moplab.systems import Trajectory, systems_sha256
 from moplab.training import TrainConfig, TrainingAborted, batch_loss, build_meta_dataset
 
 TINY_MODEL = ModelConfig(layers=2, heads=2, embed_dim=16, context=32,
@@ -51,25 +51,45 @@ def test_dataset_record_is_config_and_systems_hash():
                       "systems_sha256": record["systems_sha256"]}
     assert build_meta_dataset("linear-dense", 10, 20, 4).manifest()["systems_sha256"] \
         != record["systems_sha256"]
-    a.systems[7] = dataclasses.replace(a.systems[7], a=a.systems[7].a * (1 + 1e-12))
-    assert a.manifest()["systems_sha256"] != record["systems_sha256"]
+    # the recorded hash is the systems' own, and one A moved by 1e-12
+    # relative changes it
+    dist = get_distribution("linear-dense")
+    systems = [dist.sample_system(3, "train", i) for i in range(10)]
+    assert systems_sha256(systems) == record["systems_sha256"]
+    systems[7] = dataclasses.replace(systems[7], a=systems[7].a * (1 + 1e-12))
+    assert systems_sha256(systems) != record["systems_sha256"]
     # the record grows with M only by the digits of the count
     large = build_meta_dataset("linear-dense", 100, 20, 3).manifest()
     assert len(json.dumps(large)) - len(json.dumps(record)) == len("100") - len("10")
 
 
 def test_dataset_systems_hit_target_radius():
-    ds = build_meta_dataset("linear-dense", 5, 20, 4)
-    for system in ds.systems:
+    dist = get_distribution("linear-dense")
+    for i in range(5):
+        system = dist.sample_system(4, "train", i)
         assert linalg.spectral_radius(system.a) == pytest.approx(0.95, abs=1e-3)
 
 
 def test_dataset_trajectories_fixed_and_reproducible():
-    ds = build_meta_dataset("linear-dense", 4, 15, 6)
-    y1, _ = ds.trajectory(2)
-    ds2 = build_meta_dataset("linear-dense", 4, 15, 6)
-    y2, _ = ds2.trajectory(2)
-    assert np.array_equal(y1, y2)
+    # row i of ys (and of us, for a system with inputs) is system i's
+    # trajectory, rolled from its own seeds
+    m_systems, train_len, seed = 4, 15, 6
+    for preset, n_inputs in (("linear-dense", None), ("quadrotor", 2)):
+        ds = build_meta_dataset(preset, m_systems, train_len, seed)
+        dist = get_distribution(preset)
+        assert ds.ys.shape == (m_systems, train_len, dist.m)
+        if n_inputs is None:
+            assert ds.us is None
+        else:
+            assert ds.us.shape == (m_systems, train_len, n_inputs)
+        for i in range(m_systems):
+            traj = dist.make_trajectory(dist.sample_system(seed, "train", i),
+                                        train_len, seed, "train", i)
+            assert np.array_equal(ds.ys[i], traj.ys)
+            if n_inputs is not None:
+                assert np.array_equal(ds.us[i], traj.us)
+        assert np.array_equal(build_meta_dataset(preset, m_systems, train_len, seed).ys,
+                              ds.ys)
 
 
 def test_dataset_rng_streams_disjoint():
