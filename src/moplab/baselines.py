@@ -23,7 +23,7 @@ from .systems import quadrotor_jacobian, quadrotor_step, stack_quadrotors
 
 __all__ = [
     "GaussianFilter", "KalmanFilter", "QuadrotorEKF",
-    "OnlineARPredictor", "ZeroPredictor",
+    "OnlineARPredictor",
 ]
 
 PSD_DIAG_TOL = -1e-10
@@ -151,12 +151,3 @@ class OnlineARPredictor:
         self.prev = [y] + self.prev[:1]
         return pred
 
-
-class ZeroPredictor:
-    """Predicts the prior mean (zero) forever; the no-information floor."""
-
-    def __init__(self, n_systems, m):
-        self.shape = (n_systems, m)
-
-    def step(self, y, u=None) -> np.ndarray:
-        return np.zeros(self.shape)

@@ -7,9 +7,10 @@ model dimension that is not an integer, or gives an lr, clip_norm or
 input_scale that is not a finite positive number; an eval --predictors
 name that cannot score the preset's systems or that is given twice; an
 eval --ckpt when mop is not among the predictors; an eval --horizon that
-does not reach past a switching preset's switch time, or whose prompts
-(horizon - 1 outputs) outgrow the mop checkpoint's context; and a plot CSV
-with a non-finite mean_err or stderr.
+does not reach past a switching preset's switch time, that is below 2 when
+mop is scored (its prompts of horizon - 1 outputs would be empty), or whose
+prompts outgrow the mop checkpoint's context; and a plot CSV with a
+non-finite mean_err or stderr.
 The MOP_SEED environment variable overrides the base seed everywhere.
 
 `moplab experiment` trains at the base seed and draws its test population
@@ -109,31 +110,15 @@ def cmd_train(args) -> int:
     out_dir = Path(args.out_dir)
     t0 = time.time()
     result = training.train(cfg, out_dir, resume=args.resume, quiet=args.quiet)
-    if args.resume:
-        # the log continues the one written next to the resumed checkpoint
-        result.loss_rows[:0] = _earlier_loss_rows(
-            Path(args.resume).parent / "loss.csv",
-            result.loss_rows[0]["step"] if result.loss_rows else cfg.steps)
     _write_train_outputs(out_dir, cfg, result, t0)
     print(f"final checkpoint: {result.checkpoints[-1]}")
     return 0
 
 
-def _earlier_loss_rows(path: Path, before_step: int) -> list[dict]:
-    """Rows of an earlier run's loss log for the steps before `before_step`
-    (none when that run left no log)."""
-    if not path.exists():
-        return []
-    rows = [{"step": int(r["step"]), "loss": float(r["loss"]),
-             "grad_norm": float(r["grad_norm"]),
-             "wallclock_s": float(r["wallclock_s"])} for r in read_csv(path)]
-    return [r for r in rows if r["step"] < before_step]
-
-
 def _write_train_outputs(out_dir: Path, cfg: TrainConfig,
                          result: training.TrainResult, t0) -> None:
-    write_csv(out_dir / "loss.csv", result.loss_rows,
-              ["step", "loss", "grad_norm", "wallclock_s"])
+    """dataset.json and the train manifest of a finished run; its loss.csv
+    is `training.train`'s, written beside each checkpoint."""
     write_json(out_dir / "dataset.json", result.dataset_manifest)
     ckpt_hashes = {Path(p).name: sha256_file(p) for p in result.checkpoints}
     write_manifest(out_dir, "train", dataclasses.asdict(cfg), cfg.seed,
@@ -232,6 +217,9 @@ def cmd_eval(args) -> int:
     if "mop" in predictors:
         if not args.ckpt:
             raise UsageError("--ckpt is required when evaluating the mop predictor")
+        if horizon < 2:
+            raise UsageError(f"--horizon {horizon} leaves mop an empty prompt; "
+                             f"scoring mop needs a horizon of at least 2")
         weights = _load_weights_for(dist, args.ckpt)
         if horizon - 1 > weights.config.context:
             raise UsageError(f"--horizon {horizon} needs a mop context of {horizon - 1}, "

@@ -26,7 +26,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import linalg, model
-from .baselines import KalmanFilter, OnlineARPredictor, QuadrotorEKF, ZeroPredictor
+from .baselines import KalmanFilter, OnlineARPredictor, QuadrotorEKF
 from .distributions import Distribution, get_distribution
 from .model import TransformerWeights
 from .seeding import stream
@@ -82,9 +82,7 @@ def make_predictor(kind: str, systems, dist: Distribution):
         return model_aware(systems, *dist.filter_noise_stds())
     if kind == "ar-ols":
         return OnlineARPredictor(len(systems), dist.m)
-    if kind == "zero":
-        return ZeroPredictor(len(systems), dist.m)
-    raise ValueError("mop is the model, scored by predict_population")
+    raise ValueError(f"{kind!r} is no step predictor; predict_population scores it")
 
 
 # ---------------------------------------------------------------------------
@@ -145,13 +143,16 @@ def predict_population(predictor_kind: str, systems, trajs, dist: Distribution,
                        weights: TransformerWeights | None = None) -> np.ndarray:
     """Predictions yhat_0..yhat_{T-1} for every system, shaped (N, T, m).
 
-    yhat_0 is the prior mean (zero, since x_0 = 0). MOP predicts every later
-    position with one causal forward per chunk of SCORE_CHUNK systems;
+    yhat_0 is the prior mean (zero, since x_0 = 0). "zero" predicts that
+    mean at every position, the no-information floor. MOP predicts every
+    later position with one causal forward per chunk of SCORE_CHUNK systems;
     every other kind is one population-wide predictor stepped T-1 times.
     """
     ys = np.stack([t.ys for t in trajs])
     us = np.stack([t.us for t in trajs]) if trajs[0].us is not None else None
     preds = np.zeros(ys.shape)
+    if predictor_kind == "zero":
+        return preds
     if predictor_kind == "mop":
         if weights is None:
             raise ValueError("mop predictor needs model weights")

@@ -253,7 +253,7 @@ def _read(path) -> tuple[TransformerWeights, dict, dict[str, np.ndarray]]:
         header = json.loads(data[:sep].decode("utf-8"))
     except (UnicodeDecodeError, json.JSONDecodeError) as exc:
         raise CheckpointError(f"{path}: corrupt header: {exc}") from exc
-    if header.get("format") != "moplab-tensors-v2":
+    if not isinstance(header, dict) or header.get("format") != "moplab-tensors-v2":
         raise CheckpointError(f"{path}: not a moplab-tensors-v2 file")
     if len(data) < sep + 5:
         raise CheckpointError(f"{path}: truncated file")
@@ -261,18 +261,21 @@ def _read(path) -> tuple[TransformerWeights, dict, dict[str, np.ndarray]]:
         raise CheckpointError(f"{path}: checksum mismatch")
     blob = memoryview(data)[sep + 1:-4]
     tensors = {}
-    for entry in header["tensors"]:
-        dt = np.dtype(DTYPES[entry["precision"]]).newbyteorder("<")
-        shape = tuple(entry["shape"])
-        count = int(np.prod(shape))
-        if entry["offset"] + count * dt.itemsize > len(blob):
-            raise CheckpointError(f"{path}: tensor {entry['name']!r} overruns blob")
-        arr = np.frombuffer(blob, dt, count, entry["offset"]).reshape(shape)
-        tensors[entry["name"]] = arr.astype(dt.newbyteorder("="))
-    meta = header["meta"]
-    if meta.get("kind") != "checkpoint":
-        raise CheckpointError(f"{path}: not a model checkpoint")
-    cfg = ModelConfig(**meta["config"])
+    try:                                  # a header entry of the wrong type or value
+        for entry in header["tensors"]:
+            dt = np.dtype(DTYPES[entry["precision"]]).newbyteorder("<")
+            shape = tuple(entry["shape"])
+            count = int(np.prod(shape))
+            if entry["offset"] + count * dt.itemsize > len(blob):
+                raise CheckpointError(f"{path}: tensor {entry['name']!r} overruns blob")
+            arr = np.frombuffer(blob, dt, count, entry["offset"]).reshape(shape)
+            tensors[entry["name"]] = arr.astype(dt.newbyteorder("="))
+        meta = header["meta"]
+        if meta.get("kind") != "checkpoint":
+            raise CheckpointError(f"{path}: not a model checkpoint")
+        cfg = ModelConfig(**meta["config"])
+    except (AttributeError, KeyError, TypeError, ValueError) as exc:
+        raise CheckpointError(f"{path}: malformed header: {exc!r}") from exc
     arrays = {}
     for name, shape, _ in _layout(cfg):
         if name not in tensors:

@@ -13,6 +13,9 @@ On glibc, the heap a chunk frees stays in the process while `train` runs,
 so the next chunk reuses it instead of faulting fresh pages in, and is
 handed back to the OS when `train` returns. The dataset is recorded by its
 config and one sha256 over its systems, so the record does not grow with M.
+`train` alone writes the loss log, out_dir/loss.csv, just before each
+checkpoint file (abort included), so every checkpoint has the rows of the
+steps before it beside it, and a resume continues the log beside its own.
 """
 
 from __future__ import annotations
@@ -29,6 +32,7 @@ import numpy as np
 
 from . import engine, model
 from .distributions import Distribution, get_distribution
+from .manifest import read_csv, write_csv
 from .model import ModelConfig, TransformerWeights
 from .seeding import stream
 from .systems import systems_sha256
@@ -41,6 +45,7 @@ __all__ = [
 DIVERGENCE_LOSS = 1e6
 ADAM_BETA1, ADAM_BETA2, ADAM_EPS = 0.9, 0.999, 1e-8  # moment decays, denominator guard
 LOG_EVERY = 50                       # steps between progress lines when not quiet
+LOSS_FIELDS = ("step", "loss", "grad_norm", "wallclock_s")   # loss.csv columns
 
 # Trajectories per tape in a training step (gradients summed over the
 # chunks). The tape grows linearly with the chunk: traced by tracemalloc, a
@@ -100,28 +105,30 @@ class TrainConfig:
 
 
 class MetaDataset:
-    """The training set: M sampled source systems' trajectories, each rolled
-    once and stacked, so row i of `ys` (M, T, m) and of `us` (M, T, k) is
-    system i's trajectory; `us` is None when the systems take no inputs.
-    The systems are kept only as their sha256 (see `systems_sha256`),
-    streamed while they are rolled, so none is held beyond its own roll."""
+    """The training set: M sampled source systems' trajectories, system i's
+    rolled once straight into row i of the stacks `ys` (M, T, m) and `us`
+    (M, T, k); `us` is None when the systems take no inputs. The systems
+    are kept only as their sha256 (see `systems_sha256`), streamed while
+    they are rolled, so none is held beyond its own roll."""
 
     def __init__(self, dist: Distribution, m_systems, train_len, seed):
         self.dist = dist
         self.m_systems = m_systems
         self.train_len = train_len
         self.seed = seed
-        rows = []
+        self.ys = np.empty((m_systems, train_len, dist.m))
+        self.us = (np.empty((m_systems, train_len, dist.token_dim - dist.m))
+                   if dist.token_dim > dist.m else None)
 
         def rolled_systems():
             for i in range(m_systems):
                 system = dist.sample_system(seed, "train", i)
-                rows.append(self.trajectory(system, i))
+                self.ys[i], us = self.trajectory(system, i)
+                if self.us is not None:
+                    self.us[i] = us
                 yield system
 
         self.systems_sha256 = systems_sha256(rolled_systems())
-        self.ys = np.stack([ys for ys, _ in rows])
-        self.us = None if rows[0][1] is None else np.stack([us for _, us in rows])
 
     def trajectory(self, system, i):
         """(ys, us) of system i's training trajectory."""
@@ -290,20 +297,21 @@ class TrainResult:
     """What one `train` call wrote and measured; the caller holds its
     config."""
     checkpoints: list                # paths in write order; the last is the final one
-    loss_rows: list                  # dicts: step, loss, grad_norm, wallclock_s
+    loss_rows: list                  # dicts: step, loss, grad_norm, wallclock_s; from step 0
     dataset_manifest: dict           # MetaDataset.manifest(): config and systems' sha256
     dataset_s: float                 # sampling and rolling the dataset, before the steps' clock
 
 
 @_retained_heap()
 def train(cfg: TrainConfig, out_dir, resume=None, quiet=True) -> TrainResult:
-    """Run the meta-training loop, writing periodic checkpoints and a loss
+    """Run the meta-training loop, writing periodic checkpoints and the loss
     log under out_dir. Each checkpoint is one file holding the weights, the
     Adam moments and the step. `resume` continues from a checkpoint path
-    written by an earlier (identically configured) run; the loss trace
-    continues exactly where the interrupted run would have gone. A
-    checkpoint of another model config, or past `cfg.steps`, raises
-    `model.CheckpointError` before out_dir is made.
+    written by an earlier (identically configured) run; the loss trace and
+    its log continue exactly where the interrupted run would have gone, the
+    earlier rows as that run clocked them. A checkpoint of another model
+    config, or past `cfg.steps`, raises `model.CheckpointError` before
+    out_dir is made.
 
     Each step takes the batch loss and gradients chunk by chunk (see
     `_loss_and_grads`), then clips and applies one Adam update. A loss
@@ -325,10 +333,15 @@ def train(cfg: TrainConfig, out_dir, resume=None, quiet=True) -> TrainResult:
                 f"{resume}: checkpoint is at step {start_step}, past the "
                 f"config's {cfg.steps} steps")
         adam = _Adam(cfg.lr, weights.arrays, start_step, state)
+        log = Path(resume).parent / "loss.csv"      # the earlier steps' rows, if logged
+        loss_rows = [{k: (int if k == "step" else float)(r[k]) for k in LOSS_FIELDS}
+                     for r in (read_csv(log) if log.exists() else [])
+                     if int(r["step"]) < start_step]
     else:
         weights = model.init_weights(cfg.model, stream(cfg.seed, "init"))
         adam = _Adam(cfg.lr, weights.arrays)
         start_step = 0
+        loss_rows = []
     t_data = time.perf_counter()
     ds = build_meta_dataset(cfg.preset, cfg.m_systems, cfg.train_len, cfg.seed)
     dataset_s = time.perf_counter() - t_data
@@ -336,10 +349,10 @@ def train(cfg: TrainConfig, out_dir, resume=None, quiet=True) -> TrainResult:
     out_dir = Path(out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
     checkpoints = []
-    loss_rows = []
     t0 = time.time()
 
     def checkpoint(step, tag=None):
+        write_csv(out_dir / "loss.csv", loss_rows, LOSS_FIELDS)
         path = out_dir / (tag or f"ckpt-{step:06d}.ckpt")
         model.save_checkpoint(weights, path, optimizer=(step, adam.state))
         checkpoints.append(str(path))

@@ -10,7 +10,6 @@ import pytest
 
 from moplab.baselines import (
     AR_RIDGE, GaussianFilter, KalmanFilter, OnlineARPredictor, QuadrotorEKF,
-    ZeroPredictor,
 )
 from moplab.distributions import get_distribution
 from moplab.seeding import stream
@@ -195,14 +194,12 @@ def test_ekf_tracks_quadrotor_reasonably():
     inputs = sample_random_inputs(stream(19, "trk"), 50, system)
     traj = simulate(system, 50, stream(20, "trk"), STDS, inputs=inputs)
     ekf = QuadrotorEKF([system], *STDS)
-    zero = ZeroPredictor(1, 3)
     e_ekf, e_zero = [], []
-    pe = pz = np.zeros(3)
+    pe = np.zeros(3)
     for t in range(50):
         e_ekf.append(np.linalg.norm(pe - traj.ys[t]))
-        e_zero.append(np.linalg.norm(pz - traj.ys[t]))
+        e_zero.append(np.linalg.norm(np.zeros(3) - traj.ys[t]))
         pe = ekf.step(traj.ys[t][None], inputs[t][None])[0]
-        pz = zero.step(traj.ys[t][None])[0]
     assert np.mean(e_ekf[10:]) < 0.25 * np.mean(e_zero[10:])
 
 
@@ -318,8 +315,3 @@ def test_ar_non_finite_observation_poisons_only_its_own_row():
         others = [0, 1, 3] if t >= 10 else slice(None)
         assert np.array_equal(poisoned[others], clean[others])
         assert np.isnan(poisoned[2]).all() == (t >= 10)
-
-
-def test_zero_predictor():
-    z = ZeroPredictor(1, 4)
-    assert np.array_equal(z.step(np.ones((1, 4))), np.zeros((1, 4)))

@@ -320,6 +320,22 @@ def test_eval_horizon_past_the_checkpoint_context_exits_2(tmp_path, tiny_ckpt,
     assert cli.main(argv + ["--horizon", "33"]) == 0
 
 
+def test_eval_horizon_below_2_with_mop_exits_2(tmp_path, tiny_ckpt, monkeypatch, capsys):
+    # a horizon-1 population gives mop empty prompts: this used to exit 1
+    # with "empty prompt" after the population was sampled
+    def refuse(*args, **kwargs):
+        raise AssertionError("a population was sampled")
+
+    monkeypatch.setattr(evaluation, "test_population", refuse)
+    argv = ["eval", "--preset", "linear-iid", "--ckpt", tiny_ckpt, "--n", "2",
+            "--seed", "3", "--out-dir", str(tmp_path / "out")]
+    assert cli.main(argv + ["--horizon", "1"]) == 2
+    assert "--horizon 1 leaves mop an empty prompt" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+    monkeypatch.undo()
+    assert cli.main(argv + ["--horizon", "2"]) == 0
+
+
 def test_eval_with_a_checkpoint_of_another_preset_exits_2(tmp_path, capsys):
     path = tmp_path / "quadrotor.ckpt"
     model.save_checkpoint(model.init_weights(

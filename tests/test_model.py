@@ -377,6 +377,31 @@ def _write_without_a_tensor(path, weights):
                             arrays, SMALL.precision)
 
 
+def _edited_header(edit):
+    """A writer of a checkpoint whose header is `edit(header)`, with the CRC
+    taken over the edit."""
+    def write(path, weights):
+        save_checkpoint(weights, path)
+        data = path.read_bytes()
+        sep = data.index(b"\0")
+        header = edit(json.loads(data[:sep]))
+        path.write_bytes(_with_crc(json.dumps(header).encode() + data[sep:-4]))
+    return write
+
+
+def _without(key):
+    return _edited_header(lambda h: {k: v for k, v in h.items() if k != key})
+
+
+def _with_config(**changes):
+    return _edited_header(lambda h: {**h, "meta": {
+        **h["meta"], "config": {**h["meta"]["config"], **changes}}})
+
+
+def _with_every_tensor(**changes):
+    return _edited_header(lambda h: {**h, "tensors": [{**e, **changes} for e in h["tensors"]]})
+
+
 @pytest.mark.parametrize("write, error", [
     (lambda path, w: path.write_bytes(b"no separator anywhere"),
      "missing header separator"),
@@ -387,8 +412,18 @@ def _write_without_a_tensor(path, weights):
                                              {"a": np.ones(2)}, "f64"),
      "not a model checkpoint"),
     (_write_without_a_tensor, "missing tensor 'head.w'"),
+    (_without("tensors"), "malformed header: KeyError('tensors')"),
+    (_without("meta"), "malformed header: KeyError('meta')"),
+    (_with_every_tensor(precision="f16"), "malformed header: KeyError('f16')"),
+    (_with_every_tensor(offset=-8), "malformed header: ValueError("),
+    (_with_config(layers="x"),
+     "malformed header: TypeError(\"layers must be an integer, got 'x'\")"),
+    (_with_config(depth=3), "malformed header: TypeError("),
+    (_edited_header(lambda h: [h]), "not a moplab-tensors-v2 file"),
 ], ids=["missing-separator", "corrupt-header", "truncated", "overrun",
-        "not-a-checkpoint", "missing-tensor"])
+        "not-a-checkpoint", "missing-tensor", "no-tensor-directory", "no-meta",
+        "unknown-precision", "negative-offset", "non-integer-config", "unknown-config-key",
+        "header-a-list"])
 def test_malformed_checkpoint_names_its_fault(tmp_path, small_weights, write, error):
     path = tmp_path / "model.ckpt"
     write(path, small_weights)

@@ -9,6 +9,7 @@ import os
 import platform
 import re
 import resource
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -16,6 +17,7 @@ import pytest
 from conftest import COMMITTED_CACHE, SOURCES, ensure_trained, load_loss_rows, zero_model
 from moplab import engine, evaluation, linalg, model, presets, training
 from moplab.distributions import get_distribution
+from moplab.manifest import read_csv
 from moplab.model import ModelConfig
 from moplab.seeding import derive_seed, stream
 from moplab.systems import Trajectory, systems_sha256
@@ -90,6 +92,22 @@ def test_dataset_trajectories_fixed_and_reproducible():
                 assert np.array_equal(ds.us[i], traj.us)
         assert np.array_equal(build_meta_dataset(preset, m_systems, train_len, seed).ys,
                               ds.ys)
+
+
+@pytest.mark.parametrize("preset, m_systems", [("linear-triangular", 200),
+                                               ("quadrotor", 100)])
+def test_dataset_build_holds_one_copy_of_its_trajectories(preset, m_systems):
+    # each trajectory goes straight into its row; stacking the rolled rows
+    # instead holds two copies at once, a peak of about 2.2 times the kept
+    build_meta_dataset(preset, m_systems, 50, 0)       # imports and caches
+    tracemalloc.start()
+    try:
+        ds = build_meta_dataset(preset, m_systems, 50, 0)
+        retained, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert ds.ys.nbytes <= retained
+    assert peak / retained < 1.5
 
 
 def test_dataset_rng_streams_disjoint():
@@ -302,23 +320,84 @@ def test_train_aborts_on_a_nan_loss(tmp_path, monkeypatch):
     assert "nan is not finite" in str(exc)
 
 
+def trace(rows):
+    """(step, loss, grad_norm) of each loss row, wallclock aside."""
+    return [(r["step"], r["loss"], r["grad_norm"]) for r in rows]
+
+
+def logged_trace(run_dir):
+    """`trace` of the loss.csv under run_dir (floats are logged by repr, so
+    they read back bit for bit)."""
+    return [(int(r["step"]), float(r["loss"]), float(r["grad_norm"]))
+            for r in read_csv(run_dir / "loss.csv")]
+
+
+def test_aborted_run_logs_every_step_before_the_abort(tmp_path, monkeypatch):
+    full = training.train(tiny_cfg(steps=10), tmp_path / "full")
+    real = training._loss_and_grads
+    calls = []
+
+    def nan_on_fifth_step(weights, ys, us):
+        calls.append(None)
+        loss, grads = real(weights, ys, us)
+        return (math.nan if len(calls) == 5 else loss), grads
+
+    monkeypatch.setattr(training, "_loss_and_grads", nan_on_fifth_step)
+    # the step-3 checkpoint logs steps 0-2; the abort's rewrite adds step 3
+    exc = train_until_aborted(tiny_cfg(steps=10, checkpoint_every=3), tmp_path / "run")
+    assert exc.step == 4
+    assert logged_trace(tmp_path / "run") == trace(full.loss_rows[:4])
+
+
 def test_train_resume_reproduces_trace(tmp_path):
     cfg_full = tiny_cfg(steps=16, checkpoint_every=8)
     full = training.train(cfg_full, tmp_path / "full")
     part = training.train(dataclasses.replace(cfg_full, steps=8), tmp_path / "part")
     resumed = training.train(cfg_full, tmp_path / "resumed",
                              resume=part.checkpoints[-1])
-    full_tail = [(r["step"], r["loss"], r["grad_norm"]) for r in full.loss_rows[8:]]
-    res_rows = [(r["step"], r["loss"], r["grad_norm"]) for r in resumed.loss_rows]
-    assert full_tail == res_rows
+    # the resumed log starts at step 0, its first rows read from the part run's
+    assert trace(resumed.loss_rows) == trace(full.loss_rows)
+    assert [r["step"] for r in resumed.loss_rows] == list(range(16))
+    assert logged_trace(tmp_path / "resumed") == logged_trace(tmp_path / "full")
     assert (tmp_path / "full" / "ckpt-final.ckpt").read_bytes() \
         == (tmp_path / "resumed" / "ckpt-final.ckpt").read_bytes()
+
+
+def test_interrupted_run_resumes_with_its_whole_log(tmp_path, monkeypatch):
+    cfg = tiny_cfg(steps=9, checkpoint_every=3)
+    full = training.train(cfg, tmp_path / "full")
+
+    class Killed(Exception):
+        pass
+
+    real = training._loss_and_grads
+    calls = []
+
+    def killed_at_step_7(weights, ys, us):
+        calls.append(None)
+        if len(calls) == 8:
+            raise Killed
+        return real(weights, ys, us)
+
+    run = tmp_path / "run"
+    monkeypatch.setattr(training, "_loss_and_grads", killed_at_step_7)
+    with pytest.raises(Killed):
+        training.train(cfg, run)
+    monkeypatch.undo()
+    # the step-6 checkpoint left the rows of steps 0-5 beside it
+    assert logged_trace(run) == trace(full.loss_rows[:6])
+    resumed = training.train(cfg, run, resume=run / "ckpt-000006.ckpt")
+    assert trace(resumed.loss_rows) == trace(full.loss_rows)
+    assert logged_trace(run) == logged_trace(tmp_path / "full")
+    assert (run / "ckpt-final.ckpt").read_bytes() \
+        == (tmp_path / "full" / "ckpt-final.ckpt").read_bytes()
 
 
 def test_failed_save_keeps_the_previous_checkpoint_whole(tmp_path, monkeypatch):
     # a rerun into the same directory fails on writing the file that carries
     # the optimizer step; the step-2 checkpoint it would have replaced must
-    # still resume onto the uninterrupted trace
+    # still resume onto the uninterrupted trace, though the log beside it
+    # already holds the failed run's steps 2 and 3
     cfg = tiny_cfg(steps=6, checkpoint_every=100)
     full = training.train(cfg, tmp_path / "full")
     run = tmp_path / "run"
@@ -336,9 +415,9 @@ def test_failed_save_keeps_the_previous_checkpoint_whole(tmp_path, monkeypatch):
     monkeypatch.undo()
     final = run / "ckpt-final.ckpt"
     assert model.load_training_state(final)[1] == 2
+    assert [step for step, _, _ in logged_trace(run)] == [0, 1, 2, 3]
     resumed = training.train(cfg, tmp_path / "resumed", resume=final)
-    assert [(r["step"], r["loss"], r["grad_norm"]) for r in resumed.loss_rows] \
-        == [(r["step"], r["loss"], r["grad_norm"]) for r in full.loss_rows[2:]]
+    assert trace(resumed.loss_rows) == trace(full.loss_rows)
 
 
 @pytest.mark.skipif(platform.libc_ver()[0] != "glibc", reason="the top pad is glibc's")
