@@ -400,7 +400,8 @@ def _experiment_scaling(preset, seed, root: Path, quiet, phases) -> None:
     write_csv(root / "cells.csv",
               [{k: ("" if v is None else v) for k, v in c.items()} for c in cells],
               CELL_FIELDS)
-    print(f"scaling: spearman(delta, MT) = {report['spearman_delta_vs_mt']:+.3f}")
+    rho = report["spearman_delta_vs_mt"]
+    print("scaling: spearman(delta, MT) = " + ("n/a" if rho is None else f"{rho:+.3f}"))
 
 
 # ---------------------------------------------------------------------------

@@ -2,12 +2,13 @@
 
 A Distribution bundles everything needed to sample a system and roll a
 trajectory: the system family, its noise variances and the moving window
-its noise is summed over (1 for white noise), and how prompts are
-tokenized for the model (the quadrotor concatenates the applied rotor
-commands onto each output token). Every system drawn shares that noise
-model, which simulation and the model-aware filters read from here. Seed
-namespaces: systems and trajectories derive their streams from
-(base_seed, role, index), so train and test populations never share draws.
+its noise is summed over (1 for white noise), and the width of the
+model's prompt tokens (the quadrotor's carry the applied rotor commands
+after each output; see `systems.Trajectory.tokens`). Every system drawn
+shares that noise model, which simulation and the model-aware filters read
+from here. Seed namespaces: systems and trajectories derive their streams
+from (base_seed, role, index), so train and test populations never share
+draws.
 """
 
 from __future__ import annotations

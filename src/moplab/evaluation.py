@@ -139,31 +139,30 @@ class ErrorCurve:
         }
 
 
-def predict_population(predictor_kind: str, systems, trajs, dist: Distribution,
+def predict_population(predictor_kind: str, systems, tokens, dist: Distribution,
                        weights: TransformerWeights | None = None) -> np.ndarray:
-    """Predictions yhat_0..yhat_{T-1} for every system, shaped (N, T, m).
+    """Predictions yhat_0..yhat_{T-1} for every system, shaped (N, T, m), from
+    the systems' stacked `Trajectory.tokens` (N, T, token_dim).
 
     yhat_0 is the prior mean (zero, since x_0 = 0). "zero" predicts that
     mean at every position, the no-information floor. MOP predicts every
     later position with one causal forward per chunk of SCORE_CHUNK systems;
     every other kind is one population-wide predictor stepped T-1 times.
     """
-    ys = np.stack([t.ys for t in trajs])
-    us = np.stack([t.us for t in trajs]) if trajs[0].us is not None else None
-    preds = np.zeros(ys.shape)
+    m = dist.m
+    preds = np.zeros(tokens.shape[:-1] + (m,))
     if predictor_kind == "zero":
         return preds
     if predictor_kind == "mop":
         if weights is None:
             raise ValueError("mop predictor needs model weights")
-        for lo in range(0, len(trajs), SCORE_CHUNK):
-            rows = slice(lo, lo + SCORE_CHUNK)
-            preds[rows, 1:] = model.predict_sequence(
-                weights, ys[rows, :-1], us if us is None else us[rows, :-1])
+        for lo in range(0, len(tokens), SCORE_CHUNK):
+            preds[lo:lo + SCORE_CHUNK, 1:] = model.predict_sequence(
+                weights, tokens[lo:lo + SCORE_CHUNK, :-1])
         return preds
     predictor = make_predictor(predictor_kind, systems, dist)
-    for t in range(ys.shape[1] - 1):
-        preds[:, t + 1] = predictor.step(ys[:, t], us if us is None else us[:, t])
+    for t in range(tokens.shape[1] - 1):
+        preds[:, t + 1] = predictor.step(tokens[:, t, :m], tokens[:, t, m:])
     return preds
 
 
@@ -176,9 +175,9 @@ def error_curve(predictor_kind: str, dist: Distribution, n, horizon, seed,
     those trajectories.
     """
     systems, trajs = population
-    ys = np.stack([t.ys for t in trajs])
-    preds = predict_population(predictor_kind, systems, trajs, dist, weights)
-    errs = np.linalg.norm(preds - ys, axis=-1)
+    tokens = np.stack([t.tokens for t in trajs])
+    preds = predict_population(predictor_kind, systems, tokens, dist, weights)
+    errs = np.linalg.norm(preds - tokens[..., :dist.m], axis=-1)
 
     ok = np.isfinite(errs).all(axis=1)
     if not ok.any():
@@ -208,7 +207,8 @@ def compare_predictors(curve_a: ErrorCurve, curve_b: ErrorCurve) -> dict:
     t = curve_a.horizon
 
     def window(lo, hi):
-        if max(0, lo) > min(t - 1, hi):
+        lo, hi = max(0, lo), min(t - 1, hi)        # the steps window_stats averages
+        if lo > hi:
             return None
         ma, sa = window_stats(curve_a, lo, hi)
         mb, sb = window_stats(curve_b, lo, hi)
@@ -287,11 +287,12 @@ def fit_loglog_slope(mt, delta) -> float | None:
 def scaling_report(preset: str, cells) -> dict:
     """The (M, T^tr) cells (dicts: m_systems, train_len, mt, delta, stderr,
     flagged) with the Spearman statistic and log-log slope of the excess-risk
-    proxy delta against M*T, over the cells whose training did not abort."""
+    proxy delta against M*T, over the cells whose training did not abort;
+    each is None where it is undefined (the statistic below two cells)."""
     good = [c for c in cells if c["flagged"] is None]
     mt, delta = [c["mt"] for c in good], [c["delta"] for c in good]
     return {"preset": preset, "cells": cells,
-            "spearman_delta_vs_mt": spearman(mt, delta) if len(good) >= 2 else 0.0,
+            "spearman_delta_vs_mt": spearman(mt, delta) if len(good) >= 2 else None,
             "loglog_slope": fit_loglog_slope(mt, delta)}
 
 

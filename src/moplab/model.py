@@ -23,7 +23,7 @@ from .manifest import atomic_open
 
 __all__ = [
     "ModelConfig", "TransformerWeights", "CheckpointError", "require_ints",
-    "require_positive_reals", "init_weights", "forward", "predict_sequence", "make_tokens",
+    "require_positive_reals", "init_weights", "forward", "predict_sequence",
     "save_checkpoint", "load_checkpoint", "load_training_state",
     "write_tensor_file",
 ]
@@ -130,18 +130,6 @@ def init_weights(cfg: ModelConfig, rng) -> TransformerWeights:
 # forward
 # ---------------------------------------------------------------------------
 
-def make_tokens(ys, us=None) -> np.ndarray:
-    """Assemble prompt entries; inputs, when the system has them, are
-    concatenated onto the outputs position by position."""
-    ys = np.asarray(ys)
-    if us is None:
-        return ys
-    us = np.asarray(us)
-    if us.ndim != ys.ndim:
-        raise ValueError("inputs must have the same rank as outputs")
-    return np.concatenate([ys, us[..., : ys.shape[-2], :]], axis=-1)
-
-
 def forward(weights: TransformerWeights, tokens):
     """Predictions at every position of a batch of prompts; entry [b, j] is
     the model's estimate of y_{j+1} given tokens 0..j of prompt b.
@@ -201,12 +189,12 @@ def _pos_slice(pos: Tensor, t: int) -> Tensor:
     return engine._emit("pos_slice", full[:t][None], (pos,), grad)
 
 
-def predict_sequence(weights: TransformerWeights, ys, us=None) -> np.ndarray:
-    """All next-output predictions for a batch of trajectories ys (B, T, m),
-    with inputs us (B, T' >= T, k) when the system has them: entry [b, j]
-    predicts y_{j+1} of trajectory b, as stepping position by position
-    would, in one forward pass (the causal mask makes them equal)."""
-    return forward(weights, make_tokens(ys, us)).data
+def predict_sequence(weights: TransformerWeights, tokens) -> np.ndarray:
+    """All next-output predictions for a batch of prompts tokens (B, T,
+    token_dim) (see `systems.Trajectory.tokens`): entry [b, j] predicts
+    y_{j+1} of prompt b, as stepping position by position would, in one
+    forward pass (the causal mask makes them equal)."""
+    return forward(weights, tokens).data
 
 
 # ---------------------------------------------------------------------------
@@ -308,13 +296,20 @@ def load_checkpoint(path) -> TransformerWeights:
 
 def load_training_state(path) -> tuple[TransformerWeights, int, dict]:
     """(weights, step, state) of a checkpoint a training run saved, `state`
-    as `save_checkpoint` took it: {moment: {parameter name: array}}."""
+    as `save_checkpoint` took it: {moment: {parameter name: array}}, which
+    must be Adam's m and v, each holding every parameter at its shape."""
     weights, meta, tensors = _read(path)
     if "step" not in meta:
         raise CheckpointError(f"{path}: weights only, no optimizer state to resume from")
     state = {}
     for key, arr in tensors.items():
         if key.startswith("opt."):
-            moment, name = key[4:].split(".", 1)
+            moment, _, name = key[4:].partition(".")
             state.setdefault(moment, {})[name] = arr
+    shapes = {moment: {name: arr.shape for name, arr in s.items()}
+              for moment, s in state.items()}
+    want = {name: arr.shape for name, arr in weights.arrays.items()}
+    if shapes != {"m": want, "v": want}:
+        raise CheckpointError(f"{path}: optimizer state is not Adam's m and v over "
+                              f"every parameter at its shape")
     return weights, meta["step"], state

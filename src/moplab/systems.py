@@ -83,6 +83,12 @@ class Trajectory:
     xs: np.ndarray | None = None   # T x n states
     us: np.ndarray | None = None   # T x input-dim inputs
 
+    @property
+    def tokens(self) -> np.ndarray:
+        """T x token-dim prompt entries, the one place their layout is decided:
+        the outputs ys, then the inputs us when the system takes them."""
+        return self.ys if self.us is None else np.concatenate([self.ys, self.us], axis=-1)
+
 
 @dataclass(frozen=True)
 class SwitchSpec:

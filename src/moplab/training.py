@@ -1,13 +1,13 @@
 """Meta-training: minimize the mean next-output error ||yhat - y|| over M
 source systems, one fixed length-T trajectory each.
 
-The dataset is its stacked outputs: each sampled system's trajectory is
-rolled once when the dataset is built, and only the M*T outputs the
-excess-risk guarantee counts (with the inputs, for systems that take
-them) are kept, so a step's batch is one index into them. A step
-records its batch on one tape per chunk of TRAIN_CHUNK trajectories and
-sums the chunks' gradients, so the tape it holds does not grow with the
-batch. The optimizer is Adam with gradient-norm clipping; every draw is
+The dataset is one stack of prompt tokens: each sampled system's
+trajectory is rolled once when the dataset is built, and only the M*T
+outputs the excess-risk guarantee counts (inputs appended, for systems
+that take them) are kept, so a step's batch is one index into them. A
+step records its batch on one tape per chunk of TRAIN_CHUNK trajectories
+and sums the chunks' gradients, so the tape it holds does not grow with
+the batch. The optimizer is Adam with gradient-norm clipping; every draw is
 seeded, so a (config, seed) pair reproduces the loss trace bit for bit.
 On glibc, the heap a chunk frees stays in the process while `train` runs,
 so the next chunk reuses it instead of faulting fresh pages in, and is
@@ -106,34 +106,29 @@ class TrainConfig:
 
 class MetaDataset:
     """The training set: M sampled source systems' trajectories, system i's
-    rolled once straight into row i of the stacks `ys` (M, T, m) and `us`
-    (M, T, k); `us` is None when the systems take no inputs. The systems
-    are kept only as their sha256 (see `systems_sha256`), streamed while
-    they are rolled, so none is held beyond its own roll."""
+    rolled once straight into row i of the stack `tokens` (M, T, token_dim)
+    (see `systems.Trajectory.tokens`; its first m columns are the outputs).
+    The systems are kept only as their sha256 (see `systems_sha256`),
+    streamed while they are rolled, so none is held beyond its own roll."""
 
     def __init__(self, dist: Distribution, m_systems, train_len, seed):
         self.dist = dist
         self.m_systems = m_systems
         self.train_len = train_len
         self.seed = seed
-        self.ys = np.empty((m_systems, train_len, dist.m))
-        self.us = (np.empty((m_systems, train_len, dist.token_dim - dist.m))
-                   if dist.token_dim > dist.m else None)
+        self.tokens = np.empty((m_systems, train_len, dist.token_dim))
 
         def rolled_systems():
             for i in range(m_systems):
                 system = dist.sample_system(seed, "train", i)
-                self.ys[i], us = self.trajectory(system, i)
-                if self.us is not None:
-                    self.us[i] = us
+                self.tokens[i] = self.trajectory(system, i)
                 yield system
 
         self.systems_sha256 = systems_sha256(rolled_systems())
 
     def trajectory(self, system, i):
-        """(ys, us) of system i's training trajectory."""
-        traj = self.dist.make_trajectory(system, self.train_len, self.seed, "train", i)
-        return traj.ys, traj.us
+        """The tokens of system i's training trajectory."""
+        return self.dist.make_trajectory(system, self.train_len, self.seed, "train", i).tokens
 
     def manifest(self) -> dict:
         """The dataset's config and the sha256 of its systems: the same size
@@ -156,26 +151,26 @@ def build_meta_dataset(preset, m_systems, train_len, seed) -> MetaDataset:
 # loss
 # ---------------------------------------------------------------------------
 
-def batch_loss(weights: TransformerWeights, ys, us=None) -> engine.Tensor:
+def batch_loss(weights: TransformerWeights, tokens) -> engine.Tensor:
     """Mean next-output prediction error ||yhat - y|| over a batch of
-    trajectories.
+    trajectories' tokens (B, T, token_dim), the outputs y their first
+    output_dim columns.
 
-    One forward pass per trajectory scores every position; the mean runs
-    over all (trajectory, position) prediction terms in trajectory-major,
-    time-minor order. Inside `with graph:` the loss is recorded on that
-    graph, with the weights as its named leaves.
+    One forward pass per trajectory over tokens 0..T-2 scores every next
+    output; the mean runs over all (trajectory, position) prediction terms
+    in trajectory-major, time-minor order. Inside `with graph:` the loss is
+    recorded on that graph, with the weights as its named leaves.
     """
-    ys = np.asarray(ys)
-    if ys.ndim != 3 or ys.shape[1] < 2:
-        raise ValueError(f"ys must be a batch (B, T >= 2, m), got shape {ys.shape}")
-    tokens = model.make_tokens(ys[:, :-1], us)
-    preds = model.forward(weights, tokens)
-    targets = ys[:, 1:].astype(weights.config.dtype)
+    tokens = np.asarray(tokens)
+    if tokens.ndim != 3 or tokens.shape[1] < 2:
+        raise ValueError(f"tokens must be (B, T >= 2, token_dim), got shape {tokens.shape}")
+    preds = model.forward(weights, tokens[:, :-1])
+    targets = tokens[:, 1:, :weights.config.output_dim].astype(weights.config.dtype)
     resid = engine.sub(preds, engine.Tensor(targets))
     return engine.mean_all(engine.l2norm_lastdim(resid))
 
 
-def _loss_and_grads(weights: TransformerWeights, ys, us):
+def _loss_and_grads(weights: TransformerWeights, tokens):
     """The batch's `batch_loss` value and its gradient per parameter name,
     taped one chunk of TRAIN_CHUNK trajectories at a time.
 
@@ -185,15 +180,13 @@ def _loss_and_grads(weights: TransformerWeights, ys, us):
     batch of one chunk is scaled by 1, and its loss and gradients are bit
     for bit those of one graph.
     """
-    n = len(ys)
+    n = len(tokens)
     loss, grads = 0.0, {}
     for lo in range(0, n, TRAIN_CHUNK):
-        rows = slice(lo, lo + TRAIN_CHUNK)
+        chunk = tokens[lo:lo + TRAIN_CHUNK]
         tape = engine.Graph()
         with tape:
-            part = engine.scale(
-                batch_loss(weights, ys[rows], None if us is None else us[rows]),
-                len(ys[rows]) / n)
+            part = engine.scale(batch_loss(weights, chunk), len(chunk) / n)
         loss += part.item()
         for name, g in engine.backward(tape, part).items():
             grads[name] = grads[name] + g if name in grads else g
@@ -360,8 +353,7 @@ def train(cfg: TrainConfig, out_dir, resume=None, quiet=True) -> TrainResult:
     for step in range(start_step, cfg.steps):
         idx = stream(cfg.seed, "batch", step).integers(0, cfg.m_systems,
                                                        size=cfg.batch_size)
-        loss_val, grads = _loss_and_grads(weights, ds.ys[idx],
-                                          None if ds.us is None else ds.us[idx])
+        loss_val, grads = _loss_and_grads(weights, ds.tokens[idx])
         if not loss_val <= DIVERGENCE_LOSS:      # a NaN loss fails this too
             checkpoint(step, "ckpt-abort.ckpt")
             cause = "not finite" if np.isnan(loss_val) else f"above {DIVERGENCE_LOSS:.0e}"

@@ -363,7 +363,7 @@ def test_eval_below_three_steps_reports_an_empty_early_window(tmp_path, horizon)
     assert cli.main(argv) == 0
     ratio = json.loads((out / "report.json").read_text())["ratio"]
     assert ratio["early"] is None
-    assert (ratio["late"]["lo"], ratio["late"]["hi"]) == (horizon - 10, horizon)
+    assert (ratio["late"]["lo"], ratio["late"]["hi"]) == (0, horizon - 1)
     assert len(ratio["ratio"]) == horizon
     assert len(read_csv(out / "curves.csv")) == 2 * horizon
     assert json.loads((out / "manifest.json").read_text())["config"]["horizon"] == horizon

@@ -701,18 +701,19 @@ def test_chunk_backward_peak_stays_near_the_forward_tape():
     a taped step; backward frees as it goes and adds at most 10%."""
     cfg = presets.desk_model_config("linear-dense")
     weights = model.init_weights(cfg, np.random.default_rng(0))
-    ys = np.random.default_rng(1).standard_normal((training.TRAIN_CHUNK, 50, cfg.output_dim))
-    training._loss_and_grads(weights, ys, None)   # warm caches
+    tokens = np.random.default_rng(1).standard_normal((training.TRAIN_CHUNK, 50,
+                                                       cfg.token_dim))
+    training._loss_and_grads(weights, tokens)   # warm caches
 
     def forward():
         g = Graph()
         with g:
-            kept.append((g, training.batch_loss(weights, ys)))
+            kept.append((g, training.batch_loss(weights, tokens)))
 
     kept = []
     tape_bytes, _ = traced_bytes(forward)
     kept.clear()
-    _, step_peak = traced_bytes(lambda: training._loss_and_grads(weights, ys, None))
+    _, step_peak = traced_bytes(lambda: training._loss_and_grads(weights, tokens))
     assert step_peak <= 1.10 * tape_bytes, (step_peak, tape_bytes)
 
 

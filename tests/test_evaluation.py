@@ -32,6 +32,10 @@ def population(dist, n=N_SYSTEMS, seed=4):
     return evaluation.test_population(dist, n, HORIZON, seed)
 
 
+def stacked_tokens(trajs):
+    return np.stack([t.tokens for t in trajs])
+
+
 def scalar_gaussian_filter(propagate, jacobian, c, q, r, ys, us=None):
     """Oracle: the textbook time-varying Kalman recursion for one system,
     step by step with plain 2-D matrices, from x_hat = 0, P = 0. Returns
@@ -55,7 +59,7 @@ def scalar_gaussian_filter(propagate, jacobian, c, q, r, ys, us=None):
 
 def test_batched_kf_matches_scalar_recursion():
     systems, trajs = population(LINEAR)
-    preds = evaluation.predict_population("kf", systems, trajs, LINEAR)
+    preds = evaluation.predict_population("kf", systems, stacked_tokens(trajs), LINEAR)
     q, r = LINEAR.sigma_w2, LINEAR.sigma_v2
     worst = 0.0
     for i, (system, traj) in enumerate(zip(systems, trajs)):
@@ -68,7 +72,7 @@ def test_batched_kf_matches_scalar_recursion():
 
 def test_batched_ekf_matches_scalar_recursion():
     systems, trajs = population(QUAD)
-    preds = evaluation.predict_population("ekf", systems, trajs, QUAD)
+    preds = evaluation.predict_population("ekf", systems, stacked_tokens(trajs), QUAD)
     worst = 0.0
     for i, (system, traj) in enumerate(zip(systems, trajs)):
         oracle = scalar_gaussian_filter(
@@ -94,7 +98,7 @@ def test_batched_quadrotor_dynamics_match_per_system_calls():
 
 def test_batched_ar_ols_matches_batch_ridge_oracle():
     systems, trajs = population(LINEAR)
-    preds = evaluation.predict_population("ar-ols", systems, trajs, LINEAR)
+    preds = evaluation.predict_population("ar-ols", systems, stacked_tokens(trajs), LINEAR)
     worst = 0.0
     for i, traj in enumerate(trajs):
         ys = traj.ys
@@ -111,9 +115,9 @@ def test_chunked_mop_forward_matches_one_population_forward():
     weights = model.init_weights(TINY_MODEL, stream(12, "chunk"))
     systems, trajs = population(LINEAR)
     assert N_SYSTEMS > evaluation.SCORE_CHUNK       # more than one chunk
-    preds = evaluation.predict_population("mop", systems, trajs, LINEAR, weights)
-    ys = np.stack([t.ys for t in trajs])
-    whole = model.predict_sequence(weights, ys[:, :-1])
+    tokens = stacked_tokens(trajs)
+    preds = evaluation.predict_population("mop", systems, tokens, LINEAR, weights)
+    whole = model.predict_sequence(weights, tokens[:, :-1])
     assert np.array_equal(preds[:, 0], np.zeros((N_SYSTEMS, LINEAR.m)))
     assert np.abs(preds[:, 1:] - whole).max() <= 1e-12
 
@@ -273,7 +277,9 @@ def test_compare_predictors_reports_ratios_and_windows(rng):
     assert report["numerator"] == "mop" and report["denominator"] == "kf"
     assert report["ratio"][0] is None
     assert report["ratio"][1:] == [float(a / b) for a, b in zip(num.mean[1:], den.mean[1:])]
-    for key, (lo, hi) in (("early", (2, 10)), ("late", (HORIZON - 10, HORIZON))):
+    # the bounds stored are the steps averaged: the late window ends at the
+    # curve's last step, HORIZON - 1
+    for key, (lo, hi) in (("early", (2, 10)), ("late", (HORIZON - 10, HORIZON - 1))):
         (ma, sa), (mb, sb) = (evaluation.window_stats(c, lo, hi) for c in (num, den))
         assert report[key] == {"lo": lo, "hi": hi, "mean_num": ma, "stderr_num": sa,
                                "mean_den": mb, "stderr_den": sb, "ratio": ma / mb}
@@ -325,6 +331,17 @@ def test_scaling_report_leaves_flagged_cells_out_of_the_statistics():
     assert report["loglog_slope"] == pytest.approx(-0.5, abs=1e-12)
 
 
+def test_scaling_report_of_one_trained_cell_has_no_statistics():
+    # a rank correlation over one cell is undefined, not a measured 0
+    cells = [{"m_systems": 10, "train_len": 10, "mt": 100, "delta": 0.3, "stderr": 0.01,
+              "flagged": None},
+             {"m_systems": 40, "train_len": 10, "mt": 400, "delta": None, "stderr": None,
+              "flagged": "training aborted at step 3: loss nan"}]
+    report = evaluation.scaling_report("linear-dense", cells)
+    assert report["spearman_delta_vs_mt"] is None
+    assert report["loglog_slope"] is None
+
+
 # ---------------------------------------------------------------------------
 # robustness probe
 # ---------------------------------------------------------------------------
@@ -362,9 +379,9 @@ def test_probe_rollouts_match_the_hand_rolled_simulation(monkeypatch):
     # the probe scores each system's base and perturbed prompts in one call
     prompts = []
 
-    def recording_predict_sequence(weights, ys, us=None):
-        prompts.append(np.array(ys))
-        return np.zeros(ys.shape)
+    def recording_predict_sequence(weights, tokens):
+        prompts.append(np.array(tokens))
+        return np.zeros(tokens.shape)
 
     monkeypatch.setattr(model, "predict_sequence", recording_predict_sequence)
     weights = model.init_weights(TINY_MODEL, stream(13, "probe"))

@@ -166,3 +166,15 @@ def test_scaling_cells_trained_at_another_seed_are_retrained(tmp_path, tiny_pres
     assert experiment("risk-scaling", fresh, "--seed", "1") == 0
     assert calls == []
     assert (fresh / "risk-scaling" / "cells.csv").read_bytes() == cells
+
+
+def test_scaling_of_one_cell_reports_no_rank_statistic(tmp_path, tiny_presets, monkeypatch,
+                                                        capsys):
+    # a rank correlation over one cell is undefined: it reads None and n/a,
+    # not a measured 0
+    one_cell = dataclasses.replace(presets.EXPERIMENTS["risk-scaling"], scaling_grid=GRID[:1])
+    monkeypatch.setitem(presets.EXPERIMENTS, "risk-scaling", one_cell)
+    assert experiment("risk-scaling", tmp_path, "--seed", "3") == 0
+    report = json.loads((tmp_path / "risk-scaling" / "scaling.json").read_text())
+    assert report["spearman_delta_vs_mt"] is None
+    assert "scaling: spearman(delta, MT) = n/a" in capsys.readouterr().out

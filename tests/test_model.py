@@ -344,6 +344,27 @@ def test_weight_only_checkpoint_has_no_training_state(tmp_path, small_weights):
         load_training_state(path)
 
 
+def _misshapen_head_bias(state):
+    state["m"]["head.b"] = np.zeros(state["m"]["head.b"].size + 1)
+    return state
+
+
+# each file is well-formed with a valid CRC, and carries the step of a
+# training run beside moments that cannot resume it
+@pytest.mark.parametrize("edit", [
+    lambda state: {},
+    lambda state: {"m": state["m"]},
+    _misshapen_head_bias,
+], ids=["no-moments", "no-second-moment", "misshapen-moment"])
+def test_training_state_without_adams_moments_names_the_file(tmp_path, small_weights, edit):
+    path = tmp_path / "model.ckpt"
+    state = edit({moment: {k: np.zeros_like(a) for k, a in small_weights.arrays.items()}
+                  for moment in ("m", "v")})
+    save_checkpoint(small_weights, path, optimizer=(3, state))
+    with pytest.raises(CheckpointError, match=re.escape(f"{path}: optimizer state")):
+        load_training_state(path)
+
+
 def test_checkpoint_shape_mismatch_detected(tmp_path, small_weights):
     # a well-formed file whose config lies about the tensors' shapes
     path = tmp_path / "model.ckpt"

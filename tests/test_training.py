@@ -73,25 +73,21 @@ def test_dataset_systems_hit_target_radius():
 
 
 def test_dataset_trajectories_fixed_and_reproducible():
-    # row i of ys (and of us, for a system with inputs) is system i's
-    # trajectory, rolled from its own seeds
+    # row i of the tokens is system i's trajectory, rolled from its own
+    # seeds: its outputs, then its inputs for a system with inputs
     m_systems, train_len, seed = 4, 15, 6
-    for preset, n_inputs in (("linear-dense", None), ("quadrotor", 2)):
+    for preset, n_inputs in (("linear-dense", 0), ("quadrotor", 2)):
         ds = build_meta_dataset(preset, m_systems, train_len, seed)
         dist = get_distribution(preset)
-        assert ds.ys.shape == (m_systems, train_len, dist.m)
-        if n_inputs is None:
-            assert ds.us is None
-        else:
-            assert ds.us.shape == (m_systems, train_len, n_inputs)
+        assert ds.tokens.shape == (m_systems, train_len, dist.m + n_inputs)
         for i in range(m_systems):
             traj = dist.make_trajectory(dist.sample_system(seed, "train", i),
                                         train_len, seed, "train", i)
-            assert np.array_equal(ds.ys[i], traj.ys)
-            if n_inputs is not None:
-                assert np.array_equal(ds.us[i], traj.us)
-        assert np.array_equal(build_meta_dataset(preset, m_systems, train_len, seed).ys,
-                              ds.ys)
+            assert np.array_equal(ds.tokens[i, :, :dist.m], traj.ys)
+            if n_inputs:
+                assert np.array_equal(ds.tokens[i, :, dist.m:], traj.us)
+        assert np.array_equal(build_meta_dataset(preset, m_systems, train_len, seed).tokens,
+                              ds.tokens)
 
 
 @pytest.mark.parametrize("preset, m_systems", [("linear-triangular", 200),
@@ -106,7 +102,7 @@ def test_dataset_build_holds_one_copy_of_its_trajectories(preset, m_systems):
         retained, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-    assert ds.ys.nbytes <= retained
+    assert ds.tokens.nbytes <= retained
     assert peak / retained < 1.5
 
 
@@ -198,10 +194,10 @@ def test_l2_norm_gradient_finite_at_match():
         assert np.array_equal(grad, np.zeros_like(w.arrays[name])), name
 
 
-def one_graph_loss_and_grads(weights, ys, us):
+def one_graph_loss_and_grads(weights, tokens):
     g = engine.Graph()
     with g:
-        loss = batch_loss(weights, ys, us)
+        loss = batch_loss(weights, tokens)
     return loss.item(), engine.backward(g, loss)
 
 
@@ -210,9 +206,9 @@ def loss_and_grads_case(batch, n_inputs):
     weights = model.init_weights(cfg, stream(7, "chunks"))
     draw = stream(8, "chunks")
     ys = draw.standard_normal((batch, 12, 5))
-    us = draw.standard_normal((batch, 12, n_inputs)) if n_inputs else None
-    return (training._loss_and_grads(weights, ys, us),
-            one_graph_loss_and_grads(weights, ys, us))
+    tokens = np.concatenate([ys, draw.standard_normal((batch, 12, n_inputs))], axis=-1)
+    return (training._loss_and_grads(weights, tokens),
+            one_graph_loss_and_grads(weights, tokens))
 
 
 # ids: the loss (the l2 norm) and the number of input channels
@@ -309,9 +305,9 @@ def test_train_aborts_on_a_nan_loss(tmp_path, monkeypatch):
     real = training._loss_and_grads
     calls = []
 
-    def nan_on_third_step(weights, ys, us):
+    def nan_on_third_step(weights, tokens):
         calls.append(None)
-        loss, grads = real(weights, ys, us)
+        loss, grads = real(weights, tokens)
         return (math.nan if len(calls) == 3 else loss), grads
 
     monkeypatch.setattr(training, "_loss_and_grads", nan_on_third_step)
@@ -337,9 +333,9 @@ def test_aborted_run_logs_every_step_before_the_abort(tmp_path, monkeypatch):
     real = training._loss_and_grads
     calls = []
 
-    def nan_on_fifth_step(weights, ys, us):
+    def nan_on_fifth_step(weights, tokens):
         calls.append(None)
-        loss, grads = real(weights, ys, us)
+        loss, grads = real(weights, tokens)
         return (math.nan if len(calls) == 5 else loss), grads
 
     monkeypatch.setattr(training, "_loss_and_grads", nan_on_fifth_step)
@@ -363,6 +359,17 @@ def test_train_resume_reproduces_trace(tmp_path):
         == (tmp_path / "resumed" / "ckpt-final.ckpt").read_bytes()
 
 
+def test_resume_without_the_optimizer_moments_fails_before_out_dir(tmp_path):
+    part = training.train(tiny_cfg(steps=2), tmp_path / "part")
+    weights, step, state = model.load_training_state(part.checkpoints[-1])
+    del state["v"]
+    bad = tmp_path / "no-v.ckpt"
+    model.save_checkpoint(weights, bad, optimizer=(step, state))
+    with pytest.raises(model.CheckpointError, match=re.escape(f"{bad}: optimizer state")):
+        training.train(tiny_cfg(steps=4), tmp_path / "run", resume=bad)
+    assert not (tmp_path / "run").exists()
+
+
 def test_interrupted_run_resumes_with_its_whole_log(tmp_path, monkeypatch):
     cfg = tiny_cfg(steps=9, checkpoint_every=3)
     full = training.train(cfg, tmp_path / "full")
@@ -373,11 +380,11 @@ def test_interrupted_run_resumes_with_its_whole_log(tmp_path, monkeypatch):
     real = training._loss_and_grads
     calls = []
 
-    def killed_at_step_7(weights, ys, us):
+    def killed_at_step_7(weights, tokens):
         calls.append(None)
         if len(calls) == 8:
             raise Killed
-        return real(weights, ys, us)
+        return real(weights, tokens)
 
     run = tmp_path / "run"
     monkeypatch.setattr(training, "_loss_and_grads", killed_at_step_7)
