@@ -107,25 +107,9 @@ def cmd_train(args) -> int:
     if args.seed is not None or "MOP_SEED" in os.environ:
         obj["seed"] = _resolve_seed(args.seed, obj.get("seed", 0))
     cfg = train_config_from_dict(obj)
-    out_dir = Path(args.out_dir)
-    t0 = time.time()
-    result = training.train(cfg, out_dir, resume=args.resume, quiet=args.quiet)
-    _write_train_outputs(out_dir, cfg, result, t0)
+    result = training.train(cfg, args.out_dir, resume=args.resume, quiet=args.quiet)
     print(f"final checkpoint: {result.checkpoints[-1]}")
     return 0
-
-
-def _write_train_outputs(out_dir: Path, cfg: TrainConfig,
-                         result: training.TrainResult, t0) -> None:
-    """dataset.json and the train manifest of a finished run; its loss.csv
-    is `training.train`'s, written beside each checkpoint."""
-    write_json(out_dir / "dataset.json", result.dataset_manifest)
-    ckpt_hashes = {Path(p).name: sha256_file(p) for p in result.checkpoints}
-    write_manifest(out_dir, "train", dataclasses.asdict(cfg), cfg.seed,
-                   dataset_hash=sha256_json(result.dataset_manifest),
-                   checkpoint_hashes=ckpt_hashes,
-                   wallclock_s=time.time() - t0,
-                   outputs=[str(out_dir / "loss.csv"), result.checkpoints[-1]])
 
 
 def _load_weights_for(dist, path):
@@ -269,14 +253,16 @@ def cmd_experiment(args) -> int:
     t0 = time.time()
     phases = {"dataset": None, "train": None, "population": None, "score": {},
               "diagnostics": None, "plots": None}
+    config, hashes = {"name": preset.name}, {}
     if preset.scaling_grid is not None:
         _experiment_scaling(preset, seed, root, args.quiet, phases)
     elif preset.shift_sigma2 is not None:
-        _experiment_shift(preset, seed, root, args.ckpt or str(
-            Path(args.out_dir) / "linear-iid" / "train" / "ckpt-final.ckpt"), phases)
+        ckpt = args.ckpt or str(Path(args.out_dir) / "linear-iid" / "train" / "ckpt-final.ckpt")
+        _experiment_shift(preset, seed, root, ckpt, phases)
+        config["ckpt"], hashes = ckpt, {Path(ckpt).name: sha256_file(ckpt)}
     else:
         _experiment_curves(preset, seed, root, args.quiet, phases)
-    write_manifest(root, "experiment", {"name": preset.name}, seed,
+    write_manifest(root, "experiment", config, seed, checkpoint_hashes=hashes,
                    wallclock_s=time.time() - t0, phases_s=phases)
     print(f"experiment {preset.name} done under {root}")
     return 0
@@ -288,20 +274,22 @@ def derive_eval_seed(seed: int) -> int:
 
 
 def _ensure_trained(cfg: TrainConfig, train_dir: Path, quiet, phases) -> str:
-    """The final checkpoint of `cfg` under train_dir: reused when the run's
-    manifest records the same config, otherwise trained (and timed into
-    `phases`) with its loss.csv, dataset.json and manifest."""
+    """The final checkpoint of `cfg` under train_dir, reused when the run's
+    manifest records this config and, as the final checkpoint's sha256, the
+    file's own; otherwise trained from step 0 (timed into `phases`).
+    `training.train` rewrites the manifest after every checkpoint, so a run
+    stopped before its end records no final checkpoint, and the final one
+    left by an earlier run of another config is never taken for this one."""
     final = train_dir / "ckpt-final.ckpt"
     manifest_path = train_dir / "manifest.json"
     if final.exists() and manifest_path.exists():
-        prev = json.loads(manifest_path.read_text()).get("config", {})
-        if sha256_json(prev) == sha256_json(dataclasses.asdict(cfg)):
+        prev = json.loads(manifest_path.read_text())
+        if (sha256_json(prev.get("config", {})) == sha256_json(dataclasses.asdict(cfg))
+                and prev.get("checkpoint_hashes", {}).get(final.name) == sha256_file(final)):
             return str(final)
-    t0 = time.time()
     result = _timed(phases, "train", training.train, cfg, train_dir, quiet=quiet)
     phases["train"] -= result.dataset_s
     phases["dataset"] = (phases["dataset"] or 0.0) + result.dataset_s
-    _write_train_outputs(train_dir, cfg, result, t0)
     return result.checkpoints[-1]
 
 

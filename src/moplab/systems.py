@@ -260,20 +260,15 @@ def simulate(system, t_len, rng, stds, window=1, switch: SwitchSpec | None = Non
     for t in range(t_len):
         if switch is not None and t == switch.t_switch:
             active = switch.system
+        if t:
+            x = (quadrotor_step(x, inputs[t - 1], w[t], active) if is_quad
+                 else active.a @ x + w[t])
+            norm = float(np.linalg.norm(x))
+            if not np.isfinite(norm) or norm > DIVERGENCE_LIMIT:
+                raise DivergenceError(f"state norm {norm:.3e} at t={t}")
         if xs is not None:
             xs[t] = x
         ys[t] = active.c @ x + v[t]
-        if t + 1 < t_len:
-            if is_quad:
-                x = quadrotor_step(x, inputs[t], w[t + 1], active)
-            else:
-                nxt = active
-                if switch is not None and t + 1 == switch.t_switch:
-                    nxt = switch.system
-                x = nxt.a @ x + w[t + 1]
-            norm = float(np.linalg.norm(x))
-            if not np.isfinite(norm) or norm > DIVERGENCE_LIMIT:
-                raise DivergenceError(f"state norm {norm:.3e} at t={t + 1}")
     us = np.asarray(inputs)[:t_len] if inputs is not None else None
     return Trajectory(ys=ys, xs=xs, us=us)
 

@@ -13,9 +13,11 @@ On glibc, the heap a chunk frees stays in the process while `train` runs,
 so the next chunk reuses it instead of faulting fresh pages in, and is
 handed back to the OS when `train` returns. The dataset is recorded by its
 config and one sha256 over its systems, so the record does not grow with M.
-`train` alone writes the loss log, out_dir/loss.csv, just before each
-checkpoint file (abort included), so every checkpoint has the rows of the
-steps before it beside it, and a resume continues the log beside its own.
+`train` alone writes a run's directory: dataset.json once the dataset is
+built, then the loss log just before each checkpoint file (abort included)
+and the manifest, which names the config and hashes the checkpoints, just
+after it. So a run stopped after any checkpoint can be matched to its
+config, and a resume continues the log beside its own.
 """
 
 from __future__ import annotations
@@ -25,14 +27,15 @@ import os
 import platform
 import time
 from contextlib import contextmanager
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from pathlib import Path
 
 import numpy as np
 
 from . import engine, model
 from .distributions import Distribution, get_distribution
-from .manifest import read_csv, write_csv
+from .manifest import (read_csv, sha256_file, sha256_json, write_csv, write_json,
+                       write_manifest)
 from .model import ModelConfig, TransformerWeights
 from .seeding import stream
 from .systems import systems_sha256
@@ -288,23 +291,26 @@ def _retained_heap():
 @dataclass
 class TrainResult:
     """What one `train` call wrote and measured; the caller holds its
-    config."""
+    config, and the run's directory records it (see `train`)."""
     checkpoints: list                # paths in write order; the last is the final one
     loss_rows: list                  # dicts: step, loss, grad_norm, wallclock_s; from step 0
-    dataset_manifest: dict           # MetaDataset.manifest(): config and systems' sha256
     dataset_s: float                 # sampling and rolling the dataset, before the steps' clock
 
 
 @_retained_heap()
 def train(cfg: TrainConfig, out_dir, resume=None, quiet=True) -> TrainResult:
-    """Run the meta-training loop, writing periodic checkpoints and the loss
-    log under out_dir. Each checkpoint is one file holding the weights, the
-    Adam moments and the step. `resume` continues from a checkpoint path
-    written by an earlier (identically configured) run; the loss trace and
-    its log continue exactly where the interrupted run would have gone, the
-    earlier rows as that run clocked them. A checkpoint of another model
-    config, or past `cfg.steps`, raises `model.CheckpointError` before
-    out_dir is made.
+    """Run the meta-training loop, writing the run's directory out_dir:
+    dataset.json (`MetaDataset.manifest`), then around each checkpoint file
+    (weights, Adam moments and step) loss.csv just before it and the train
+    manifest just after it: the config, its seed, the dataset's hash, the
+    sha256 of each checkpoint this call wrote, the wall seconds since the
+    call began, and loss.csv and that checkpoint as outputs.
+
+    `resume` continues from a checkpoint path written by an earlier
+    (identically configured) run; the loss trace and its log continue
+    exactly where the interrupted run would have gone, the earlier rows as
+    that run clocked them. A checkpoint of another model config, or past
+    `cfg.steps`, raises `model.CheckpointError` before out_dir is made.
 
     Each step takes the batch loss and gradients chunk by chunk (see
     `_loss_and_grads`), then clips and applies one Adam update. A loss
@@ -315,6 +321,7 @@ def train(cfg: TrainConfig, out_dir, resume=None, quiet=True) -> TrainResult:
     rolls every training trajectory before the clock of the loss rows'
     `wallclock_s` starts.
     """
+    t_call = time.time()
     if resume is not None:
         weights, start_step, state = model.load_training_state(resume)
         if weights.config != cfg.model:
@@ -341,7 +348,8 @@ def train(cfg: TrainConfig, out_dir, resume=None, quiet=True) -> TrainResult:
 
     out_dir = Path(out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
-    checkpoints = []
+    write_json(out_dir / "dataset.json", ds.manifest())
+    checkpoints, hashes = [], {}
     t0 = time.time()
 
     def checkpoint(step, tag=None):
@@ -349,6 +357,11 @@ def train(cfg: TrainConfig, out_dir, resume=None, quiet=True) -> TrainResult:
         path = out_dir / (tag or f"ckpt-{step:06d}.ckpt")
         model.save_checkpoint(weights, path, optimizer=(step, adam.state))
         checkpoints.append(str(path))
+        hashes[path.name] = sha256_file(path)
+        write_manifest(out_dir, "train", asdict(cfg), cfg.seed,
+                       dataset_hash=sha256_json(ds.manifest()),
+                       checkpoint_hashes=hashes, wallclock_s=time.time() - t_call,
+                       outputs=[str(out_dir / "loss.csv"), str(path)])
 
     for step in range(start_step, cfg.steps):
         idx = stream(cfg.seed, "batch", step).integers(0, cfg.m_systems,
@@ -372,4 +385,4 @@ def train(cfg: TrainConfig, out_dir, resume=None, quiet=True) -> TrainResult:
             checkpoint(step + 1)
 
     checkpoint(cfg.steps, "ckpt-final.ckpt")
-    return TrainResult(checkpoints, loss_rows, ds.manifest(), dataset_s)
+    return TrainResult(checkpoints, loss_rows, dataset_s)

@@ -87,6 +87,24 @@ def zero_model(cfg) -> TransformerWeights:
     return TransformerWeights(cfg, {k: np.zeros_like(a) for k, a in shapes.items()})
 
 
+class Stopped(Exception):
+    """Raised in place of a training step, as if the run were killed there."""
+
+
+def stop_training_at(monkeypatch, step):
+    """Make the next `training.train` call raise Stopped at its step `step`
+    (counted from the call's first step), after every checkpoint before it."""
+    real, calls = training._loss_and_grads, []
+
+    def stopping(weights, tokens):
+        calls.append(None)
+        if len(calls) == step + 1:
+            raise Stopped
+        return real(weights, tokens)
+
+    monkeypatch.setattr(training, "_loss_and_grads", stopping)
+
+
 @pytest.fixture
 def rng():
     return np.random.default_rng(20240817)

@@ -1,16 +1,18 @@
 """`moplab experiment` end to end at tiny sizes: every preset's file set,
 byte-identical reruns, the diagnostics each report carries, the eval-seed
-rule under MOP_SEED, and reuse of a trained model only when its run records
-the same config."""
+rule under MOP_SEED, the model dist-shift records, and reuse of a trained
+model only when its run records the same config and final checkpoint."""
 
 import dataclasses
 import json
+from pathlib import Path
 
 import pytest
 
+from conftest import Stopped, stop_training_at
 from moplab import cli, evaluation, model, presets, training
 from moplab.distributions import get_distribution
-from moplab.manifest import read_csv
+from moplab.manifest import read_csv, sha256_file
 
 TRAIN = {"ckpt-000002.ckpt", "ckpt-final.ckpt", "dataset.json", "loss.csv",
          "manifest.json"}
@@ -178,3 +180,45 @@ def test_scaling_of_one_cell_reports_no_rank_statistic(tmp_path, tiny_presets, m
     report = json.loads((tmp_path / "risk-scaling" / "scaling.json").read_text())
     assert report["spearman_delta_vs_mt"] is None
     assert "scaling: spearman(delta, MT) = n/a" in capsys.readouterr().out
+
+
+def test_dist_shift_manifest_names_the_model_it_scored(tmp_path, tiny_presets):
+    assert experiment("linear-iid", tmp_path, "--seed", "3") == 0
+    train_dir = tmp_path / "linear-iid" / "train"
+    for out_dir, ckpt, extra in (
+            (tmp_path, train_dir / "ckpt-final.ckpt", ()),
+            (tmp_path / "given", train_dir / "ckpt-000002.ckpt",
+             ("--ckpt", str(train_dir / "ckpt-000002.ckpt")))):
+        assert experiment("dist-shift", out_dir, "--seed", "3", *extra) == 0
+        written = json.loads((out_dir / "dist-shift" / "manifest.json").read_text())
+        assert written["config"] == {"name": "dist-shift", "ckpt": str(ckpt)}
+        assert written["checkpoint_hashes"] == {ckpt.name: sha256_file(ckpt)}
+
+
+def ensure_trained(cfg, train_dir) -> Path:
+    return Path(cli._ensure_trained(cfg, train_dir, True, {"dataset": None, "train": None}))
+
+
+def test_a_replaced_final_checkpoint_is_retrained(tmp_path):
+    cfg = tiny(presets.EXPERIMENTS["linear-iid"]).train
+    final = ensure_trained(cfg, tmp_path)
+    trained = final.read_bytes()
+    # a valid checkpoint, but not the one the manifest records
+    final.write_bytes((tmp_path / "ckpt-000002.ckpt").read_bytes())
+    assert ensure_trained(cfg, tmp_path) == final
+    assert final.read_bytes() == trained
+
+
+def test_a_stopped_run_does_not_reuse_another_configs_final_checkpoint(tmp_path,
+                                                                       monkeypatch):
+    a = tiny(presets.EXPERIMENTS["linear-iid"]).train
+    b = dataclasses.replace(a, seed=a.seed + 1)
+    finished_a = ensure_trained(a, tmp_path).read_bytes()
+    stop_training_at(monkeypatch, 3)          # after b's step-2 checkpoint
+    with pytest.raises(Stopped):
+        ensure_trained(b, tmp_path)
+    monkeypatch.undo()
+    # the manifest now records b, but no final checkpoint of b
+    assert json.loads((tmp_path / "manifest.json").read_text())["config"]["seed"] == b.seed
+    fresh_b = ensure_trained(b, tmp_path / "fresh").read_bytes()
+    assert ensure_trained(b, tmp_path).read_bytes() == fresh_b != finished_a

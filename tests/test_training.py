@@ -14,10 +14,11 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from conftest import COMMITTED_CACHE, SOURCES, ensure_trained, load_loss_rows, zero_model
+from conftest import (COMMITTED_CACHE, SOURCES, Stopped, ensure_trained, load_loss_rows,
+                      stop_training_at, zero_model)
 from moplab import engine, evaluation, linalg, model, presets, training
 from moplab.distributions import get_distribution
-from moplab.manifest import read_csv
+from moplab.manifest import read_csv, sha256_file, sha256_json
 from moplab.model import ModelConfig
 from moplab.seeding import derive_seed, stream
 from moplab.systems import Trajectory, systems_sha256
@@ -316,6 +317,41 @@ def test_train_aborts_on_a_nan_loss(tmp_path, monkeypatch):
     assert "nan is not finite" in str(exc)
 
 
+def assert_run_explains_itself(cfg, run_dir) -> dict:
+    """Check that run_dir's dataset.json is `cfg`'s dataset record and that
+    its manifest.json records `cfg`, that record's hash and the sha256 of
+    every checkpoint file on disk; return the manifest."""
+    written = json.loads((run_dir / "manifest.json").read_text())
+    assert (written["command"], written["base_seed"]) == ("train", cfg.seed)
+    assert written["config"] == dataclasses.asdict(cfg)
+    dataset = json.loads((run_dir / "dataset.json").read_text())
+    assert dataset == build_meta_dataset(cfg.preset, cfg.m_systems, cfg.train_len,
+                                         cfg.seed).manifest()
+    assert written["dataset_hash"] == sha256_json(dataset)
+    assert written["checkpoint_hashes"] == {p.name: sha256_file(p)
+                                            for p in run_dir.glob("*.ckpt")}
+    return written
+
+
+def test_diverged_run_records_its_config_and_checkpoints(tmp_path):
+    cfg = tiny_cfg(lr=1e6, steps=200, checkpoint_every=1)
+    train_until_aborted(cfg, tmp_path)
+    written = assert_run_explains_itself(cfg, tmp_path)
+    assert written["outputs"] == [str(tmp_path / "loss.csv"),
+                                  str(tmp_path / "ckpt-abort.ckpt")]
+
+
+def test_stopped_run_records_its_config_and_checkpoints(tmp_path, monkeypatch):
+    cfg = tiny_cfg(steps=9, checkpoint_every=3)
+    stop_training_at(monkeypatch, 4)
+    with pytest.raises(Stopped):
+        training.train(cfg, tmp_path)
+    written = assert_run_explains_itself(cfg, tmp_path)
+    assert list(written["checkpoint_hashes"]) == ["ckpt-000003.ckpt"]
+    assert written["outputs"] == [str(tmp_path / "loss.csv"),
+                                  str(tmp_path / "ckpt-000003.ckpt")]
+
+
 def trace(rows):
     """(step, loss, grad_norm) of each loss row, wallclock aside."""
     return [(r["step"], r["loss"], r["grad_norm"]) for r in rows]
@@ -373,22 +409,9 @@ def test_resume_without_the_optimizer_moments_fails_before_out_dir(tmp_path):
 def test_interrupted_run_resumes_with_its_whole_log(tmp_path, monkeypatch):
     cfg = tiny_cfg(steps=9, checkpoint_every=3)
     full = training.train(cfg, tmp_path / "full")
-
-    class Killed(Exception):
-        pass
-
-    real = training._loss_and_grads
-    calls = []
-
-    def killed_at_step_7(weights, tokens):
-        calls.append(None)
-        if len(calls) == 8:
-            raise Killed
-        return real(weights, tokens)
-
     run = tmp_path / "run"
-    monkeypatch.setattr(training, "_loss_and_grads", killed_at_step_7)
-    with pytest.raises(Killed):
+    stop_training_at(monkeypatch, 7)
+    with pytest.raises(Stopped):
         training.train(cfg, run)
     monkeypatch.undo()
     # the step-6 checkpoint left the rows of steps 0-5 beside it
