@@ -8,8 +8,9 @@ input_scale that is not a finite positive number; an eval --predictors
 name that cannot score the preset's systems or that is given twice; an
 eval --ckpt when mop is not among the predictors; an eval --horizon that
 does not reach past a switching preset's switch time, that is below 2 when
-mop is scored (its prompts of horizon - 1 outputs would be empty), or whose
-prompts outgrow the mop checkpoint's context; and a plot CSV with a
+mop is scored (its prompts of horizon - 1 outputs would be empty), or that
+exceeds the train_len the mop checkpoint was trained at (for a weight-only
+checkpoint, whose prompts outgrow its context); and a plot CSV with a
 non-finite mean_err or stderr.
 The MOP_SEED environment variable overrides the base seed everywhere.
 
@@ -113,14 +114,16 @@ def cmd_train(args) -> int:
 
 
 def _load_weights_for(dist, path):
-    weights = model.load_checkpoint(path)
+    """(weights, meta) of the checkpoint at `path` (see
+    `model.read_checkpoint`), whose tokens must be `dist`'s."""
+    weights, meta = model.read_checkpoint(path)
     if weights.config.token_dim != dist.token_dim \
             or weights.config.output_dim != dist.m:
         raise UsageError(
             f"checkpoint/preset dimensionality mismatch: checkpoint tokens "
             f"{weights.config.token_dim}->{weights.config.output_dim}, preset "
             f"{dist.name} wants {dist.token_dim}->{dist.m}")
-    return weights
+    return weights, meta
 
 
 def _get_preset(name):
@@ -204,8 +207,14 @@ def cmd_eval(args) -> int:
         if horizon < 2:
             raise UsageError(f"--horizon {horizon} leaves mop an empty prompt; "
                              f"scoring mop needs a horizon of at least 2")
-        weights = _load_weights_for(dist, args.ckpt)
-        if horizon - 1 > weights.config.context:
+        weights, meta = _load_weights_for(dist, args.ckpt)
+        if "train_len" in meta:
+            if horizon > meta["train_len"]:
+                raise UsageError(
+                    f"--horizon {horizon} exceeds the checkpoint's train_len "
+                    f"{meta['train_len']}: its positions from {meta['train_len'] - 1} "
+                    f"on never trained")
+        elif horizon - 1 > weights.config.context:
             raise UsageError(f"--horizon {horizon} needs a mop context of {horizon - 1}, "
                              f"but the checkpoint's context is {weights.config.context}")
     elif args.ckpt:
@@ -297,7 +306,7 @@ def _experiment_curves(preset, seed, root: Path, quiet, phases) -> None:
     ckpt = _ensure_trained(dataclasses.replace(preset.train, seed=seed),
                            root / "train", quiet, phases)
     dist = get_distribution(preset.distribution)
-    weights = _load_weights_for(dist, ckpt)
+    weights, _ = _load_weights_for(dist, ckpt)
     t0 = time.time()
     eval_seed = derive_eval_seed(seed)
     curves = _score(["mop", *preset.baselines], dist, preset.eval_n,
@@ -337,7 +346,7 @@ def _experiment_shift(preset, seed, root: Path, ckpt, phases) -> None:
             f"`moplab experiment linear-iid` first or pass --ckpt "
             f"(looked at {ckpt})")
     base = get_distribution(preset.distribution)
-    weights = _load_weights_for(base, ckpt)
+    weights, _ = _load_weights_for(base, ckpt)
     rows, late_ratios = [], []
     for s2 in preset.shift_sigma2:
         curves = _score(["mop", *preset.baselines], base.with_noise_var(s2),

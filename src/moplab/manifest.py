@@ -15,6 +15,7 @@ from __future__ import annotations
 import contextlib
 import csv
 import ctypes
+import functools
 import hashlib
 import json
 import os
@@ -92,23 +93,31 @@ def openblas_threads() -> int | None:
     return None
 
 
-def environment() -> dict:
-    """What a run's numbers depend on besides its config and seeds: the
-    Python, numpy and BLAS builds, the BLAS thread settings (None where
-    unset), the thread count OpenBLAS really runs at (see
-    `openblas_threads`) and the sha256 of the moplab sources (each file's
-    name, a NUL and its bytes, in name order)."""
-    blas = np.show_config(mode="dicts").get("Build Dependencies", {}).get("blas", {})
+@functools.cache
+def _source_sha256() -> str:
+    """The sha256 of the moplab sources (each file's name, a NUL and its
+    bytes, in name order), read once per process: every manifest of one
+    run records the same sources, even if a file is edited mid-run."""
     digest = hashlib.sha256()
     for path in sorted(Path(__file__).resolve().parent.glob("*.py")):
         digest.update(path.name.encode() + b"\0" + path.read_bytes())
+    return digest.hexdigest()
+
+
+def environment() -> dict:
+    """What a run's numbers depend on besides its config and seeds: the
+    Python, numpy and BLAS builds, the BLAS thread settings (None where
+    unset) and the thread count OpenBLAS really runs at (see
+    `openblas_threads`), both read on each call, and the sha256 of the
+    moplab sources (see `_source_sha256`)."""
+    blas = np.show_config(mode="dicts").get("Build Dependencies", {}).get("blas", {})
     return {
         "python": platform.python_version(),
         "numpy": np.__version__,
         "blas": {"name": blas.get("name"), "version": blas.get("version")},
         "threads": {var: os.environ.get(var) for var in THREAD_VARS},
         "blas_threads": openblas_threads(),
-        "source_sha256": digest.hexdigest(),
+        "source_sha256": _source_sha256(),
     }
 
 

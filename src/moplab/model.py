@@ -24,7 +24,7 @@ from .manifest import atomic_open
 __all__ = [
     "ModelConfig", "TransformerWeights", "CheckpointError", "require_ints",
     "require_positive_reals", "init_weights", "forward", "predict_sequence",
-    "save_checkpoint", "load_checkpoint", "load_training_state",
+    "save_checkpoint", "load_checkpoint", "read_checkpoint", "load_training_state",
     "write_tensor_file",
 ]
 
@@ -276,12 +276,17 @@ def _read(path) -> tuple[TransformerWeights, dict, dict[str, np.ndarray]]:
     return TransformerWeights(cfg, arrays), meta, tensors
 
 
-def save_checkpoint(weights: TransformerWeights, path, optimizer=None) -> None:
+def save_checkpoint(weights: TransformerWeights, path, optimizer=None,
+                    train_len=None) -> None:
     """One file holding the weights and, when `optimizer` is a training
     run's (step, state), its step and each moment of `state` (a dict of
-    per-parameter arrays, stored as tensors `opt.<moment>.<name>`)."""
+    per-parameter arrays, stored as tensors `opt.<moment>.<name>`). A
+    training run also records its `train_len`: the model never trained
+    the positions from train_len - 1 on."""
     meta = {"kind": "checkpoint", "config": asdict(weights.config)}
     tensors = dict(weights.arrays)
+    if train_len is not None:
+        meta["train_len"] = train_len
     if optimizer is not None:
         meta["step"], state = optimizer
         for moment, arrays in state.items():
@@ -292,6 +297,13 @@ def save_checkpoint(weights: TransformerWeights, path, optimizer=None) -> None:
 def load_checkpoint(path) -> TransformerWeights:
     """The weights of any checkpoint; optimizer state, if any, is ignored."""
     return _read(path)[0]
+
+
+def read_checkpoint(path) -> tuple[TransformerWeights, dict]:
+    """The weights and meta of any checkpoint: the meta holds the model
+    config and, where a training run wrote the file, its step and
+    train_len."""
+    return _read(path)[:2]
 
 
 def load_training_state(path) -> tuple[TransformerWeights, int, dict]:

@@ -301,7 +301,7 @@ class TrainResult:
 def train(cfg: TrainConfig, out_dir, resume=None, quiet=True) -> TrainResult:
     """Run the meta-training loop, writing the run's directory out_dir:
     dataset.json (`MetaDataset.manifest`), then around each checkpoint file
-    (weights, Adam moments and step) loss.csv just before it and the train
+    (weights, Adam moments, step and train_len) loss.csv just before it and the train
     manifest just after it: the config, its seed, the dataset's hash, the
     sha256 of each checkpoint this call wrote, the wall seconds since the
     call began, and loss.csv and that checkpoint as outputs.
@@ -355,7 +355,8 @@ def train(cfg: TrainConfig, out_dir, resume=None, quiet=True) -> TrainResult:
     def checkpoint(step, tag=None):
         write_csv(out_dir / "loss.csv", loss_rows, LOSS_FIELDS)
         path = out_dir / (tag or f"ckpt-{step:06d}.ckpt")
-        model.save_checkpoint(weights, path, optimizer=(step, adam.state))
+        model.save_checkpoint(weights, path, optimizer=(step, adam.state),
+                              train_len=cfg.train_len)
         checkpoints.append(str(path))
         hashes[path.name] = sha256_file(path)
         write_manifest(out_dir, "train", asdict(cfg), cfg.seed,

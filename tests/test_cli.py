@@ -320,6 +320,30 @@ def test_eval_horizon_past_the_checkpoint_context_exits_2(tmp_path, tiny_ckpt,
     assert cli.main(argv + ["--horizon", "33"]) == 0
 
 
+def test_eval_horizon_past_the_trained_length_exits_2(tmp_path, monkeypatch, capsys):
+    # trained at train_len 50 with a context of 64, the model never trained
+    # its positions 49 to 63: horizons 51 to 65 used to be scored on them
+    config = train_config(tmp_path, train_len=50, model={
+        "layers": 2, "heads": 2, "embed_dim": 16, "context": 64,
+        "token_dim": 5, "output_dim": 5, "precision": "f64"})
+    run = tmp_path / "run"
+    assert cli.main(["train", "--config", config, "--steps", "1", "--quiet",
+                     "--out-dir", str(run)]) == 0
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("a population was sampled")
+
+    monkeypatch.setattr(evaluation, "test_population", refuse)
+    argv = ["eval", "--preset", "linear-iid", "--ckpt", str(run / "ckpt-final.ckpt"),
+            "--n", "2", "--seed", "3", "--out-dir", str(tmp_path / "out")]
+    assert cli.main(argv + ["--horizon", "51"]) == 2
+    assert ("--horizon 51 exceeds the checkpoint's train_len 50: its positions "
+            "from 49 on never trained") in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+    monkeypatch.undo()
+    assert cli.main(argv + ["--horizon", "50"]) == 0
+
+
 def test_eval_horizon_below_2_with_mop_exits_2(tmp_path, tiny_ckpt, monkeypatch, capsys):
     # a horizon-1 population gives mop empty prompts: this used to exit 1
     # with "empty prompt" after the population was sampled

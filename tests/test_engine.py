@@ -2,6 +2,7 @@
 finite differences, the tape's memory contract, and the small-matrix
 linear algebra oracles."""
 
+import math
 import tracemalloc
 import weakref
 
@@ -13,6 +14,7 @@ from hypothesis import strategies as st
 from moplab import engine, linalg, model, presets, training
 from moplab.engine import Graph, Tensor
 from moplab.model import ModelConfig
+from moplab.seeding import stream
 
 
 def eager(fn, arrays):
@@ -747,6 +749,46 @@ def test_spectral_radius_vs_eig_oracle(rng):
         a = rng.uniform(-1, 1, size=(10, 10))
         true = np.abs(np.linalg.eigvals(a)).max()
         assert linalg.spectral_radius(a) == pytest.approx(true, rel=1e-3)
+
+
+def reference_spectral_radius(a):
+    """`linalg.spectral_radius` in plain numpy, stepping with `@` and
+    `np.linalg.norm`: 16 squarings, 100 power iterations per norm."""
+    def spectral_norm(a):
+        k = a.shape[1]
+        v = np.full(k, 1.0 / math.sqrt(k))
+        ata = a.T @ a
+        for _ in range(100):
+            w = ata @ v
+            nw = np.linalg.norm(w)
+            if nw == 0.0:
+                return 0.0
+            v = w / nw
+        return float(math.sqrt(v @ (ata @ v)))
+
+    cur, log_scale = a, 0.0
+    for _ in range(16):
+        n = spectral_norm(cur)
+        if n == 0.0:
+            return 0.0
+        cur = cur / n
+        log_scale = 2.0 * (log_scale + math.log(n))
+        cur = cur @ cur
+    n = spectral_norm(cur)
+    if n == 0.0:
+        return 0.0
+    return float(math.exp((log_scale + math.log(n)) / 2.0 ** 16))
+
+
+@pytest.mark.parametrize("mode", ["dense", "upper_triangular"])
+def test_spectral_radius_equals_its_reference_bit_for_bit(mode):
+    rng = stream(7, "spectral-radius", mode)
+    for _ in range(100):
+        n = int(rng.integers(1, 13))
+        a = rng.uniform(-1.0, 1.0, size=(n, n))
+        if mode == "upper_triangular":
+            a = np.triu(a, k=int(rng.integers(0, 2)))   # some nilpotent
+        assert linalg.spectral_radius(a) == reference_spectral_radius(a)
 
 
 def test_matrix_power_norms_jordan_block():

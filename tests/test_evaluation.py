@@ -140,6 +140,44 @@ def test_late_kf_gain_matches_discrete_riccati_solution():
         assert np.abs(gain_kf - gain).max() <= 1e-9 * np.abs(gain).max()
 
 
+@pytest.fixture(scope="module")
+def triangular_population():
+    """1000 linear-triangular test systems at horizon 50, seed 10000, and
+    their stacked tokens: a population of 100 read 0.949 +- 0.015 on the
+    check below, so it needs about 1000."""
+    dist = get_distribution("linear-triangular")
+    systems, trajs = evaluation.test_population(dist, 1000, HORIZON, 10000)
+    return dist, systems, stacked_tokens(trajs)
+
+
+def innovation_ratios(systems, tokens, m, sigma_w, sigma_v):
+    """Per system, sum_t ||y_t - yhat_t||^2 / sum_t tr S_t over t = 1..T-1,
+    with S_t = C P C^T + R formed from the filter's P before it takes y_t."""
+    kf = KalmanFilter(systems, sigma_w, sigma_v)
+    sq_err, trace_s = np.zeros(len(systems)), np.zeros(len(systems))
+    pred = kf.step(tokens[:, 0, :m])
+    for t in range(1, tokens.shape[1]):
+        s = kf.c @ kf.p @ kf.c.swapaxes(-1, -2) + kf.r
+        trace_s += np.trace(s, axis1=1, axis2=2)
+        sq_err += np.sum(np.square(tokens[:, t, :m] - pred), axis=1)
+        pred = kf.step(tokens[:, t, :m])
+    return sq_err / trace_s
+
+
+@pytest.mark.parametrize("w_factor, specified", [(1.0, True), (2.0, False)])
+def test_kf_errors_match_its_innovation_covariance(triangular_population,
+                                                   w_factor, specified):
+    # an exactly specified KF has E||y_t - yhat_t||^2 = tr S_t for every
+    # system, which checks the sampler, the simulator, the noise model and
+    # the filter at once; one handed twice sigma_w overstates S_t
+    dist, systems, tokens = triangular_population
+    sigma_w, sigma_v = dist.filter_noise_stds()
+    ratios = innovation_ratios(systems, tokens, dist.m, w_factor * sigma_w, sigma_v)
+    mean = ratios.mean()
+    stderr = ratios.std(ddof=1) / math.sqrt(len(ratios))
+    assert (abs(mean - 1.0) <= 4.0 * stderr) == specified, (mean, stderr)
+
+
 @pytest.mark.parametrize("kind", ["kf", "ar-ols", "mop", "ekf"])
 def test_nan_trajectory_fails_only_its_own_row(kind):
     dist = QUAD if kind == "ekf" else LINEAR

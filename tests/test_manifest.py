@@ -1,6 +1,8 @@
 """Run manifests and tabular output: atomic writes, deterministic CSV, CSV
 errors by line number, and the environment a manifest records."""
 
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -43,3 +45,11 @@ def test_read_csv_names_the_malformed_line(tmp_path):
 def test_environment_records_the_pinned_blas_thread():
     # conftest pins BLAS to one thread before numpy is first imported
     assert environment()["blas_threads"] == 1
+
+
+def test_environment_hashes_the_sources_once_per_process(monkeypatch):
+    # every manifest of one run records the same sources, even when a
+    # source file reads differently partway through the run
+    first = environment()["source_sha256"]
+    monkeypatch.setattr(Path, "read_bytes", lambda self: b"edited")
+    assert environment()["source_sha256"] == first

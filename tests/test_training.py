@@ -352,6 +352,17 @@ def test_stopped_run_records_its_config_and_checkpoints(tmp_path, monkeypatch):
                                   str(tmp_path / "ckpt-000003.ckpt")]
 
 
+def test_every_checkpoint_records_its_train_len(tmp_path):
+    # `moplab eval` scores a checkpoint only on the positions it trained
+    training.train(tiny_cfg(steps=4, checkpoint_every=2), tmp_path / "run")
+    train_until_aborted(tiny_cfg(lr=1e6, steps=200), tmp_path / "abort")
+    paths = sorted((tmp_path / "run").glob("*.ckpt")) + [tmp_path / "abort" / "ckpt-abort.ckpt"]
+    assert [p.name for p in paths] == ["ckpt-000002.ckpt", "ckpt-final.ckpt",
+                                       "ckpt-abort.ckpt"]
+    for path in paths:
+        assert model.read_checkpoint(path)[1]["train_len"] == 12
+
+
 def trace(rows):
     """(step, loss, grad_norm) of each loss row, wallclock aside."""
     return [(r["step"], r["loss"], r["grad_norm"]) for r in rows]
