@@ -20,7 +20,7 @@ import numpy as np
 
 from .seeding import derive_seed
 from .systems import (
-    Trajectory, sample_linear_system, sample_quadrotor, sample_random_inputs,
+    Trajectory, sample_linear_systems, sample_quadrotor, sample_random_inputs,
     simulate, DivergenceError,
 )
 
@@ -65,11 +65,17 @@ class Distribution:
 
     def sample_system(self, base_seed: int, role: str, index: int):
         """Draw system `index` of the given role ("train" / "test" / ...)."""
-        seed = derive_seed(base_seed, self.name, role, "sys", index)
-        rng = np.random.default_rng(seed)
+        return self.sample_systems(base_seed, role, [index])[0]
+
+    def sample_systems(self, base_seed: int, role: str, indices) -> list:
+        """`sample_system` at each of `indices`, every system drawn from its
+        index's own stream; linear ones share one stacked radius call (see
+        `systems.sample_linear_systems`)."""
+        seeds = [derive_seed(base_seed, self.name, role, "sys", i) for i in indices]
+        rngs = (np.random.default_rng(seed) for seed in seeds)
         if self.kind == "linear":
-            return sample_linear_system(rng, self.n, self.m, mode=self.mode, seed=seed)
-        return sample_quadrotor(rng, seed=seed)
+            return sample_linear_systems(rngs, self.n, self.m, mode=self.mode, seeds=seeds)
+        return [sample_quadrotor(rng, seed=seed) for rng, seed in zip(rngs, seeds)]
 
     def make_trajectory(self, system, t_len: int, base_seed: int, role: str,
                         index: int, switch=None) -> Trajectory:

@@ -92,6 +92,13 @@ def make_predictor(kind: str, systems, dist: Distribution):
 def test_population(dist: Distribution, n, horizon, seed, switch_at=None):
     """Fresh (systems, trajs) from the test namespace; optionally a dynamics
     switch partway through each trajectory."""
+    # One index at a time, not one `sample_systems` stack. The stack is bit
+    # for bit the same draw, but on a 2-vCPU x86 VM (BLAS at one thread,
+    # 30 s eval-linear benchmark runs at seed 5, two per side) it cut the
+    # set-up from 0.15 to 0.036 s, so a run fitted 318-322 passes instead
+    # of 135-143. The benchmark keeps every pass's curves, so its
+    # `peak_rss_mb` read +19.6% (64.3 -> 76.9 MB), past its 10% bound.
+    # The stack waits until that memory stops growing with the passes.
     systems, trajs = [], []
     for i in range(n):
         system = dist.sample_system(seed, "test", i)
@@ -369,9 +376,8 @@ def power_norm_report(dist: Distribution, n, horizon, seed) -> dict:
     per distribution, keyed by the distribution's name."""
     report = {"t_max": horizon - 1}
     for d in (dist, get_distribution("linear-dense")):
-        peaks = np.array([
-            linalg.matrix_power_norms(d.sample_system(seed, "test", i).a, horizon - 1).max()
-            for i in range(n)])
+        peaks = np.array([linalg.matrix_power_norms(system.a, horizon - 1).max()
+                          for system in d.sample_systems(seed, "test", range(n))])
         mean, stderr = _mean_stderr(peaks)
         report[d.name] = {"n_systems": n, "mean": float(mean), "stderr": float(stderr)}
     return report

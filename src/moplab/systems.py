@@ -22,7 +22,7 @@ from . import linalg
 __all__ = [
     "LinearSystem", "QuadrotorSystem", "Trajectory",
     "SwitchSpec", "DivergenceError",
-    "sample_linear_system", "sample_quadrotor", "sample_random_inputs",
+    "sample_linear_systems", "sample_quadrotor", "sample_random_inputs",
     "simulate", "quadrotor_step", "quadrotor_jacobian", "stack_quadrotors",
     "systems_sha256",
 ]
@@ -102,23 +102,35 @@ class SwitchSpec:
 # sampling
 # ---------------------------------------------------------------------------
 
-def sample_linear_system(rng, n, m, mode="dense", seed=0) -> LinearSystem:
-    """Draw a linear system from the benchmark distribution.
+def sample_linear_systems(rngs, n, m, mode="dense", seeds=None) -> list[LinearSystem]:
+    """Draw one linear system from the benchmark distribution per generator
+    in `rngs`, labelled with `seeds` (default 0).
 
     dense: A entries uniform [-1, 1], rescaled so the spectral radius hits
     TARGET_RHO; upper_triangular: diagonal uniform [-0.95, 0.95], strict
-    upper uniform [-1, 1], no rescaling (the slow-mixing hard class).
+    upper uniform [-1, 1], no rescaling (the slow-mixing hard class). Each
+    system's A, then C, comes from its own generator; the dense A's are then
+    rescaled by one stacked `linalg.spectral_radius` call, each by its own
+    radius as a float, so a zero radius raises ZeroDivisionError. A stack is
+    bit for bit the systems drawn one by one.
     """
     if mode not in ("dense", "upper_triangular"):
         raise ValueError(f"unknown mode {mode!r}")
-    if mode == "dense":
-        a = rng.uniform(-1.0, 1.0, size=(n, n))
-        a *= TARGET_RHO / linalg.spectral_radius(a)
-    else:
-        a = np.triu(rng.uniform(-1.0, 1.0, size=(n, n)), k=1)
-        a[np.diag_indices(n)] = rng.uniform(-0.95, 0.95, size=n)
-    c = rng.uniform(0.0, 1.0, size=(m, n))
-    return LinearSystem(a=a, c=c, seed=int(seed), mode=mode)
+    draws = []
+    for rng in rngs:
+        if mode == "dense":
+            a = rng.uniform(-1.0, 1.0, size=(n, n))
+        else:
+            a = np.triu(rng.uniform(-1.0, 1.0, size=(n, n)), k=1)
+            a[np.diag_indices(n)] = rng.uniform(-0.95, 0.95, size=n)
+        draws.append((a, rng.uniform(0.0, 1.0, size=(m, n))))
+    if mode == "dense" and draws:
+        radii = linalg.spectral_radius(np.stack([a for a, _ in draws]))
+        for (a, _), rho in zip(draws, radii.tolist()):
+            a *= TARGET_RHO / rho
+    seeds = [0] * len(draws) if seeds is None else seeds
+    return [LinearSystem(a=a, c=c, seed=int(seed), mode=mode)
+            for (a, c), seed in zip(draws, seeds)]
 
 
 def sample_quadrotor(rng, seed=0) -> QuadrotorSystem:

@@ -4,7 +4,10 @@ source systems, one fixed length-T trajectory each.
 The dataset is one stack of prompt tokens: each sampled system's
 trajectory is rolled once when the dataset is built, and only the M*T
 outputs the excess-risk guarantee counts (inputs appended, for systems
-that take them) are kept, so a step's batch is one index into them. A
+that take them) are kept, so a step's batch is one index into them. The
+systems are drawn DATASET_CHUNK at a time, so a chunk's dense A's are
+rescaled by one stacked spectral-radius call, bit for bit the per-system
+draws, and then rolled one by one; no more than a chunk is held at once. A
 step records its batch on one tape per chunk of TRAIN_CHUNK trajectories
 and sums the chunks' gradients, so the tape it holds does not grow with
 the batch. The optimizer is Adam with gradient-norm clipping; every draw is
@@ -59,6 +62,15 @@ LOSS_FIELDS = ("step", "loss", "grad_norm", "wallclock_s")   # loss.csv columns
 # 16 and 32 (30 interleaved rounds in one process).
 TRAIN_CHUNK = 8
 
+# Systems drawn per `Distribution.sample_systems` call in a dataset build:
+# their dense A's share one stacked `spectral_radius` call, and the chunk is
+# held until its systems are rolled. On a 2-core x86 VM with BLAS at one
+# thread, the stacked radius cost 0.76, 0.49, 0.33, 0.27 and 0.23 ms per
+# 10x10 matrix in stacks of 16, 32, 64, 128 and 256 (2.7 ms alone). Traced
+# by tracemalloc, a 200-system linear-triangular build of 50 outputs peaks
+# at 1.16, 1.28 and 1.52 times what it keeps in chunks of 32, 64 and 128.
+DATASET_CHUNK = 64
+
 # glibc's M_TOP_PAD while `train` runs: the free memory kept at the top of
 # the heap instead of returned to the OS. A desk-model chunk of TRAIN_CHUNK
 # trajectories works in about 9 MB, which 16, 32 and 64 MiB all keep;
@@ -112,7 +124,8 @@ class MetaDataset:
     rolled once straight into row i of the stack `tokens` (M, T, token_dim)
     (see `systems.Trajectory.tokens`; its first m columns are the outputs).
     The systems are kept only as their sha256 (see `systems_sha256`),
-    streamed while they are rolled, so none is held beyond its own roll."""
+    streamed while they are rolled, so none is held beyond its chunk of
+    DATASET_CHUNK systems."""
 
     def __init__(self, dist: Distribution, m_systems, train_len, seed):
         self.dist = dist
@@ -122,10 +135,11 @@ class MetaDataset:
         self.tokens = np.empty((m_systems, train_len, dist.token_dim))
 
         def rolled_systems():
-            for i in range(m_systems):
-                system = dist.sample_system(seed, "train", i)
-                self.tokens[i] = self.trajectory(system, i)
-                yield system
+            for lo in range(0, m_systems, DATASET_CHUNK):
+                chunk = range(lo, min(lo + DATASET_CHUNK, m_systems))
+                for i, system in zip(chunk, dist.sample_systems(seed, "train", chunk)):
+                    self.tokens[i] = self.trajectory(system, i)
+                    yield system
 
         self.systems_sha256 = systems_sha256(rolled_systems())
 

@@ -14,7 +14,7 @@ from moplab.baselines import (
 from moplab.distributions import get_distribution
 from moplab.seeding import stream
 from moplab.systems import (
-    LinearSystem, quadrotor_jacobian, quadrotor_step, sample_linear_system,
+    LinearSystem, quadrotor_jacobian, quadrotor_step, sample_linear_systems,
     sample_quadrotor, sample_random_inputs, simulate,
 )
 
@@ -87,7 +87,7 @@ def test_filters_reject_nonpositive_output_noise(kind, sigma_v):
 
 
 def test_kf_innovation_whiteness():
-    system = sample_linear_system(stream(4, "white"), 10, 5)
+    system = sample_linear_systems([stream(4, "white")], 10, 5)[0]
     traj = simulate(system, 2000, stream(5, "white"), STDS)
     kf = KalmanFilter([system], *STDS)
     innovations = np.zeros((2000, 5))
@@ -101,7 +101,7 @@ def test_kf_innovation_whiteness():
 
 
 def test_kf_covariance_trace_monotone_convergent():
-    system = sample_linear_system(stream(6, "tr"), 10, 5)
+    system = sample_linear_systems([stream(6, "tr")], 10, 5)[0]
     traj = simulate(system, 600, stream(7, "tr"), STDS)
     kf = KalmanFilter([system], *STDS)
     traces = []
@@ -118,7 +118,7 @@ def test_kf_dominates_ar_ols_on_average():
     kf_err = np.zeros((n_sys, t_len))
     ar_err = np.zeros((n_sys, t_len))
     for i in range(n_sys):
-        system = sample_linear_system(stream(8, "dom", i), 10, 5)
+        system = sample_linear_systems([stream(8, "dom", i)], 10, 5)[0]
         traj = simulate(system, t_len, stream(9, "dom", i), STDS)
         kf, ar = KalmanFilter([system], *STDS), OnlineARPredictor(1, 5)
         pk = pa = np.zeros(5)
@@ -132,7 +132,7 @@ def test_kf_dominates_ar_ols_on_average():
 
 
 def test_kf_psd_and_symmetry_maintained():
-    system = sample_linear_system(stream(10, "psd"), 10, 5)
+    system = sample_linear_systems([stream(10, "psd")], 10, 5)[0]
     traj = simulate(system, 300, stream(11, "psd"), STDS)
     kf = KalmanFilter([system], *STDS)
     for t in range(300):
@@ -176,7 +176,7 @@ def test_ekf_zero_noise_hover_exact():
 
 
 def test_ekf_reduces_to_kf_on_linear_system():
-    system = sample_linear_system(stream(16, "lin"), 6, 3)
+    system = sample_linear_systems([stream(16, "lin")], 6, 3)[0]
     traj = simulate(system, 100, stream(17, "lin"), STDS)
     kf = KalmanFilter([system], *STDS)
     a = np.asarray(system.a, dtype=np.float64)[None]
@@ -265,7 +265,7 @@ def test_ar_recovers_identifiable_two_lag_recursion():
 
 
 def test_ar_online_equals_batch_on_noisy_vector_data():
-    system = sample_linear_system(stream(21, "ar"), 6, 3)
+    system = sample_linear_systems([stream(21, "ar")], 6, 3)[0]
     traj = simulate(system, 60, stream(22, "ar"), STDS)
     ar = OnlineARPredictor(1, 3)
     for t in range(60):

@@ -791,6 +791,38 @@ def test_spectral_radius_equals_its_reference_bit_for_bit(mode):
         assert linalg.spectral_radius(a) == reference_spectral_radius(a)
 
 
+@pytest.mark.parametrize("mode", ["dense", "upper_triangular"])
+def test_stacked_spectral_radius_equals_the_reference_bit_for_bit(mode):
+    # 250 draws per mode in stacks of 1-12 matrices, n 1-12
+    rng = stream(8, "stacked-spectral-radius", mode)
+    draws = 0
+    while draws < 250:
+        size, n = int(rng.integers(1, 13)), int(rng.integers(1, 13))
+        a = rng.uniform(-1.0, 1.0, size=(size, n, n))
+        if mode == "upper_triangular":
+            a = np.stack([np.triu(m, k=int(rng.integers(0, 2))) for m in a])  # some nilpotent
+        radii = linalg.spectral_radius(a)
+        assert radii.shape == (size,)
+        assert radii.tolist() == [reference_spectral_radius(m) for m in a]
+        draws += size
+
+
+def test_stacked_spectral_radius_reads_zero_rows_without_touching_the_rest(rng):
+    dense = rng.uniform(-1.0, 1.0, size=(7, 8, 8))
+    alone = [linalg.spectral_radius(m) for m in dense]
+    mixed = dense.copy()
+    zero_rows = [0, 3, 6]
+    mixed[0] = np.triu(mixed[0], k=1)     # nilpotent: A^8 = 0 after three squarings
+    mixed[3] = 0.0
+    mixed[6] = 0.0
+    mixed[6, :2, :2] = [[1.0, -1.0], [1.0, -1.0]]   # A^T A 1 = 0: the first step reads 0
+    radii = linalg.spectral_radius(mixed)
+    assert radii[zero_rows].tolist() == [0.0] * 3
+    assert radii[zero_rows].tolist() == [reference_spectral_radius(m) for m in mixed[zero_rows]]
+    assert radii[[1, 2, 4, 5]].tolist() == [alone[i] for i in (1, 2, 4, 5)]
+    assert linalg.spectral_radius(dense[:0]).shape == (0,)
+
+
 def test_matrix_power_norms_jordan_block():
     a = np.array([[0.9, 1.0], [0.0, 0.9]])
     norms = linalg.matrix_power_norms(a, 5)

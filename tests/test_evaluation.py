@@ -16,7 +16,7 @@ from moplab.distributions import get_distribution
 from moplab.model import ModelConfig
 from moplab.seeding import stream
 from moplab.systems import (
-    Trajectory, quadrotor_jacobian, quadrotor_step, stack_quadrotors,
+    Trajectory, quadrotor_jacobian, quadrotor_step, stack_quadrotors, systems_sha256,
 )
 from test_baselines import batch_ridge_oracle
 
@@ -140,14 +140,25 @@ def test_late_kf_gain_matches_discrete_riccati_solution():
         assert np.abs(gain_kf - gain).max() <= 1e-9 * np.abs(gain).max()
 
 
-@pytest.fixture(scope="module")
-def triangular_population():
-    """1000 linear-triangular test systems at horizon 50, seed 10000, and
-    their stacked tokens: a population of 100 read 0.949 +- 0.015 on the
-    check below, so it needs about 1000."""
-    dist = get_distribution("linear-triangular")
-    systems, trajs = evaluation.test_population(dist, 1000, HORIZON, 10000)
+@pytest.fixture(scope="module", params=["linear-triangular", "linear-dense"])
+def kf_population(request):
+    """1000 test systems at horizon 50, seed 10000, and their stacked
+    tokens: a linear-triangular population of 100 read 0.949 +- 0.015 on
+    the check below, so it needs about 1000. The systems are drawn as one
+    `sample_systems` stack and rolled one by one, as `test_population` rolls
+    them: one at a time, 1000 linear-dense systems took 3.9 s to sample."""
+    dist = get_distribution(request.param)
+    systems = dist.sample_systems(10000, "test", range(1000))
+    trajs = [dist.make_trajectory(system, HORIZON, 10000, "test", i)
+             for i, system in enumerate(systems)]
     return dist, systems, stacked_tokens(trajs)
+
+
+def test_kf_population_begins_with_the_test_population(kf_population):
+    dist, systems, tokens = kf_population
+    ref_systems, ref_trajs = evaluation.test_population(dist, 20, HORIZON, 10000)
+    assert systems_sha256(systems[:20]) == systems_sha256(ref_systems)
+    assert np.array_equal(tokens[:20], stacked_tokens(ref_trajs))
 
 
 def innovation_ratios(systems, tokens, m, sigma_w, sigma_v):
@@ -165,12 +176,11 @@ def innovation_ratios(systems, tokens, m, sigma_w, sigma_v):
 
 
 @pytest.mark.parametrize("w_factor, specified", [(1.0, True), (2.0, False)])
-def test_kf_errors_match_its_innovation_covariance(triangular_population,
-                                                   w_factor, specified):
+def test_kf_errors_match_its_innovation_covariance(kf_population, w_factor, specified):
     # an exactly specified KF has E||y_t - yhat_t||^2 = tr S_t for every
     # system, which checks the sampler, the simulator, the noise model and
     # the filter at once; one handed twice sigma_w overstates S_t
-    dist, systems, tokens = triangular_population
+    dist, systems, tokens = kf_population
     sigma_w, sigma_v = dist.filter_noise_stds()
     ratios = innovation_ratios(systems, tokens, dist.m, w_factor * sigma_w, sigma_v)
     mean = ratios.mean()

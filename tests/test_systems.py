@@ -10,7 +10,7 @@ from moplab.seeding import derive_seed, stream
 from moplab.systems import (
     GRAVITY, TAU, DivergenceError, LinearSystem, QuadrotorSystem, SwitchSpec,
     _noise_sequences, quadrotor_jacobian,
-    quadrotor_step, sample_linear_system, sample_quadrotor,
+    quadrotor_step, sample_linear_systems, sample_quadrotor,
     sample_random_inputs, simulate,
 )
 
@@ -29,7 +29,7 @@ def scalar_system(a=0.9, c=1.0):
 def test_dense_sample_hits_target_radius():
     rng = stream(0, "t")
     for _ in range(5):
-        system = sample_linear_system(rng, 10, 5)
+        system = sample_linear_systems([rng], 10, 5)[0]
         assert linalg.spectral_radius(system.a) == pytest.approx(0.95, abs=1e-3)
         assert system.c.shape == (5, 10)
         assert system.c.min() >= 0.0 and system.c.max() <= 1.0
@@ -37,7 +37,7 @@ def test_dense_sample_hits_target_radius():
 
 def test_upper_triangular_sample_structure():
     rng = stream(1, "t")
-    system = sample_linear_system(rng, 8, 4, mode="upper_triangular")
+    system = sample_linear_systems([rng], 8, 4, mode="upper_triangular")[0]
     below = system.a[np.tril_indices(8, k=-1)]
     assert np.array_equal(below, np.zeros_like(below))
     diag = np.diag(system.a)
@@ -47,15 +47,34 @@ def test_upper_triangular_sample_structure():
 
 
 def test_sample_deterministic_per_seed():
-    s1 = sample_linear_system(stream(7, "x"), 10, 5)
-    s2 = sample_linear_system(stream(7, "x"), 10, 5)
+    s1 = sample_linear_systems([stream(7, "x")], 10, 5)[0]
+    s2 = sample_linear_systems([stream(7, "x")], 10, 5)[0]
     assert np.array_equal(s1.a, s2.a)
     assert np.array_equal(s1.c, s2.c)
 
 
+@pytest.mark.parametrize("mode", ["dense", "upper_triangular"])
+def test_stacked_draw_is_each_generators_own_draw(mode):
+    # system j is A, then C, from generator j alone; a dense A is rescaled
+    # by its own radius
+    systems = sample_linear_systems([stream(9, "stack", j) for j in range(5)], 6, 3,
+                                    mode=mode, seeds=range(5))
+    for j, system in enumerate(systems):
+        rng = stream(9, "stack", j)
+        a = rng.uniform(-1.0, 1.0, size=(6, 6))
+        if mode == "dense":
+            a *= 0.95 / linalg.spectral_radius(a)
+        else:
+            a = np.triu(a, k=1)
+            a[np.diag_indices(6)] = rng.uniform(-0.95, 0.95, size=6)
+        assert np.array_equal(system.a, a)
+        assert np.array_equal(system.c, rng.uniform(0.0, 1.0, size=(3, 6)))
+        assert system.seed == j
+
+
 def test_sample_rejects_bad_mode():
     with pytest.raises(ValueError):
-        sample_linear_system(stream(0), 4, 2, mode="lower")
+        sample_linear_systems([stream(0)], 4, 2, mode="lower")[0]
 
 
 # ---------------------------------------------------------------------------
@@ -96,8 +115,8 @@ def test_divergence_guard():
 
 def test_switch_prefix_bit_identical():
     rng = stream(21, "sw")
-    system = sample_linear_system(rng, 6, 3, seed=1)
-    other = sample_linear_system(rng, 6, 3, seed=2)
+    system = sample_linear_systems([rng], 6, 3, seeds=[1])[0]
+    other = sample_linear_systems([rng], 6, 3, seeds=[2])[0]
     base = simulate(system, 60, stream(77), STDS)
     switched = simulate(system, 60, stream(77), STDS, switch=SwitchSpec(30, other))
     assert np.array_equal(base.ys[:30], switched.ys[:30])
@@ -114,7 +133,7 @@ def test_mean_output_is_zero_over_population():
     rng = stream(9, "pop")
     means = []
     for i in range(200):
-        system = sample_linear_system(rng, 6, 3)
+        system = sample_linear_systems([rng], 6, 3)[0]
         traj = simulate(system, 50, stream(9, "pop-traj", i), STDS)
         means.append(traj.ys.mean())
     means = np.array(means)
@@ -284,7 +303,7 @@ def test_contraction_profile_dense_eventually_decreasing():
     # a draw whose dominant eigenvalue is real: ||A^t|| decays monotonically
     # past a finite burn-in (complex-pair draws oscillate under a decaying
     # envelope instead, covered below)
-    system = sample_linear_system(stream(31, "cp", 0), 10, 5)
+    system = sample_linear_systems([stream(31, "cp", 0)], 10, 5)[0]
     diffs = np.diff(linalg.matrix_power_norms(system.a, 100))
     t0 = next(i for i in range(len(diffs)) if (diffs[i:] < 0).all())
     assert t0 <= 100
@@ -292,14 +311,14 @@ def test_contraction_profile_dense_eventually_decreasing():
 
 def test_contraction_profile_dense_envelope_decays():
     for i in range(5):
-        system = sample_linear_system(stream(31, "cp", i), 10, 5)
+        system = sample_linear_systems([stream(31, "cp", i)], 10, 5)[0]
         norms = linalg.matrix_power_norms(system.a, 100)
         assert norms[60:].max() < norms[:40].max() * 0.1
 
 
 def test_matrix_power_norms_match_lapack_on_dense_draws():
     for i in range(5):
-        a = sample_linear_system(stream(33, "lapack", i), 10, 5).a
+        a = sample_linear_systems([stream(33, "lapack", i)], 10, 5)[0].a
         norms = linalg.matrix_power_norms(a, 100)
         want = np.array([np.linalg.norm(np.linalg.matrix_power(a, t), 2)
                          for t in range(101)])

@@ -17,7 +17,7 @@ import pytest
 from conftest import (COMMITTED_CACHE, SOURCES, Stopped, ensure_trained, load_loss_rows,
                       stop_training_at, zero_model)
 from moplab import engine, evaluation, linalg, model, presets, training
-from moplab.distributions import get_distribution
+from moplab.distributions import DISTRIBUTIONS, get_distribution
 from moplab.manifest import read_csv, sha256_file, sha256_json
 from moplab.model import ModelConfig
 from moplab.seeding import derive_seed, stream
@@ -89,6 +89,20 @@ def test_dataset_trajectories_fixed_and_reproducible():
                 assert np.array_equal(ds.tokens[i, :, dist.m:], traj.us)
         assert np.array_equal(build_meta_dataset(preset, m_systems, train_len, seed).tokens,
                               ds.tokens)
+
+
+@pytest.mark.parametrize("preset", sorted(DISTRIBUTIONS))
+def test_dataset_across_a_chunk_boundary_equals_per_index_draws(preset):
+    # the build draws DATASET_CHUNK systems per stacked call; each row must
+    # still be system i drawn and rolled from its own streams alone
+    m_systems, train_len, seed = training.DATASET_CHUNK + 3, 20, 8
+    dist = get_distribution(preset)
+    ds = build_meta_dataset(preset, m_systems, train_len, seed)
+    systems = [dist.sample_system(seed, "train", i) for i in range(m_systems)]
+    tokens = np.stack([dist.make_trajectory(system, train_len, seed, "train", i).tokens
+                       for i, system in enumerate(systems)])
+    assert np.array_equal(ds.tokens, tokens)
+    assert ds.systems_sha256 == systems_sha256(systems)
 
 
 @pytest.mark.parametrize("preset, m_systems", [("linear-triangular", 200),
