@@ -18,7 +18,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .seeding import derive_seed
+from .seeding import derive_seed, stream
 from .systems import (
     Trajectory, sample_linear_systems, sample_quadrotor, sample_random_inputs,
     simulate, DivergenceError,
@@ -69,13 +69,13 @@ class Distribution:
 
     def sample_systems(self, base_seed: int, role: str, indices) -> list:
         """`sample_system` at each of `indices`, every system drawn from its
-        index's own stream; linear ones share one stacked radius call (see
+        index's own stream, (base_seed, name, role, "sys", index); linear
+        ones share one stacked radius call (see
         `systems.sample_linear_systems`)."""
-        seeds = [derive_seed(base_seed, self.name, role, "sys", i) for i in indices]
-        rngs = (np.random.default_rng(seed) for seed in seeds)
+        rngs = (stream(base_seed, self.name, role, "sys", i) for i in indices)
         if self.kind == "linear":
-            return sample_linear_systems(rngs, self.n, self.m, mode=self.mode, seeds=seeds)
-        return [sample_quadrotor(rng, seed=seed) for rng, seed in zip(rngs, seeds)]
+            return sample_linear_systems(rngs, self.n, self.m, mode=self.mode)
+        return [sample_quadrotor(rng) for rng in rngs]
 
     def make_trajectory(self, system, t_len: int, base_seed: int, role: str,
                         index: int, switch=None) -> Trajectory:
@@ -92,12 +92,11 @@ class Distribution:
                 return simulate(system, t_len, sub, self.noise_stds,
                                 self.noise_window, inputs=inputs)
             except DivergenceError:
-                logger.warning("quadrotor rollout diverged (system seed %d, "
-                               "attempt %d); resampling", system.seed, attempt)
-                continue
+                logger.warning("quadrotor rollout diverged (%s system %d, "
+                               "attempt %d); resampling", role, index, attempt)
         raise DivergenceError(
             f"quadrotor rollout diverged {QUAD_RESAMPLE_LIMIT} times "
-            f"(system seed {system.seed})")
+            f"({role} system {index})")
 
 
 DISTRIBUTIONS = {

@@ -21,11 +21,11 @@ __all__ = ["ExperimentPreset", "EXPERIMENTS", "get_experiment", "desk_model_conf
 
 
 def desk_model_config(dist_name: str) -> ModelConfig:
-    """Desk-scale model sized for the given distribution's token layout."""
+    """ModelConfig's defaults, the desk model, sized for the given
+    distribution's token layout and conditioning scale."""
     dist = get_distribution(dist_name)
-    return ModelConfig(layers=4, heads=4, embed_dim=64, context=128,
-                       token_dim=dist.token_dim, output_dim=dist.m,
-                       precision="f32", input_scale=dist.input_scale)
+    return ModelConfig(token_dim=dist.token_dim, output_dim=dist.m,
+                       input_scale=dist.input_scale)
 
 
 @dataclass(frozen=True)
@@ -45,7 +45,7 @@ class ExperimentPreset:
         return self.train.preset
 
 
-def _linear_train(dist_name, **kw) -> TrainConfig:
+def _desk_train(dist_name, **kw) -> TrainConfig:
     """TrainConfig's defaults with the desk model for `dist_name`."""
     return TrainConfig(preset=dist_name, model=desk_model_config(dist_name), **kw)
 
@@ -53,40 +53,40 @@ def _linear_train(dist_name, **kw) -> TrainConfig:
 EXPERIMENTS = {
     "linear-iid": ExperimentPreset(
         name="linear-iid",
-        train=_linear_train("linear-dense"),
+        train=_desk_train("linear-dense"),
     ),
     "linear-colored": ExperimentPreset(
         name="linear-colored",
-        train=_linear_train("linear-colored"),
+        train=_desk_train("linear-colored"),
     ),
     "linear-switching": ExperimentPreset(
         name="linear-switching",
         # positions up to the 100-step evaluation horizon must be trained,
         # so this preset meta-trains on length-100 prompts
-        train=_linear_train("linear-dense", train_len=100, steps=4000),
+        train=_desk_train("linear-dense", train_len=100, steps=4000),
         eval_horizon=100,
         switch_at=50,
         baselines=("kf",),
     ),
     "quadrotor": ExperimentPreset(
         name="quadrotor",
-        train=_linear_train("quadrotor"),
+        train=_desk_train("quadrotor"),
         baselines=("ekf",),
     ),
     "hard-triangular": ExperimentPreset(
         name="hard-triangular",
-        train=_linear_train("linear-triangular"),
+        train=_desk_train("linear-triangular"),
         baselines=("kf",),
     ),
     "dist-shift": ExperimentPreset(
         name="dist-shift",
-        train=_linear_train("linear-dense"),   # reuses the linear-iid model
+        train=_desk_train("linear-dense"),   # reuses the linear-iid model
         baselines=("kf",),
         shift_sigma2=(0.01, 0.04, 0.09),
     ),
     "risk-scaling": ExperimentPreset(
         name="risk-scaling",
-        train=_linear_train("linear-dense", steps=1500),
+        train=_desk_train("linear-dense", steps=1500),
         baselines=("kf",),
         scaling_grid=((500, 50), (1000, 50), (2000, 50), (4000, 50)),
     ),

@@ -11,8 +11,7 @@ bit-reproducible.
 
 from __future__ import annotations
 
-import hashlib
-from dataclasses import dataclass, field, fields
+from dataclasses import dataclass
 from types import SimpleNamespace
 
 import numpy as np
@@ -24,7 +23,6 @@ __all__ = [
     "SwitchSpec", "DivergenceError",
     "sample_linear_systems", "sample_quadrotor", "sample_random_inputs",
     "simulate", "quadrotor_step", "quadrotor_jacobian", "stack_quadrotors",
-    "systems_sha256",
 ]
 
 DIVERGENCE_LIMIT = 1e9
@@ -42,8 +40,6 @@ class DivergenceError(RuntimeError):
 class LinearSystem:
     a: np.ndarray           # n x n state matrix
     c: np.ndarray           # m x n output matrix
-    seed: int = 0
-    mode: str = "dense"
 
     @property
     def n(self) -> int:
@@ -62,7 +58,6 @@ class QuadrotorSystem:
     arm_length: float
     inertia: float
     c: np.ndarray           # 3 x 6 output matrix
-    seed: int = 0
 
     @property
     def n(self) -> int:
@@ -102,9 +97,9 @@ class SwitchSpec:
 # sampling
 # ---------------------------------------------------------------------------
 
-def sample_linear_systems(rngs, n, m, mode="dense", seeds=None) -> list[LinearSystem]:
-    """Draw one linear system from the benchmark distribution per generator
-    in `rngs`, labelled with `seeds` (default 0).
+def sample_linear_systems(rngs, n, m, mode="dense") -> list[LinearSystem]:
+    """Draw one linear system, its A and C alone, from the benchmark
+    distribution per generator in `rngs`, in their order.
 
     dense: A entries uniform [-1, 1], rescaled so the spectral radius hits
     TARGET_RHO; upper_triangular: diagonal uniform [-0.95, 0.95], strict
@@ -128,18 +123,16 @@ def sample_linear_systems(rngs, n, m, mode="dense", seeds=None) -> list[LinearSy
         radii = linalg.spectral_radius(np.stack([a for a, _ in draws]))
         for (a, _), rho in zip(draws, radii.tolist()):
             a *= TARGET_RHO / rho
-    seeds = [0] * len(draws) if seeds is None else seeds
-    return [LinearSystem(a=a, c=c, seed=int(seed), mode=mode)
-            for (a, c), seed in zip(draws, seeds)]
+    return [LinearSystem(a=a, c=c) for a, c in draws]
 
 
-def sample_quadrotor(rng, seed=0) -> QuadrotorSystem:
+def sample_quadrotor(rng) -> QuadrotorSystem:
     """Planar quadrotor with (mass, arm length, inertia) ~ U[0.5, 2] and a
     3x6 output matrix with entries ~ U[0, 1]."""
     mass, arm, inertia = rng.uniform(0.5, 2.0, size=3)
     c = rng.uniform(0.0, 1.0, size=(3, 6))
     return QuadrotorSystem(mass=float(mass), arm_length=float(arm),
-                           inertia=float(inertia), c=c, seed=int(seed))
+                           inertia=float(inertia), c=c)
 
 
 def sample_random_inputs(rng, t_len, system: QuadrotorSystem) -> np.ndarray:
@@ -283,24 +276,3 @@ def simulate(system, t_len, rng, stds, window=1, switch: SwitchSpec | None = Non
         ys[t] = active.c @ x + v[t]
     us = np.asarray(inputs)[:t_len] if inputs is not None else None
     return Trajectory(ys=ys, xs=xs, us=us)
-
-
-# ---------------------------------------------------------------------------
-# digest
-# ---------------------------------------------------------------------------
-
-def systems_sha256(systems) -> str:
-    """sha256 streamed over the systems in index order: each system's kind,
-    then each field by name, an array as its dtype, shape and raw bytes and
-    a scalar as its repr. Nothing is held beyond one system's arrays."""
-    digest = hashlib.sha256()
-    for system in systems:
-        digest.update(type(system).__name__.encode())
-        for f in fields(system):
-            value = getattr(system, f.name)
-            if isinstance(value, np.ndarray):
-                digest.update(f"|{f.name}:{value.dtype.str}{value.shape}|".encode())
-                digest.update(np.ascontiguousarray(value).tobytes())
-            else:
-                digest.update(f"|{f.name}={value!r}".encode())
-    return digest.hexdigest()

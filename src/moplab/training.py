@@ -15,7 +15,8 @@ seeded, so a (config, seed) pair reproduces the loss trace bit for bit.
 On glibc, the heap a chunk frees stays in the process while `train` runs,
 so the next chunk reuses it instead of faulting fresh pages in, and is
 handed back to the OS when `train` returns. The dataset is recorded by its
-config and one sha256 over its systems, so the record does not grow with M.
+config and one sha256 over its token stack, the bytes every step indexes,
+so the record does not grow with M.
 `train` alone writes a run's directory: dataset.json once the dataset is
 built, then the loss log just before each checkpoint file (abort included)
 and the manifest, which names the config and hashes the checkpoints, just
@@ -26,6 +27,7 @@ config, and a resume continues the log beside its own.
 from __future__ import annotations
 
 import ctypes
+import hashlib
 import os
 import platform
 import time
@@ -41,7 +43,6 @@ from .manifest import (read_csv, sha256_file, sha256_json, write_csv, write_json
                        write_manifest)
 from .model import ModelConfig, TransformerWeights
 from .seeding import stream
-from .systems import systems_sha256
 
 __all__ = [
     "TrainConfig", "MetaDataset", "TrainingAborted", "TrainResult",
@@ -123,9 +124,9 @@ class MetaDataset:
     """The training set: M sampled source systems' trajectories, system i's
     rolled once straight into row i of the stack `tokens` (M, T, token_dim)
     (see `systems.Trajectory.tokens`; its first m columns are the outputs).
-    The systems are kept only as their sha256 (see `systems_sha256`),
-    streamed while they are rolled, so none is held beyond its chunk of
-    DATASET_CHUNK systems."""
+    The systems themselves are not kept: none is held beyond its chunk of
+    DATASET_CHUNK systems, and the set is identified by `tokens_sha256`,
+    the sha256 of the C-contiguous float64 stack."""
 
     def __init__(self, dist: Distribution, m_systems, train_len, seed):
         self.dist = dist
@@ -133,22 +134,18 @@ class MetaDataset:
         self.train_len = train_len
         self.seed = seed
         self.tokens = np.empty((m_systems, train_len, dist.token_dim))
-
-        def rolled_systems():
-            for lo in range(0, m_systems, DATASET_CHUNK):
-                chunk = range(lo, min(lo + DATASET_CHUNK, m_systems))
-                for i, system in zip(chunk, dist.sample_systems(seed, "train", chunk)):
-                    self.tokens[i] = self.trajectory(system, i)
-                    yield system
-
-        self.systems_sha256 = systems_sha256(rolled_systems())
+        for lo in range(0, m_systems, DATASET_CHUNK):
+            chunk = range(lo, min(lo + DATASET_CHUNK, m_systems))
+            for i, system in zip(chunk, dist.sample_systems(seed, "train", chunk)):
+                self.tokens[i] = self.trajectory(system, i)
+        self.tokens_sha256 = hashlib.sha256(self.tokens).hexdigest()
 
     def trajectory(self, system, i):
         """The tokens of system i's training trajectory."""
         return self.dist.make_trajectory(system, self.train_len, self.seed, "train", i).tokens
 
     def manifest(self) -> dict:
-        """The dataset's config and the sha256 of its systems: the same size
+        """The dataset's config and the sha256 of its tokens: the same size
         at any M."""
         return {
             "preset": self.dist.name,
@@ -156,7 +153,7 @@ class MetaDataset:
             "train_len": self.train_len,
             "seed": self.seed,
             "role": "train",
-            "systems_sha256": self.systems_sha256,
+            "tokens_sha256": self.tokens_sha256,
         }
 
 

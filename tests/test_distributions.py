@@ -39,12 +39,13 @@ def test_quadrotor_gives_up_after_the_resample_limit(monkeypatch, caplog):
 
     monkeypatch.setattr(distributions, "simulate", diverge)
     dist = get_distribution("quadrotor")
-    system = dist.sample_system(7, "test", 0)
+    system = dist.sample_system(7, "test", 3)
     with caplog.at_level(logging.WARNING, logger=distributions.logger.name), \
-            pytest.raises(DivergenceError, match=f"diverged {QUAD_RESAMPLE_LIMIT} times"):
-        dist.make_trajectory(system, 20, 7, "test", 0)
+            pytest.raises(DivergenceError, match=re.escape(
+                f"diverged {QUAD_RESAMPLE_LIMIT} times (test system 3)")):
+        dist.make_trajectory(system, 20, 7, "test", 3)
     assert len(attempts) == QUAD_RESAMPLE_LIMIT
     assert [(r.levelno, r.getMessage()) for r in caplog.records] == [
-        (logging.WARNING, f"quadrotor rollout diverged (system seed {system.seed}, "
-                          f"attempt {k}); resampling")
+        (logging.WARNING, f"quadrotor rollout diverged (test system 3, attempt {k}); "
+                          "resampling")
         for k in range(QUAD_RESAMPLE_LIMIT)]

@@ -16,7 +16,7 @@ from moplab.distributions import get_distribution
 from moplab.model import ModelConfig
 from moplab.seeding import stream
 from moplab.systems import (
-    Trajectory, quadrotor_jacobian, quadrotor_step, stack_quadrotors, systems_sha256,
+    Trajectory, quadrotor_jacobian, quadrotor_step, stack_quadrotors,
 )
 from test_baselines import batch_ridge_oracle
 
@@ -157,7 +157,8 @@ def kf_population(request):
 def test_kf_population_begins_with_the_test_population(kf_population):
     dist, systems, tokens = kf_population
     ref_systems, ref_trajs = evaluation.test_population(dist, 20, HORIZON, 10000)
-    assert systems_sha256(systems[:20]) == systems_sha256(ref_systems)
+    for system, ref in zip(systems[:20], ref_systems, strict=True):
+        assert np.array_equal(system.a, ref.a) and np.array_equal(system.c, ref.c)
     assert np.array_equal(tokens[:20], stacked_tokens(ref_trajs))
 
 

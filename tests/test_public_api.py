@@ -2,7 +2,9 @@
 module's `__all__` is read by another moplab module, by its own module
 beyond its definition and its `__all__` entry, or by the benchmark under
 perfbench/. A name that only the tests call is an API the package carries
-for nothing; the tests move onto the API that production calls instead."""
+for nothing; the tests move onto the API that production calls instead.
+No module, the tests' and the benchmark's included, imports a name it
+never reads."""
 
 import ast
 from pathlib import Path
@@ -12,6 +14,8 @@ import pytest
 ROOT = Path(__file__).resolve().parent.parent
 MODULES = sorted((ROOT / "src" / "moplab").glob("*.py"))
 BENCHMARK = sorted((ROOT / "perfbench").glob("*.py"))
+TESTS = sorted((ROOT / "tests").glob("*.py")) + sorted(
+    (ROOT / "perfbench" / "tests").glob("*.py"))
 
 # ROADMAP item 8 reruns an aborted batch with finite checks on to name the
 # op behind the abort; until then only the tests switch them on.
@@ -62,6 +66,29 @@ def test_every_exported_name_is_used_outside_the_tests(path):
     unused = [name for name in exported
               if name not in used and (path.stem, name) not in EXEMPT]
     assert unused == [], f"{path.stem} exports names only the tests use"
+
+
+def _unused_imports(tree) -> list:
+    """Names an import binds that the module never loads as a name and does
+    not list in `__all__`; `import a.b` binds `a`, and a __future__ import
+    binds nothing."""
+    all_node = _all_node(tree)
+    read = {e.value for e in all_node.value.elts} if all_node else set()
+    read |= {node.id for node in ast.walk(tree)
+             if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load)}
+    bound = [alias.asname or alias.name.split(".")[0]
+             for node in ast.walk(tree)
+             if isinstance(node, (ast.Import, ast.ImportFrom))
+             and not (isinstance(node, ast.ImportFrom) and node.module == "__future__")
+             for alias in node.names]
+    return [name for name in bound if name not in read]
+
+
+@pytest.mark.parametrize("path", MODULES + BENCHMARK + TESTS,
+                         ids=lambda p: str(p.relative_to(ROOT)))
+def test_every_imported_name_is_read(path):
+    unused = _unused_imports(ast.parse(path.read_text()))
+    assert unused == [], f"{path.name} imports names it never reads"
 
 
 # ---------------------------------------------------------------------------

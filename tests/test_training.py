@@ -3,6 +3,7 @@
 
 import ctypes
 import dataclasses
+import hashlib
 import json
 import math
 import os
@@ -21,7 +22,7 @@ from moplab.distributions import DISTRIBUTIONS, get_distribution
 from moplab.manifest import read_csv, sha256_file, sha256_json
 from moplab.model import ModelConfig
 from moplab.seeding import derive_seed, stream
-from moplab.systems import Trajectory, systems_sha256
+from moplab.systems import Trajectory
 from moplab.training import TrainConfig, TrainingAborted, batch_loss, build_meta_dataset
 
 TINY_MODEL = ModelConfig(layers=2, heads=2, embed_dim=16, context=32,
@@ -49,18 +50,12 @@ def test_dataset_manifest_reproducible():
 def test_dataset_record_is_config_and_systems_hash():
     a = build_meta_dataset("linear-dense", 10, 20, 3)
     record = a.manifest()
+    # the recorded hash is the sha256 of the token stack every step indexes
     assert record == {"preset": "linear-dense", "m_systems": 10, "train_len": 20,
                       "seed": 3, "role": "train",
-                      "systems_sha256": record["systems_sha256"]}
-    assert build_meta_dataset("linear-dense", 10, 20, 4).manifest()["systems_sha256"] \
-        != record["systems_sha256"]
-    # the recorded hash is the systems' own, and one A moved by 1e-12
-    # relative changes it
-    dist = get_distribution("linear-dense")
-    systems = [dist.sample_system(3, "train", i) for i in range(10)]
-    assert systems_sha256(systems) == record["systems_sha256"]
-    systems[7] = dataclasses.replace(systems[7], a=systems[7].a * (1 + 1e-12))
-    assert systems_sha256(systems) != record["systems_sha256"]
+                      "tokens_sha256": hashlib.sha256(a.tokens).hexdigest()}
+    assert build_meta_dataset("linear-dense", 10, 20, 4).manifest()["tokens_sha256"] \
+        != record["tokens_sha256"]
     # the record grows with M only by the digits of the count
     large = build_meta_dataset("linear-dense", 100, 20, 3).manifest()
     assert len(json.dumps(large)) - len(json.dumps(record)) == len("100") - len("10")
@@ -102,7 +97,7 @@ def test_dataset_across_a_chunk_boundary_equals_per_index_draws(preset):
     tokens = np.stack([dist.make_trajectory(system, train_len, seed, "train", i).tokens
                        for i, system in enumerate(systems)])
     assert np.array_equal(ds.tokens, tokens)
-    assert ds.systems_sha256 == systems_sha256(systems)
+    assert ds.tokens_sha256 == hashlib.sha256(tokens).hexdigest()
 
 
 @pytest.mark.parametrize("preset, m_systems", [("linear-triangular", 200),
