@@ -5,10 +5,11 @@ once: `step(y_t, u_t=None)` takes the newest outputs [N, m] (and inputs
 [N, k]) and returns the predictions for y_{t+1} as [N, m], so the
 evaluation harness scores a whole test population with T-1 calls. Rows
 never interact: every row is what a predictor for that system alone would
-compute. No predictor has a singular case. The filters' innovation
-covariance S = C P C^T + sigma_v^2 I is positive definite because
-sigma_v > 0, and the AR baseline's inverse Gram matrix is positive definite
-by construction. A non-finite observation makes only its own row's
+compute. The filters are handed their model as arrays, the noise as the
+covariances Q and R that `evaluation.make_predictor` sets. No predictor
+has a singular case: the filters' S = C P C^T + R is positive definite
+because R must be, and so is the AR baseline's inverse Gram matrix, by
+construction. A non-finite observation makes only its own row's
 predictions NaN, which the evaluation harness drops as a failed system.
 """
 
@@ -19,7 +20,7 @@ import numpy as np
 # bound here by name so perfbench's tracer can time the filters' gain solves
 from numpy.linalg import solve as solve_linear
 
-from .systems import quadrotor_jacobian, quadrotor_step, stack_quadrotors
+from .systems import quadrotor_jacobian, quadrotor_step
 
 __all__ = [
     "GaussianFilter", "KalmanFilter", "QuadrotorEKF",
@@ -46,24 +47,22 @@ class GaussianFilter:
     `propagate(x, u)` advances the means [N, n] and `jacobian(x, u)`
     supplies the linearizations [N, n, n] used for the covariances; passing
     the exact linear maps makes this the standard Kalman filter, passing a
-    nonlinear model plus its analytic Jacobian makes it the EKF. The output
-    maps C are the `systems`'; Q = sigma_w^2 I and R = sigma_v^2 I are
-    shared by every system, and sigma_v > 0 is required so that every
-    innovation covariance is positive definite. Initialized at x_hat = 0,
-    P = 0 (the initial state is known to be zero). Each covariance is
-    re-symmetrized every step; if its diagonal drifts below -1e-10 a 1e-9
-    jitter is added to restore PSD.
+    nonlinear model plus its analytic Jacobian makes it the EKF. `c` is the
+    stacked output maps [N, m, n]; the process and output noise covariances
+    `q` [n, n] and `r` [m, m] are shared by every system. `r` must be
+    symmetric positive definite, so that every innovation covariance is.
+    Initialized at x_hat = 0, P = 0 (the initial state is known to be
+    zero). Each covariance is re-symmetrized every step; if its diagonal
+    drifts below -1e-10 a 1e-9 jitter is added to restore PSD.
     """
 
-    def __init__(self, propagate, jacobian, systems, sigma_w, sigma_v):
-        if not sigma_v > 0:
-            raise ValueError(f"sigma_v must be positive, got {sigma_v}")
+    def __init__(self, propagate, jacobian, c, q, r):
+        if not (np.array_equal(r, _t(r)) and np.linalg.eigvalsh(r).min() > 0):
+            raise ValueError("r must be symmetric positive definite")
         self.propagate = propagate
         self.jacobian = jacobian
-        self.c = np.stack([s.c for s in systems], dtype=np.float64)
-        n_sys, self.m, self.n = self.c.shape
-        self.q = np.square(sigma_w) * np.eye(self.n)
-        self.r = np.square(sigma_v) * np.eye(self.m)
+        self.c, self.q, self.r = c, q, r
+        n_sys, self.m, self.n = c.shape
         self.x_hat = np.zeros((n_sys, self.n))
         self.p = np.zeros((n_sys, self.n, self.n))
 
@@ -91,28 +90,19 @@ class GaussianFilter:
 
 class KalmanFilter(GaussianFilter):
     """Optimal output predictor for known linear-Gaussian systems, given
-    the population's noise stds (see `Distribution.filter_noise_stds`)."""
+    their stacked transition maps `a` [N, n, n] and noise covariances."""
 
-    def __init__(self, systems, sigma_w, sigma_v):
-        a = np.stack([np.asarray(s.a, dtype=np.float64) for s in systems])
-        super().__init__(
-            propagate=lambda x, u: _matvec(a, x),
-            jacobian=lambda x, u: a,
-            systems=systems, sigma_w=sigma_w, sigma_v=sigma_v,
-        )
+    def __init__(self, a, c, q, r):
+        super().__init__(lambda x, u: _matvec(a, x), lambda x, u: a, c, q, r)
 
 
 class QuadrotorEKF(GaussianFilter):
-    """EKF for planar quadrotors: nonlinear mean propagation, analytic
-    Jacobian linearization, linear output map."""
+    """EKF for planar quadrotors of parameters `params` (see
+    `systems.stack_quadrotors`): nonlinear mean, analytic Jacobian."""
 
-    def __init__(self, systems, sigma_w, sigma_v):
-        params = stack_quadrotors(systems)
-        super().__init__(
-            propagate=lambda x, u: quadrotor_step(x, u, 0.0, params),
-            jacobian=lambda x, u: quadrotor_jacobian(x),
-            systems=systems, sigma_w=sigma_w, sigma_v=sigma_v,
-        )
+    def __init__(self, params, c, q, r):
+        super().__init__(lambda x, u: quadrotor_step(x, u, 0.0, params),
+                         lambda x, u: quadrotor_jacobian(x), c, q, r)
 
 
 class OnlineARPredictor:

@@ -283,20 +283,27 @@ def derive_eval_seed(seed: int) -> int:
 
 
 def _ensure_trained(cfg: TrainConfig, train_dir: Path, quiet, phases) -> str:
-    """The final checkpoint of `cfg` under train_dir, reused when the run's
-    manifest records this config and, as the final checkpoint's sha256, the
-    file's own; otherwise trained from step 0 (timed into `phases`).
-    `training.train` rewrites the manifest after every checkpoint, so a run
-    stopped before its end records no final checkpoint, and the final one
-    left by an earlier run of another config is never taken for this one."""
-    final = train_dir / "ckpt-final.ckpt"
+    """The final checkpoint of `cfg` under train_dir. A checkpoint counts
+    when the run's manifest records this config and the file's sha256. A
+    final one that counts is reused; otherwise the run resumes from the
+    newest one that counts, never ckpt-abort.ckpt, or trains from step 0
+    (timed into `phases`). `training.train` rewrites the manifest after
+    every checkpoint, listing them in the order written, so a stopped run
+    resumes from its last one, and no other config's file is taken."""
     manifest_path = train_dir / "manifest.json"
-    if final.exists() and manifest_path.exists():
-        prev = json.loads(manifest_path.read_text())
-        if (sha256_json(prev.get("config", {})) == sha256_json(dataclasses.asdict(cfg))
-                and prev.get("checkpoint_hashes", {}).get(final.name) == sha256_file(final)):
-            return str(final)
-    result = _timed(phases, "train", training.train, cfg, train_dir, quiet=quiet)
+    prev = json.loads(manifest_path.read_text()) if manifest_path.exists() else {}
+    resume = None
+    if sha256_json(prev.get("config", {})) == sha256_json(dataclasses.asdict(cfg)):
+        hashes = prev.get("checkpoint_hashes", {})
+        for name in reversed([name for name in hashes if name != "ckpt-abort.ckpt"]):
+            path = train_dir / name
+            if path.exists() and sha256_file(path) == hashes[name]:
+                if name == "ckpt-final.ckpt":
+                    return str(path)
+                resume = path
+                break
+    result = _timed(phases, "train", training.train, cfg, train_dir, resume=resume,
+                    quiet=quiet)
     phases["train"] -= result.dataset_s
     phases["dataset"] = (phases["dataset"] or 0.0) + result.dataset_s
     return result.checkpoints[-1]

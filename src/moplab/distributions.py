@@ -5,10 +5,10 @@ trajectory: the system family, its noise variances and the moving window
 its noise is summed over (1 for white noise), and the width of the
 model's prompt tokens (the quadrotor's carry the applied rotor commands
 after each output; see `systems.Trajectory.tokens`). Every system drawn
-shares that noise model, which simulation and the model-aware filters read
-from here. Seed namespaces: systems and trajectories derive their streams
-from (base_seed, role, index), so train and test populations never share
-draws.
+shares that noise model: simulation reads it from here, and
+`evaluation.make_predictor` turns it into the filters' Q and R. Seed
+namespaces: systems and trajectories derive their streams from
+(base_seed, role, index), so train and test populations never share draws.
 """
 
 from __future__ import annotations
@@ -55,14 +55,6 @@ class Distribution:
         """(sigma_w, sigma_v): the stds `simulate` scales its innovations by."""
         return float(np.sqrt(self.sigma_w2)), float(np.sqrt(self.sigma_v2))
 
-    def filter_noise_stds(self) -> tuple[float, float]:
-        """Noise stds handed to the model-aware filter: each channel's
-        stationary marginal std sqrt(window * sigma^2). Over a window longer
-        than 1 the filter (wrongly, and knowingly: it assumes white noise)
-        treats that std as white."""
-        return (float(np.sqrt(self.noise_window * self.sigma_w2)),
-                float(np.sqrt(self.noise_window * self.sigma_v2)))
-
     def sample_system(self, base_seed: int, role: str, index: int):
         """Draw system `index` of the given role ("train" / "test" / ...)."""
         return self.sample_systems(base_seed, role, [index])[0]
@@ -79,8 +71,9 @@ class Distribution:
 
     def make_trajectory(self, system, t_len: int, base_seed: int, role: str,
                         index: int, switch=None) -> Trajectory:
-        """Roll one trajectory; quadrotor systems get fresh random rotor
-        commands and divergent rollouts are re-drawn (bounded retries)."""
+        """Roll one trajectory, switched under `switch`; quadrotor systems
+        get fresh random rotor commands and divergent rollouts are re-drawn
+        (bounded retries)."""
         seed = derive_seed(base_seed, self.name, role, "traj", index)
         if self.kind == "linear":
             return simulate(system, t_len, np.random.default_rng(seed),
@@ -90,7 +83,7 @@ class Distribution:
             inputs = sample_random_inputs(sub, t_len, system)
             try:
                 return simulate(system, t_len, sub, self.noise_stds,
-                                self.noise_window, inputs=inputs)
+                                self.noise_window, switch=switch, inputs=inputs)
             except DivergenceError:
                 logger.warning("quadrotor rollout diverged (%s system %d, "
                                "attempt %d); resampling", role, index, attempt)

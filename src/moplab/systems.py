@@ -90,7 +90,7 @@ class SwitchSpec:
     """Replace the dynamics with `system` from time t_switch on (state carries
     over; outputs and transitions at t >= t_switch use the new system)."""
     t_switch: int
-    system: LinearSystem
+    system: LinearSystem | QuadrotorSystem
 
 
 # ---------------------------------------------------------------------------
@@ -240,9 +240,10 @@ def stack_quadrotors(systems) -> SimpleNamespace:
 
 
 def simulate(system, t_len, rng, stds, window=1, switch: SwitchSpec | None = None,
-             inputs=None, record_states=False) -> Trajectory:
-    """Roll a trajectory of t_len outputs y_0..y_{T-1} from x_0 = 0, its
-    noise at `stds` summed over `window` innovations (see `_noise_sequences`).
+             inputs=None) -> Trajectory:
+    """Roll a trajectory of t_len outputs y_0..y_{T-1} and its states
+    x_0..x_{T-1} from x_0 = 0, its noise at `stds` summed over `window`
+    innovations (see `_noise_sequences`).
 
     Under `switch`, the dynamics (and output map) are replaced from
     t_switch on while the state carries over; the noise draws are shared so
@@ -259,7 +260,7 @@ def simulate(system, t_len, rng, stds, window=1, switch: SwitchSpec | None = Non
         raise ValueError("quadrotor simulation needs an input sequence")
 
     ys = np.empty((t_len, system.m))
-    xs = np.empty((t_len, system.n)) if record_states else None
+    xs = np.empty((t_len, system.n))
     x = np.zeros(system.n)
     active = system
     for t in range(t_len):
@@ -271,8 +272,7 @@ def simulate(system, t_len, rng, stds, window=1, switch: SwitchSpec | None = Non
             norm = float(np.linalg.norm(x))
             if not np.isfinite(norm) or norm > DIVERGENCE_LIMIT:
                 raise DivergenceError(f"state norm {norm:.3e} at t={t}")
-        if xs is not None:
-            xs[t] = x
+        xs[t] = x
         ys[t] = active.c @ x + v[t]
     us = np.asarray(inputs)[:t_len] if inputs is not None else None
     return Trajectory(ys=ys, xs=xs, us=us)

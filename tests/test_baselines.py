@@ -15,15 +15,28 @@ from moplab.distributions import get_distribution
 from moplab.seeding import stream
 from moplab.systems import (
     LinearSystem, quadrotor_jacobian, quadrotor_step, sample_linear_systems,
-    sample_quadrotor, sample_random_inputs, simulate,
+    sample_quadrotor, sample_random_inputs, simulate, stack_quadrotors,
 )
 
 
-STDS = (0.1, 0.1)                    # (sigma_w, sigma_v): variances 0.01
+STDS = (0.1, 0.1)                    # (sigma_w, sigma_v)
+VAR = 0.01                           # their variances
 
 
 def scalar_system(a=0.9, c=1.0):
     return LinearSystem(a=np.array([[a]]), c=np.array([[c]]))
+
+
+def linear_kf(system, q=VAR, r=VAR):
+    """The KF over the one-system stack [system], with Q = q I and R = r I."""
+    return KalmanFilter(system.a[None], system.c[None], q * np.eye(system.n),
+                        r * np.eye(system.m))
+
+
+def quadrotor_ekf(system, q=VAR, r=VAR):
+    """The EKF over the one-quadrotor stack [system], with Q = q I and R = r I."""
+    return QuadrotorEKF(stack_quadrotors([system]), system.c[None], q * np.eye(system.n),
+                        r * np.eye(system.m))
 
 
 def riccati_fixed_point(a, c, q, r, tol=1e-14):
@@ -44,7 +57,7 @@ def riccati_fixed_point(a, c, q, r, tol=1e-14):
 
 def test_kf_memoryless_system_predicts_prior_mean():
     system = scalar_system(a=0.0)
-    kf = KalmanFilter([system], *STDS)
+    kf = linear_kf(system)
     rng = stream(1, "kfa0")
     for t in range(50):
         pred = kf.step(rng.standard_normal((1, 1)))
@@ -54,17 +67,17 @@ def test_kf_memoryless_system_predicts_prior_mean():
 
 def test_kf_riccati_convergence():
     system = scalar_system(a=0.9, c=1.0)
-    kf = KalmanFilter([system], *STDS)
+    kf = linear_kf(system)
     traj = simulate(system, 201, stream(2, "ric"), STDS)
     for t in range(200):
         kf.step(traj.ys[t][None])
-    oracle = riccati_fixed_point(0.9, 1.0, 0.01, 0.01)
+    oracle = riccati_fixed_point(0.9, 1.0, VAR, VAR)
     assert abs(float(kf.p[0, 0, 0]) - oracle) <= 1e-8
 
 
 def test_kf_zero_noise_exact():
     system = scalar_system()
-    kf = KalmanFilter([system], 0.0, STDS[1])
+    kf = linear_kf(system, q=0.0)
     traj = simulate(system, 30, stream(3), (0.0, 0.0))
     errs = []
     pred = np.zeros((1, 1))
@@ -74,22 +87,22 @@ def test_kf_zero_noise_exact():
     assert max(errs) == 0.0
 
 
-@pytest.mark.parametrize("sigma_v", [0.0, -0.1, float("nan")])
+@pytest.mark.parametrize("r", [0.0, -0.1, float("nan")])
 @pytest.mark.parametrize("kind", ["kf", "ekf"])
-def test_filters_reject_nonpositive_output_noise(kind, sigma_v):
-    # S = C P C^T + sigma_v^2 I is positive definite only for sigma_v > 0
+def test_filters_reject_nonpositive_output_noise(kind, r):
+    # S = C P C^T + R is positive definite for every P only if R is
     if kind == "kf":
-        build, system = KalmanFilter, scalar_system()
+        build, system = linear_kf, scalar_system()
     else:
-        build, system = QuadrotorEKF, sample_quadrotor(stream(14, "hover"))
-    with pytest.raises(ValueError, match="sigma_v must be positive"):
-        build([system], STDS[0], sigma_v)
+        build, system = quadrotor_ekf, sample_quadrotor(stream(14, "hover"))
+    with pytest.raises(ValueError, match="r must be symmetric positive definite"):
+        build(system, r=r)
 
 
 def test_kf_innovation_whiteness():
     system = sample_linear_systems([stream(4, "white")], 10, 5)[0]
     traj = simulate(system, 2000, stream(5, "white"), STDS)
-    kf = KalmanFilter([system], *STDS)
+    kf = linear_kf(system)
     innovations = np.zeros((2000, 5))
     for t in range(2000):
         innovations[t] = traj.ys[t] - kf.predicted_output[0]
@@ -103,7 +116,7 @@ def test_kf_innovation_whiteness():
 def test_kf_covariance_trace_monotone_convergent():
     system = sample_linear_systems([stream(6, "tr")], 10, 5)[0]
     traj = simulate(system, 600, stream(7, "tr"), STDS)
-    kf = KalmanFilter([system], *STDS)
+    kf = linear_kf(system)
     traces = []
     for t in range(600):
         kf.step(traj.ys[t][None])
@@ -120,7 +133,7 @@ def test_kf_dominates_ar_ols_on_average():
     for i in range(n_sys):
         system = sample_linear_systems([stream(8, "dom", i)], 10, 5)[0]
         traj = simulate(system, t_len, stream(9, "dom", i), STDS)
-        kf, ar = KalmanFilter([system], *STDS), OnlineARPredictor(1, 5)
+        kf, ar = linear_kf(system), OnlineARPredictor(1, 5)
         pk = pa = np.zeros(5)
         for t in range(t_len):
             kf_err[i, t] = np.linalg.norm(pk - traj.ys[t])
@@ -134,7 +147,7 @@ def test_kf_dominates_ar_ols_on_average():
 def test_kf_psd_and_symmetry_maintained():
     system = sample_linear_systems([stream(10, "psd")], 10, 5)[0]
     traj = simulate(system, 300, stream(11, "psd"), STDS)
-    kf = KalmanFilter([system], *STDS)
+    kf = linear_kf(system)
     for t in range(300):
         kf.step(traj.ys[t][None])
         assert np.array_equal(kf.p[0], kf.p[0].T)
@@ -168,7 +181,7 @@ def test_ekf_zero_noise_hover_exact():
     system = sample_quadrotor(stream(14, "hover"))
     hover = np.full((40, 2), system.hover_thrust)
     traj = simulate(system, 40, stream(15), (0.0, 0.0), inputs=hover)
-    ekf = QuadrotorEKF([system], 0.0, STDS[1])
+    ekf = quadrotor_ekf(system, q=0.0)
     pred = np.zeros(3)
     for t in range(39):
         assert np.linalg.norm(pred - traj.ys[t]) <= 1e-9
@@ -178,11 +191,11 @@ def test_ekf_zero_noise_hover_exact():
 def test_ekf_reduces_to_kf_on_linear_system():
     system = sample_linear_systems([stream(16, "lin")], 6, 3)[0]
     traj = simulate(system, 100, stream(17, "lin"), STDS)
-    kf = KalmanFilter([system], *STDS)
-    a = np.asarray(system.a, dtype=np.float64)[None]
+    kf = linear_kf(system)
+    a = system.a[None]
     generic = GaussianFilter(
         propagate=lambda x, u: (a @ x[..., None])[..., 0], jacobian=lambda x, u: a,
-        systems=[system], sigma_w=STDS[0], sigma_v=STDS[1])
+        c=kf.c, q=kf.q, r=kf.r)
     for t in range(100):
         yk = kf.step(traj.ys[t][None])
         yg = generic.step(traj.ys[t][None])
@@ -193,7 +206,7 @@ def test_ekf_tracks_quadrotor_reasonably():
     system = sample_quadrotor(stream(18, "trk"))
     inputs = sample_random_inputs(stream(19, "trk"), 50, system)
     traj = simulate(system, 50, stream(20, "trk"), STDS, inputs=inputs)
-    ekf = QuadrotorEKF([system], *STDS)
+    ekf = quadrotor_ekf(system)
     e_ekf, e_zero = [], []
     pe = np.zeros(3)
     for t in range(50):

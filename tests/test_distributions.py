@@ -1,6 +1,6 @@
-"""System distributions: lookup by name, the noise stds the model-aware
-filters are handed, and the bounded re-draw of diverging quadrotor
-rollouts."""
+"""System distributions: lookup by name, the noise the model-aware filters
+are told (`evaluation.make_predictor`'s Q and R), the bounded re-draw of
+diverging quadrotor rollouts, and switched quadrotor trajectories."""
 
 import logging
 import re
@@ -8,7 +8,7 @@ import re
 import numpy as np
 import pytest
 
-from moplab import distributions
+from moplab import distributions, evaluation
 from moplab.distributions import DISTRIBUTIONS, QUAD_RESAMPLE_LIMIT, get_distribution
 from moplab.systems import DivergenceError
 
@@ -19,15 +19,21 @@ def test_unknown_distribution_lists_the_valid_names():
         get_distribution("linear-cubic")
 
 
+def filter_noise(name):
+    """The Q and R `make_predictor` hands the model-aware filter of `name`."""
+    dist = get_distribution(name)
+    systems, _ = evaluation.test_population(dist, 2, 3, 0)
+    scored = evaluation.make_predictor("ekf" if name == "quadrotor" else "kf", systems, dist)
+    return dist, scored.q, scored.r
+
+
 @pytest.mark.parametrize("name", sorted(DISTRIBUTIONS))
 def test_filter_noise_stds_scale_by_the_root_of_the_noise_window(name):
-    dist = get_distribution(name)
-    if name == "linear-colored":
-        assert dist.noise_window == 5
-        np.testing.assert_allclose(dist.filter_noise_stds(),
-                                   np.sqrt(5) * np.array(dist.noise_stds), rtol=1e-15, atol=0)
-    else:
-        assert dist.filter_noise_stds() == dist.noise_stds
+    dist, q, r = filter_noise(name)
+    window = 5 if name == "linear-colored" else 1
+    assert dist.noise_window == window
+    np.testing.assert_allclose(q, window * dist.sigma_w2 * np.eye(dist.n), rtol=1e-15, atol=0)
+    np.testing.assert_allclose(r, window * dist.sigma_v2 * np.eye(dist.m), rtol=1e-15, atol=0)
 
 
 def test_quadrotor_gives_up_after_the_resample_limit(monkeypatch, caplog):
@@ -49,3 +55,14 @@ def test_quadrotor_gives_up_after_the_resample_limit(monkeypatch, caplog):
         (logging.WARNING, f"quadrotor rollout diverged (test system 3, attempt {k}); "
                           "resampling")
         for k in range(QUAD_RESAMPLE_LIMIT)]
+
+
+def test_a_switched_quadrotor_population_switches_at_its_switch_time():
+    dist, k = get_distribution("quadrotor"), 20
+    _, plain = evaluation.test_population(dist, 6, 40, 5)
+    _, switched = evaluation.test_population(dist, 6, 40, 5, switch_at=k)
+    plain, switched = (np.stack([t.tokens for t in trajs]) for trajs in (plain, switched))
+    assert np.array_equal(switched[:, :k], plain[:, :k])
+    # the inputs are the same draws; from k on every output differs
+    assert np.array_equal(switched[..., dist.m:], plain[..., dist.m:])
+    assert (switched[:, k:, :dist.m] != plain[:, k:, :dist.m]).any(axis=-1).all()

@@ -122,20 +122,24 @@ def test_chunked_mop_forward_matches_one_population_forward():
     assert np.abs(preds[:, 1:] - whole).max() <= 1e-12
 
 
+def stacked_kf(systems, q, r):
+    return KalmanFilter(np.stack([s.a for s in systems]), np.stack([s.c for s in systems]),
+                        q, r)
+
+
 def test_late_kf_gain_matches_discrete_riccati_solution():
     systems = [LINEAR.sample_system(7, "dare", i) for i in range(5)]
-    kf = KalmanFilter(systems, *LINEAR.noise_stds)
+    q, r = LINEAR.sigma_w2 * np.eye(LINEAR.n), LINEAR.sigma_v2 * np.eye(LINEAR.m)
+    kf = stacked_kf(systems, q, r)
     zeros = np.zeros((len(systems), LINEAR.m))
     for _ in range(600):              # the covariance recursion ignores the data
         kf.step(zeros)
-    q, r = LINEAR.sigma_w2, LINEAR.sigma_v2
     for i, system in enumerate(systems):
         a, c = system.a, system.c
-        p = scipy.linalg.solve_discrete_are(a.T, c.T, q * np.eye(system.n),
-                                            r * np.eye(system.m))
-        gain = p @ c.T @ np.linalg.inv(c @ p @ c.T + r * np.eye(system.m))
+        p = scipy.linalg.solve_discrete_are(a.T, c.T, q, r)
+        gain = p @ c.T @ np.linalg.inv(c @ p @ c.T + r)
         p_kf = kf.p[i]
-        gain_kf = p_kf @ c.T @ np.linalg.inv(c @ p_kf @ c.T + r * np.eye(system.m))
+        gain_kf = p_kf @ c.T @ np.linalg.inv(c @ p_kf @ c.T + r)
         assert np.abs(p_kf - p).max() <= 1e-9 * np.abs(p).max()
         assert np.abs(gain_kf - gain).max() <= 1e-9 * np.abs(gain).max()
 
@@ -162,10 +166,10 @@ def test_kf_population_begins_with_the_test_population(kf_population):
     assert np.array_equal(tokens[:20], stacked_tokens(ref_trajs))
 
 
-def innovation_ratios(systems, tokens, m, sigma_w, sigma_v):
+def innovation_ratios(systems, tokens, m, q, r):
     """Per system, sum_t ||y_t - yhat_t||^2 / sum_t tr S_t over t = 1..T-1,
     with S_t = C P C^T + R formed from the filter's P before it takes y_t."""
-    kf = KalmanFilter(systems, sigma_w, sigma_v)
+    kf = stacked_kf(systems, q, r)
     sq_err, trace_s = np.zeros(len(systems)), np.zeros(len(systems))
     pred = kf.step(tokens[:, 0, :m])
     for t in range(1, tokens.shape[1]):
@@ -180,10 +184,11 @@ def innovation_ratios(systems, tokens, m, sigma_w, sigma_v):
 def test_kf_errors_match_its_innovation_covariance(kf_population, w_factor, specified):
     # an exactly specified KF has E||y_t - yhat_t||^2 = tr S_t for every
     # system, which checks the sampler, the simulator, the noise model and
-    # the filter at once; one handed twice sigma_w overstates S_t
+    # the filter that scoring builds at once; one handed twice sigma_w
+    # overstates S_t
     dist, systems, tokens = kf_population
-    sigma_w, sigma_v = dist.filter_noise_stds()
-    ratios = innovation_ratios(systems, tokens, dist.m, w_factor * sigma_w, sigma_v)
+    scored = evaluation.make_predictor("kf", systems, dist)
+    ratios = innovation_ratios(systems, tokens, dist.m, w_factor ** 2 * scored.q, scored.r)
     mean = ratios.mean()
     stderr = ratios.std(ddof=1) / math.sqrt(len(ratios))
     assert (abs(mean - 1.0) <= 4.0 * stderr) == specified, (mean, stderr)

@@ -1,7 +1,8 @@
 """`moplab experiment` end to end at tiny sizes: every preset's file set,
 byte-identical reruns, the diagnostics each report carries, the eval-seed
-rule under MOP_SEED, the model dist-shift records, and reuse of a trained
-model only when its run records the same config and final checkpoint."""
+rule under MOP_SEED, the model dist-shift records, reuse of a trained
+model only when its run records the same config and final checkpoint, and
+a stopped run resumed from its last checkpoint."""
 
 import dataclasses
 import json
@@ -222,3 +223,25 @@ def test_a_stopped_run_does_not_reuse_another_configs_final_checkpoint(tmp_path,
     assert json.loads((tmp_path / "manifest.json").read_text())["config"]["seed"] == b.seed
     fresh_b = ensure_trained(b, tmp_path / "fresh").read_bytes()
     assert ensure_trained(b, tmp_path).read_bytes() == fresh_b != finished_a
+
+
+def test_a_killed_experiment_resumes_from_its_last_checkpoint(tmp_path, tiny_presets,
+                                                               monkeypatch):
+    assert experiment("linear-iid", tmp_path / "full", "--seed", "3") == 0
+    with pytest.MonkeyPatch.context() as killed:
+        stop_training_at(killed, 3)           # after the step-2 checkpoint
+        assert experiment("linear-iid", tmp_path / "run", "--seed", "3") == 1
+    resumes, real_train = [], training.train
+
+    def recording_train(*args, **kwargs):
+        resumes.append(kwargs["resume"])
+        return real_train(*args, **kwargs)
+
+    monkeypatch.setattr(training, "train", recording_train)
+    assert experiment("linear-iid", tmp_path / "run", "--seed", "3") == 0
+    full, run = (tmp_path / name / "linear-iid" for name in ("full", "run"))
+    assert resumes == [run / "train" / "ckpt-000002.ckpt"]
+    assert without_wallclock(run / "train" / "loss.csv") \
+        == without_wallclock(full / "train" / "loss.csv")
+    assert (run / "train" / "ckpt-final.ckpt").read_bytes() \
+        == (full / "train" / "ckpt-final.ckpt").read_bytes()

@@ -2,22 +2,32 @@
 told, the token layouts, name lookup, and that every preset's training run
 covers what its evaluation scores."""
 
-import math
-
+import numpy as np
 import pytest
 
+from moplab import evaluation
 from moplab.distributions import DISTRIBUTIONS, get_distribution
 from moplab.presets import EXPERIMENTS, desk_model_config, get_experiment
 
 
+def kf_noise(name):
+    dist = get_distribution(name)
+    systems, _ = evaluation.test_population(dist, 2, 3, 0)
+    kf = evaluation.make_predictor("kf", systems, dist)
+    return dist, kf.q, kf.r
+
+
 def test_colored_filter_gets_the_stationary_moving_average_std():
     # a window of 5 i.i.d. draws of variance 0.01 sums to variance 0.05
-    std = math.sqrt(0.05)
-    assert get_distribution("linear-colored").filter_noise_stds() == (std, std)
+    dist, q, r = kf_noise("linear-colored")
+    assert np.array_equal(q, 0.05 * np.eye(dist.n))
+    assert np.array_equal(r, 0.05 * np.eye(dist.m))
 
 
 def test_iid_filter_gets_the_noise_stds():
-    assert get_distribution("linear-dense").filter_noise_stds() == (0.1, 0.1)
+    dist, q, r = kf_noise("linear-dense")
+    assert np.array_equal(q, 0.01 * np.eye(dist.n))
+    assert np.array_equal(r, 0.01 * np.eye(dist.m))
 
 
 def test_quadrotor_tokens_carry_the_rotor_commands():

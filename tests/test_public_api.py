@@ -4,7 +4,8 @@ beyond its definition and its `__all__` entry, or by the benchmark under
 perfbench/. A name that only the tests call is an API the package carries
 for nothing; the tests move onto the API that production calls instead.
 No module, the tests' and the benchmark's included, imports a name it
-never reads."""
+never reads, and no module of the package defines a function, class or
+constant at its top level that neither it nor another module reads."""
 
 import ast
 from pathlib import Path
@@ -66,6 +67,31 @@ def test_every_exported_name_is_used_outside_the_tests(path):
     unused = [name for name in exported
               if name not in used and (path.stem, name) not in EXEMPT]
     assert unused == [], f"{path.stem} exports names only the tests use"
+
+
+def _module_level_names(tree) -> list:
+    """The functions, classes and constants a module defines at its top
+    level, `__all__` aside."""
+    names = []
+    for node in tree.body:
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            names.append(node.name)
+        elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+            targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+            names += [n.id for t in targets for n in ast.walk(t) if isinstance(n, ast.Name)]
+    return [name for name in names if name != "__all__"]
+
+
+@pytest.mark.parametrize("path", MODULES, ids=lambda p: p.stem)
+def test_every_module_level_name_is_read(path):
+    # a helper or constant that a deletion left behind: defined, not
+    # exported, and read by no module of the package or the benchmark
+    all_node = _all_node(TREES[path])
+    exported = {e.value for e in all_node.value.elts} if all_node else set()
+    read = set().union(*(_names_read(tree) for tree in TREES.values()))
+    unread = [name for name in _module_level_names(TREES[path])
+              if name not in exported and name not in read]
+    assert unread == [], f"{path.stem} defines names nothing reads"
 
 
 def _unused_imports(tree) -> list:

@@ -141,11 +141,13 @@ def test_mean_output_is_zero_over_population():
 
 
 def test_states_recorded_when_asked():
+    # every simulated trajectory carries the states its outputs were read from
     system = scalar_system()
-    traj = simulate(system, 20, stream(2), STDS, record_states=True)
-    assert traj.xs.shape == (20, 1)
-    # output = c x + v is consistent with the recorded states
-    assert np.isfinite(traj.xs).all()
+    traj = simulate(system, 20, stream(2), STDS)
+    w, v = _noise_sequences(system, 20, STDS, 1, stream(2))
+    assert traj.xs.shape == (20, 1) and np.array_equal(traj.xs[0], [0.0])
+    assert np.array_equal(traj.xs[1:], traj.xs[:-1] @ system.a.T + w[1:])
+    assert np.array_equal(traj.ys, traj.xs @ system.c.T + v)
 
 
 # ---------------------------------------------------------------------------
