@@ -16,7 +16,8 @@ The MOP_SEED environment variable overrides the base seed everywhere.
 
 `moplab experiment` trains at the base seed and draws its test population
 at the base seed + 10000, so the two never share draws. The rule is the
-same whether the base seed comes from --seed or from MOP_SEED.
+same whether the base seed comes from --seed or from MOP_SEED. A rerun into
+the same directory reuses a finished run and resumes a stopped one.
 """
 
 from __future__ import annotations
@@ -31,8 +32,7 @@ from pathlib import Path
 
 from . import __version__, evaluation, model, svgplot, training
 from .distributions import DISTRIBUTIONS, get_distribution
-from .manifest import (read_csv, sha256_file, sha256_json, write_csv,
-                       write_json, write_manifest)
+from .manifest import read_csv, sha256_file, write_csv, write_json, write_manifest
 from .model import ModelConfig
 from .presets import desk_model_config, get_experiment
 from .training import TrainConfig
@@ -283,29 +283,13 @@ def derive_eval_seed(seed: int) -> int:
 
 
 def _ensure_trained(cfg: TrainConfig, train_dir: Path, quiet, phases) -> str:
-    """The final checkpoint of `cfg` under train_dir. A checkpoint counts
-    when the run's manifest records this config and the file's sha256. A
-    final one that counts is reused; otherwise the run resumes from the
-    newest one that counts, never ckpt-abort.ckpt, or trains from step 0
-    (timed into `phases`). `training.train` rewrites the manifest after
-    every checkpoint, listing them in the order written, so a stopped run
-    resumes from its last one, and no other config's file is taken."""
-    manifest_path = train_dir / "manifest.json"
-    prev = json.loads(manifest_path.read_text()) if manifest_path.exists() else {}
-    resume = None
-    if sha256_json(prev.get("config", {})) == sha256_json(dataclasses.asdict(cfg)):
-        hashes = prev.get("checkpoint_hashes", {})
-        for name in reversed([name for name in hashes if name != "ckpt-abort.ckpt"]):
-            path = train_dir / name
-            if path.exists() and sha256_file(path) == hashes[name]:
-                if name == "ckpt-final.ckpt":
-                    return str(path)
-                resume = path
-                break
-    result = _timed(phases, "train", training.train, cfg, train_dir, resume=resume,
-                    quiet=quiet)
-    phases["train"] -= result.dataset_s
-    phases["dataset"] = (phases["dataset"] or 0.0) + result.dataset_s
+    """The final checkpoint of `cfg` under train_dir (see `training.train`),
+    the dataset build and the rest of the run timed into `phases` unless reused."""
+    t0 = time.perf_counter()
+    result = training.train(cfg, train_dir, quiet=quiet)
+    if result.dataset_s is not None:
+        phases["dataset"] = (phases["dataset"] or 0.0) + result.dataset_s
+        phases["train"] = (phases["train"] or 0.0) + time.perf_counter() - t0 - result.dataset_s
     return result.checkpoints[-1]
 
 
@@ -370,18 +354,10 @@ def _experiment_shift(preset, seed, root: Path, ckpt, phases) -> None:
 
 def _experiment_scaling(preset, seed, root: Path, quiet, phases) -> None:
     """One model per (M, T^tr) cell at a fixed step budget, each scored by
-    its excess risk over the preset's filter on one shared test population."""
+    its excess risk over the preset's filter on the same test population."""
     dist = get_distribution(preset.distribution)
-    eval_seed = derive_eval_seed(seed)
-    population = _timed(phases, "population", evaluation.test_population,
-                        dist, preset.eval_n, preset.eval_horizon, eval_seed)
-
-    def score(kind, weights):
-        return _timed(phases["score"], kind, evaluation.error_curve, kind, dist,
-                      preset.eval_n, preset.eval_horizon, eval_seed,
-                      weights=weights, population=population)
-
-    filter_curve = score(preset.baselines[0], None)
+    scoring = (dist, preset.eval_n, preset.eval_horizon, derive_eval_seed(seed))
+    filter_curve, = _score(preset.baselines[:1], *scoring, phases=phases)
     cells = []
     for m_systems, train_len in preset.scaling_grid:
         cfg = dataclasses.replace(preset.train, seed=seed, m_systems=m_systems,
@@ -395,8 +371,8 @@ def _experiment_scaling(preset, seed, root: Path, quiet, phases) -> None:
         except training.TrainingAborted as exc:
             cell["flagged"] = str(exc)
         else:
-            risk = evaluation.excess_risk(score("mop", model.load_checkpoint(ckpt)),
-                                          filter_curve)
+            curve, = _score(["mop"], *scoring, model.load_checkpoint(ckpt), phases=phases)
+            risk = evaluation.excess_risk(curve, filter_curve)
             cell.update(delta=risk["delta"], stderr=risk["stderr"])
         cells.append(cell)
     report = evaluation.scaling_report(preset.distribution, cells)

@@ -21,7 +21,7 @@ H is the preset's eval horizon.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -214,10 +214,15 @@ def window_stats(curve: ErrorCurve, lo, hi):
 def compare_predictors(curve_a: ErrorCurve, curve_b: ErrorCurve) -> dict:
     """Report of the per-timestep error ratio A/B, None where B's mean error
     is below RATIO_GUARD, plus early and late window summaries (None for a
-    window that the horizon clips to empty: the early one below 3 steps)."""
+    window that the horizon clips to empty: the early one below 3 steps),
+    both curves taken over the test systems that both kept."""
     for f in ("preset", "horizon", "seed"):
         if getattr(curve_a, f) != getattr(curve_b, f):
             raise ValueError(f"curves disagree on {f}")
+    failed = sorted(set(curve_a.failed_systems) | set(curve_b.failed_systems))
+    curve_a, curve_b = (replace(c, failed_systems=failed, per_system=c.per_system[
+        [i not in failed for i in range(c.n_systems + len(c.failed_systems))
+         if i not in c.failed_systems]]) for c in (curve_a, curve_b))
     t = curve_a.horizon
 
     def window(lo, hi):

@@ -17,17 +17,18 @@ so the next chunk reuses it instead of faulting fresh pages in, and is
 handed back to the OS when `train` returns. The dataset is recorded by its
 config and one sha256 over its token stack, the bytes every step indexes,
 so the record does not grow with M.
-`train` alone writes a run's directory: dataset.json once the dataset is
-built, then the loss log just before each checkpoint file (abort included)
-and the manifest, which names the config and hashes the checkpoints, just
-after it. So a run stopped after any checkpoint can be matched to its
-config, and a resume continues the log beside its own.
+`train` alone writes and reads a run's directory: dataset.json once the
+dataset is built, then the loss log just before each checkpoint file (abort
+included) and the manifest, which names the config and hashes the run's
+checkpoints, just after it. A rerun of that config reuses the final one or
+resumes from the newest other, continuing the log beside it.
 """
 
 from __future__ import annotations
 
 import ctypes
 import hashlib
+import json
 import os
 import platform
 import time
@@ -301,11 +302,19 @@ def _retained_heap():
 
 @dataclass
 class TrainResult:
-    """What one `train` call wrote and measured; the caller holds its
-    config, and the run's directory records it (see `train`)."""
+    """What one `train` call wrote and measured, or for a reused run its
+    final checkpoint and logged rows; the caller holds its config, and the
+    run's directory records it (see `train`)."""
     checkpoints: list                # paths in write order; the last is the final one
     loss_rows: list                  # dicts: step, loss, grad_norm, wallclock_s; from step 0
-    dataset_s: float                 # sampling and rolling the dataset, before the steps' clock
+    dataset_s: float | None          # dataset build, before the steps' clock; None if reused
+
+
+def _logged_rows(run_dir, below):
+    """run_dir's logged loss rows (none without a loss.csv) for the steps below `below`."""
+    log = Path(run_dir) / "loss.csv"
+    return [{k: (int if k == "step" else float)(r[k]) for k in LOSS_FIELDS}
+            for r in (read_csv(log) if log.exists() else []) if int(r["step"]) < below]
 
 
 @_retained_heap()
@@ -314,8 +323,13 @@ def train(cfg: TrainConfig, out_dir, resume=None, quiet=True) -> TrainResult:
     dataset.json (`MetaDataset.manifest`), then around each checkpoint file
     (weights, Adam moments, step and train_len) loss.csv just before it and the train
     manifest just after it: the config, its seed, the dataset's hash, the
-    sha256 of each checkpoint this call wrote, the wall seconds since the
-    call began, and loss.csv and that checkpoint as outputs.
+    sha256 of each checkpoint of the run (see below), the wall seconds since
+    the call began, and loss.csv and that checkpoint as outputs.
+
+    Without `resume`, a run in out_dir whose manifest records `cfg` goes on
+    from the newest checkpoint it hashes whose file still matches, never
+    ckpt-abort.ckpt, or else from step 0; those that match stay hashed. A
+    final one is returned untouched, no dataset built (`dataset_s` None).
 
     `resume` continues from a checkpoint path written by an earlier
     (identically configured) run; the loss trace and its log continue
@@ -333,7 +347,21 @@ def train(cfg: TrainConfig, out_dir, resume=None, quiet=True) -> TrainResult:
     `wallclock_s` starts.
     """
     t_call = time.time()
-    if resume is not None:
+    out_dir, hashes = Path(out_dir), {}      # hashes: the run's checkpoints, in write order
+    manifest = out_dir / "manifest.json"
+    prev = json.loads(manifest.read_text()) if manifest.exists() else {"config": None}
+    if sha256_json(prev["config"]) == sha256_json(asdict(cfg)):
+        hashes = {name: digest for name, digest in prev["checkpoint_hashes"].items()
+                  if (out_dir / name).exists() and sha256_file(out_dir / name) == digest}
+    if resume is None:
+        resume = next((out_dir / name for name in reversed(hashes)
+                       if name != "ckpt-abort.ckpt"), None)
+        if resume is not None and resume.name == "ckpt-final.ckpt":
+            return TrainResult([str(resume)], _logged_rows(out_dir, cfg.steps), None)
+    if resume is None:
+        weights = model.init_weights(cfg.model, stream(cfg.seed, "init"))
+        start_step, state, loss_rows = 0, None, []
+    else:
         weights, start_step, state = model.load_training_state(resume)
         if weights.config != cfg.model:
             raise model.CheckpointError(
@@ -343,24 +371,15 @@ def train(cfg: TrainConfig, out_dir, resume=None, quiet=True) -> TrainResult:
             raise model.CheckpointError(
                 f"{resume}: checkpoint is at step {start_step}, past the "
                 f"config's {cfg.steps} steps")
-        adam = _Adam(cfg.lr, weights.arrays, start_step, state)
-        log = Path(resume).parent / "loss.csv"      # the earlier steps' rows, if logged
-        loss_rows = [{k: (int if k == "step" else float)(r[k]) for k in LOSS_FIELDS}
-                     for r in (read_csv(log) if log.exists() else [])
-                     if int(r["step"]) < start_step]
-    else:
-        weights = model.init_weights(cfg.model, stream(cfg.seed, "init"))
-        adam = _Adam(cfg.lr, weights.arrays)
-        start_step = 0
-        loss_rows = []
+        loss_rows = _logged_rows(Path(resume).parent, start_step)
+    adam = _Adam(cfg.lr, weights.arrays, start_step, state)
     t_data = time.perf_counter()
     ds = build_meta_dataset(cfg.preset, cfg.m_systems, cfg.train_len, cfg.seed)
     dataset_s = time.perf_counter() - t_data
 
-    out_dir = Path(out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
     write_json(out_dir / "dataset.json", ds.manifest())
-    checkpoints, hashes = [], {}
+    checkpoints = []
     t0 = time.time()
 
     def checkpoint(step, tag=None):

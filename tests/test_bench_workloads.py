@@ -1,13 +1,16 @@
 """The benchmark's workloads (perfbench/run.py) call moplab's public API.
 Running one set-up and one pass of each at the benchmark's tiny size makes
 an API change that breaks one of those calls fail this suite, not only the
-benchmark's own tests."""
+benchmark's own tests. train-linear runs every pass in one directory, so
+its passes are also checked to train, not reuse a run found there."""
 
 import importlib.util
 import sys
 from pathlib import Path
 
 import pytest
+
+from moplab import training
 
 BENCH = Path(__file__).resolve().parents[1] / "perfbench"
 
@@ -32,3 +35,26 @@ def test_workload_runs_one_pass_at_tiny_size(bench, workload, tmp_path):
     work.setup()
     assert work.run_pass() is not None
     assert work.attempted >= 1 and work.failed == 0
+
+
+def test_train_workload_trains_every_pass_in_its_shared_directory(bench, tmp_path,
+                                                                   monkeypatch):
+    # the passes cycle through TRAIN_CONFIGS configs in one directory, so the
+    # last pass reruns the first pass's config over another config's run
+    results, real_train = [], training.train
+
+    def recording_train(*args, **kwargs):
+        results.append(real_train(*args, **kwargs))
+        return results[-1]
+
+    monkeypatch.setattr(training, "train", recording_train)
+    size = bench.SIZES["tiny"]["train-linear"]
+    work = bench.make_workload("train-linear", 0, size, tmp_path)
+    passes = []
+    for _ in range(bench.TRAIN_CONFIGS + 1):
+        work.setup()
+        passes.append(work.run_pass())
+    assert all(r.dataset_s is not None for r in results)
+    assert all(len(rec["step_s"]) == size["steps"] - 1 for rec in passes)
+    assert passes[-1]["config"] == passes[0]["config"]
+    assert passes[-1]["loss"] == passes[0]["loss"]

@@ -1,5 +1,6 @@
 """The command-line entry point: exit codes, reproducible outputs, resumed
-training logs, plotting errors, CSV parsing and atomic artifact writes."""
+training logs (a killed `train` rerun into its --out-dir included), plotting
+errors, CSV parsing and atomic artifact writes."""
 
 import dataclasses
 import hashlib
@@ -13,6 +14,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from conftest import stop_training_at
 from moplab import __version__, cli, evaluation, manifest, model, svgplot
 from moplab.manifest import read_csv, sha256_file, sha256_json, write_csv, write_json
 from moplab.model import ModelConfig
@@ -440,6 +442,31 @@ def test_resumed_run_log_equals_uninterrupted_log(tmp_path):
     assert strip(resumed) == strip(full)
     assert (tmp_path / "full" / "ckpt-final.ckpt").read_bytes() \
         == (part / "ckpt-final.ckpt").read_bytes()
+
+
+def test_a_killed_train_resumes_when_rerun_into_its_out_dir(tmp_path, monkeypatch):
+    base = ["train", "--config", train_config(tmp_path, checkpoint_every=2), "--steps", "6",
+            "--quiet", "--out-dir"]
+    full, run = tmp_path / "full", tmp_path / "run"
+    assert cli.main(base + [str(full)]) == 0
+    with pytest.MonkeyPatch.context() as killed:
+        stop_training_at(killed, 5)           # after the step-4 checkpoint
+        assert cli.main(base + [str(run)]) == 1
+    resumes, real_load = [], model.load_training_state
+
+    def recording_load(path):
+        resumes.append(path)
+        return real_load(path)
+
+    monkeypatch.setattr(model, "load_training_state", recording_load)
+    assert cli.main(base + [str(run)]) == 0
+    assert resumes == [run / "ckpt-000004.ckpt"]
+
+    def strip(rows):
+        return [{k: v for k, v in r.items() if k != "wallclock_s"} for r in rows]
+
+    assert strip(read_csv(run / "loss.csv")) == strip(read_csv(full / "loss.csv"))
+    assert (run / "ckpt-final.ckpt").read_bytes() == (full / "ckpt-final.ckpt").read_bytes()
 
 
 def test_resume_past_the_configured_steps_exits_1(tmp_path, capsys):

@@ -245,6 +245,35 @@ def test_oracle_predictor_scores_an_all_zero_curve(monkeypatch):
     assert np.array_equal(curve.per_system, np.zeros((6, HORIZON)))
 
 
+class NaNRowPredictor:
+    """Plumbing-test device: predicts the prior mean 0 for every system but
+    `bad`, whose predictions are NaN, so its curve drops that system."""
+
+    def __init__(self, bad):
+        self.bad = bad
+
+    def step(self, y, u=None):
+        pred = np.zeros(y.shape)
+        pred[self.bad] = np.nan
+        return pred
+
+
+def test_compare_predictors_pairs_the_systems_both_curves_kept(monkeypatch):
+    pop = population(LINEAR, n=6)
+    bad = {"a": 1, "b": 4}
+    monkeypatch.setattr(evaluation, "make_predictor",
+                        lambda kind, systems, dist: NaNRowPredictor(bad[kind]))
+    a, b = (evaluation.error_curve(kind, LINEAR, 6, HORIZON, 4, population=pop)
+            for kind in "ab")
+    assert (a.failed_systems, b.failed_systems) == ([1], [4])
+    # the two predict alike on every system both kept: each ratio is exactly 1
+    report = evaluation.compare_predictors(a, b)
+    assert report["ratio"][1:] == [1.0] * (HORIZON - 1)
+    for key in ("early", "late"):
+        assert report[key]["mean_num"] == report[key]["mean_den"]
+        assert report[key]["ratio"] == 1.0
+
+
 def test_zero_predictor_curve_is_the_output_norm():
     systems, trajs = population(LINEAR, n=5)
     curve = evaluation.error_curve("zero", LINEAR, 5, HORIZON, 4,

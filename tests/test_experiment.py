@@ -163,11 +163,15 @@ def test_scaling_cells_trained_at_another_seed_are_retrained(tmp_path, tiny_pres
     assert (stale / "risk-scaling" / "cells.csv").read_bytes() == cells
 
     # a rerun at the recorded config reuses every cell
-    calls = []
-    monkeypatch.setattr(training, "train",
-                        lambda *args, **kwargs: calls.append(args))
+    results, real_train = [], training.train
+
+    def recording_train(*args, **kwargs):
+        results.append(real_train(*args, **kwargs))
+        return results[-1]
+
+    monkeypatch.setattr(training, "train", recording_train)
     assert experiment("risk-scaling", fresh, "--seed", "1") == 0
-    assert calls == []
+    assert len(results) == len(GRID) and all(r.dataset_s is None for r in results)
     assert (fresh / "risk-scaling" / "cells.csv").read_bytes() == cells
 
 
@@ -197,7 +201,7 @@ def test_dist_shift_manifest_names_the_model_it_scored(tmp_path, tiny_presets):
 
 
 def ensure_trained(cfg, train_dir) -> Path:
-    return Path(cli._ensure_trained(cfg, train_dir, True, {"dataset": None, "train": None}))
+    return Path(training.train(cfg, train_dir).checkpoints[-1])
 
 
 def test_a_replaced_final_checkpoint_is_retrained(tmp_path):
@@ -231,13 +235,13 @@ def test_a_killed_experiment_resumes_from_its_last_checkpoint(tmp_path, tiny_pre
     with pytest.MonkeyPatch.context() as killed:
         stop_training_at(killed, 3)           # after the step-2 checkpoint
         assert experiment("linear-iid", tmp_path / "run", "--seed", "3") == 1
-    resumes, real_train = [], training.train
+    resumes, real_load = [], model.load_training_state
 
-    def recording_train(*args, **kwargs):
-        resumes.append(kwargs["resume"])
-        return real_train(*args, **kwargs)
+    def recording_load(path):
+        resumes.append(path)
+        return real_load(path)
 
-    monkeypatch.setattr(training, "train", recording_train)
+    monkeypatch.setattr(model, "load_training_state", recording_load)
     assert experiment("linear-iid", tmp_path / "run", "--seed", "3") == 0
     full, run = (tmp_path / name / "linear-iid" for name in ("full", "run"))
     assert resumes == [run / "train" / "ckpt-000002.ckpt"]

@@ -443,6 +443,38 @@ def test_interrupted_run_resumes_with_its_whole_log(tmp_path, monkeypatch):
         == (tmp_path / "full" / "ckpt-final.ckpt").read_bytes()
 
 
+@pytest.mark.parametrize("resume", [None, "ckpt-000004.ckpt"])
+def test_a_run_resumed_in_place_hashes_all_its_checkpoints(tmp_path, monkeypatch, resume):
+    # a rerun without `resume` goes on from the newest checkpoint, as an
+    # explicit one does, and either keeps the hashes of the stopped call's
+    cfg = tiny_cfg(steps=6, checkpoint_every=2)
+    full, run = tmp_path / "full", tmp_path / "run"
+    training.train(cfg, full)
+    stop_training_at(monkeypatch, 5)          # after the step-4 checkpoint
+    with pytest.raises(Stopped):
+        training.train(cfg, run)
+    monkeypatch.undo()
+    stopped = read_csv(run / "loss.csv")      # steps 0-3, as the stopped call clocked them
+    training.train(cfg, run, resume=resume and run / resume)
+    written = assert_run_explains_itself(cfg, run)
+    assert list(written["checkpoint_hashes"]) == ["ckpt-000002.ckpt", "ckpt-000004.ckpt",
+                                                  "ckpt-final.ckpt"]
+    assert read_csv(run / "loss.csv")[:4] == stopped
+    assert logged_trace(run) == logged_trace(full)
+    assert (run / "ckpt-final.ckpt").read_bytes() == (full / "ckpt-final.ckpt").read_bytes()
+
+
+def test_a_rerun_of_a_finished_run_reuses_it_untouched(tmp_path):
+    cfg = tiny_cfg(steps=4, checkpoint_every=2)
+    first = training.train(cfg, tmp_path)
+    written = {p.name: p.read_bytes() for p in tmp_path.iterdir()}
+    again = training.train(cfg, tmp_path)
+    assert again.checkpoints == [first.checkpoints[-1]]
+    assert again.dataset_s is None
+    assert again.loss_rows == first.loss_rows
+    assert {p.name: p.read_bytes() for p in tmp_path.iterdir()} == written
+
+
 def test_failed_save_keeps_the_previous_checkpoint_whole(tmp_path, monkeypatch):
     # a rerun into the same directory fails on writing the file that carries
     # the optimizer step; the step-2 checkpoint it would have replaced must
