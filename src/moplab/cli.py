@@ -39,7 +39,6 @@ from .training import TrainConfig
 
 CSV_FIELDS = ["experiment", "preset", "predictor", "t", "mean_err", "stderr",
               "n_systems", "seed"]
-CELL_FIELDS = ["m_systems", "train_len", "mt", "delta", "stderr", "flagged"]
 
 
 class UsageError(Exception):
@@ -155,27 +154,31 @@ def _score(predictors, dist, n, horizon, seed, weights=None, switch_at=None,
 
 def _write_eval(out_dir: Path, name, curves, n, seed, ckpt, t0,
                 **diagnostics) -> list[dict]:
-    """Write curves.csv, report.json (with any `diagnostics` as extra keys)
-    and the eval manifest for one scored population; returns the CSV rows.
-    The report's ratio block compares mop, when scored, with the first other
-    curve (a preset lists its filter first), and otherwise the first two
-    curves. The rows and the report are built before any file is written,
-    so a report that fails leaves no partial output."""
+    """Write curves.csv (each curve's mean and stderr per step), report.json
+    and the eval manifest, which lists both, for one scored population;
+    returns the CSV rows. report.json holds what the CSV lacks: each
+    predictor's failed test systems, the ratio block and any `diagnostics`
+    as extra keys. The ratio block compares mop, when scored, with the first
+    other curve (a preset lists its filter first), and otherwise the first
+    two curves. The rows and the report are built before any file is
+    written, so a report that fails leaves no partial output."""
     rows = evaluation.curves_to_csv_rows(name, curves)
-    report = {"experiment": name, "curves": [c.to_json() for c in curves]}
+    report = {"experiment": name,
+              "failed_systems": {c.predictor: c.failed_systems for c in curves}}
     if len(curves) >= 2:
         mop_first = sorted(curves, key=lambda c: c.predictor != "mop")
         report["ratio"] = evaluation.compare_predictors(*mop_first[:2])
     out_dir.mkdir(parents=True, exist_ok=True)
-    csv_path = out_dir / "curves.csv"
+    csv_path, report_path = out_dir / "curves.csv", out_dir / "report.json"
     write_csv(csv_path, rows, CSV_FIELDS)
-    write_json(out_dir / "report.json", {**report, **diagnostics})
+    write_json(report_path, {**report, **diagnostics})
     hashes = {Path(ckpt).name: sha256_file(ckpt)} if ckpt else {}
     write_manifest(out_dir, "eval",
                    {"preset": name, "n": n, "horizon": curves[0].horizon,
                     "predictors": [c.predictor for c in curves], "ckpt": ckpt},
                    seed, checkpoint_hashes=hashes,
-                   wallclock_s=time.time() - t0, outputs=[str(csv_path)])
+                   wallclock_s=time.time() - t0,
+                   outputs=[str(csv_path), str(report_path)])
     return rows
 
 
@@ -377,9 +380,6 @@ def _experiment_scaling(preset, seed, root: Path, quiet, phases) -> None:
         cells.append(cell)
     report = evaluation.scaling_report(preset.distribution, cells)
     write_json(root / "scaling.json", report)
-    write_csv(root / "cells.csv",
-              [{k: ("" if v is None else v) for k, v in c.items()} for c in cells],
-              CELL_FIELDS)
     rho = report["spearman_delta_vs_mt"]
     print("scaling: spearman(delta, MT) = " + ("n/a" if rho is None else f"{rho:+.3f}"))
 

@@ -8,7 +8,7 @@ test population, and per-system results are reduced in system-index order
 so runs are deterministic. Each predictor scores the whole population in
 one pass over time (see `predict_population`).
 
-Two presets report a diagnostic in `eval/report.json` next to their curves:
+Two presets report a diagnostic in `eval/report.json` next to their ratio:
 - hard-triangular, under "max_power_norm": `power_norm_report`, the mean
   and stderr of max_{t<H} ||A^t||_2 over its test systems and over the
   linear-dense systems drawn at the same seed. Upper-triangular systems
@@ -143,15 +143,6 @@ class ErrorCurve:
     def horizon(self) -> int:
         return self.per_system.shape[1]
 
-    def to_json(self) -> dict:
-        return {
-            "preset": self.preset, "predictor": self.predictor,
-            "n_systems": self.n_systems, "horizon": self.horizon,
-            "seed": self.seed, "mean": self.mean.tolist(),
-            "stderr": self.stderr.tolist(),
-            "failed_systems": self.failed_systems,
-        }
-
 
 def predict_population(predictor_kind: str, systems, tokens, dist: Distribution,
                        weights: TransformerWeights | None = None) -> np.ndarray:
@@ -185,8 +176,11 @@ def error_curve(predictor_kind: str, dist: Distribution, n, horizon, seed,
                 population) -> ErrorCurve:
     """Per-timestep prediction-error statistics over a `test_population`
     (systems, trajs) pair, which several predictors share so they score
-    identical data. The curve takes its system count and horizon from
-    those trajectories.
+    identical data. It reads `predictor_kind`, `dist`, `weights` (mop's
+    model), `population` and `seed`, which it records on the curve. It
+    does not read `n` or `horizon`: the curve takes its system count and
+    horizon from the population's trajectories. The two stay in the
+    signature because the benchmark harness passes them positionally.
     """
     systems, trajs = population
     tokens = np.stack([t.tokens for t in trajs])

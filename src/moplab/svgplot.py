@@ -1,8 +1,10 @@
 """Self-contained SVG line plots of error-curve CSVs (no plotting deps).
 
 One polyline per predictor with a shaded +-stderr band, labeled axes, and a
-legend. Series are drawn mop first, then by name, whatever the row order, so
-ratio mode divides the model's curve by the baseline's.
+legend. Rows of several experiments (dist-shift's noise levels) draw one
+polyline per experiment and predictor, labeled "<experiment> <predictor>".
+Series are drawn by experiment, then mop first, then by name, whatever the
+row order, so ratio mode divides the model's curve by the baseline's.
 """
 
 from __future__ import annotations
@@ -42,8 +44,8 @@ def _fmt(v: float) -> str:
 
 def render_from_rows(rows, ratio=False, title=None) -> str:
     """Build the SVG text from CSV rows (dicts with predictor, t, mean_err,
-    stderr). Every mean_err and stderr must be finite, and in ratio mode
-    exactly two predictors are required."""
+    stderr, and optionally experiment). Every mean_err and stderr must be
+    finite, and in ratio mode exactly two series are required."""
     series = {}
     for row in rows:
         name = row["predictor"]
@@ -51,10 +53,12 @@ def render_from_rows(rows, ratio=False, title=None) -> str:
         if not all(map(math.isfinite, point[1:])):
             raise ValueError(f"predictor {name!r} at t={point[0]} has a non-finite "
                              f"mean_err or stderr ({point[1]}, {point[2]})")
-        series.setdefault(name, []).append(point)
+        series.setdefault((row.get("experiment", ""), name), []).append(point)
     for pts in series.values():
         pts.sort(key=lambda p: p[0])
-    series = dict(sorted(series.items(), key=lambda kv: (kv[0] != "mop", kv[0])))
+    several = len({experiment for experiment, _ in series}) > 1
+    series = {f"{e} {p}" if several else p: series[e, p]
+              for e, p in sorted(series, key=lambda k: (k[0], k[1] != "mop", k[1]))}
     if ratio:
         if len(series) != 2:
             raise ValueError(f"ratio plot needs exactly 2 predictors, got {len(series)}")

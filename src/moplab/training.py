@@ -14,13 +14,12 @@ the batch. The optimizer is Adam with gradient-norm clipping; every draw is
 seeded, so a (config, seed) pair reproduces the loss trace bit for bit.
 On glibc, the heap a chunk frees stays in the process while `train` runs,
 so the next chunk reuses it instead of faulting fresh pages in, and is
-handed back to the OS when `train` returns. The dataset is recorded by its
-config and one sha256 over its token stack, the bytes every step indexes,
-so the record does not grow with M.
-`train` alone writes and reads a run's directory: dataset.json once the
-dataset is built, then the loss log just before each checkpoint file (abort
-included) and the manifest, which names the config and hashes the run's
-checkpoints, just after it. A rerun of that config reuses the final one or
+handed back to the OS when `train` returns.
+`train` alone writes and reads a run's directory: the loss log just before
+each checkpoint file (abort included) and the manifest just after it. The
+manifest names the config, identifies the dataset by the sha256 of its
+token stack, the bytes every step indexes, and hashes the run's
+checkpoints. A rerun of that config reuses the final one or
 resumes from the newest other, continuing the log beside it.
 """
 
@@ -40,8 +39,7 @@ import numpy as np
 
 from . import engine, model
 from .distributions import Distribution, get_distribution
-from .manifest import (read_csv, sha256_file, sha256_json, write_csv, write_json,
-                       write_manifest)
+from .manifest import read_csv, sha256_file, sha256_json, write_csv, write_manifest
 from .model import ModelConfig, TransformerWeights
 from .seeding import stream
 
@@ -131,7 +129,6 @@ class MetaDataset:
 
     def __init__(self, dist: Distribution, m_systems, train_len, seed):
         self.dist = dist
-        self.m_systems = m_systems
         self.train_len = train_len
         self.seed = seed
         self.tokens = np.empty((m_systems, train_len, dist.token_dim))
@@ -144,18 +141,6 @@ class MetaDataset:
     def trajectory(self, system, i):
         """The tokens of system i's training trajectory."""
         return self.dist.make_trajectory(system, self.train_len, self.seed, "train", i).tokens
-
-    def manifest(self) -> dict:
-        """The dataset's config and the sha256 of its tokens: the same size
-        at any M."""
-        return {
-            "preset": self.dist.name,
-            "m_systems": self.m_systems,
-            "train_len": self.train_len,
-            "seed": self.seed,
-            "role": "train",
-            "tokens_sha256": self.tokens_sha256,
-        }
 
 
 def build_meta_dataset(preset, m_systems, train_len, seed) -> MetaDataset:
@@ -320,11 +305,11 @@ def _logged_rows(run_dir, below):
 @_retained_heap()
 def train(cfg: TrainConfig, out_dir, resume=None, quiet=True) -> TrainResult:
     """Run the meta-training loop, writing the run's directory out_dir:
-    dataset.json (`MetaDataset.manifest`), then around each checkpoint file
-    (weights, Adam moments, step and train_len) loss.csv just before it and the train
-    manifest just after it: the config, its seed, the dataset's hash, the
-    sha256 of each checkpoint of the run (see below), the wall seconds since
-    the call began, and loss.csv and that checkpoint as outputs.
+    around each checkpoint file (weights, Adam moments, step and train_len)
+    loss.csv just before it and the train manifest just after it: the
+    config, its seed, the dataset's `tokens_sha256` as its hash, the sha256
+    of each checkpoint of the run (see below), the wall seconds since the
+    call began, and loss.csv and that checkpoint as outputs.
 
     Without `resume`, a run in out_dir whose manifest records `cfg` goes on
     from the newest checkpoint it hashes whose file still matches, never
@@ -378,7 +363,6 @@ def train(cfg: TrainConfig, out_dir, resume=None, quiet=True) -> TrainResult:
     dataset_s = time.perf_counter() - t_data
 
     out_dir.mkdir(parents=True, exist_ok=True)
-    write_json(out_dir / "dataset.json", ds.manifest())
     checkpoints = []
     t0 = time.time()
 
@@ -390,7 +374,7 @@ def train(cfg: TrainConfig, out_dir, resume=None, quiet=True) -> TrainResult:
         checkpoints.append(str(path))
         hashes[path.name] = sha256_file(path)
         write_manifest(out_dir, "train", asdict(cfg), cfg.seed,
-                       dataset_hash=sha256_json(ds.manifest()),
+                       dataset_hash=ds.tokens_sha256,
                        checkpoint_hashes=hashes, wallclock_s=time.time() - t_call,
                        outputs=[str(out_dir / "loss.csv"), str(path)])
 

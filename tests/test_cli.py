@@ -16,10 +16,10 @@ import pytest
 
 from conftest import stop_training_at
 from moplab import __version__, cli, evaluation, manifest, model, svgplot
-from moplab.manifest import read_csv, sha256_file, sha256_json, write_csv, write_json
+from moplab.manifest import read_csv, sha256_file, write_csv, write_json
 from moplab.model import ModelConfig
 from moplab.seeding import stream
-from moplab.training import TrainConfig
+from moplab.training import TrainConfig, build_meta_dataset
 
 TINY_MODEL = ModelConfig(layers=2, heads=2, embed_dim=16, context=32,
                          token_dim=5, output_dim=5, precision="f64")
@@ -53,8 +53,12 @@ def test_eval_exits_zero_and_writes_identical_curves(tmp_path, tiny_ckpt):
 def test_eval_of_three_predictors_reports_mop_over_the_filter(tmp_path, tiny_ckpt):
     assert cli.main(eval_args(tiny_ckpt, tmp_path / "out")) == 0
     report = json.loads((tmp_path / "out" / "report.json").read_text())
-    mean = {c["predictor"]: c["mean"] for c in report["curves"]}
+    mean = {}
+    for row in read_csv(tmp_path / "out" / "curves.csv"):
+        mean.setdefault(row["predictor"], []).append(float(row["mean_err"]))
     assert list(mean) == ["mop", "kf", "ar-ols"]
+    assert report["failed_systems"] == {"mop": [], "kf": [], "ar-ols": []}
+    assert "curves" not in report
     ratio = report["ratio"]
     assert (ratio["numerator"], ratio["denominator"]) == ("mop", "kf")
     assert ratio["ratio"] == [a / b for a, b in zip(mean["mop"], mean["kf"])]
@@ -519,9 +523,9 @@ def test_train_manifest_records_config_dataset_and_checkpoints(tmp_path):
     assert written["config"] == dataclasses.asdict(cfg)
     assert (written["command"], written["base_seed"], written["version"]) \
         == ("train", 5, __version__)
-    dataset = json.loads((run / "dataset.json").read_text())
-    assert written["dataset_hash"] == sha256_json(dataset)
-    ckpts = {p.name for p in run.iterdir()} - {"dataset.json", "loss.csv", "manifest.json"}
+    dataset = build_meta_dataset(cfg.preset, cfg.m_systems, cfg.train_len, cfg.seed)
+    assert written["dataset_hash"] == hashlib.sha256(dataset.tokens).hexdigest()
+    ckpts = {p.name for p in run.iterdir()} - {"loss.csv", "manifest.json"}
     assert ckpts == {"ckpt-000002.ckpt", "ckpt-final.ckpt"}
     assert written["checkpoint_hashes"] == {name: sha256_file(run / name) for name in ckpts}
     assert written["outputs"] and all(Path(p).exists() for p in written["outputs"])
@@ -534,7 +538,11 @@ def test_eval_manifest_records_the_scored_checkpoint(tmp_path, tiny_ckpt):
                                  "predictors": ["mop", "kf", "ar-ols"], "ckpt": tiny_ckpt}
     assert written["checkpoint_hashes"] == {"tiny.ckpt": sha256_file(tiny_ckpt)}
     assert (written["command"], written["base_seed"]) == ("eval", 3)
-    assert written["outputs"] and all(Path(p).exists() for p in written["outputs"])
+    # the outputs are every file eval wrote but the manifest itself
+    out = tmp_path / "out"
+    assert [Path(p) for p in written["outputs"]] == [out / "curves.csv", out / "report.json"]
+    assert set(out.iterdir()) == {out / "curves.csv", out / "report.json",
+                                  out / "manifest.json"}
 
 
 # ---------------------------------------------------------------------------
@@ -547,6 +555,9 @@ def test_eval_manifest_records_the_scored_checkpoint(tmp_path, tiny_ckpt):
     ("", "line 1: empty file"),
     ("predictor,t,mean_err,stderr\nmop,0,1,0\nkf,0,1,0\nar-ols,0,1,0\n",
      "ratio plot needs exactly 2 predictors, got 3"),
+    # dist-shift's CSV: mop and kf once per noise level are four series
+    ("experiment,predictor,t,mean_err,stderr\na,mop,0,1,0\na,kf,0,1,0\nb,mop,0,1,0\n"
+     "b,kf,0,1,0\n", "ratio plot needs exactly 2 predictors, got 4"),
     ("predictor,t,mean_err,stderr\nmop,0,1,0\nkf,0,1,0\nmop,1,1,0\nkf,1,inf,0\n",
      "predictor 'kf' at t=1 has a non-finite mean_err or stderr (inf, 0.0)"),
     ("predictor,t,mean_err,stderr\nmop,0,1,0\nkf,0,1,0\nmop,1,nan,0\nkf,1,1,0\n",

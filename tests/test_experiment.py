@@ -15,8 +15,7 @@ from moplab import cli, evaluation, model, presets, training
 from moplab.distributions import get_distribution
 from moplab.manifest import read_csv, sha256_file
 
-TRAIN = {"ckpt-000002.ckpt", "ckpt-final.ckpt", "dataset.json", "loss.csv",
-         "manifest.json"}
+TRAIN = {"ckpt-000002.ckpt", "ckpt-final.ckpt", "loss.csv", "manifest.json"}
 CURVES = {"manifest.json", "curves.svg", "eval/curves.csv", "eval/report.json",
           "eval/manifest.json", *(f"train/{name}" for name in TRAIN)}
 GRID = ((4, 12), (8, 12), (8, 8))
@@ -27,11 +26,11 @@ EXPECTED = {
     "quadrotor": CURVES | {"ratio.svg"},
     "hard-triangular": CURVES | {"ratio.svg"},
     "dist-shift": {"manifest.json", "curves.csv", "report.json"},
-    "risk-scaling": {"manifest.json", "scaling.json", "cells.csv",
+    "risk-scaling": {"manifest.json", "scaling.json",
                      *(f"cells/cell-M{m}-T{t}/{name}" for m, t in GRID
                        for name in TRAIN)},
 }
-# report.json keys beyond the curves and their ratio
+# report.json keys beyond the failed systems and the curves' ratio
 DIAGNOSTICS = {"linear-iid": {"robustness"}, "hard-triangular": {"max_power_norm"}}
 
 
@@ -89,8 +88,12 @@ def test_every_preset_writes_its_files_and_reruns_identically(tmp_path, tiny_pre
                 assert (first / rel).read_bytes() == (second / rel).read_bytes(), rel
         if "eval/report.json" in want:
             report = json.loads((first / "eval" / "report.json").read_text())
-            extra = set(report) - {"experiment", "curves", "ratio"}
+            extra = set(report) - {"experiment", "failed_systems", "ratio"}
             assert extra == DIAGNOSTICS.get(name, set()), name
+            # the eval manifest lists every file eval wrote but itself
+            outputs = json.loads((first / "eval" / "manifest.json").read_text())["outputs"]
+            assert {Path(p).relative_to(first).as_posix() for p in outputs} \
+                == {rel for rel in want if rel.startswith("eval/")} - {"eval/manifest.json"}
 
 
 def phases_of(root):
@@ -159,8 +162,8 @@ def test_scaling_cells_trained_at_another_seed_are_retrained(tmp_path, tiny_pres
     assert experiment("risk-scaling", stale, "--seed", "0") == 0
     assert experiment("risk-scaling", stale, "--seed", "1") == 0
     assert experiment("risk-scaling", fresh, "--seed", "1") == 0
-    cells = (fresh / "risk-scaling" / "cells.csv").read_bytes()
-    assert (stale / "risk-scaling" / "cells.csv").read_bytes() == cells
+    scaling = (fresh / "risk-scaling" / "scaling.json").read_bytes()
+    assert (stale / "risk-scaling" / "scaling.json").read_bytes() == scaling
 
     # a rerun at the recorded config reuses every cell
     results, real_train = [], training.train
@@ -172,7 +175,7 @@ def test_scaling_cells_trained_at_another_seed_are_retrained(tmp_path, tiny_pres
     monkeypatch.setattr(training, "train", recording_train)
     assert experiment("risk-scaling", fresh, "--seed", "1") == 0
     assert len(results) == len(GRID) and all(r.dataset_s is None for r in results)
-    assert (fresh / "risk-scaling" / "cells.csv").read_bytes() == cells
+    assert (fresh / "risk-scaling" / "scaling.json").read_bytes() == scaling
 
 
 def test_scaling_of_one_cell_reports_no_rank_statistic(tmp_path, tiny_presets, monkeypatch,

@@ -1,5 +1,5 @@
 """SVG rendering of error-curve rows: deterministic output, the ratio view,
-single-point series and empty input."""
+one series per experiment and predictor, single-point series and empty input."""
 
 import numpy as np
 import pytest
@@ -62,3 +62,27 @@ def test_empty_series_raises():
         svgplot.render_curves({"kf": []})
     with pytest.raises(ValueError, match="nothing to plot"):
         svgplot.render_from_rows([])
+
+
+def test_rows_of_several_experiments_draw_one_series_per_experiment_and_predictor():
+    # dist-shift's CSV holds mop and kf once per noise level; keyed by
+    # predictor alone, each line visited every t once per level
+    rows = [dict(row, experiment=level) for level in ("s0.04", "s0.01")
+            for row in curve_rows(predictors=("kf", "mop"), horizon=4)]
+    svg = svgplot.render_from_rows(rows)
+    names = ("s0.01 mop", "s0.01 kf", "s0.04 mop", "s0.04 kf")
+    legend = [svg.index(f">{name}</text>") for name in names]
+    assert legend == sorted(legend)
+    lines = [line for line in svg.splitlines() if line.startswith("<polyline")]
+    assert len(lines) == 4
+    for line in lines:
+        xs = [float(p.split(",")[0]) for p in line.split('"')[1].split()]
+        assert xs == sorted(set(xs)) and len(xs) == 4
+
+
+def test_rows_of_one_experiment_render_as_rows_without_it():
+    rows = curve_rows(predictors=("kf", "mop"))
+    tagged = [dict(row, experiment="linear-iid") for row in rows]
+    for ratio in (False, True):
+        assert svgplot.render_from_rows(tagged, ratio=ratio) \
+            == svgplot.render_from_rows(rows, ratio=ratio)

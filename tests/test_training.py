@@ -19,7 +19,7 @@ from conftest import (COMMITTED_CACHE, SOURCES, Stopped, ensure_trained, load_lo
                       stop_training_at, zero_model)
 from moplab import engine, evaluation, linalg, model, presets, training
 from moplab.distributions import DISTRIBUTIONS, get_distribution
-from moplab.manifest import read_csv, sha256_file, sha256_json
+from moplab.manifest import read_csv, sha256_file
 from moplab.model import ModelConfig
 from moplab.seeding import derive_seed, stream
 from moplab.systems import Trajectory
@@ -42,23 +42,19 @@ def tiny_cfg(**kw):
 # ---------------------------------------------------------------------------
 
 def test_dataset_manifest_reproducible():
-    a = build_meta_dataset("linear-dense", 10, 20, 3).manifest()
-    b = build_meta_dataset("linear-dense", 10, 20, 3).manifest()
+    a = build_meta_dataset("linear-dense", 10, 20, 3).tokens_sha256
+    b = build_meta_dataset("linear-dense", 10, 20, 3).tokens_sha256
     assert a == b
 
 
 def test_dataset_record_is_config_and_systems_hash():
+    # the manifest records the config beside `tokens_sha256`, the sha256 of
+    # the token stack every step indexes: the same size at any M
     a = build_meta_dataset("linear-dense", 10, 20, 3)
-    record = a.manifest()
-    # the recorded hash is the sha256 of the token stack every step indexes
-    assert record == {"preset": "linear-dense", "m_systems": 10, "train_len": 20,
-                      "seed": 3, "role": "train",
-                      "tokens_sha256": hashlib.sha256(a.tokens).hexdigest()}
-    assert build_meta_dataset("linear-dense", 10, 20, 4).manifest()["tokens_sha256"] \
-        != record["tokens_sha256"]
-    # the record grows with M only by the digits of the count
-    large = build_meta_dataset("linear-dense", 100, 20, 3).manifest()
-    assert len(json.dumps(large)) - len(json.dumps(record)) == len("100") - len("10")
+    assert a.tokens_sha256 == hashlib.sha256(a.tokens).hexdigest()
+    assert build_meta_dataset("linear-dense", 10, 20, 4).tokens_sha256 != a.tokens_sha256
+    large = build_meta_dataset("linear-dense", 100, 20, 3).tokens_sha256
+    assert len(large) == len(a.tokens_sha256) and large != a.tokens_sha256
 
 
 def test_dataset_systems_hit_target_radius():
@@ -327,16 +323,14 @@ def test_train_aborts_on_a_nan_loss(tmp_path, monkeypatch):
 
 
 def assert_run_explains_itself(cfg, run_dir) -> dict:
-    """Check that run_dir's dataset.json is `cfg`'s dataset record and that
-    its manifest.json records `cfg`, that record's hash and the sha256 of
-    every checkpoint file on disk; return the manifest."""
+    """Check that run_dir's manifest.json records `cfg`, the sha256 of its
+    dataset's tokens and the sha256 of every checkpoint file on disk; return
+    the manifest."""
     written = json.loads((run_dir / "manifest.json").read_text())
     assert (written["command"], written["base_seed"]) == ("train", cfg.seed)
     assert written["config"] == dataclasses.asdict(cfg)
-    dataset = json.loads((run_dir / "dataset.json").read_text())
-    assert dataset == build_meta_dataset(cfg.preset, cfg.m_systems, cfg.train_len,
-                                         cfg.seed).manifest()
-    assert written["dataset_hash"] == sha256_json(dataset)
+    dataset = build_meta_dataset(cfg.preset, cfg.m_systems, cfg.train_len, cfg.seed)
+    assert written["dataset_hash"] == hashlib.sha256(dataset.tokens).hexdigest()
     assert written["checkpoint_hashes"] == {p.name: sha256_file(p)
                                             for p in run_dir.glob("*.ckpt")}
     return written
