@@ -10,7 +10,7 @@ covariances Q and R that `evaluation.make_predictor` sets. No predictor
 has a singular case: the filters' S = C P C^T + R is positive definite
 because R must be, and so is the AR baseline's inverse Gram matrix, by
 construction. A non-finite observation makes only its own row's
-predictions NaN, which the evaluation harness drops as a failed system.
+predictions NaN, which the evaluation harness counts as a failed system.
 """
 
 from __future__ import annotations

@@ -8,6 +8,10 @@ test population, and per-system results are reduced in system-index order
 so runs are deterministic. Each predictor scores the whole population in
 one pass over time (see `predict_population`).
 
+Row i of an `ErrorCurve` is test system i, which failed when its row is
+not all finite. A curve's mean covers the systems it kept; a ratio, its
+windows and an excess risk pair two predictors over the systems both kept.
+
 Two presets report a diagnostic in `eval/report.json` next to their ratio:
 - hard-triangular, under "max_power_norm": `power_norm_report`, the mean
   and stderr of max_{t<H} ||A^t||_2 over its test systems and over the
@@ -21,7 +25,7 @@ H is the preset's eval horizon.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -35,7 +39,7 @@ from .systems import SwitchSpec, simulate, stack_quadrotors
 __all__ = [
     "ErrorCurve",
     "check_predictor", "make_predictor", "test_population", "predict_population", "error_curve",
-    "compare_predictors", "window_stats", "excess_risk",
+    "compare_predictors", "excess_risk",
     "scaling_report", "robustness_probe", "power_norm_report",
     "curves_to_csv_rows", "spearman",
 ]
@@ -57,8 +61,11 @@ PREDICTORS = {"linear": ("mop", "kf", "ar-ols", "zero"),
 
 
 def _mean_stderr(x) -> tuple:
-    """Mean over the first axis of x and its standard error (0 for one row)."""
+    """Mean over the first axis of x and its standard error (0 for one row);
+    RuntimeError for no rows, as when every test system failed."""
     n = len(x)
+    if n == 0:
+        raise RuntimeError("no test system has finite predictions to average")
     stderr = x.std(axis=0, ddof=1) / np.sqrt(n) if n > 1 else np.zeros(x.shape[1:])
     return x.mean(axis=0), stderr
 
@@ -120,24 +127,29 @@ def test_population(dist: Distribution, n, horizon, seed, switch_at=None):
 
 @dataclass
 class ErrorCurve:
-    """Errors ||yhat_t - y_t|| of one predictor, one row per test system
-    that stayed finite. `n_systems` and `horizon` are the shape of
-    `per_system`; `mean` and `stderr` over its rows are computed at
-    construction."""
+    """Errors ||yhat_t - y_t|| of one predictor: row i of `per_system` is
+    test system i, failed (and listed in `failed_systems`) when not all
+    finite. `mean` and `stderr` over the `kept` rows, whose count is
+    `n_systems`, are computed at construction."""
     preset: str
     predictor: str
     seed: int
-    per_system: np.ndarray             # (n_ok, horizon)
-    failed_systems: list = field(default_factory=list)
+    per_system: np.ndarray             # (n, horizon)
+    kept: np.ndarray = field(init=False)
     mean: np.ndarray = field(init=False)
     stderr: np.ndarray = field(init=False)
 
     def __post_init__(self):
-        self.mean, self.stderr = _mean_stderr(self.per_system)
+        self.kept = np.isfinite(self.per_system).all(axis=1)
+        self.mean, self.stderr = _mean_stderr(self.per_system[self.kept])
+
+    @property
+    def failed_systems(self) -> list:
+        return np.flatnonzero(~self.kept).tolist()
 
     @property
     def n_systems(self) -> int:
-        return len(self.per_system)
+        return int(self.kept.sum())
 
     @property
     def horizon(self) -> int:
@@ -181,58 +193,43 @@ def error_curve(predictor_kind: str, dist: Distribution, n, horizon, seed,
     does not read `n` or `horizon`: the curve takes its system count and
     horizon from the population's trajectories. The two stay in the
     signature because the benchmark harness passes them positionally.
+    Raises RuntimeError when every system fails.
     """
     systems, trajs = population
     tokens = np.stack([t.tokens for t in trajs])
     preds = predict_population(predictor_kind, systems, tokens, dist, weights)
     errs = np.linalg.norm(preds - tokens[..., :dist.m], axis=-1)
-
-    ok = np.isfinite(errs).all(axis=1)
-    if not ok.any():
-        raise RuntimeError("every test system produced non-finite predictions")
-    return ErrorCurve(dist.name, predictor_kind, seed, errs[ok],
-                      np.flatnonzero(~ok).tolist())
-
-
-def window_stats(curve: ErrorCurve, lo, hi):
-    """Mean/stderr of the per-system average error over time window
-    [lo, hi] (inclusive, clipped to the horizon)."""
-    lo = max(0, lo)
-    hi = min(curve.horizon - 1, hi)
-    if hi < lo:
-        raise ValueError("empty window")
-    mean, stderr = _mean_stderr(curve.per_system[:, lo:hi + 1].mean(axis=1))
-    return float(mean), float(stderr)
+    return ErrorCurve(dist.name, predictor_kind, seed, errs)
 
 
 def compare_predictors(curve_a: ErrorCurve, curve_b: ErrorCurve) -> dict:
     """Report of the per-timestep error ratio A/B, None where B's mean error
-    is below RATIO_GUARD, plus early and late window summaries (None for a
-    window that the horizon clips to empty: the early one below 3 steps),
-    both curves taken over the test systems that both kept."""
+    is below RATIO_GUARD, plus early and late windows: the mean and stderr
+    of each system's average error over steps [lo, hi] clipped to the
+    horizon (None when clipped empty: the early one below 3 steps). All are
+    taken over the test systems both curves kept; RuntimeError if none."""
     for f in ("preset", "horizon", "seed"):
         if getattr(curve_a, f) != getattr(curve_b, f):
             raise ValueError(f"curves disagree on {f}")
-    failed = sorted(set(curve_a.failed_systems) | set(curve_b.failed_systems))
-    curve_a, curve_b = (replace(c, failed_systems=failed, per_system=c.per_system[
-        [i not in failed for i in range(c.n_systems + len(c.failed_systems))
-         if i not in c.failed_systems]]) for c in (curve_a, curve_b))
+    both = curve_a.kept & curve_b.kept
+    errs = [c.per_system[both] for c in (curve_a, curve_b)]
     t = curve_a.horizon
 
     def window(lo, hi):
-        lo, hi = max(0, lo), min(t - 1, hi)        # the steps window_stats averages
+        lo, hi = max(0, lo), min(t - 1, hi)
         if lo > hi:
             return None
-        ma, sa = window_stats(curve_a, lo, hi)
-        mb, sb = window_stats(curve_b, lo, hi)
+        (ma, sa), (mb, sb) = (map(float, _mean_stderr(e[:, lo:hi + 1].mean(axis=1)))
+                              for e in errs)
         return {"lo": lo, "hi": hi, "mean_num": ma, "stderr_num": sa,
                 "mean_den": mb, "stderr_den": sb,
                 "ratio": ma / mb if mb > RATIO_GUARD else None}
 
+    mean_a, mean_b = (_mean_stderr(e)[0] for e in errs)
     return {"preset": curve_a.preset, "numerator": curve_a.predictor,
             "denominator": curve_b.predictor,
             "ratio": [None if b < RATIO_GUARD else float(a / b)
-                      for a, b in zip(curve_a.mean, curve_b.mean)],
+                      for a, b in zip(mean_a, mean_b)],
             "early": window(2, 10), "late": window(t - 10, t)}
 
 
@@ -246,16 +243,15 @@ def excess_risk(model_curve: ErrorCurve, filter_curve: ErrorCurve) -> dict:
     linear-Gaussian presets the filter is Bayes-optimal, making the proxy an
     upper bound on the true excess risk up to estimation noise.
 
-    Returns the filter's name, both risks, the per-system deltas and their
-    mean `delta` with its `stderr`.
+    Both risks are taken over the test systems both curves kept
+    (RuntimeError if none). Returns the filter's name, both risks, those
+    systems' deltas in system order and their mean `delta` with its
+    `stderr`.
     """
-    curves = (model_curve, filter_curve)
-    for curve in curves:
-        if curve.failed_systems:
-            raise RuntimeError(f"{curve.predictor} failed on test systems "
-                               f"{curve.failed_systems}; the risks cannot be paired")
+    both = model_curve.kept & filter_curve.kept
     # empirical risk: mean over the predicted positions 1..T-1 of the error
-    model_risk, base_risk = (c.per_system[:, 1:].mean(axis=1) for c in curves)
+    model_risk, base_risk = (c.per_system[both, 1:].mean(axis=1)
+                             for c in (model_curve, filter_curve))
     delta = model_risk - base_risk
     mean_delta, stderr = _mean_stderr(delta)
     return {"baseline": filter_curve.predictor, "risk_model": float(model_risk.mean()),

@@ -9,6 +9,9 @@ from dataclasses import replace
 import numpy as np
 import pytest
 import scipy.linalg
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
 from moplab import evaluation, linalg, model
 from moplab.baselines import KalmanFilter
@@ -212,7 +215,8 @@ def test_nan_trajectory_fails_only_its_own_row(kind):
     assert clean.failed_systems == []
     assert curve.failed_systems == [bad]
     keep = np.arange(N_SYSTEMS) != bad
-    assert np.array_equal(curve.per_system, clean.per_system[keep])
+    assert not np.isfinite(curve.per_system[bad]).all()
+    assert np.array_equal(curve.per_system[keep], clean.per_system[keep])
 
 
 class OraclePredictor:
@@ -247,7 +251,7 @@ def test_oracle_predictor_scores_an_all_zero_curve(monkeypatch):
 
 class NaNRowPredictor:
     """Plumbing-test device: predicts the prior mean 0 for every system but
-    `bad`, whose predictions are NaN, so its curve drops that system."""
+    `bad`, whose predictions are NaN, so that system fails."""
 
     def __init__(self, bad):
         self.bad = bad
@@ -328,7 +332,16 @@ def curve_of(predictor, per_system):
     return evaluation.ErrorCurve("linear-dense", predictor, 4, per_system)
 
 
-@pytest.mark.parametrize("derived", ["n_systems", "horizon", "mean", "stderr"])
+def window_oracle(errs, lo, hi):
+    """Mean and stderr over the rows of errs of each row's mean over the
+    steps lo..hi."""
+    per_system = errs[:, lo:hi + 1].mean(axis=1)
+    stderr = per_system.std(ddof=1) / np.sqrt(len(errs)) if len(errs) > 1 else 0.0
+    return float(per_system.mean()), float(stderr)
+
+
+@pytest.mark.parametrize("derived", ["n_systems", "horizon", "mean", "stderr",
+                                     "failed_systems", "kept"])
 def test_error_curve_does_not_take_what_it_derives(derived):
     with pytest.raises(TypeError):
         evaluation.ErrorCurve("linear-dense", "kf", 4, np.ones((3, 5)), **{derived: 1})
@@ -343,9 +356,9 @@ def test_curve_with_a_failed_system_derives_its_shape_and_statistics():
     curve = evaluation.error_curve("kf", LINEAR, 6, HORIZON, 4,
                                    population=(systems, broken))
     assert curve.failed_systems == [2]
-    assert curve.per_system.shape == (5, HORIZON)
-    assert (curve.n_systems, curve.horizon) == curve.per_system.shape
-    mean, stderr = evaluation._mean_stderr(curve.per_system)
+    assert curve.per_system.shape == (6, HORIZON)
+    assert (curve.n_systems, curve.horizon) == (5, HORIZON)
+    mean, stderr = evaluation._mean_stderr(curve.per_system[np.arange(6) != 2])
     assert curve.mean.tobytes() == mean.tobytes()
     assert curve.stderr.tobytes() == stderr.tobytes()
 
@@ -362,11 +375,74 @@ def test_compare_predictors_reports_ratios_and_windows(rng):
     # the bounds stored are the steps averaged: the late window ends at the
     # curve's last step, HORIZON - 1
     for key, (lo, hi) in (("early", (2, 10)), ("late", (HORIZON - 10, HORIZON - 1))):
-        (ma, sa), (mb, sb) = (evaluation.window_stats(c, lo, hi) for c in (num, den))
+        (ma, sa), (mb, sb) = (window_oracle(c.per_system, lo, hi) for c in (num, den))
         assert report[key] == {"lo": lo, "hi": hi, "mean_num": ma, "stderr_num": sa,
                                "mean_den": mb, "stderr_den": sb, "ratio": ma / mb}
     with pytest.raises(ValueError, match="horizon"):
         evaluation.compare_predictors(num, curve_of("kf", den_errs[:, :20]))
+
+
+@st.composite
+def paired_errors(draw):
+    """Two (n, H) error arrays over one population, each with random failed
+    rows (an inf or NaN entry), and one system both keep."""
+    n, horizon = draw(st.integers(1, 8)), draw(st.integers(2, 24))
+    shared = draw(st.integers(0, n - 1))
+    pair = []
+    for _ in range(2):
+        errs = draw(hnp.arrays(np.float64, (n, horizon), elements=st.floats(0.0, 10.0)))
+        for i in range(n):
+            if i != shared and draw(st.booleans()):
+                errs[i, draw(st.integers(0, horizon - 1))] = draw(
+                    st.sampled_from([np.inf, np.nan]))
+        pair.append(errs)
+    return pair
+
+
+@settings(max_examples=60, deadline=None)
+@given(paired_errors())
+def test_statistics_pair_the_systems_both_curves_kept(pair):
+    num, den = curves = [curve_of(kind, errs) for kind, errs in zip(("mop", "kf"), pair)]
+    kept = [np.isfinite(errs).all(axis=1) for errs in pair]
+    for curve, errs, ok in zip(curves, pair, kept):
+        rows = errs[ok]
+        assert curve.n_systems == len(rows)
+        assert curve.failed_systems == [i for i in range(len(ok)) if not ok[i]]
+        assert np.array_equal(curve.mean, rows.mean(axis=0))
+        stderr = rows.std(axis=0, ddof=1) / np.sqrt(len(rows)) if len(rows) > 1 else 0.0
+        assert np.array_equal(curve.stderr, np.broadcast_to(stderr, curve.mean.shape))
+
+    a, b = (errs[kept[0] & kept[1]] for errs in pair)
+    horizon = a.shape[1]
+    report = evaluation.compare_predictors(num, den)
+    assert report["ratio"] == [None if mb < evaluation.RATIO_GUARD else float(ma / mb)
+                               for ma, mb in zip(a.mean(axis=0), b.mean(axis=0))]
+    for key, (lo, hi) in (("early", (2, 10)), ("late", (horizon - 10, horizon - 1))):
+        lo, hi = max(lo, 0), min(hi, horizon - 1)
+        if lo > hi:
+            assert report[key] is None
+            continue
+        (ma, sa), (mb, sb) = (window_oracle(e, lo, hi) for e in (a, b))
+        assert report[key] == {"lo": lo, "hi": hi, "mean_num": ma, "stderr_num": sa,
+                               "mean_den": mb, "stderr_den": sb,
+                               "ratio": ma / mb if mb > evaluation.RATIO_GUARD else None}
+
+    risk = evaluation.excess_risk(num, den)
+    delta = a[:, 1:].mean(axis=1) - b[:, 1:].mean(axis=1)
+    assert risk["delta"] == float(delta.mean())
+    assert risk["stderr"] == (float(delta.std(ddof=1) / np.sqrt(len(delta)))
+                              if len(delta) > 1 else 0.0)
+
+
+def test_statistics_need_a_system_both_curves_kept():
+    errs = np.ones((2, 5))
+    with pytest.raises(RuntimeError, match="no test system"):
+        curve_of("kf", np.where([[True], [False]], np.nan, np.inf * errs))
+    a, b = errs.copy(), errs.copy()
+    a[0, 1], b[1, 2] = np.nan, np.inf
+    for paired in (evaluation.compare_predictors, evaluation.excess_risk):
+        with pytest.raises(RuntimeError, match="no test system"):
+            paired(curve_of("mop", a), curve_of("kf", b))
 
 
 # ---------------------------------------------------------------------------

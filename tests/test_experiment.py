@@ -8,6 +8,7 @@ import dataclasses
 import json
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from conftest import Stopped, stop_training_at
@@ -188,6 +189,44 @@ def test_scaling_of_one_cell_reports_no_rank_statistic(tmp_path, tiny_presets, m
     report = json.loads((tmp_path / "risk-scaling" / "scaling.json").read_text())
     assert report["spearman_delta_vs_mt"] is None
     assert "scaling: spearman(delta, MT) = n/a" in capsys.readouterr().out
+
+
+def test_scaling_pairs_the_risks_over_the_systems_mop_kept(tmp_path, tiny_presets):
+    # NaN one step of test system 3's MOP prediction: each cell's delta is
+    # the mean paired delta over the other systems
+    bad, real_predict = 3, model.predict_sequence
+
+    def nan_on_bad_system(weights, tokens):
+        preds = real_predict(weights, tokens)
+        preds[bad, 4] = np.nan
+        return preds
+
+    with pytest.MonkeyPatch.context() as patched:
+        patched.setattr(model, "predict_sequence", nan_on_bad_system)
+        assert experiment("risk-scaling", tmp_path, "--seed", "3") == 0
+    root = tmp_path / "risk-scaling"
+    report = json.loads((root / "scaling.json").read_text())
+    preset = presets.EXPERIMENTS["risk-scaling"]
+    dist = get_distribution(preset.distribution)
+    population = evaluation.test_population(dist, preset.eval_n, preset.eval_horizon,
+                                            cli.derive_eval_seed(3))
+    others = np.arange(preset.eval_n) != bad
+
+    def risks(kind, weights=None):
+        curve = evaluation.error_curve(kind, dist, preset.eval_n, preset.eval_horizon,
+                                       cli.derive_eval_seed(3), weights=weights,
+                                       population=population)
+        return curve.per_system[others, 1:].mean(axis=1)
+
+    kf = risks("kf")
+    assert [(c["m_systems"], c["train_len"]) for c in report["cells"]] == list(GRID)
+    for cell in report["cells"]:
+        ckpt = root / "cells" / f"cell-M{cell['m_systems']}-T{cell['train_len']}" \
+            / "ckpt-final.ckpt"
+        delta = risks("mop", model.load_checkpoint(ckpt)) - kf
+        assert cell["flagged"] is None
+        assert cell["delta"] == float(delta.mean())
+        assert cell["stderr"] == float(delta.std(ddof=1) / np.sqrt(len(delta)))
 
 
 def test_dist_shift_manifest_names_the_model_it_scored(tmp_path, tiny_presets):
