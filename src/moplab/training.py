@@ -15,6 +15,18 @@ seeded, so a (config, seed) pair reproduces the loss trace bit for bit.
 On glibc, the heap a chunk frees stays in the process while `train` runs,
 so the next chunk reuses it instead of faulting fresh pages in, and is
 handed back to the OS when `train` returns.
+
+A step runs on every CPU the process may run on. After the dataset is
+built, `train` forks a worker for each further CPU (counted in BLAS
+threads, see `_worker_count`), none where there are no steps to run. Each
+step sends every worker the weights and its own block of the batch's last
+chunks and runs the first chunks itself; it then adds the workers' losses
+and gradients after its own, in chunk order, so every sum, and with it the
+loss trace and each checkpoint, is the serial one bit for bit, on any
+number of CPUs. `train` closes the pipes and joins the workers however it
+ends; a worker exits when its pipe closes, so a caller that dies leaves
+none behind, and a worker that fails makes `train` raise.
+
 `train` alone writes and reads a run's directory: the loss log just before
 each checkpoint file (abort included) and the manifest just after it. The
 manifest names the config, identifies the dataset by the sha256 of its
@@ -27,9 +39,12 @@ from __future__ import annotations
 
 import ctypes
 import hashlib
+import itertools
 import json
+import multiprocessing
 import os
 import platform
+import signal
 import time
 from contextlib import contextmanager
 from dataclasses import asdict, dataclass, field
@@ -37,7 +52,7 @@ from pathlib import Path
 
 import numpy as np
 
-from . import engine, model
+from . import engine, manifest, model
 from .distributions import Distribution, get_distribution
 from .manifest import read_csv, sha256_file, sha256_json, write_csv, write_manifest
 from .model import ModelConfig, TransformerWeights
@@ -170,27 +185,144 @@ def batch_loss(weights: TransformerWeights, tokens) -> engine.Tensor:
     return engine.mean_all(engine.l2norm_lastdim(resid))
 
 
-def _loss_and_grads(weights: TransformerWeights, tokens):
-    """The batch's `batch_loss` value and its gradient per parameter name,
-    taped one chunk of TRAIN_CHUNK trajectories at a time.
-
-    Each chunk's loss is scaled by its share of the batch, so the chunks sum
-    to the batch mean; a chunk's backward consumes its tape before the next
-    one is recorded, which bounds the activations held to one chunk's. A
-    batch of one chunk is scaled by 1, and its loss and gradients are bit
-    for bit those of one graph.
-    """
-    n = len(tokens)
-    loss, grads = 0.0, {}
-    for lo in range(0, n, TRAIN_CHUNK):
+def _chunk_parts(weights: TransformerWeights, tokens, n):
+    """Each chunk of TRAIN_CHUNK trajectories' loss and gradients per
+    parameter name, in chunk order, the loss scaled by the chunk's share of
+    a batch of n. A chunk's backward consumes its tape before the next one
+    is recorded, which bounds the activations held to one chunk's."""
+    for lo in range(0, len(tokens), TRAIN_CHUNK):
         chunk = tokens[lo:lo + TRAIN_CHUNK]
         tape = engine.Graph()
         with tape:
             part = engine.scale(batch_loss(weights, chunk), len(chunk) / n)
-        loss += part.item()
-        for name, g in engine.backward(tape, part).items():
+        yield part.item(), engine.backward(tape, part)
+
+
+def _loss_and_grads(weights: TransformerWeights, tokens, workers=()):
+    """The batch's `batch_loss` value and its gradient per parameter name,
+    taped one chunk of TRAIN_CHUNK trajectories at a time (see
+    `_chunk_parts`).
+
+    Each chunk's loss is scaled by its share of the batch, so the chunks sum
+    to the batch mean. Each `_Worker` runs its own block of the batch's
+    last chunks while the caller runs the first ones; the parts are summed
+    in chunk order all the same, so the sums are the serial ones bit for
+    bit. A batch of one chunk is scaled by 1, and its loss and gradients
+    are bit for bit those of one graph.
+    """
+    for worker in workers:
+        worker.send(weights, tokens)
+    own = tokens[:workers[0].lo] if workers else tokens
+    loss, grads = 0.0, {}
+    for part_loss, part_grads in itertools.chain(_chunk_parts(weights, own, len(tokens)),
+                                                 *(w.parts() for w in workers)):
+        loss += part_loss
+        for name, g in part_grads.items():
             grads[name] = grads[name] + g if name in grads else g
     return loss, grads
+
+
+# ---------------------------------------------------------------------------
+# workers
+# ---------------------------------------------------------------------------
+
+def _blocks(n, parts):
+    """The bounds (lo, hi) of `parts` contiguous blocks of whole chunks of a
+    batch of n trajectories, in batch order; the first, the caller's, is
+    never larger than the others."""
+    chunks = -(-n // TRAIN_CHUNK)
+    sizes = [chunks // parts + (i >= parts - chunks % parts) for i in range(parts)]
+    ends = [min(n, TRAIN_CHUNK * end) for end in itertools.accumulate(sizes)]
+    return list(zip([0, *ends[:-1]], ends))
+
+
+def _worker_count(batch_size) -> int:
+    """Workers beside the caller: one per BLAS thread count of the CPUs this
+    process may run on, less the caller's, and fewer than the batch has
+    chunks; none where the BLAS thread count cannot be read."""
+    blas = manifest.openblas_threads()
+    if not blas:
+        return 0
+    chunks = -(-batch_size // TRAIN_CHUNK)
+    return max(0, min(len(os.sched_getaffinity(0)) // blas - 1, chunks - 1))
+
+
+class _Worker:
+    """A process that runs the trajectories [lo, hi) of each step's batch
+    of n (see `_serve`); the caller receives their chunks' losses and
+    gradients into buffers it reuses. It is forked, not spawned, so it
+    starts from the caller's modules with nothing to import or pickle.
+    `callers` are the caller's ends of the pipes forked so far: the worker
+    closes its copies, so that only the caller holds each, and its closing
+    is an EOF to that worker."""
+
+    def __init__(self, weights, n, lo, hi, row_shape, callers):
+        context = multiprocessing.get_context("fork")
+        self.conn, child = context.Pipe()
+        self.lo, self.hi = lo, hi
+        self.losses = np.empty(-(-(hi - lo) // TRAIN_CHUNK))
+        self.grads = {name: np.empty(a.shape, a.dtype) for name, a in weights.arrays.items()}
+        self.process = context.Process(
+            target=_serve, args=(child, [*callers, self.conn], weights, n,
+                                 (hi - lo, *row_shape)),
+            name=f"moplab-train-{lo}-{hi}", daemon=True)
+        self.process.start()
+        child.close()
+
+    def send(self, weights, tokens):
+        for a in weights.arrays.values():
+            self.conn.send_bytes(a)
+        self.conn.send_bytes(np.ascontiguousarray(tokens[self.lo:self.hi]))
+
+    def parts(self):
+        """The block's parts, as `_chunk_parts` yields them; the gradients
+        are the receive buffers, overwritten by the next part."""
+        self._receive(self.losses)
+        for loss in self.losses:
+            for g in self.grads.values():
+                self._receive(g)
+            yield float(loss), self.grads
+
+    def _receive(self, buffer):
+        try:
+            self.conn.recv_bytes_into(buffer.reshape(-1))
+        except EOFError:
+            self.process.join()
+            raise RuntimeError(f"training worker {self.process.name} exited with code "
+                               f"{self.process.exitcode}") from None
+
+    def close(self):
+        self.conn.close()
+        self.process.join()
+
+
+def _serve(conn, callers, weights, n, block_shape):
+    """A worker's loop: receive the weights and its block of tokens, and
+    send back its chunks' losses and gradients once the whole block is done
+    (sent as each chunk is done, they would fill the pipe while the caller
+    is busy, and serialise the two). Each array is its own message:
+    `recv_bytes_into` reads a whole message into a temporary first, and one
+    message per chunk raised train-linear's peak RSS by 0.7 MB more (one
+    per block, by 6.8 MB more). Each is received through a flat view, as
+    `recv_bytes_into` sizes a buffer by its first axis. Returns when the
+    caller's end closes; Ctrl-C is the caller's to handle."""
+    signal.signal(signal.SIGINT, signal.SIG_IGN)
+    for caller in callers:
+        caller.close()
+    weights = TransformerWeights(weights.config, {
+        name: np.empty(a.shape, a.dtype) for name, a in weights.arrays.items()})
+    tokens = np.empty(block_shape)
+    try:
+        while True:
+            for buffer in (*weights.arrays.values(), tokens):
+                conn.recv_bytes_into(buffer.reshape(-1))
+            parts = list(_chunk_parts(weights, tokens, n))
+            conn.send_bytes(np.array([loss for loss, _ in parts]))
+            for _, grads in parts:
+                for name in weights.arrays:
+                    conn.send_bytes(grads[name])
+    except (EOFError, BrokenPipeError):      # the caller closed its end
+        return
 
 
 # ---------------------------------------------------------------------------
@@ -322,10 +454,11 @@ def train(cfg: TrainConfig, out_dir, resume=None, quiet=True) -> TrainResult:
     that run clocked them. A checkpoint of another model config, or past
     `cfg.steps`, raises `model.CheckpointError` before out_dir is made.
 
-    Each step takes the batch loss and gradients chunk by chunk (see
-    `_loss_and_grads`), then clips and applies one Adam update. A loss
-    that is not finite or exceeds DIVERGENCE_LOSS writes the weights the
-    step started from to ckpt-abort.ckpt and raises `TrainingAborted`.
+    Each step takes the batch loss and gradients chunk by chunk, split with
+    the workers (see `_loss_and_grads`), then clips and applies one Adam
+    update. A loss that is not finite or exceeds DIVERGENCE_LOSS writes the
+    weights the step started from to ckpt-abort.ckpt and raises
+    `TrainingAborted`.
 
     The result's `dataset_s` times the dataset build, which samples and
     rolls every training trajectory before the clock of the loss rows'
@@ -333,8 +466,8 @@ def train(cfg: TrainConfig, out_dir, resume=None, quiet=True) -> TrainResult:
     """
     t_call = time.time()
     out_dir, hashes = Path(out_dir), {}      # hashes: the run's checkpoints, in write order
-    manifest = out_dir / "manifest.json"
-    prev = json.loads(manifest.read_text()) if manifest.exists() else {"config": None}
+    record = out_dir / "manifest.json"
+    prev = json.loads(record.read_text()) if record.exists() else {"config": None}
     if sha256_json(prev["config"]) == sha256_json(asdict(cfg)):
         hashes = {name: digest for name, digest in prev["checkpoint_hashes"].items()
                   if (out_dir / name).exists() and sha256_file(out_dir / name) == digest}
@@ -378,26 +511,35 @@ def train(cfg: TrainConfig, out_dir, resume=None, quiet=True) -> TrainResult:
                        checkpoint_hashes=hashes, wallclock_s=time.time() - t_call,
                        outputs=[str(out_dir / "loss.csv"), str(path)])
 
-    for step in range(start_step, cfg.steps):
-        idx = stream(cfg.seed, "batch", step).integers(0, cfg.m_systems,
-                                                       size=cfg.batch_size)
-        loss_val, grads = _loss_and_grads(weights, ds.tokens[idx])
-        if not loss_val <= DIVERGENCE_LOSS:      # a NaN loss fails this too
-            checkpoint(step, "ckpt-abort.ckpt")
-            cause = "not finite" if np.isnan(loss_val) else f"above {DIVERGENCE_LOSS:.0e}"
-            raise TrainingAborted(
-                f"loss {loss_val:.3e} is {cause} (batch systems "
-                f"{sorted(set(int(i) for i in idx))[:8]}...)", step)
+    workers = []
+    try:
+        count = _worker_count(cfg.batch_size) if start_step < cfg.steps else 0
+        for lo, hi in _blocks(cfg.batch_size, 1 + count)[1:]:
+            workers.append(_Worker(weights, cfg.batch_size, lo, hi, ds.tokens.shape[1:],
+                                   [w.conn for w in workers]))
+        for step in range(start_step, cfg.steps):
+            idx = stream(cfg.seed, "batch", step).integers(0, cfg.m_systems,
+                                                           size=cfg.batch_size)
+            loss_val, grads = _loss_and_grads(weights, ds.tokens[idx], workers)
+            if not loss_val <= DIVERGENCE_LOSS:      # a NaN loss fails this too
+                checkpoint(step, "ckpt-abort.ckpt")
+                cause = "not finite" if np.isnan(loss_val) else f"above {DIVERGENCE_LOSS:.0e}"
+                raise TrainingAborted(
+                    f"loss {loss_val:.3e} is {cause} (batch systems "
+                    f"{sorted(set(int(i) for i in idx))[:8]}...)", step)
 
-        gnorm, grads = _clip_gradients(grads, cfg.clip_norm)
-        adam.apply(weights.arrays, grads)
+            gnorm, grads = _clip_gradients(grads, cfg.clip_norm)
+            adam.apply(weights.arrays, grads)
 
-        loss_rows.append({"step": step, "loss": loss_val, "grad_norm": gnorm,
-                          "wallclock_s": time.time() - t0})
-        if not quiet and (step % LOG_EVERY == 0 or step == cfg.steps - 1):
-            print(f"step {step:6d}  loss {loss_val:.5f}  gnorm {gnorm:.3f}")
-        if (step + 1) % cfg.checkpoint_every == 0 and step + 1 < cfg.steps:
-            checkpoint(step + 1)
+            loss_rows.append({"step": step, "loss": loss_val, "grad_norm": gnorm,
+                              "wallclock_s": time.time() - t0})
+            if not quiet and (step % LOG_EVERY == 0 or step == cfg.steps - 1):
+                print(f"step {step:6d}  loss {loss_val:.5f}  gnorm {gnorm:.3f}")
+            if (step + 1) % cfg.checkpoint_every == 0 and step + 1 < cfg.steps:
+                checkpoint(step + 1)
+    finally:
+        for worker in workers:
+            worker.close()
 
     checkpoint(cfg.steps, "ckpt-final.ckpt")
     return TrainResult(checkpoints, loss_rows, dataset_s)

@@ -96,11 +96,11 @@ def stop_training_at(monkeypatch, step):
     (counted from the call's first step), after every checkpoint before it."""
     real, calls = training._loss_and_grads, []
 
-    def stopping(weights, tokens):
+    def stopping(weights, tokens, *workers):
         calls.append(None)
         if len(calls) == step + 1:
             raise Stopped
-        return real(weights, tokens)
+        return real(weights, tokens, *workers)
 
     monkeypatch.setattr(training, "_loss_and_grads", stopping)
 

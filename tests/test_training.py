@@ -1,15 +1,19 @@
 """Meta-dataset construction, the training objective, and the training loop
 (determinism, divergence handling, resume)."""
 
+import contextlib
 import ctypes
 import dataclasses
 import hashlib
 import json
 import math
+import multiprocessing
 import os
 import platform
 import re
 import resource
+import signal
+import time
 import tracemalloc
 
 import numpy as np
@@ -17,7 +21,7 @@ import pytest
 
 from conftest import (COMMITTED_CACHE, SOURCES, Stopped, ensure_trained, load_loss_rows,
                       stop_training_at, zero_model)
-from moplab import engine, evaluation, linalg, model, presets, training
+from moplab import engine, evaluation, linalg, manifest, model, presets, training
 from moplab.distributions import DISTRIBUTIONS, get_distribution
 from moplab.manifest import read_csv, sha256_file
 from moplab.model import ModelConfig
@@ -246,19 +250,73 @@ def test_one_chunk_loss_and_grads_are_one_graph_bit_for_bit():
 # training loop
 # ---------------------------------------------------------------------------
 
-def test_train_step_tapes_one_chunk_at_a_time(tmp_path, monkeypatch):
-    tapes = []
+def on_cpus(monkeypatch, n, blas_threads=1):
+    """Make training see n CPUs it may run on, with BLAS at blas_threads."""
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(n)))
+    monkeypatch.setattr(manifest, "openblas_threads", lambda: blas_threads)
+
+
+@pytest.fixture
+def forked(monkeypatch):
+    """The training workers forked while the test runs; a test that runs
+    past 60 s fails, so that a worker that hangs does not stall the suite."""
+    workers = []
+
+    class Recorded(training._Worker):
+        def __init__(self, *args):
+            super().__init__(*args)
+            workers.append(self)
+
+    monkeypatch.setattr(training, "_Worker", Recorded)
+    with deadline(60):
+        yield workers
+
+
+def assert_no_process_left(workers):
+    assert multiprocessing.active_children() == []
+    assert all(not w.process.is_alive() for w in workers)
+
+
+class Overran(Exception):
+    """Raised by `deadline`. Not a TimeoutError: that is an OSError, which
+    `multiprocessing`'s join swallows while it waits."""
+
+
+@contextlib.contextmanager
+def deadline(seconds):
+    """Raise Overran in the block once it has run `seconds`."""
+    def expire(signum, frame):
+        raise Overran(f"still running after {seconds} s")
+
+    previous = signal.signal(signal.SIGALRM, expire)
+    signal.setitimer(signal.ITIMER_REAL, seconds)
+    try:
+        yield
+    finally:
+        signal.setitimer(signal.ITIMER_REAL, 0)
+        signal.signal(signal.SIGALRM, previous)
+
+
+def test_train_step_tapes_one_chunk_at_a_time(tmp_path, monkeypatch, forked):
+    # each process appends its tapes to its own file, so that the tapes of
+    # a forked worker are counted too
+    on_cpus(monkeypatch, 2)
     backward = engine.backward
 
     def recording_backward(graph, loss):
-        tapes.append([node.out_shape for node in graph.nodes if node.op != "leaf"])
+        with open(tmp_path / f"tapes-{os.getpid()}.jsonl", "a") as fh:
+            fh.write(json.dumps([node.out_shape for node in graph.nodes
+                                 if node.op != "leaf"]) + "\n")
         return backward(graph, loss)
 
     monkeypatch.setattr(engine, "backward", recording_backward)
     chunk = training.TRAIN_CHUNK
     # train_len = chunk keeps the time axis (chunk - 1) under the chunk, so
     # only the batch axis of an activation could reach it
-    training.train(tiny_cfg(steps=1, batch_size=64, train_len=chunk), tmp_path)
+    training.train(tiny_cfg(steps=1, batch_size=64, train_len=chunk), tmp_path / "run")
+    tapes = [json.loads(line) for log in tmp_path.glob("tapes-*.jsonl")
+             for line in log.read_text().splitlines()]
+    assert len(forked) == 1
     assert len(tapes) == math.ceil(64 / chunk) > 1
     # parameter leaves are left out: their leading dims are model sizes
     assert max(shape[0] for tape in tapes for shape in tape if shape) == chunk
@@ -311,9 +369,9 @@ def test_train_aborts_on_a_nan_loss(tmp_path, monkeypatch):
     real = training._loss_and_grads
     calls = []
 
-    def nan_on_third_step(weights, tokens):
+    def nan_on_third_step(weights, tokens, *workers):
         calls.append(None)
-        loss, grads = real(weights, tokens)
+        loss, grads = real(weights, tokens, *workers)
         return (math.nan if len(calls) == 3 else loss), grads
 
     monkeypatch.setattr(training, "_loss_and_grads", nan_on_third_step)
@@ -383,9 +441,9 @@ def test_aborted_run_logs_every_step_before_the_abort(tmp_path, monkeypatch):
     real = training._loss_and_grads
     calls = []
 
-    def nan_on_fifth_step(weights, tokens):
+    def nan_on_fifth_step(weights, tokens, *workers):
         calls.append(None)
-        loss, grads = real(weights, tokens)
+        loss, grads = real(weights, tokens, *workers)
         return (math.nan if len(calls) == 5 else loss), grads
 
     monkeypatch.setattr(training, "_loss_and_grads", nan_on_fifth_step)
@@ -586,6 +644,96 @@ def test_gradient_clipping_engages(tmp_path):
     # applied update must be the clipped one (norm reported pre-clip)
     result = training.train(tiny_cfg(steps=2, clip_norm=0.05), tmp_path)
     assert result.loss_rows[0]["grad_norm"] > 0.05
+
+
+# ---------------------------------------------------------------------------
+# workers: the CPUs a step runs on
+# ---------------------------------------------------------------------------
+
+def quadrotor_cfg(**kw):
+    dist = get_distribution("quadrotor")
+    return tiny_cfg(preset="quadrotor", model=dataclasses.replace(
+        TINY_MODEL, token_dim=dist.token_dim, output_dim=dist.m,
+        input_scale=dist.input_scale), **kw)
+
+
+@pytest.mark.parametrize("cfg", [
+    tiny_cfg(batch_size=64), tiny_cfg(batch_size=37), tiny_cfg(batch_size=8),
+    tiny_cfg(batch_size=37, model=dataclasses.replace(TINY_MODEL, precision="f32")),
+    quadrotor_cfg(batch_size=24)],
+    ids=["batch-64", "batch-37", "batch-8", "f32-batch-37", "quadrotor-24"])
+def test_train_is_bit_identical_on_any_number_of_cpus(tmp_path, monkeypatch, forked, cfg):
+    runs, counts = [], []
+    for n in (1, 2, 4):
+        on_cpus(monkeypatch, n)
+        result = training.train(cfg, tmp_path / f"cpus-{n}")
+        counts.append(len(forked))
+        forked.clear()
+        runs.append(([{k: row[k] for k in ("step", "loss", "grad_norm")}
+                      for row in result.loss_rows], (tmp_path / f"cpus-{n}" /
+                                                     "ckpt-final.ckpt").read_bytes()))
+    chunks = math.ceil(cfg.batch_size / training.TRAIN_CHUNK)
+    assert counts == [0, min(1, chunks - 1), min(3, chunks - 1)]
+    assert runs[1] == runs[0]
+    assert runs[2] == runs[0]
+
+
+def test_blocks_cover_the_batch_in_whole_chunks_the_callers_smallest():
+    chunk = training.TRAIN_CHUNK
+    for n, parts in [(64, 2), (37, 2), (37, 4), (8 * chunk + 1, 3), (chunk, 1)]:
+        blocks = training._blocks(n, parts)
+        assert len(blocks) == parts
+        assert [lo for lo, _ in blocks] == [0] + [hi for _, hi in blocks[:-1]]
+        assert blocks[-1][1] == n
+        assert all(lo % chunk == 0 and lo < hi for lo, hi in blocks)
+        sizes = [math.ceil((hi - lo) / chunk) for lo, hi in blocks]
+        assert sizes[0] == min(sizes) and max(sizes) - min(sizes) <= 1
+
+
+def test_train_leaves_no_worker_behind(tmp_path, monkeypatch, forked):
+    on_cpus(monkeypatch, 2)
+    training.train(tiny_cfg(batch_size=64), tmp_path / "done")
+    with pytest.raises(TrainingAborted):
+        training.train(tiny_cfg(batch_size=64, lr=1e6, steps=200), tmp_path / "aborted")
+    stop_training_at(monkeypatch, 3)
+    with pytest.raises(Stopped):
+        training.train(tiny_cfg(batch_size=64), tmp_path / "stopped")
+    assert len(forked) == 3
+    assert_no_process_left(forked)
+    assert [w.process.exitcode for w in forked] == [0, 0, 0]
+
+
+def test_a_failing_worker_makes_train_raise(tmp_path, monkeypatch, forked):
+    on_cpus(monkeypatch, 2)
+    pid, real = os.getpid(), training.batch_loss
+
+    def failing_in_a_worker(weights, tokens):
+        if os.getpid() != pid:
+            raise ValueError("a worker fails")
+        return real(weights, tokens)
+
+    monkeypatch.setattr(training, "batch_loss", failing_in_a_worker)
+    t0 = time.monotonic()
+    with pytest.raises(RuntimeError, match="exited with code 1"):
+        training.train(tiny_cfg(batch_size=64), tmp_path)
+    assert time.monotonic() - t0 < 10
+    assert len(forked) == 1
+    assert_no_process_left(forked)
+
+
+@pytest.mark.parametrize("blas_threads", [2, None])
+def test_no_worker_without_a_cpu_to_spare(tmp_path, monkeypatch, forked, blas_threads):
+    # a worker at BLAS's 2 threads on 2 CPUs would oversubscribe them, and
+    # an unknown BLAS thread count could do so too
+    on_cpus(monkeypatch, 2, blas_threads)
+    training.train(tiny_cfg(batch_size=64, steps=2), tmp_path)
+    assert forked == []
+
+
+def test_no_worker_without_steps_to_run(tmp_path, monkeypatch, forked):
+    on_cpus(monkeypatch, 4)
+    training.train(tiny_cfg(batch_size=64, steps=0), tmp_path)
+    assert forked == []
 
 
 # ---------------------------------------------------------------------------
